@@ -30,7 +30,6 @@ from .scenarios import (
     CancellationInputs,
     FlyingQubitTarget,
     WavePacket,
-    _fan_out,
     cancellation_budget,
     encode_flying_qubit,
     run_beam_splitter,
@@ -79,6 +78,10 @@ def _check_probs(probs) -> None:
 # scenario runners: resolved config dict -> (columns, rows)
 
 
+def _probability_columns(v):
+    return ["alpha0"] + [f"P{n}" for n in range(int(v["cutoff"]) + 1)]
+
+
 def _run_beam_splitter(v):
     params = MirrorQubitParams(gamma=v["gamma"], delta=v["delta"],
                                gamma_nr=v["gamma_nr"])
@@ -92,7 +95,7 @@ def _run_beam_splitter(v):
         _check_probs(stats.probabilities)
         return (a0,) + stats.probabilities
 
-    return ["alpha0", "P0", "P1", "P2", "P3"], _fan_out(one, v["alpha0"])
+    return _probability_columns(v), [one(a0) for a0 in v["alpha0"]]
 
 
 def _run_shaped_release(v):
@@ -118,7 +121,7 @@ def _run_shaped_release(v):
         _check_probs(res.stats.probabilities)
         return (a0,) + res.stats.probabilities
 
-    return ["alpha0", "P0", "P1", "P2", "P3"], _fan_out(one, v["alpha0"])
+    return _probability_columns(v), [one(a0) for a0 in v["alpha0"]]
 
 
 def _run_cascade_sweep(v):

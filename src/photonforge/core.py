@@ -50,7 +50,6 @@ class NumericPolicy:
     herm_tol: float = 1e-10      # Hermiticity checks
     trace_tol: float = 1e-10     # trace-one / trace-annihilation checks
     psd_tol: float = 1e-9        # eigenvalue floor for density matrices
-    prop_trace_tol: float = 1e-8  # trace preservation through propagators
 
 
 policy = NumericPolicy()
@@ -216,10 +215,7 @@ class Superoperator:
     def annihilates_trace(self, tol: float | None = None) -> bool:
         """True if tr(S rho) = 0 for all rho, the Liouvillian property."""
         tol = policy.trace_tol if tol is None else tol
-        d = self.dim
-        tr_row = np.zeros(d * d, dtype=complex)
-        tr_row[:: d + 1] = 1.0
-        return bool(np.max(np.abs(tr_row @ self.mat)) <= tol)
+        return bool(np.max(np.abs(trace_row(self.dim) @ self.mat)) <= tol)
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"

@@ -331,10 +331,6 @@ def _collect_pieces(params, drive: DriveSchedule, phase: PhaseSchedule,
     return pieces
 
 
-def _piece_generator_cache():
-    return {}
-
-
 def _generator(params, phi, alpha, cache) -> np.ndarray:
     key = ("L", phi, alpha)
     if key not in cache:

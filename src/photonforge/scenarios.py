@@ -1,8 +1,7 @@
 """Named end-to-end experiments built from the dynamics and statistics layers.
 
-Each runner is a pure function from parameters to numbers; sweeps fan
-rows out over a thread pool (capped by the PHOTONFORGE_THREADS
-environment variable) and reassemble them in deterministic order.
+Each runner is a pure function from parameters to numbers; sweeps run
+their cells one after another and return rows in grid order.
 
 The experiments:
 
@@ -27,9 +26,7 @@ The experiments:
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -70,28 +67,7 @@ __all__ = [
     "CancellationInputs",
     "CancellationOutcome",
     "cancellation_budget",
-    "thread_count",
 ]
-
-
-def thread_count() -> int:
-    """Worker cap for sweeps, from PHOTONFORGE_THREADS or the CPU count."""
-    env = os.environ.get("PHOTONFORGE_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError("PHOTONFORGE_THREADS must be a positive integer")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _fan_out(fn, items):
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -369,38 +345,25 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     rho_r = pre.states[-1].reshape((2, 2), order="F")
     p_exc_r = float(rho_r[1, 1].real)
 
-    stats_end = t_end
-    if packet is not None and packet.end < t_end:
-        stats_end = None  # set below from the realized grid
     run = simulate(params, DriveSchedule(()), sched, t_end, t_start=t_r,
                    rho0=rho_r, dt=dt)
-    if packet is not None and packet.end < t_end:
-        # statistics over the packet support; use the exact grid value
-        i_end = int(np.argmin(np.abs(run.times - packet.end)))
-        stats_end = float(run.times[i_end])
+    # packet releases count over the packet support only
+    stats_end = t_end if packet is None else min(t_end, packet.end)
     stats = counting_statistics(run, cutoff=cutoff,
                                 window=(t_r, stats_end))
 
+    # one pass over the whole timeline: flux = tr(M^dag M rho), p_exc = rho_11;
+    # a C-order reshape of the column-stacked states gives rho transposed
     times = np.concatenate([pre.times[:-1], run.times])
-    states = pre.states[:-1] + run.states
-    ops = pre.counting_ops[:-1] + run.counting_ops
-    flux = np.empty(len(times))
-    p_exc = np.empty(len(times))
-    for i in range(len(times)):
-        rho = states[i].reshape((2, 2), order="F")
-        m = ops[i]
-        flux[i] = np.trace(m.conj().T @ m @ rho).real
-        p_exc[i] = rho[1, 1].real
+    ops = np.array(pre.counting_ops[:-1] + run.counting_ops)
+    rho_t = np.array(pre.states[:-1] + run.states).reshape(-1, 2, 2)
+    flux = np.einsum("nki,nkj,nij->n", ops.conj(), ops, rho_t).real
+    p_exc = rho_t[:, 1, 1].real
     phase_vals = np.array([sched.phi_at(t) for t in times])
 
-    i0 = int(np.argmin(np.abs(run.times - t_r)))
-    i1 = int(np.argmin(np.abs(run.times - stats_end)))
-    wgrid = run.times[i0:i1 + 1]
-    wflux = np.array([
-        np.trace(run.counting_ops[i].conj().T @ run.counting_ops[i]
-                 @ run.states[i].reshape((2, 2), order="F")).real
-        for i in range(i0, i1 + 1)
-    ])
+    i0, i1 = np.searchsorted(times, stats.window)
+    wgrid = times[i0:i1 + 1]
+    wflux = flux[i0:i1 + 1]
     emitted = float(np.trapezoid(wflux, wgrid))
 
     l2 = None
@@ -459,15 +422,10 @@ def sweep_cascade(params: MirrorQubitParams, alpha_d_values: Sequence[float],
     """Pair quality over the (alpha_d, gamma02) grid.
 
     Returns rows (alpha_d, gamma02, CrossPairResult) in row-major grid
-    order regardless of worker scheduling.
+    order.
     """
-    cells = [(a, g) for a in alpha_d_values for g in gamma02_values]
-
-    def cell(ag):
-        a, g = ag
-        return (a, g, run_cascade(params.with_(gamma02=g), a, t_end, dt))
-
-    return _fan_out(cell, cells)
+    return [(a, g, run_cascade(params.with_(gamma02=g), a, t_end, dt))
+            for a in alpha_d_values for g in gamma02_values]
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +438,9 @@ def sweep_nonradiative(params: MirrorQubitParams, alpha0: complex, r: float,
                        dt: float = 0.005) -> list:
     """Beam-splitter source quality against the non-radiative rate."""
     config = BeamSplitterConfig(r=r, alpha0=alpha0, t0=t0, t_end=t_end, dt=dt)
-
-    def one(gnr):
-        return (gnr, run_beam_splitter(params.with_(gamma_nr=gnr), config,
-                                       cutoff=cutoff))
-
-    return _fan_out(one, gamma_nr_values)
+    return [(gnr, run_beam_splitter(params.with_(gamma_nr=gnr), config,
+                                    cutoff=cutoff))
+            for gnr in gamma_nr_values]
 
 
 def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
@@ -511,7 +466,7 @@ def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
                                  cutoff=cutoff, dt=dt)
         return (t_wait, res)
 
-    return _fan_out(one, t_wait_values)
+    return [one(t_wait) for t_wait in t_wait_values]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,20 @@ class TestRunCommand:
                             "0.0347658332816,0.000182353080974")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("scenario", ["beam_splitter", "shaped_release"])
+    def test_header_follows_cutoff(self, tmp_path, scenario):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario = {scenario}\nalpha0 = 5,10\ncutoff = 2\n"
+            f"dt = 0.05\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 0
+        lines = (outdir / "result.csv").read_text().splitlines()
+        assert lines[0] == "# gnuplot columns: 1=alpha0 2=P0 3=P1 4=P2"
+        assert lines[1] == "alpha0,P0,P1,P2"
+        assert len(lines) == 4
+        assert all(len(row.split(",")) == 4 for row in lines[2:])
+
     def test_numeric_failure_exits_one(self, tmp_path, capsys):
         # keeping only the first counting moment cannot describe this field;
         # the inversion goes measurably negative and the run must abort

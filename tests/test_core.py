@@ -186,4 +186,3 @@ class TestPolicy:
         assert p.herm_tol == 1e-10
         assert p.trace_tol == 1e-10
         assert p.psd_tol == 1e-9
-        assert pf.policy.prop_trace_tol == 1e-8

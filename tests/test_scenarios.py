@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import photonforge as pf
-from photonforge.scenarios import _fan_out, thread_count
 
 PI = math.pi
 
@@ -326,24 +325,20 @@ class TestCascade:
         with pytest.raises(ValueError, match="levels=3"):
             pf.run_cascade(qubit_unit(), 5.0)
 
-    def test_sweep_rows_in_grid_order(self, monkeypatch):
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "4")
+    def test_sweep_rows_in_grid_order(self):
         out = pf.sweep_cascade(ladder(), (4.0, 5.0), (0.1, 0.3), t_end=6.0,
                                dt=0.05)
         assert [(a, g) for a, g, _ in out] == [(4.0, 0.1), (4.0, 0.3),
                                                (5.0, 0.1), (5.0, 0.3)]
 
-    def test_sweep_deterministic_across_worker_counts(self, monkeypatch):
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "1")
-        serial = pf.sweep_cascade(ladder(), (4.0, 5.0), (0.1, 0.3), t_end=6.0,
-                                  dt=0.05)
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "4")
-        threaded = pf.sweep_cascade(ladder(), (4.0, 5.0), (0.1, 0.3),
-                                    t_end=6.0, dt=0.05)
-        for (a1, g1, r1), (a2, g2, r2) in zip(serial, threaded):
-            assert (a1, g1) == (a2, g2)
-            assert r1.g_ii == r2.g_ii and r1.g_ss == r2.g_ss
-            assert r1.g_is == r2.g_is and r1.v == r2.v
+    def test_sweep_rows_equal_single_cell_runs(self):
+        alphas, gammas = (4.0, 5.0), (0.1, 0.3)
+        out = pf.sweep_cascade(ladder(), alphas, gammas, t_end=6.0, dt=0.05)
+        cells = [(a, g) for a in alphas for g in gammas]
+        assert [(a, g) for a, g, _ in out] == cells
+        for (a, g), (_, _, res) in zip(cells, out):
+            assert res == pf.run_cascade(ladder().with_(gamma02=g), a,
+                                         t_end=6.0, dt=0.05)
 
 
 class TestLossAndWaitSweeps:
@@ -479,19 +474,3 @@ class TestCancellationBudget:
             pf.CancellationInputs(a1=1.0, a2=1.0, tau1=1.5)
         with pytest.raises(ValueError, match="tau2"):
             pf.CancellationInputs.matched(tau2=0.0)
-
-
-class TestWorkerPool:
-    def test_thread_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_count()
-        monkeypatch.delenv("PHOTONFORGE_THREADS")
-        assert thread_count() >= 1
-
-    def test_fan_out_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("PHOTONFORGE_THREADS", "4")
-        assert _fan_out(lambda x: x * x, list(range(7))) == [
-            0, 1, 4, 9, 16, 25, 36]
