@@ -251,7 +251,10 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 def _coerce(text: str, default, key: str, lineno: int):
     try:
         if isinstance(default, tuple):
-            return tuple(float(x) for x in text.split(",") if x.strip() != "")
+            items = tuple(float(x) for x in text.split(",") if x.strip() != "")
+            if not items:
+                raise ConfigError(f"line {lineno}: key {key!r} has no values")
+            return items
         if isinstance(default, int) and not isinstance(default, bool):
             return int(text)
         if isinstance(default, float):

@@ -414,7 +414,9 @@ class ScenarioRun:
     """A propagated scenario on a fixed grid.
 
     times[i] are the grid instants; steps[i] maps state i to state i+1;
-    states[i] is the column-stacked density matrix at times[i].
+    states[i] is the column-stacked density matrix at times[i]. All
+    steps of one constant piece are the same array object, which the
+    pair integrals rely on to treat the piece as a block.
     counting_ops[i] is the output counting operator in effect at
     times[i] (right-continuous across breakpoints). For three-level runs
     `channels` holds the per-transition collapse operators instead.

@@ -17,7 +17,10 @@ probabilities inverts through alternating binomial sums, computed by
 two independent routes that must agree to near machine precision.
 
 Pair correlations of a two-channel emitter are the same construction
-with one jump from each channel; the quality metric
+with one jump from each channel. Their late-time row is constant, so
+the backward sweep is evaluated one constant piece at a time from
+stacked powers of the piece's step matrix; the quadrature is the same
+grid trapezoid. The quality metric
 v = G_is^2 - G_ii G_ss is positive only when the cross-channel
 coincidence beats the geometric mean of the single-channel ones, which
 no classical field can arrange.
@@ -109,6 +112,63 @@ def _backward_functional(rows, steps, hs):
     for i in range(n - 2, -1, -1):
         h = hs[i]
         u[i] = (u[i + 1] + (h / 2.0) * rows[i + 1]) @ steps[i] + (h / 2.0) * rows[i]
+    return u
+
+
+_BLOCK = 128  # grid points filled by one stacked matmul in _pair_functional
+
+
+def _constant_pieces(steps, t):
+    """(lo, hi, h): step ranges that share one step matrix and length h.
+
+    Consecutive steps form a piece when they are the same array object
+    and their lengths agree to 1e-12 relative to the largest grid time
+    (differencing the grid times leaves rounding of order eps * |t|);
+    otherwise each step is its own piece.
+    """
+    hs = np.diff(t)
+    tol = 1e-12 * np.abs(t).max()
+    cuts = [i for i in range(1, len(steps)) if steps[i] is not steps[i - 1]]
+    for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
+        if np.ptp(hs[lo:hi]) <= tol:
+            yield lo, hi, float(np.mean(hs[lo:hi]))
+        else:
+            yield from ((k, k + 1, float(hs[k])) for k in range(lo, hi))
+
+
+def _powers(e, k):
+    """Stacked E^0 .. E^k by repeated doubling."""
+    p = np.empty((k + 1,) + e.shape, dtype=complex)
+    p[0] = np.eye(e.shape[0])
+    em, m = e, 1
+    while m <= k:
+        top = min(2 * m, k + 1)
+        p[m:top] = p[:top - m] @ em
+        em, m = em @ em, 2 * m
+    return p
+
+
+def _pair_functional(row, steps, t):
+    """_backward_functional for a row that is the same at every point.
+
+    Within a piece of step matrix E and length h the recurrence is
+    u[i] = u[i+1] E + c with c = (h/2)(row E + row), so
+    u[hi-j] = u[hi] E^j + c (E^0 + ... + E^{j-1}); each block of up to
+    _BLOCK points is one stacked matmul against the powers of E.
+    """
+    u = np.empty((len(t), len(row)), dtype=complex)
+    u[-1] = 0.0
+    for lo, hi, h in reversed(list(_constant_pieces(steps, t))):
+        e = steps[lo]
+        c = (h / 2.0) * (row @ e + row)
+        k = min(_BLOCK, hi - lo)
+        p = _powers(e, k)
+        q = np.cumsum(c @ p[:k], axis=0)
+        j = hi
+        while j > lo:
+            b = min(k, j - lo)
+            u[j - b:j] = (u[j] @ p[1:b + 1] + q[:b])[::-1]
+            j -= b
     return u
 
 
@@ -310,13 +370,21 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     """A_{first,second}: both-jumps integral with `first` at the earlier time.
 
     A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt',
-    evaluated by one backward sweep of the late-time functional of
-    channel b against a forward trapezoid in the early time.
+    the nested grid trapezoid from one backward sweep of the late-time
+    functional of channel b against a forward trapezoid in the early
+    time. The sweep runs per constant piece with stacked matrix powers
+    (`_pair_functional`). T is the end of the run, or `horizon`, which
+    must lie on the grid to 1e-9.
     """
     la = _channel_matrix(run, first)
     lb = _channel_matrix(run, second)
     d = run.dim
-    i1 = len(run.times) - 1 if horizon is None else _snap_index(run, horizon)
+    i1 = len(run.times) - 1
+    if horizon is not None:
+        i1 = int(np.argmin(np.abs(run.times - horizon)))
+        if abs(run.times[i1] - horizon) > 1e-9:
+            raise ValueError(
+                f"horizon {horizon} does not lie on the simulation grid")
     t = run.times[: i1 + 1]
     n = len(t)
     if n < 2:
@@ -324,8 +392,8 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     ja = spre_spost(la, la.conj().T)
     jb_row = trace_row(d) @ spre_spost(lb, lb.conj().T)
     hs = np.diff(t)
-    u = _backward_functional([jb_row] * n, run.steps[: i1], hs)
-    f = np.array([(u[i] @ ja) @ run.states[i] for i in range(n)])
+    u = _pair_functional(jb_row, run.steps[: i1], t)
+    f = np.einsum("ni,ni->n", u, np.asarray(run.states[:n]) @ ja.T)
     return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
 
 

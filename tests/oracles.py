@@ -2,7 +2,8 @@
 
 Everything here deliberately uses different algorithms than the package:
 adaptive ODE integration instead of exact piecewise exponentials,
-forward-nested quadrature instead of backward sweeps, Taylor series
+forward-nested quadrature instead of backward sweeps (for counting
+moments and for pair integrals), Taylor series
 with step doubling instead of Pade exponentials, and basis-column
 assembly instead of Kronecker products. Agreement with the package is
 therefore a meaningful cross-check, not a tautology.
@@ -123,6 +124,38 @@ def naive_counting_moments(times, steps, ops, states, mmax=3):
         f3[i] = np.trapezoid(g, t[i:])
     out.append(float(np.trapezoid(f3, t)))
     return out
+
+
+def nested_pair_count(run, first, second, horizon=None):
+    """Ordered pair integral A_ab by explicit forward-nested trapezoids.
+
+    For each early index i, J_a rho_i is propagated forward with
+    `run.steps` and tr(J_b .) is trapezoid-integrated over the later
+    grid points; the outer trapezoid runs over i. O(n^2), coarse grids
+    only. `first` and `second` are keys of `run.channels`; `horizon`
+    must be a grid time.
+    """
+    t = np.asarray(run.times, dtype=float)
+    if horizon is not None:
+        t = t[: int(np.argmin(np.abs(t - horizon))) + 1]
+    n = len(t)
+    d = run.dim
+    la = run.channels[first].mat
+    lb = run.channels[second].mat
+    ja = np.kron(la.conj(), la)
+    jb = np.kron(lb.conj(), lb)
+    tr = np.zeros(d * d, dtype=complex)
+    tr[:: d + 1] = 1.0
+    g = np.empty(n)
+    for i in range(n):
+        y = ja @ run.states[i]
+        vals = np.empty(n - i)
+        vals[0] = (tr @ (jb @ y)).real
+        for k in range(i + 1, n):
+            y = run.steps[k - 1] @ y
+            vals[k - i] = (tr @ (jb @ y)).real
+        g[i] = np.trapezoid(vals, t[i:])
+    return float(np.trapezoid(g, t))
 
 
 def forward_binomial_moments(probs, mmax):

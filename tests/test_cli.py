@@ -203,6 +203,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "packet must be none, gaussian, or exponential" in err
 
+    @pytest.mark.parametrize("scenario, key", [
+        ("cascade_sweep", "gamma02"), ("beam_splitter", "alpha0")])
+    def test_empty_list_value_exits_two(self, tmp_path, capsys, scenario, key):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = {scenario}\n{key} =\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: line 2: key {key!r} has no values" in err
+        assert not (outdir / "result.csv").exists()
+
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().err

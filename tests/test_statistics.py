@@ -1,5 +1,6 @@
 """Counting moments, probability inversion, and pair correlations."""
 
+import dataclasses
 import logging
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import photonforge as pf
+from photonforge.statistics import _constant_pieces
 
 import oracles
 
@@ -162,6 +164,22 @@ class TestSingleStoredExcitation:
             pf.correlator_gm(stored_excitation_run, (100.0,))
 
 
+ORDERINGS = [("signal", "idler"), ("idler", "signal"),
+             ("signal", "signal"), ("idler", "idler")]
+
+
+def assert_matches_nested(run, horizon=None):
+    for a, b in ORDERINGS:
+        got = pf.ordered_pair_count(run, a, b, horizon=horizon)
+        want = oracles.nested_pair_count(run, a, b, horizon=horizon)
+        assert abs(got - want) < 1e-12, (a, b, got, want)
+
+
+@pytest.fixture(scope="module")
+def coarse_run3():
+    return cascade_run(dt=0.05)
+
+
 @pytest.fixture(scope="module")
 def run3():
     return cascade_run()
@@ -192,6 +210,54 @@ class TestPairIntegrals:
     def test_two_level_run_rejected(self, stored_excitation_run):
         with pytest.raises(ValueError, match="three-level"):
             pf.ordered_pair_count(stored_excitation_run, "signal", "idler")
+
+    def test_off_grid_horizon_rejected(self, run3):
+        horizon = run3.times[300] + 0.4 * run3.grid_step
+        with pytest.raises(ValueError, match="does not lie on the simulation grid"):
+            pf.ordered_pair_count(run3, "signal", "idler", horizon=horizon)
+
+    def test_nested_oracle_cascade_pulse(self, coarse_run3):
+        assert_matches_nested(coarse_run3)
+
+    def test_nested_oracle_step_matrix_recurring_after_gap(self):
+        params = pf.MirrorQubitParams(levels=3)
+        drive = pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 4.0, 5.0)))
+        run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 6.0,
+                          dt=0.05)
+        uses = [i for i, s in enumerate(run.steps) if s is run.steps[0]]
+        assert uses[-1] - uses[0] + 1 > len(uses)
+        assert_matches_nested(run)
+
+    def test_nested_oracle_on_grid_horizon_inside_piece(self, coarse_run3):
+        horizon = float(coarse_run3.times[len(coarse_run3.times) // 2 + 3])
+        assert_matches_nested(coarse_run3, horizon=horizon)
+
+    def test_nested_oracle_per_step_copies(self, coarse_run3):
+        copies = dataclasses.replace(
+            coarse_run3, steps=[s.copy() for s in coarse_run3.steps])
+        assert_matches_nested(copies)
+        for a, b in ORDERINGS:
+            assert abs(pf.ordered_pair_count(copies, a, b)
+                       - pf.ordered_pair_count(coarse_run3, a, b)) < 1e-12
+
+    def test_nested_oracle_shared_step_unequal_lengths(self, coarse_run3):
+        # one array object reused over steps of different lengths must be
+        # integrated step by step, not as one piece of mean length
+        times = coarse_run3.times.copy()
+        times[len(times) // 2] += 0.3 * coarse_run3.grid_step
+        moved = dataclasses.replace(coarse_run3, times=times)
+        assert_matches_nested(moved)
+
+    def test_rounded_grid_times_keep_pieces_whole(self):
+        # differencing times near t = 20 leaves ulp noise in the step
+        # lengths; the free decay must still be one piece, not 3,860
+        params = pf.MirrorQubitParams(levels=3, gamma02=0.1)
+        tw = pf.pi_pulse_width(5.0, 2.0 * params.gamma02)
+        drive = pf.DriveSchedule(((0.0, tw, 5.0),))
+        run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 20.0,
+                          dt=0.005)
+        pieces = _constant_pieces(run.steps, run.times)
+        assert len(list(pieces)) == 2
 
     def test_metric_formula(self):
         assert pf.csi_metric(0.1, 0.2, 0.5) == pytest.approx(0.25 - 0.02, abs=1e-15)
