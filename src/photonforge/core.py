@@ -295,15 +295,20 @@ def liouvillian(h, collapse_ops=()) -> Superoperator:
     return Superoperator(m)
 
 
-def sup_exp(lv, t: float) -> Superoperator:
+def sup_exp(lv, t):
     """Propagator exp(L t) of a constant Liouvillian over duration t >= 0.
 
-    Uses scaling-and-squaring Pade exponentiation; at these dimensions
+    A (P, n, n) stack of generators with P durations gives the (P, n, n)
+    array of their propagators from one stacked call. Uses
+    scaling-and-squaring Pade exponentiation; at these dimensions
     (<= 81) robustness matters more than speed.
     """
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
     m = _as_matrix(lv)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"duration must be nonnegative, got {t}")
+    if m.ndim == 3:
+        return expm(m * t[:, None, None])
     if t == 0:
         return Superoperator(np.eye(m.shape[0], dtype=complex))
     return Superoperator(expm(m * t))

@@ -16,7 +16,11 @@ In the rotating frame of the drive the master equation is
 with sigma_z = |0><0| - |1><1| in the (ground, excited) basis. Drives
 alpha(t) and phases phi(t) are piecewise constant (plus sampled ramps),
 so propagation is an ordered product of constant-segment matrix
-exponentials, cached per distinct (phi, alpha, step) combination.
+exponentials. A run is compiled once: every piece's generator is a
+weighted sum of a few superoperators fixed per level count (D[sigma_minus]
+with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
+(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
+distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -26,6 +30,7 @@ transition only.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -37,9 +42,9 @@ from .core import (
     Operator,
     Superoperator,
     _as_matrix,
+    dissipator,
     liouvillian,
     lowering_op,
-    spre_spost,
     sup_exp,
     vec,
 )
@@ -237,20 +242,12 @@ class PhaseSchedule:
         return pts
 
 
-def _qubit_matrices():
-    sm = np.zeros((2, 2), dtype=complex)
-    sm[0, 1] = 1.0
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return sm, sz
-
-
 def output_coupling(params: MirrorQubitParams, phi: float) -> Operator:
     """Line coupling operator L = sqrt(Gamma_eff) e^{i phi/2} sigma_minus."""
     if params.levels != 2:
         raise ValueError("output_coupling is the two-level line operator")
-    sm, _ = _qubit_matrices()
     geff = effective_coupling(params.gamma, phi)
-    return Operator(np.sqrt(geff) * np.exp(1j * phi / 2.0) * sm)
+    return lowering_op(2, 0, 1) * (np.sqrt(geff) * np.exp(1j * phi / 2.0))
 
 
 def channel_couplings(params: MirrorQubitParams) -> dict:
@@ -269,6 +266,58 @@ def channel_couplings(params: MirrorQubitParams) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(levels: int) -> np.ndarray:
+    """Fixed superoperators whose weighted sums are all the generators.
+
+    Two levels: D[sigma_minus] and the commutators with sigma_z and the
+    two drive quadratures -i(X - X^dag), X + X^dag of X = sigma_plus.
+    Three levels: the three ladder dissipators and the same quadratures
+    of X = |2><0|.
+    """
+    if levels == 2:
+        sm = lowering_op(2, 0, 1)
+        fixed = [dissipator(sm), liouvillian(np.diag([1.0, -1.0]))]
+    else:
+        sm = lowering_op(3, 0, 2)
+        fixed = [dissipator(lowering_op(3, a, b)) for a, b in ((0, 1), (1, 2), (0, 2))]
+    x = sm.dag().mat
+    quads = [liouvillian(-1j * (x - x.conj().T)), liouvillian(x + x.conj().T)]
+    return np.array([s.mat for s in fixed + quads])
+
+
+def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
+    """Stacked generators at the pieces' (phi, alpha), shape (P, d^2, d^2).
+
+    With L = c sigma_minus, c = sqrt(Gamma_eff) e^{i phi/2}, the phase
+    cancels inside D[L]: its weight is conj(c) c, plus Gamma_nr. The
+    drive -i(beta X - h.c.) enters through the real and imaginary parts
+    of beta = alpha e^{i phi} conj(c). Each weight is rounded as the
+    operator entry it stands for (alpha e^{i phi} as a scalar product,
+    in real arithmetic), so a generator matches `core.liouvillian` of
+    the same H and L to the bit, at any stack size.
+    """
+    phi = np.asarray(phi, dtype=float)
+    alpha = np.asarray(alpha, dtype=complex)
+    if params.levels == 2:
+        c = np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
+        e = np.exp(1j * phi)
+        beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
+        rnr = math.sqrt(params.gamma_nr)
+        w = [c.conj() * c + rnr * rnr,
+             (params.delta - (params.gamma / 2.0) * np.sin(phi)) / 2.0]
+    else:
+        if np.any(np.abs(phi) > 1e-12):
+            raise ValueError("the three-level ladder model is defined at phi = 0")
+        if params.gamma_nr != 0:
+            raise ValueError("gamma_nr is not modeled for the three-level ladder")
+        rates = [np.sqrt(2.0 * g) for g in (params.gamma01, params.gamma12, params.gamma02)]
+        beta = alpha * rates[2]
+        w = [np.full(phi.shape, r * r) for r in rates]
+    w = np.stack(w + [beta.real, beta.imag], axis=-1)
+    return np.tensordot(w, _basis(params.levels), axes=1)
+
+
 def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoperator:
     """Constant-in-time master-equation generator at (phi, alpha).
 
@@ -279,32 +328,7 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
     three ladder channels at their doubled effective rates and the drive
     couples only to the direct 0-2 transition.
     """
-    alpha = complex(alpha)
-    if params.levels == 2:
-        sm, sz = _qubit_matrices()
-        geff = effective_coupling(params.gamma, phi)
-        lop = np.sqrt(geff) * np.exp(1j * phi / 2.0) * sm
-        h = ((params.delta - (params.gamma / 2.0) * np.sin(phi)) / 2.0) * sz
-        if alpha != 0:
-            x = alpha * np.exp(1j * phi) * lop.conj().T
-            h = h + (-1j) * (x - x.conj().T)
-        ls = [lop]
-        if params.gamma_nr > 0:
-            ls.append(np.sqrt(params.gamma_nr) * sm)
-        return liouvillian(h, ls)
-
-    if abs(phi) > 1e-12:
-        raise ValueError("the three-level ladder model is defined at phi = 0")
-    if params.gamma_nr != 0:
-        raise ValueError("gamma_nr is not modeled for the three-level ladder")
-    chans = channel_couplings(params)
-    l02 = _as_matrix(chans["pump"])
-    h = np.zeros((3, 3), dtype=complex)
-    if alpha != 0:
-        x = alpha * l02.conj().T
-        h = (-1j) * (x - x.conj().T)
-    ls = [_as_matrix(chans["signal"]), _as_matrix(chans["idler"]), l02]
-    return liouvillian(h, ls)
+    return Superoperator(_generators(params, [phi], [complex(alpha)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +336,13 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
 
 
 def _collect_pieces(params, drive: DriveSchedule, phase: PhaseSchedule,
-                    t1: float, t2: float):
-    """Split [t1, t2] into maximal (a, b, phi, alpha) constant pieces."""
+                    t1: float, t2: float, extra=()):
+    """Split [t1, t2], also at the points of `extra` inside it, into
+    maximal (a, b, phi, alpha) constant pieces."""
     pts = [t1, t2]
-    for x in drive.breakpoints():
+    for x in drive.breakpoints() + list(extra):
         if t1 < x < t2:
-            pts.append(x)
+            pts.append(float(x))
     pts.extend(phase.breakpoints(t1, t2))
     pts = sorted(set(pts))
     merged = [pts[0]]
@@ -331,23 +356,23 @@ def _collect_pieces(params, drive: DriveSchedule, phase: PhaseSchedule,
     return pieces
 
 
-def _generator(params, phi, alpha, cache) -> np.ndarray:
-    key = ("L", phi, alpha)
-    if key not in cache:
-        cache[key] = build_liouvillian(params, phi, alpha).mat
-    return cache[key]
+def _step_matrices(params, keys) -> list:
+    """exp(L(phi, alpha) h) for each (phi, alpha, h) in `keys`.
 
-
-def _step_matrix(params, phi, alpha, h, cache) -> np.ndarray:
-    key = ("E", phi, alpha, h)
-    if key not in cache:
-        cache[key] = sup_exp(_generator(params, phi, alpha, cache), h).mat
-    return cache[key]
+    The distinct keys are assembled and exponentiated in one stacked
+    call; equal keys share one array object.
+    """
+    index = {}
+    slots = [index.setdefault(k, len(index)) for k in keys]
+    if not index:
+        return []
+    phi, alpha, h = zip(*index)
+    distinct = list(sup_exp(_generators(params, phi, alpha), h))
+    return [distinct[s] for s in slots]
 
 
 def propagator(params: MirrorQubitParams, drive: DriveSchedule,
-               phase: PhaseSchedule, t1: float, t2: float,
-               cache: Optional[dict] = None) -> Superoperator:
+               phase: PhaseSchedule, t1: float, t2: float) -> Superoperator:
     """Evolution superoperator P(t2, t1), t1 <= t2.
 
     Ordered product of constant-piece exponentials over the breakpoint
@@ -358,12 +383,10 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
     if t2 < t1:
         raise ValueError(f"reversed times: t1={t1} > t2={t2}")
     d = params.dim
-    if t2 == t1:
-        return Superoperator(np.eye(d * d, dtype=complex))
-    cache = {} if cache is None else cache
     out = np.eye(d * d, dtype=complex)
-    for a, b, phi, alpha in _collect_pieces(params, drive, phase, t1, t2):
-        out = _step_matrix(params, phi, alpha, b - a, cache) @ out
+    pieces = _collect_pieces(params, drive, phase, t1, t2) if t2 > t1 else []
+    for e in _step_matrices(params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces]):
+        out = e @ out
     return Superoperator(out)
 
 
@@ -373,7 +396,8 @@ def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
     """tr(O rho(t)) on the given time grid, starting from rho0 (ground).
 
     `observable` is a constant operator, or a callable t -> matrix for
-    time-dependent readouts.
+    time-dependent readouts. The grid points cut the pieces of one
+    compiled schedule, which the state marches through once.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) < 0):
@@ -383,12 +407,16 @@ def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
         rho0 = np.zeros((d, d), dtype=complex)
         rho0[0, 0] = 1.0
     v = vec(_as_matrix(rho0))
-    cache = {}
     ob = observable if callable(observable) else (lambda t, _m=_as_matrix(observable): _m)
+    pieces = _collect_pieces(params, drive, phase, grid[0], grid[-1], grid) \
+        if len(grid) else []
+    steps = _step_matrices(params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
     out = np.empty(len(grid), dtype=complex)
+    k = 0
     for i, t in enumerate(grid):
-        if i > 0:
-            v = propagator(params, drive, phase, grid[i - 1], t, cache).mat @ v
+        while k < len(pieces) and pieces[k][1] <= t + 1e-12:
+            v = steps[k] @ v
+            k += 1
         rho = v.reshape((d, d), order="F")
         out[i] = np.trace(_as_matrix(ob(t)) @ rho)
     return out
@@ -399,8 +427,8 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
     """Output flux <L^dag L>(t) with L tracking phi(t)."""
 
     def op(t):
-        return _as_matrix(output_coupling(params, phase.phi_at(t))).conj().T @ \
-            _as_matrix(output_coupling(params, phase.phi_at(t)))
+        lop = _as_matrix(output_coupling(params, phase.phi_at(t)))
+        return lop.conj().T @ lop
 
     return expectation_series(params, drive, phase, op, grid, rho0).real
 
@@ -414,9 +442,10 @@ class ScenarioRun:
     """A propagated scenario on a fixed grid.
 
     times[i] are the grid instants; steps[i] maps state i to state i+1;
-    states[i] is the column-stacked density matrix at times[i]. All
-    steps of one constant piece are the same array object, which the
-    pair integrals rely on to treat the piece as a block.
+    states is an (n, d^2) array whose row i is the column-stacked
+    density matrix at times[i]. All steps of one constant piece, and of
+    pieces with equal (phi, alpha, step), are the same array object,
+    which the pair integrals rely on to treat the piece as a block.
     counting_ops[i] is the output counting operator in effect at
     times[i] (right-continuous across breakpoints). For three-level runs
     `channels` holds the per-transition collapse operators instead.
@@ -427,7 +456,7 @@ class ScenarioRun:
     phase: PhaseSchedule
     times: np.ndarray
     steps: list
-    states: list
+    states: np.ndarray
     counting_ops: list
     window: Tuple[float, float]
     grid_step: float
@@ -464,54 +493,44 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     if phase.ramp is not None:
         ramp_span = (float(phase.ramp[0][0]), float(phase.ramp[0][-1]))
 
-    def in_pulse(a, b):
-        return any(a >= s - 1e-12 and b <= e + 1e-12 for s, e in pulse_spans)
-
-    cache = {}
-    times = [t_start]
-    steps = []
-    piece_counts = []
-    piece_ops = []
-    v = vec(_as_matrix(rho0))
-    states = [v]
-    for a, b, phi, alpha in pieces:
-        dur = b - a
+    counts = []
+    for a, b, _, _ in pieces:
         if (ramp_span is not None and a >= ramp_span[0] - 1e-12
                 and b <= ramp_span[1] + 1e-12):
             # a sampled ramp defines its own integration grid: exactly
             # one step per sampling interval, never re-subdivided
-            n = 1
-        else:
-            local_dt = dt
-            if in_pulse(a, b):
-                for s, e in pulse_spans:
-                    if a >= s - 1e-12 and b <= e + 1e-12:
-                        local_dt = min(dt, (e - s) / min_pulse_steps)
-                        break
-            n = max(1, int(np.ceil(dur / local_dt)))
-        h = dur / n
-        e_step = _step_matrix(params, phi, alpha, h, cache)
-        if params.levels == 2:
-            lmat = _as_matrix(output_coupling(params, phi))
-        else:
-            lmat = None
-        piece_counts.append(n)
-        piece_ops.append(lmat)
-        for i in range(n):
-            times.append(a + (i + 1) * h)
-            steps.append(e_step)
-            states.append(e_step @ states[-1])
+            counts.append(1)
+            continue
+        local_dt = dt
+        for s, e in pulse_spans:
+            if a >= s - 1e-12 and b <= e + 1e-12:
+                local_dt = min(dt, (e - s) / min_pulse_steps)
+                break
+        counts.append(max(1, int(np.ceil((b - a) / local_dt))))
+    hs = [(b - a) / n for (a, b, _, _), n in zip(pieces, counts)]
+    piece_steps = _step_matrices(
+        params, [(phi, alpha, h) for (_, _, phi, alpha), h in zip(pieces, hs)])
+    piece_ops = [None] * len(pieces)
+    if params.levels == 2:
+        phis = np.array([p[2] for p in pieces])
+        amp = np.sqrt(params.gamma * (1.0 + np.cos(phis))) * np.exp(1j * phis / 2.0)
+        piece_ops = list(np.multiply.outer(amp, lowering_op(2, 0, 1).mat))
     # counting op at each grid point, right-continuous: a breakpoint
     # carries the op of the piece that starts there, so a statistics
     # window opening at a phase switch sees the new coupling from its
     # first instant
-    ops = [None] * len(times)
-    pos = 0
-    for n, lmat in zip(piece_counts, piece_ops):
-        for i in range(pos, pos + n):
-            ops[i] = lmat
-        pos += n
-    ops[-1] = piece_ops[-1]
+    times = [t_start]
+    steps = []
+    ops = []
+    for (a, _, _, _), n, h, e_step, lmat in zip(pieces, counts, hs, piece_steps, piece_ops):
+        times.extend(a + (i + 1) * h for i in range(n))
+        steps.extend([e_step] * n)
+        ops.extend([lmat] * n)
+    ops.append(piece_ops[-1])
+    states = np.empty((len(times), d * d), dtype=complex)
+    states[0] = vec(_as_matrix(rho0))
+    for e_step, prev, nxt in zip(steps, states, states[1:]):
+        np.matmul(e_step, prev, out=nxt)
     # count grid points per drive pulse for resolution diagnostics
     tarr = np.array(times)
     dp = 10 ** 9

@@ -262,16 +262,8 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
     run = simulate(params, drive, phase, config.t_end, t_start=config.t0,
                    dt=config.dt)
     mismatch = 1.0 - (1.0 + config.amp_error) * np.exp(1j * config.phase_error)
-    eye = np.eye(2, dtype=complex)
-    mcache = {}
-    ops = []
-    for i, t in enumerate(run.times):
-        a_in = run.drive.amplitude_at(t)
-        key = (id(run.counting_ops[i]), a_in)
-        if key not in mcache:
-            c = -1j * config.r * a_in * mismatch
-            mcache[key] = 1j * config.r * run.counting_ops[i] + c * eye
-        ops.append(mcache[key])
+    c = -1j * config.r * np.array([drive.amplitude_at(t) for t in run.times]) * mismatch
+    ops = 1j * config.r * np.array(run.counting_ops) + c[:, None, None] * np.eye(2)
     return counting_statistics(run, cutoff=cutoff, counting_ops=ops)
 
 
@@ -356,7 +348,7 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     # a C-order reshape of the column-stacked states gives rho transposed
     times = np.concatenate([pre.times[:-1], run.times])
     ops = np.array(pre.counting_ops[:-1] + run.counting_ops)
-    rho_t = np.array(pre.states[:-1] + run.states).reshape(-1, 2, 2)
+    rho_t = np.concatenate([pre.states[:-1], run.states]).reshape(-1, 2, 2)
     flux = np.einsum("nki,nkj,nij->n", ops.conj(), ops, rho_t).real
     p_exc = rho_t[:, 1, 1].real
     phase_vals = np.array([sched.phi_at(t) for t in times])

@@ -87,14 +87,19 @@ class CrossPairResult:
             raise ValueError(f"v = {self.v} exceeds 1")
 
 
+def _grid_index(run: ScenarioRun, t: float, what: str) -> int:
+    """Index of the grid time t, which must lie on the grid to 1e-9."""
+    i = int(np.argmin(np.abs(run.times - t)))
+    if abs(run.times[i] - t) > 1e-9:
+        raise ValueError(f"{what} {t} does not lie on the simulation grid; a "
+                         "time outside the simulation grid is not snapped")
+    return i
+
+
 def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
     t_r, t_end = run.window if window is None else window
-    times = run.times
-    i0 = int(np.argmin(np.abs(times - t_r)))
-    i1 = int(np.argmin(np.abs(times - t_end)))
-    if abs(times[i0] - t_r) > 1e-9 or abs(times[i1] - t_end) > 1e-9:
-        raise ValueError(
-            f"window ({t_r}, {t_end}) does not lie on the simulation grid")
+    i0 = _grid_index(run, t_r, "window start")
+    i1 = _grid_index(run, t_end, "window end")
     if i1 <= i0:
         raise ValueError("empty counting window")
     return i0, i1
@@ -189,7 +194,7 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     i0, i1 = _window_indices(run, window)
     d = run.dim
     all_ops = counting_ops if counting_ops is not None else run.counting_ops
-    ops = [None if m is None else _as_matrix(m) for m in all_ops[i0:i1 + 1]]
+    ops = all_ops[i0:i1 + 1]
     if any(m is None for m in ops):
         raise ValueError("run carries no counting operators on this window")
     t = run.times[i0:i1 + 1]
@@ -200,46 +205,33 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
 
-    tr = trace_row(d)
-    jcache = {}
-    js, jrows = [], []
-    for m in ops:
-        key = id(m)
-        if key not in jcache:
-            j = spre_spost(m, m.conj().T)
-            jcache[key] = (j, tr @ j)
-        j, row = jcache[key]
-        js.append(j)
-        jrows.append(row)
-    hs = np.diff(t)
+    # jump superoperators conj(M) kron M of the whole window at once
+    mats = np.array([_as_matrix(m) for m in ops])
     n = len(t)
+    js = np.einsum("nij,nkl->nikjl", mats.conj(), mats).reshape(n, d * d, d * d)
+    jrows = trace_row(d) @ js
+    hs = np.diff(t)
 
     def trapz(f):
         return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
 
-    f1 = np.array([jrows[i] @ states[i] for i in range(n)])
-    n1 = trapz(f1)
-    # independent route: direct flux expectation with the opposite
-    # matmul association
-    fd = np.array([
-        np.trace(ops[i].conj().T @ (ops[i] @ states[i].reshape((d, d), order="F")))
-        for i in range(n)
-    ])
-    n1_direct = trapz(fd)
+    n1 = trapz(np.einsum("ni,ni->n", jrows, states))
+    # independent route: direct flux expectation tr(M^dag M rho), with
+    # rho[c, a] = states[a d + c] read from the unstacked state
+    rho_t = states.reshape(n, d, d)
+    n1_direct = trapz(np.einsum("nba,nbc,nac->n", mats.conj(), mats, rho_t))
     if abs(n1 - n1_direct) > 1e-6:
         raise RuntimeError(
             f"first-moment routes disagree: {n1} vs {n1_direct}")
 
     out = [n1]
     if cutoff >= 2:
-        u1 = _backward_functional(jrows, steps, hs)
-        f2 = np.array([(u1[i] @ js[i]) @ states[i] for i in range(n)])
-        out.append(trapz(f2))
+        u1 = np.array(_backward_functional(jrows, steps, hs))
+        out.append(trapz(np.einsum("ni,nij,nj->n", u1, js, states)))
     if cutoff >= 3:
-        b = [u1[i] @ js[i] for i in range(n)]
-        u2 = _backward_functional(b, steps, hs)
-        f3 = np.array([(u2[i] @ js[i]) @ states[i] for i in range(n)])
-        out.append(trapz(f3))
+        u2 = np.array(_backward_functional(
+            np.einsum("ni,nij->nj", u1, js), steps, hs))
+        out.append(trapz(np.einsum("ni,nij,nj->n", u2, js, states)))
     return out
 
 
@@ -310,25 +302,19 @@ def counting_statistics(run: ScenarioRun, cutoff: int = 3,
     )
 
 
-def _snap_index(run: ScenarioRun, t: float) -> int:
-    i = int(np.argmin(np.abs(run.times - t)))
-    if abs(run.times[i] - t) > run.grid_step:
-        raise ValueError(f"time {t} is outside the simulation grid")
-    return i
-
-
 def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
-    """m-point intensity correlator G^(m)(t_1..t_m), times snapped to grid.
+    """m-point intensity correlator G^(m)(t_1..t_m) at grid times.
 
-    The quantum regression chain: jump at t_1, propagate, jump at t_2,
-    and so on, then trace.
+    Each time must lie on the simulation grid to 1e-9. The quantum
+    regression chain: jump at t_1, propagate, jump at t_2, and so on,
+    then trace.
     """
     ts = list(at_times)
     if len(ts) < 1:
         raise ValueError("need at least one time")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be nondecreasing")
-    idx = [_snap_index(run, t) for t in ts]
+    idx = [_grid_index(run, t, "time") for t in ts]
     d = run.dim
     ops = run.counting_ops
     if ops[idx[0]] is None:
@@ -379,12 +365,8 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     la = _channel_matrix(run, first)
     lb = _channel_matrix(run, second)
     d = run.dim
-    i1 = len(run.times) - 1
-    if horizon is not None:
-        i1 = int(np.argmin(np.abs(run.times - horizon)))
-        if abs(run.times[i1] - horizon) > 1e-9:
-            raise ValueError(
-                f"horizon {horizon} does not lie on the simulation grid")
+    i1 = len(run.times) - 1 if horizon is None else \
+        _grid_index(run, horizon, "horizon")
     t = run.times[: i1 + 1]
     n = len(t)
     if n < 2:
@@ -393,7 +375,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     jb_row = trace_row(d) @ spre_spost(lb, lb.conj().T)
     hs = np.diff(t)
     u = _pair_functional(jb_row, run.steps[: i1], t)
-    f = np.einsum("ni,ni->n", u, np.asarray(run.states[:n]) @ ja.T)
+    f = np.einsum("ni,ni->n", u, run.states[:n] @ ja.T)
     return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
 
 

@@ -1,9 +1,11 @@
 """Command line interface: config parsing, scenario runs, and output files."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,8 +314,11 @@ class TestListCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
+        # the child imports the same photonforge as this process
+        src = str(Path(photonforge.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "photonforge.cli", "list"],
-            capture_output=True, timeout=120)
+            capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert b"beam_splitter" in proc.stdout

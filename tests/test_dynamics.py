@@ -190,6 +190,114 @@ class TestBuildLiouvillian:
             pf.build_liouvillian(params.with_(gamma_nr=0.1), 0.0, 1.0)
 
 
+def ladder_generator(params, alpha):
+    """Column-assembled three-level generator, for the compiler tests."""
+    ch = pf.channel_couplings(params)
+    x = alpha * ch["pump"].mat.conj().T
+    return oracles.generator_matrix(-1j * (x - x.conj().T),
+                                    [ch[k].mat for k in ("signal", "idler", "pump")])
+
+
+def random_ramp(rng, t0, t1, n):
+    times = np.linspace(t0, t1, n + 1)
+    return pf.PhaseSchedule(ramp=(times, rng.uniform(0.0, 2.0 * PI, n + 1)))
+
+
+def exponential_release(gamma=1.0):
+    packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0, dt=0.005)
+    return pf.shape_to_schedule(packet, gamma), pf.DensityMatrix.excited(2)
+
+
+class TestCompiler:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_step_matrices_match_oracle_exponentials(self, seed):
+        rng = np.random.default_rng(seed)
+        params = pf.MirrorQubitParams(gamma=rng.uniform(0.3, 2.0),
+                                      delta=rng.uniform(-2.0, 2.0),
+                                      gamma_nr=rng.uniform(0.05, 0.5))
+        alpha = complex(*rng.uniform(-4.0, 4.0, 2))
+        drive = pf.DriveSchedule(((0.5, 1.7, alpha),))
+        phase = random_ramp(rng, 0.2, 2.2, 40)
+        run = pf.simulate(params, drive, phase, 2.5, dt=0.05)
+        for i, step in enumerate(run.steps):
+            t, h = run.times[i], run.times[i + 1] - run.times[i]
+            gen = oracle_generator(params.gamma, phase.phi_at(t),
+                                   alpha=drive.amplitude_at(t),
+                                   delta=params.delta, gamma_nr=params.gamma_nr)
+            assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
+
+    def test_three_level_step_matrices_match_oracle_exponentials(self):
+        params = pf.MirrorQubitParams(levels=3, gamma02=0.2)
+        drive = pf.DriveSchedule(((0.0, 0.8, 3.0 - 2.0j), (1.0, 1.5, 0.5j)))
+        run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 2.0,
+                          dt=0.05)
+        for i, step in enumerate(run.steps):
+            h = run.times[i + 1] - run.times[i]
+            gen = ladder_generator(params, drive.amplitude_at(run.times[i]))
+            assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
+
+    def test_generators_annihilate_trace_and_keep_hermiticity(self):
+        rng = np.random.default_rng(4)
+        phi = rng.uniform(0.0, 2.0 * PI, 50)
+        alpha = rng.normal(size=50) + 1j * rng.normal(size=50)
+        for params, phis in [
+            (pf.MirrorQubitParams(gamma=0.7, delta=1.3, gamma_nr=0.2), phi),
+            (pf.MirrorQubitParams(levels=3), np.zeros(50)),
+        ]:
+            d = params.dim
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = pf.vec(a + a.conj().T)
+            for gen in pf.dynamics._generators(params, phis, alpha):
+                assert pf.Superoperator(gen).annihilates_trace(1e-13)
+                out = pf.unvec(gen @ rho, d)
+                assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+    def test_generators_equal_operator_assembly_bitwise(self):
+        # optimizers over single generators (encode_flying_qubit) follow
+        # last-bit differences, so the basis sum must round exactly as
+        # core.liouvillian of the same H and L does
+        rng = np.random.default_rng(5)
+        params = pf.MirrorQubitParams(gamma=1.3, delta=-0.4, gamma_nr=0.15)
+        phi = rng.uniform(0.0, 2.0 * PI, 200)
+        alpha = 5.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+        stack = pf.dynamics._generators(params, phi, alpha)
+        for k in range(200):
+            h, ls = oracles.mirror_qubit_ops(1.3, phi[k], delta=-0.4,
+                                             alpha=complex(alpha[k]), gamma_nr=0.15)
+            want = pf.liouvillian(h, ls).mat
+            assert np.array_equal(stack[k], want)
+            assert np.array_equal(
+                pf.build_liouvillian(params, phi[k], alpha[k]).mat, want)
+
+    def test_packet_release_exponentiates_in_few_stacked_calls(self, monkeypatch):
+        calls = []
+        real = pf.dynamics.sup_exp
+
+        def counting(lv, t):
+            calls.append(np.shape(t))
+            return real(lv, t)
+
+        monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
+        phase, rho0 = exponential_release()
+        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
+                          phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
+        assert len(run.steps) >= 2400
+        assert len(calls) <= 3
+
+    def test_flux_series_matches_recorded_states_on_a_ramp(self):
+        params = pf.MirrorQubitParams(gamma=1.0)
+        phase, rho0 = exponential_release()
+        drive = pf.DriveSchedule(())
+        run = pf.simulate(params, drive, phase, 20.0, t_start=8.0, rho0=rho0,
+                          dt=0.005)
+        ops = np.array(run.counting_ops)
+        rho_t = run.states.reshape(-1, 2, 2)
+        want = np.einsum("nki,nkj,nij->n", ops.conj(), ops, rho_t).real
+        got = pf.flux_series(params, drive, phase, run.times, rho0=rho0)
+        assert len(run.times) == 2401
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestPropagator:
     def setup_method(self):
         self.params = pf.MirrorQubitParams(gamma=1.0)

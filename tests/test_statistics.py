@@ -163,6 +163,12 @@ class TestSingleStoredExcitation:
         with pytest.raises(ValueError, match="outside the simulation grid"):
             pf.correlator_gm(stored_excitation_run, (100.0,))
 
+    def test_time_between_grid_points_rejected(self, stored_excitation_run):
+        run = stored_excitation_run
+        t = run.times[400] + 0.4 * run.grid_step
+        with pytest.raises(ValueError, match="outside the simulation grid"):
+            pf.correlator_gm(run, (run.times[100], t))
+
 
 ORDERINGS = [("signal", "idler"), ("idler", "signal"),
              ("signal", "signal"), ("idler", "idler")]
