@@ -21,6 +21,9 @@ weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
 distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
+A simulated run is its piece table, one row per constant piece, plus
+the states on the grid the rows span; each row's states are filled from
+stacked powers of its step matrix.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -39,6 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     Operator,
     Superoperator,
     _as_matrix,
@@ -62,6 +66,7 @@ __all__ = [
     "expectation_series",
     "flux_series",
     "simulate",
+    "PieceTable",
     "ScenarioRun",
 ]
 
@@ -356,19 +361,16 @@ def _collect_pieces(params, drive: DriveSchedule, phase: PhaseSchedule,
     return pieces
 
 
-def _step_matrices(params, keys) -> list:
-    """exp(L(phi, alpha) h) for each (phi, alpha, h) in `keys`.
+def _step_matrices(params, keys):
+    """Distinct exp(L(phi, alpha) h) of the (phi, alpha, h) `keys`.
 
-    The distinct keys are assembled and exponentiated in one stacked
-    call; equal keys share one array object.
+    Returns the (S, d^2, d^2) stack of the distinct keys, exponentiated
+    in one call, and each key's slot in it.
     """
     index = {}
-    slots = [index.setdefault(k, len(index)) for k in keys]
-    if not index:
-        return []
-    phi, alpha, h = zip(*index)
-    distinct = list(sup_exp(_generators(params, phi, alpha), h))
-    return [distinct[s] for s in slots]
+    slots = np.array([index.setdefault(k, len(index)) for k in keys], dtype=int)
+    phi, alpha, h = np.array(list(index), dtype=complex).reshape(-1, 3).T
+    return sup_exp(_generators(params, phi.real, alpha), h.real), slots
 
 
 def propagator(params: MirrorQubitParams, drive: DriveSchedule,
@@ -385,8 +387,10 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
     d = params.dim
     out = np.eye(d * d, dtype=complex)
     pieces = _collect_pieces(params, drive, phase, t1, t2) if t2 > t1 else []
-    for e in _step_matrices(params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces]):
-        out = e @ out
+    mats, slots = _step_matrices(
+        params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
+    for s in slots:
+        out = mats[s] @ out
     return Superoperator(out)
 
 
@@ -403,19 +407,17 @@ def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
     if grid.ndim != 1 or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be a 1d nondecreasing array")
     d = params.dim
-    if rho0 is None:
-        rho0 = np.zeros((d, d), dtype=complex)
-        rho0[0, 0] = 1.0
-    v = vec(_as_matrix(rho0))
+    v = vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None else rho0))
     ob = observable if callable(observable) else (lambda t, _m=_as_matrix(observable): _m)
     pieces = _collect_pieces(params, drive, phase, grid[0], grid[-1], grid) \
         if len(grid) else []
-    steps = _step_matrices(params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
+    mats, slots = _step_matrices(
+        params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
     out = np.empty(len(grid), dtype=complex)
     k = 0
     for i, t in enumerate(grid):
         while k < len(pieces) and pieces[k][1] <= t + 1e-12:
-            v = steps[k] @ v
+            v = mats[slots[k]] @ v
             k += 1
         rho = v.reshape((d, d), order="F")
         out[i] = np.trace(_as_matrix(ob(t)) @ rho)
@@ -436,29 +438,80 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
 # ---------------------------------------------------------------------------
 # gridded simulation runs (consumed by the statistics module)
 
+_BLOCK = 128  # powers of one step matrix held at once
+
+
+def _powers(e, k):
+    """Stacked E^0 .. E^k by repeated doubling."""
+    p = np.empty((k + 1,) + e.shape, dtype=complex)
+    p[0] = np.eye(e.shape[0])
+    em, m = e, 1
+    while m <= k:
+        top = min(2 * m, k + 1)
+        p[m:top] = p[:top - m] @ em
+        em, m = em @ em, 2 * m
+    return p
+
+
+@dataclass(frozen=True)
+class PieceTable:
+    """The constant pieces of a run, one row per piece; the rows tile it.
+
+    Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
+    h[p] at (phi[p], alpha[p]), with step matrix step_mats[slot[p]],
+    shared by rows of equal (phi, alpha, h). ops[p] is the row's output
+    counting operator on two levels; ops is None on three.
+    """
+
+    t_a: np.ndarray
+    t_b: np.ndarray
+    n_steps: np.ndarray
+    phi: np.ndarray
+    alpha: np.ndarray
+    slot: np.ndarray
+    step_mats: np.ndarray
+    ops: Optional[np.ndarray] = None
+
+    @property
+    def h(self) -> np.ndarray:
+        return (self.t_b - self.t_a) / self.n_steps
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Grid index of each row's first point, then of the last point."""
+        return np.concatenate([[0], np.cumsum(self.n_steps)])
+
+    def per_point(self, values) -> np.ndarray:
+        """Per-row `values` at the grid points, right-continuous: a
+        breakpoint takes the row starting there (so a window opening at a
+        phase switch sees the new coupling), the end the last row."""
+        return np.concatenate([np.repeat(values, self.n_steps, axis=0), values[-1:]])
+
+    def spans(self, i0: int, i1: int) -> list:
+        """(lo, hi, h, step matrix) of the rows' steps between grid points
+        i0 and i1."""
+        s, h = self.starts.tolist(), self.h
+        return [(max(lo, i0), min(hi, i1), h[p], self.step_mats[self.slot[p]])
+                for p, (lo, hi) in enumerate(zip(s[:-1], s[1:])) if lo < i1 and hi > i0]
+
 
 @dataclass
 class ScenarioRun:
     """A propagated scenario on a fixed grid.
 
-    times[i] are the grid instants; steps[i] maps state i to state i+1;
-    states is an (n, d^2) array whose row i is the column-stacked
-    density matrix at times[i]. All steps of one constant piece, and of
-    pieces with equal (phi, alpha, step), are the same array object,
-    which the pair integrals rely on to treat the piece as a block.
-    counting_ops[i] is the output counting operator in effect at
-    times[i] (right-continuous across breakpoints). For three-level runs
-    `channels` holds the per-transition collapse operators instead.
+    `pieces` is the run's piece table. times[i] are the grid instants,
+    each row's np.linspace(t_a, t_b, n_steps + 1), so every breakpoint
+    is a grid point exactly; states is an (n, d^2) array whose row i is
+    the column-stacked density matrix at times[i]. For three-level runs
+    `channels` holds the per-transition collapse operators.
     """
 
     params: MirrorQubitParams
     drive: DriveSchedule
     phase: PhaseSchedule
     times: np.ndarray
-    steps: list
     states: np.ndarray
-    counting_ops: list
-    window: Tuple[float, float]
+    pieces: PieceTable
     grid_step: float
     channels: Optional[dict] = None
     drive_points: int = 10 ** 9
@@ -470,86 +523,62 @@ class ScenarioRun:
 
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
              phase: PhaseSchedule, t_end: float, *, t_start: float = 0.0,
-             rho0=None, dt: Optional[float] = None, min_pulse_steps: int = 20,
-             window: Optional[Tuple[float, float]] = None) -> ScenarioRun:
+             rho0=None, dt: Optional[float] = None,
+             min_pulse_steps: int = 20) -> ScenarioRun:
     """Propagate on a uniform-per-piece grid and record everything.
 
     The nominal step is dt (default 0.01/gamma); drive pulses are
-    refined so each carries at least `min_pulse_steps` steps. The
-    recorded window defaults to the full span and is where counting
-    statistics will be taken.
+    refined so each carries at least `min_pulse_steps` steps. Each
+    piece's states are filled from stacked powers of its step matrix.
     """
     if dt is None:
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     d = params.dim
-    if rho0 is None:
-        rho0 = np.zeros((d, d), dtype=complex)
-        rho0[0, 0] = 1.0
     pieces = _collect_pieces(params, drive, phase, t_start, t_end)
-    pulse_spans = [(a, b) for a, b, _ in drive.segments]
-    ramp_span = None
+    t_a, t_b, phi, alpha = (np.array(c) for c in zip(*pieces))
+    local_dt = np.full(len(t_a), float(dt))
+    in_pulse = [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
+    for rows, (s, e, _) in zip(in_pulse, drive.segments):
+        local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
+    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
     if phase.ramp is not None:
-        ramp_span = (float(phase.ramp[0][0]), float(phase.ramp[0][-1]))
-
-    counts = []
-    for a, b, _, _ in pieces:
-        if (ramp_span is not None and a >= ramp_span[0] - 1e-12
-                and b <= ramp_span[1] + 1e-12):
-            # a sampled ramp defines its own integration grid: exactly
-            # one step per sampling interval, never re-subdivided
-            counts.append(1)
-            continue
-        local_dt = dt
-        for s, e in pulse_spans:
-            if a >= s - 1e-12 and b <= e + 1e-12:
-                local_dt = min(dt, (e - s) / min_pulse_steps)
-                break
-        counts.append(max(1, int(np.ceil((b - a) / local_dt))))
-    hs = [(b - a) / n for (a, b, _, _), n in zip(pieces, counts)]
-    piece_steps = _step_matrices(
-        params, [(phi, alpha, h) for (_, _, phi, alpha), h in zip(pieces, hs)])
-    piece_ops = [None] * len(pieces)
+        # a sampled ramp defines its own integration grid: exactly one
+        # step per sampling interval, never re-subdivided
+        ramp = phase.ramp[0]
+        n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
+    h = (t_b - t_a) / n
+    mats, slots = _step_matrices(params, zip(phi.tolist(), alpha.tolist(), h.tolist()))
+    ops = None
     if params.levels == 2:
-        phis = np.array([p[2] for p in pieces])
-        amp = np.sqrt(params.gamma * (1.0 + np.cos(phis))) * np.exp(1j * phis / 2.0)
-        piece_ops = list(np.multiply.outer(amp, lowering_op(2, 0, 1).mat))
-    # counting op at each grid point, right-continuous: a breakpoint
-    # carries the op of the piece that starts there, so a statistics
-    # window opening at a phase switch sees the new coupling from its
-    # first instant
-    times = [t_start]
-    steps = []
-    ops = []
-    for (a, _, _, _), n, h, e_step, lmat in zip(pieces, counts, hs, piece_steps, piece_ops):
-        times.extend(a + (i + 1) * h for i in range(n))
-        steps.extend([e_step] * n)
-        ops.extend([lmat] * n)
-    ops.append(piece_ops[-1])
+        amp = np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
+        ops = np.multiply.outer(amp, lowering_op(2, 0, 1).mat)
+    table = PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
+                       slot=slots, step_mats=mats, ops=ops)
+    # piece p's grid points are t_a + j h for j < n_steps, as np.linspace
+    # places them, so each piece starts exactly on its breakpoint
+    row = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(row)) - np.repeat(table.starts[:-1], n)
+    times = np.append(j * h[row] + t_a[row], t_end)
+
     states = np.empty((len(times), d * d), dtype=complex)
-    states[0] = vec(_as_matrix(rho0))
-    for e_step, prev, nxt in zip(steps, states, states[1:]):
-        np.matmul(e_step, prev, out=nxt)
-    # count grid points per drive pulse for resolution diagnostics
-    tarr = np.array(times)
-    dp = 10 ** 9
-    for s, e in pulse_spans:
-        if e <= t_start or s >= t_end:
-            continue
-        inside = np.sum((tarr >= s - 1e-12) & (tarr <= e + 1e-12))
-        dp = min(dp, int(inside))
-    run = ScenarioRun(
+    states[0] = vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None else rho0))
+    # a row's states are E^j times its first, filled _BLOCK powers at a time
+    for i, k, s in zip(table.starts.tolist(), n.tolist(), slots.tolist()):
+        p = mats[s:s + 1] if k == 1 else _powers(mats[s], min(k, _BLOCK))[1:]
+        for lo in range(i, i + k, _BLOCK):
+            states[lo + 1:min(lo + _BLOCK, i + k) + 1] = p[:i + k - lo] @ states[lo]
+    # the fewest grid points on a drive pulse, for resolution diagnostics
+    dp = min((int(n[rows].sum()) + 1 for rows in in_pulse if rows.any()), default=10 ** 9)
+    return ScenarioRun(
         params=params,
         drive=drive,
         phase=phase,
-        times=tarr,
-        steps=steps,
+        times=times,
         states=states,
-        counting_ops=ops,
-        window=window if window is not None else (t_start, t_end),
+        pieces=table,
         grid_step=dt,
         channels=channel_couplings(params) if params.levels == 3 else None,
         drive_points=dp,
     )
-    return run

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -250,9 +250,10 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
     """Counting statistics of the splitter output over [t0, t_end].
 
     The counting mode is M(t) = i r L + c(t) with the residual drive
-    c(t) = -i r alpha_in(t) (1 - (1 + eps) e^{i delta}); with perfect
-    matching c vanishes and the statistics are the bare emission scaled
-    by r^2 per photon order.
+    c(t) = -i r alpha_in(t) (1 - (1 + eps) e^{i delta}), read per piece
+    of the run like L, so both switch together at the pulse end; with
+    perfect matching c vanishes and the statistics are the bare emission
+    scaled by r^2 per photon order.
     """
     if params.levels != 2:
         raise ValueError("the beam-splitter source is a two-level scenario")
@@ -262,9 +263,11 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
     run = simulate(params, drive, phase, config.t_end, t_start=config.t0,
                    dt=config.dt)
     mismatch = 1.0 - (1.0 + config.amp_error) * np.exp(1j * config.phase_error)
-    c = -1j * config.r * np.array([drive.amplitude_at(t) for t in run.times]) * mismatch
-    ops = 1j * config.r * np.array(run.counting_ops) + c[:, None, None] * np.eye(2)
-    return counting_statistics(run, cutoff=cutoff, counting_ops=ops)
+    table = run.pieces
+    c = -1j * config.r * table.alpha * mismatch
+    ops = 1j * config.r * table.ops + c[:, None, None] * np.eye(2)
+    return counting_statistics(replace(run, pieces=replace(table, ops=ops)),
+                               cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +347,13 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     stats = counting_statistics(run, cutoff=cutoff,
                                 window=(t_r, stats_end))
 
-    # one pass over the whole timeline: flux = tr(M^dag M rho), p_exc = rho_11;
-    # a C-order reshape of the column-stacked states gives rho transposed
+    # one pass over the whole timeline: p_exc = rho_11 (the last entry of
+    # the column-stacked state) and flux = tr(L^dag L rho) = Gamma_eff(phi) p_exc
     times = np.concatenate([pre.times[:-1], run.times])
-    ops = np.array(pre.counting_ops[:-1] + run.counting_ops)
-    rho_t = np.concatenate([pre.states[:-1], run.states]).reshape(-1, 2, 2)
-    flux = np.einsum("nki,nkj,nij->n", ops.conj(), ops, rho_t).real
-    p_exc = rho_t[:, 1, 1].real
-    phase_vals = np.array([sched.phi_at(t) for t in times])
+    phase_vals = np.concatenate([pre.pieces.per_point(pre.pieces.phi)[:-1],
+                                 run.pieces.per_point(run.pieces.phi)])
+    p_exc = np.concatenate([pre.states[:-1, 3], run.states[:, 3]]).real
+    flux = params.gamma * (1.0 + np.cos(phase_vals)) * p_exc
 
     i0, i1 = np.searchsorted(times, stats.window)
     wgrid = times[i0:i1 + 1]

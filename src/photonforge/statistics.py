@@ -16,11 +16,14 @@ n-point grid. The forward map from moments to photon-number
 probabilities inverts through alternating binomial sums, computed by
 two independent routes that must agree to near machine precision.
 
+Every statistic reads the run's piece table (`dynamics.PieceTable`):
+counting operators are expanded from its rows to the grid points,
+right-continuously, and propagation between grid points walks its rows.
 Pair correlations of a two-channel emitter are the same construction
 with one jump from each channel. Their late-time row is constant, so
-the backward sweep is evaluated one constant piece at a time from
-stacked powers of the piece's step matrix; the quadrature is the same
-grid trapezoid. The quality metric
+the backward sweep is evaluated one table row at a time from stacked
+powers of the row's step matrix and its exact step; the quadrature is
+the same grid trapezoid. The quality metric
 v = G_is^2 - G_ii G_ss is positive only when the cross-channel
 coincidence beats the geometric mean of the single-channel ones, which
 no classical field can arrange.
@@ -37,7 +40,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import _as_matrix, spre_spost, trace_row
-from .dynamics import ScenarioRun
+from .dynamics import _BLOCK, ScenarioRun, _powers
 
 __all__ = [
     "photon_mtiples",
@@ -83,8 +86,10 @@ class CrossPairResult:
         for name in ("g_ii", "g_ss", "g_is"):
             if getattr(self, name) < -1e-9:
                 raise ValueError(f"{name} = {getattr(self, name)} is negative")
-        if self.v > 1.0 + 1e-6:
-            raise ValueError(f"v = {self.v} exceeds 1")
+        # with G_ii, G_ss >= 0, v = G_is^2 - G_ii G_ss cannot exceed G_is^2;
+        # it can exceed 1 when re-excitation emits more than one pair
+        if self.v > self.g_is ** 2 + 1e-6:
+            raise ValueError(f"v = {self.v} exceeds g_is^2 = {self.g_is ** 2}")
 
 
 def _grid_index(run: ScenarioRun, t: float, what: str) -> int:
@@ -97,7 +102,7 @@ def _grid_index(run: ScenarioRun, t: float, what: str) -> int:
 
 
 def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
-    t_r, t_end = run.window if window is None else window
+    t_r, t_end = (run.times[0], run.times[-1]) if window is None else window
     i0 = _grid_index(run, t_r, "window start")
     i1 = _grid_index(run, t_end, "window end")
     if i1 <= i0:
@@ -120,51 +125,18 @@ def _backward_functional(rows, steps, hs):
     return u
 
 
-_BLOCK = 128  # grid points filled by one stacked matmul in _pair_functional
-
-
-def _constant_pieces(steps, t):
-    """(lo, hi, h): step ranges that share one step matrix and length h.
-
-    Consecutive steps form a piece when they are the same array object
-    and their lengths agree to 1e-12 relative to the largest grid time
-    (differencing the grid times leaves rounding of order eps * |t|);
-    otherwise each step is its own piece.
-    """
-    hs = np.diff(t)
-    tol = 1e-12 * np.abs(t).max()
-    cuts = [i for i in range(1, len(steps)) if steps[i] is not steps[i - 1]]
-    for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
-        if np.ptp(hs[lo:hi]) <= tol:
-            yield lo, hi, float(np.mean(hs[lo:hi]))
-        else:
-            yield from ((k, k + 1, float(hs[k])) for k in range(lo, hi))
-
-
-def _powers(e, k):
-    """Stacked E^0 .. E^k by repeated doubling."""
-    p = np.empty((k + 1,) + e.shape, dtype=complex)
-    p[0] = np.eye(e.shape[0])
-    em, m = e, 1
-    while m <= k:
-        top = min(2 * m, k + 1)
-        p[m:top] = p[:top - m] @ em
-        em, m = em @ em, 2 * m
-    return p
-
-
-def _pair_functional(row, steps, t):
+def _pair_functional(row, spans, n):
     """_backward_functional for a row that is the same at every point.
 
-    Within a piece of step matrix E and length h the recurrence is
+    `spans` are the piece table's (lo, hi, h, E) rows over grid points
+    0..n-1. Within a row the recurrence is
     u[i] = u[i+1] E + c with c = (h/2)(row E + row), so
     u[hi-j] = u[hi] E^j + c (E^0 + ... + E^{j-1}); each block of up to
     _BLOCK points is one stacked matmul against the powers of E.
     """
-    u = np.empty((len(t), len(row)), dtype=complex)
+    u = np.empty((n, len(row)), dtype=complex)
     u[-1] = 0.0
-    for lo, hi, h in reversed(list(_constant_pieces(steps, t))):
-        e = steps[lo]
+    for lo, hi, h, e in reversed(spans):
         c = (h / 2.0) * (row @ e + row)
         k = min(_BLOCK, hi - lo)
         p = _powers(e, k)
@@ -178,13 +150,12 @@ def _pair_functional(row, steps, t):
 
 
 def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
-                   window: Optional[Tuple[float, float]] = None,
-                   counting_ops: Optional[list] = None) -> list:
+                   window: Optional[Tuple[float, float]] = None) -> list:
     """Counting moments N_1..N_cutoff of the window's output field.
 
-    Uses the run's recorded counting operators unless `counting_ops`
-    (one matrix per grid point) overrides them. N_1 is checked against
-    an independent direct flux quadrature to 1e-6.
+    The piece table's counting operators are expanded to the grid
+    points, right-continuously, and its step matrices to the steps. N_1
+    is checked against an independent direct flux quadrature to 1e-6.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -193,20 +164,19 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
             f"counting moments implemented up to order {MAX_ORDER}")
     i0, i1 = _window_indices(run, window)
     d = run.dim
-    all_ops = counting_ops if counting_ops is not None else run.counting_ops
-    ops = all_ops[i0:i1 + 1]
-    if any(m is None for m in ops):
-        raise ValueError("run carries no counting operators on this window")
+    table = run.pieces
+    if table.ops is None:
+        raise ValueError("run carries no counting operators")
+    mats = table.per_point(table.ops)[i0:i1 + 1]
     t = run.times[i0:i1 + 1]
     states = run.states[i0:i1 + 1]
-    steps = run.steps[i0:i1]
+    steps = table.step_mats[table.per_point(table.slot)[i0:i1]]
     if run.drive_points < 20:
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
 
     # jump superoperators conj(M) kron M of the whole window at once
-    mats = np.array([_as_matrix(m) for m in ops])
     n = len(t)
     js = np.einsum("nij,nkl->nikjl", mats.conj(), mats).reshape(n, d * d, d * d)
     jrows = trace_row(d) @ js
@@ -286,11 +256,9 @@ def invert_to_probabilities(n_tiples: Sequence[float],
 
 
 def counting_statistics(run: ScenarioRun, cutoff: int = 3,
-                        window: Optional[Tuple[float, float]] = None,
-                        counting_ops: Optional[list] = None) -> PhotonStatistics:
+                        window: Optional[Tuple[float, float]] = None) -> PhotonStatistics:
     """Moments and probabilities of a run's output field in one call."""
-    nm = photon_mtiples(run, cutoff=cutoff, window=window,
-                        counting_ops=counting_ops)
+    nm = photon_mtiples(run, cutoff=cutoff, window=window)
     probs = invert_to_probabilities(nm)
     i0, i1 = _window_indices(run, window)
     return PhotonStatistics(
@@ -306,8 +274,8 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     """m-point intensity correlator G^(m)(t_1..t_m) at grid times.
 
     Each time must lie on the simulation grid to 1e-9. The quantum
-    regression chain: jump at t_1, propagate, jump at t_2, and so on,
-    then trace.
+    regression chain: jump at t_1, propagate piece by piece, jump at
+    t_2, and so on, then trace.
     """
     ts = list(at_times)
     if len(ts) < 1:
@@ -315,21 +283,20 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be nondecreasing")
     idx = [_grid_index(run, t, "time") for t in ts]
-    d = run.dim
-    ops = run.counting_ops
-    if ops[idx[0]] is None:
+    table = run.pieces
+    if table.ops is None:
         raise ValueError("run carries no counting operators")
+    ops = table.per_point(table.ops)
 
     def jump(i, v):
-        m = _as_matrix(ops[i])
-        return spre_spost(m, m.conj().T) @ v
+        return spre_spost(ops[i], ops[i].conj().T) @ v
 
     v = jump(idx[0], run.states[idx[0]])
     for i_prev, i_next in zip(idx, idx[1:]):
-        for s in range(i_prev, i_next):
-            v = run.steps[s] @ v
+        for lo, hi, _, e in table.spans(i_prev, i_next):
+            v = np.linalg.matrix_power(e, hi - lo) @ v
         v = jump(i_next, v)
-    val = float((trace_row(d) @ v).real)
+    val = float((trace_row(run.dim) @ v).real)
     if val < -1e-9:
         raise RuntimeError(f"correlator came out negative: {val}")
     return val
@@ -358,9 +325,9 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt',
     the nested grid trapezoid from one backward sweep of the late-time
     functional of channel b against a forward trapezoid in the early
-    time. The sweep runs per constant piece with stacked matrix powers
-    (`_pair_functional`). T is the end of the run, or `horizon`, which
-    must lie on the grid to 1e-9.
+    time. The sweep walks the rows of the run's piece table with stacked
+    matrix powers and each row's exact step (`_pair_functional`). T is
+    the end of the run, or `horizon`, which must lie on the grid to 1e-9.
     """
     la = _channel_matrix(run, first)
     lb = _channel_matrix(run, second)
@@ -374,7 +341,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     ja = spre_spost(la, la.conj().T)
     jb_row = trace_row(d) @ spre_spost(lb, lb.conj().T)
     hs = np.diff(t)
-    u = _pair_functional(jb_row, run.steps[: i1], t)
+    u = _pair_functional(jb_row, run.pieces.spans(0, i1), n)
     f = np.einsum("ni,ni->n", u, run.states[:n] @ ja.T)
     return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
 

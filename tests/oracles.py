@@ -71,6 +71,36 @@ def ode_propagator(pieces, dim, rtol=1e-11, atol=1e-13):
     return p
 
 
+def grid_steps(run):
+    """The step matrix of every grid interval of a run, from its piece
+    table: row p's matrix repeated over its n_steps intervals."""
+    table = run.pieces
+    out = []
+    for slot, n in zip(table.slot, table.n_steps):
+        out.extend([table.step_mats[slot]] * int(n))
+    return out
+
+
+def grid_ops(run):
+    """The counting operator at every grid point of a two-level run.
+
+    A point carries the operator of the row whose span [t_a, t_b) holds
+    its time, and the end point that of the last row.
+    """
+    table = run.pieces
+    rows = [int(np.nonzero((table.t_a <= t) & (t < table.t_b))[0][0])
+            for t in run.times[:-1]]
+    return [table.ops[p] for p in rows + [len(table.ops) - 1]]
+
+
+def march_states(run):
+    """States on the grid by one matrix-vector product per step."""
+    out = [run.states[0]]
+    for e in grid_steps(run):
+        out.append(e @ out[-1])
+    return np.array(out)
+
+
 def naive_counting_moments(times, steps, ops, states, mmax=3):
     """Ordered counting integrals by explicit forward-nested trapezoids.
 
@@ -130,7 +160,7 @@ def nested_pair_count(run, first, second, horizon=None):
     """Ordered pair integral A_ab by explicit forward-nested trapezoids.
 
     For each early index i, J_a rho_i is propagated forward with
-    `run.steps` and tr(J_b .) is trapezoid-integrated over the later
+    `grid_steps(run)` and tr(J_b .) is trapezoid-integrated over the later
     grid points; the outer trapezoid runs over i. O(n^2), coarse grids
     only. `first` and `second` are keys of `run.channels`; `horizon`
     must be a grid time.
@@ -146,13 +176,14 @@ def nested_pair_count(run, first, second, horizon=None):
     jb = np.kron(lb.conj(), lb)
     tr = np.zeros(d * d, dtype=complex)
     tr[:: d + 1] = 1.0
+    steps = grid_steps(run)
     g = np.empty(n)
     for i in range(n):
         y = ja @ run.states[i]
         vals = np.empty(n - i)
         vals[0] = (tr @ (jb @ y)).real
         for k in range(i + 1, n):
-            y = run.steps[k - 1] @ y
+            y = steps[k - 1] @ y
             vals[k - i] = (tr @ (jb @ y)).real
         g[i] = np.trapezoid(vals, t[i:])
     return float(np.trapezoid(g, t))

@@ -219,11 +219,12 @@ class TestCompiler:
         drive = pf.DriveSchedule(((0.5, 1.7, alpha),))
         phase = random_ramp(rng, 0.2, 2.2, 40)
         run = pf.simulate(params, drive, phase, 2.5, dt=0.05)
-        for i, step in enumerate(run.steps):
-            t, h = run.times[i], run.times[i + 1] - run.times[i]
+        table = run.pieces
+        for t, h, slot in zip(table.t_a, table.h, table.slot):
             gen = oracle_generator(params.gamma, phase.phi_at(t),
                                    alpha=drive.amplitude_at(t),
                                    delta=params.delta, gamma_nr=params.gamma_nr)
+            step = table.step_mats[slot]
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_three_level_step_matrices_match_oracle_exponentials(self):
@@ -231,9 +232,10 @@ class TestCompiler:
         drive = pf.DriveSchedule(((0.0, 0.8, 3.0 - 2.0j), (1.0, 1.5, 0.5j)))
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 2.0,
                           dt=0.05)
-        for i, step in enumerate(run.steps):
-            h = run.times[i + 1] - run.times[i]
-            gen = ladder_generator(params, drive.amplitude_at(run.times[i]))
+        table = run.pieces
+        for t, h, slot in zip(table.t_a, table.h, table.slot):
+            gen = ladder_generator(params, drive.amplitude_at(t))
+            step = table.step_mats[slot]
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_generators_annihilate_trace_and_keep_hermiticity(self):
@@ -281,7 +283,7 @@ class TestCompiler:
         phase, rho0 = exponential_release()
         run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
                           phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
-        assert len(run.steps) >= 2400
+        assert len(run.pieces.slot) >= 2400
         assert len(calls) <= 3
 
     def test_flux_series_matches_recorded_states_on_a_ramp(self):
@@ -290,12 +292,95 @@ class TestCompiler:
         drive = pf.DriveSchedule(())
         run = pf.simulate(params, drive, phase, 20.0, t_start=8.0, rho0=rho0,
                           dt=0.005)
-        ops = np.array(run.counting_ops)
+        ops = np.array(oracles.grid_ops(run))
         rho_t = run.states.reshape(-1, 2, 2)
         want = np.einsum("nki,nkj,nij->n", ops.conj(), ops, rho_t).real
         got = pf.flux_series(params, drive, phase, run.times, rho0=rho0)
         assert len(run.times) == 2401
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _release_run():
+    phase, rho0 = exponential_release()
+    return pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
+                       phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
+
+
+# runs with pulses, phase switches, ramps and three levels
+TABLE_RUNS = {
+    "pulse": lambda: pf.simulate(
+        pf.MirrorQubitParams(gamma=0.5),
+        pf.DriveSchedule.square_pi_pulse(7.0, 0.0, 1.0),
+        pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005),
+    "ramp": _release_run,
+    "random_ramp": lambda: pf.simulate(
+        pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
+        pf.DriveSchedule(((0.5, 1.7, 2.0 - 1.0j),)),
+        random_ramp(np.random.default_rng(6), 0.2, 2.2, 40), 2.5,
+        t_start=0.1, dt=0.05),
+    "release": lambda: pf.simulate(
+        pf.MirrorQubitParams(gamma=1.0),
+        pf.DriveSchedule.square_pi_pulse(5.0, 1.0, 1.9),
+        pf.PhaseSchedule.storage_release(0.9 * PI, 1.3, 3.0, PI / 2.0),
+        9.0, dt=0.01),
+    "short_rows": lambda: pf.simulate(
+        pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(((0.25, 0.75, 2.0),)),
+        pf.PhaseSchedule.storage_release(0.9 * PI, 0.75, 1.0, PI / 2.0), 3.0,
+        dt=0.25, min_pulse_steps=2),
+    "three_level": lambda: pf.simulate(
+        pf.MirrorQubitParams(levels=3, gamma02=0.1),
+        pf.DriveSchedule(((0.0, 0.8, 5.0), (3.0, 3.5, 2.0j))),
+        pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TABLE_RUNS))
+def table_run(request):
+    return TABLE_RUNS[request.param]()
+
+
+class TestPieceTable:
+    def test_rows_tile_the_span(self, table_run):
+        table = table_run.pieces
+        assert table.t_a[0] == table_run.times[0]
+        assert table.t_b[-1] == table_run.times[-1]
+        assert np.array_equal(table.t_a[1:], table.t_b[:-1])
+        assert np.all(table.t_b > table.t_a)
+
+    def test_step_counts_cover_the_grid(self, table_run):
+        assert np.sum(table_run.pieces.n_steps) == len(table_run.times) - 1
+
+    def test_short_rows(self):
+        run = TABLE_RUNS["short_rows"]()
+        assert run.pieces.n_steps.tolist() == [1, 2, 1, 8]
+
+    def test_row_times_are_linspace(self, table_run):
+        table = table_run.pieces
+        for p, (lo, hi) in enumerate(zip(table.starts[:-1], table.starts[1:])):
+            want = np.linspace(table.t_a[p], table.t_b[p], table.n_steps[p] + 1)
+            assert np.array_equal(table_run.times[lo:hi + 1], want)
+
+    def test_breakpoints_are_grid_points(self, table_run):
+        run = table_run
+        t1, t2 = run.times[0], run.times[-1]
+        points = [x for x in run.drive.breakpoints() if t1 < x < t2]
+        points += run.phase.breakpoints(t1, t2)
+        assert points
+        assert set(points) <= set(run.times.tolist())
+
+    def test_states_equal_sequential_march(self, table_run):
+        want = oracles.march_states(table_run)
+        assert np.max(np.abs(table_run.states - want)) < 1e-13
+
+    def test_counting_ops_by_row(self, table_run):
+        table = table_run.pieces
+        if table_run.params.levels == 3:
+            assert table.ops is None
+            return
+        for phi, op in zip(table.phi, table.ops):
+            assert np.array_equal(op, pf.output_coupling(table_run.params, phi).mat)
+        assert np.array_equal(table.per_point(table.ops),
+                              np.array(oracles.grid_ops(table_run)))
 
 
 class TestPropagator:
@@ -341,8 +426,6 @@ class TestSimulate:
         assert run.times[0] == 0.0
         assert abs(run.times[-1] - 4.0) < 1e-9
         assert len(run.states) == len(run.times)
-        assert len(run.steps) == len(run.times) - 1
-        assert len(run.counting_ops) == len(run.times)
         assert np.all(np.diff(run.times) > 0)
 
     def test_trace_preserved_with_nonradiative_loss(self):
@@ -371,10 +454,11 @@ class TestSimulate:
         phase = pf.PhaseSchedule.storage_release(0.9 * PI, 1.0, 3.0, PI / 2.0)
         run = pf.simulate(params, pf.DriveSchedule(()), phase, 5.0, dt=0.1)
         idx = int(np.argmin(np.abs(run.times - 3.0)))
+        ops = run.pieces.per_point(run.pieces.ops)
         want = pf.output_coupling(params, PI / 2.0).mat
-        assert np.max(np.abs(run.counting_ops[idx] - want)) < 1e-14
+        assert np.max(np.abs(ops[idx] - want)) < 1e-14
         before = pf.output_coupling(params, PI).mat
-        assert np.max(np.abs(run.counting_ops[idx - 1] - before)) < 1e-14
+        assert np.max(np.abs(ops[idx - 1] - before)) < 1e-14
 
     def test_dark_phase_freezes_the_state(self):
         params = pf.MirrorQubitParams(gamma=1.0)

@@ -121,6 +121,17 @@ class TestBeamSplitterSource:
         assert abs(phase_off.prob(1) - clean.prob(1)) > 1e-4
         assert abs(amp_off.n_tiples[0] - clean.n_tiples[0]) > 1e-4
 
+    def test_mismatch_statistics_independent_of_pulse_start(self):
+        # the residual drive must switch off with the counting operator at
+        # the pulse end; at t0 = 0 this cell's pulse-end grid time used to
+        # round one ulp below t_w, where it kept the drive
+        params = qubit_half()
+        stats = [pf.run_beam_splitter(params, pf.BeamSplitterConfig(
+                     alpha0=7.0, t0=t0, t_end=t0 + 8.0, amp_error=0.05))
+                 for t0 in (0.0, 1.0)]
+        for a, b in zip(*(s.probabilities for s in stats)):
+            assert abs(a - b) < 1e-9
+
     def test_global_drive_phase_invariance(self):
         params = qubit_half()
         base = pf.run_beam_splitter(

@@ -1,6 +1,5 @@
 """Counting moments, probability inversion, and pair correlations."""
 
-import dataclasses
 import logging
 import math
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 import photonforge as pf
-from photonforge.statistics import _constant_pieces
 
 import oracles
 
@@ -35,8 +33,8 @@ class TestMomentsAgainstNestedQuadrature:
     def test_first_two_moments(self):
         run = pulsed_run()
         got = pf.photon_mtiples(run, cutoff=2)
-        want = oracles.naive_counting_moments(run.times, run.steps,
-                                              run.counting_ops, run.states,
+        want = oracles.naive_counting_moments(run.times, oracles.grid_steps(run),
+                                              oracles.grid_ops(run), run.states,
                                               mmax=2)
         assert abs(got[0] - want[0]) < 1e-10
         assert abs(got[1] - want[1]) < 1e-10
@@ -47,8 +45,8 @@ class TestMomentsAgainstNestedQuadrature:
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 4.0,
                           dt=0.05)
         got = pf.photon_mtiples(run, cutoff=3)
-        want = oracles.naive_counting_moments(run.times, run.steps,
-                                              run.counting_ops, run.states,
+        want = oracles.naive_counting_moments(run.times, oracles.grid_steps(run),
+                                              oracles.grid_ops(run), run.states,
                                               mmax=3)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
@@ -230,40 +228,24 @@ class TestPairIntegrals:
         drive = pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 4.0, 5.0)))
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 6.0,
                           dt=0.05)
-        uses = [i for i, s in enumerate(run.steps) if s is run.steps[0]]
-        assert uses[-1] - uses[0] + 1 > len(uses)
+        slot = run.pieces.slot
+        assert len(slot) == 4 and slot[0] == slot[2] != slot[1]
         assert_matches_nested(run)
 
     def test_nested_oracle_on_grid_horizon_inside_piece(self, coarse_run3):
         horizon = float(coarse_run3.times[len(coarse_run3.times) // 2 + 3])
         assert_matches_nested(coarse_run3, horizon=horizon)
 
-    def test_nested_oracle_per_step_copies(self, coarse_run3):
-        copies = dataclasses.replace(
-            coarse_run3, steps=[s.copy() for s in coarse_run3.steps])
-        assert_matches_nested(copies)
-        for a, b in ORDERINGS:
-            assert abs(pf.ordered_pair_count(copies, a, b)
-                       - pf.ordered_pair_count(coarse_run3, a, b)) < 1e-12
-
-    def test_nested_oracle_shared_step_unequal_lengths(self, coarse_run3):
-        # one array object reused over steps of different lengths must be
-        # integrated step by step, not as one piece of mean length
-        times = coarse_run3.times.copy()
-        times[len(times) // 2] += 0.3 * coarse_run3.grid_step
-        moved = dataclasses.replace(coarse_run3, times=times)
-        assert_matches_nested(moved)
-
     def test_rounded_grid_times_keep_pieces_whole(self):
-        # differencing times near t = 20 leaves ulp noise in the step
-        # lengths; the free decay must still be one piece, not 3,860
+        # the free decay is one row of 3,860 steps whatever the rounding
+        # of its grid times
         params = pf.MirrorQubitParams(levels=3, gamma02=0.1)
         tw = pf.pi_pulse_width(5.0, 2.0 * params.gamma02)
         drive = pf.DriveSchedule(((0.0, tw, 5.0),))
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 20.0,
                           dt=0.005)
-        pieces = _constant_pieces(run.steps, run.times)
-        assert len(list(pieces)) == 2
+        assert len(run.pieces.slot) == 2
+        assert run.pieces.n_steps[1] == 3860
 
     def test_metric_formula(self):
         assert pf.csi_metric(0.1, 0.2, 0.5) == pytest.approx(0.25 - 0.02, abs=1e-15)
@@ -272,4 +254,22 @@ class TestPairIntegrals:
         with pytest.raises(ValueError, match="negative"):
             pf.CrossPairResult(g_ii=-1e-3, g_ss=0.1, g_is=0.1, v=0.0)
         with pytest.raises(ValueError, match="exceeds"):
-            pf.CrossPairResult(g_ii=0.1, g_ss=0.1, g_is=2.0, v=1.5)
+            pf.CrossPairResult(g_ii=0.1, g_ss=0.1, g_is=1.0, v=1.5)
+        # v = G_is^2 - G_ii G_ss may pass 1 when more than one pair is emitted
+        pf.CrossPairResult(g_ii=0.1, g_ss=0.1, g_is=2.0, v=3.99)
+
+    def test_v_above_one_from_reexcitation(self):
+        # a 0.99-long pulse re-excites the ladder, so G_ii and G_is grow and
+        # the converged V is about 1.019; the pair counts match the
+        # nested oracle
+        params = pf.MirrorQubitParams(levels=3, gamma01=1.0, gamma12=1.0,
+                                      gamma02=0.05)
+        res = pf.run_cascade(params, 5.0, dt=0.05)
+        assert res.v > 1.0
+        tw = pf.pi_pulse_width(5.0, 2.0 * params.gamma02)
+        run = pf.simulate(params, pf.DriveSchedule(((0.0, tw, 5.0),)),
+                          pf.PhaseSchedule.constant(0.0), 20.0, dt=0.05)
+        a = {(x, y): oracles.nested_pair_count(run, x, y) for x, y in ORDERINGS}
+        assert abs(res.g_ii - 2.0 * a["idler", "idler"]) < 1e-12
+        assert abs(res.g_ss - 2.0 * a["signal", "signal"]) < 1e-12
+        assert abs(res.g_is - a["idler", "signal"] - a["signal", "idler"]) < 1e-12
