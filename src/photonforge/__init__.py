@@ -23,13 +23,11 @@ The package is organised in layers:
 
 from .core import (
     DensityMatrix,
-    NumericPolicy,
     Operator,
     Superoperator,
     dissipator,
     liouvillian,
     lowering_op,
-    policy,
     sup_exp,
     unvec,
     vec,
@@ -96,9 +94,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "DensityMatrix", "NumericPolicy", "Operator", "Superoperator",
-    "dissipator", "liouvillian", "lowering_op", "policy", "sup_exp",
-    "unvec", "vec",
+    "DensityMatrix", "Operator", "Superoperator", "dissipator",
+    "liouvillian", "lowering_op", "sup_exp", "unvec", "vec",
     # slh
     "SlhTriplet", "concatenate", "drive_triplet", "emitter_triplet",
     "feedback", "mirror_network", "mirror_triplet", "series",

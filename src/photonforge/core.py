@@ -20,14 +20,10 @@ row-stacked superoperators from elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
 __all__ = [
-    "NumericPolicy",
-    "policy",
     "Operator",
     "DensityMatrix",
     "Superoperator",
@@ -38,21 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass
-class NumericPolicy:
-    """Global numeric tolerances.
-
-    A single mutable instance (`core.policy`) is the only sanctioned way
-    to adjust tolerances; individual operations do not take tolerance
-    arguments unless stated.
-    """
-
-    herm_tol: float = 1e-10      # Hermiticity checks
-    trace_tol: float = 1e-10     # trace-one / trace-annihilation checks
-    psd_tol: float = 1e-9        # eigenvalue floor for density matrices
-
-
-policy = NumericPolicy()
+HERM_TOL = 1e-10   # Hermiticity checks
+TRACE_TOL = 1e-10  # trace-one / trace-annihilation checks
+PSD_TOL = 1e-9     # eigenvalue floor for density matrices
 
 
 def _as_matrix(x):
@@ -85,8 +69,7 @@ class Operator:
         """Hermitian conjugate."""
         return Operator(self.mat.conj().T)
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = policy.herm_tol if tol is None else tol
+    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
     def __matmul__(self, other):
@@ -113,7 +96,7 @@ class Operator:
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Validation runs on construction with the global policy tolerances.
+    Validation runs on construction with the module tolerances.
     """
 
     __slots__ = ("mat",)
@@ -130,11 +113,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def validate(self, trace_tol=None, herm_tol=None, psd_tol=None):
-        """Raise ValueError unless trace-one, Hermitian and PSD within policy."""
-        trace_tol = policy.trace_tol if trace_tol is None else trace_tol
-        herm_tol = policy.herm_tol if herm_tol is None else herm_tol
-        psd_tol = policy.psd_tol if psd_tol is None else psd_tol
+    def validate(self, trace_tol=TRACE_TOL, herm_tol=HERM_TOL, psd_tol=PSD_TOL):
+        """Raise ValueError unless trace-one, Hermitian and PSD within tolerance."""
         if abs(np.trace(self.mat) - 1.0) > trace_tol:
             raise ValueError(f"trace {np.trace(self.mat)} violates unit trace")
         if np.max(np.abs(self.mat - self.mat.conj().T)) > herm_tol:
@@ -212,9 +192,8 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    def annihilates_trace(self, tol: float | None = None) -> bool:
+    def annihilates_trace(self, tol: float = TRACE_TOL) -> bool:
         """True if tr(S rho) = 0 for all rho, the Liouvillian property."""
-        tol = policy.trace_tol if tol is None else tol
         return bool(np.max(np.abs(trace_row(self.dim) @ self.mat)) <= tol)
 
     def __repr__(self):
@@ -275,11 +254,11 @@ def dissipator(x) -> Superoperator:
 def liouvillian(h, collapse_ops=()) -> Superoperator:
     """Generator of the master equation rho' = -i[H, rho] + sum_j D[L_j] rho.
 
-    H must be Hermitian within the policy tolerance; rates are carried
+    H must be Hermitian within HERM_TOL; rates are carried
     inside the collapse operators (sqrt(rate) * op).
     """
     H = _as_matrix(h)
-    if np.max(np.abs(H - H.conj().T)) > policy.herm_tol:
+    if np.max(np.abs(H - H.conj().T)) > HERM_TOL:
         raise ValueError(
             "Hamiltonian is not Hermitian within tolerance "
             f"(max deviation {np.max(np.abs(H - H.conj().T)):.3e})"

@@ -438,7 +438,7 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
 # ---------------------------------------------------------------------------
 # gridded simulation runs (consumed by the statistics module)
 
-_BLOCK = 128  # powers of one step matrix held at once
+_BLOCK = 128  # powers of one step matrix, or rows' chain steps, held at once
 
 
 def _powers(e, k):
@@ -451,6 +451,19 @@ def _powers(e, k):
         p[m:top] = p[:top - m] @ em
         em, m = em @ em, 2 * m
     return p
+
+
+def _march(e, v, out):
+    """Fill row j of out with e^(j+1) v, from at most _BLOCK powers of e.
+
+    The powers are stacked as one (_BLOCK n, n) matrix, so each block of
+    up to _BLOCK rows is a single matrix-vector product.
+    """
+    k, n = out.shape
+    p = e if k == 1 else _powers(e, min(k, _BLOCK))[1:].reshape(-1, n)
+    for lo in range(0, k, _BLOCK):
+        b = min(_BLOCK, k - lo)
+        out[lo:lo + b] = (p[:b * n] @ (v if lo == 0 else out[lo - 1])).reshape(b, n)
 
 
 @dataclass(frozen=True)
@@ -487,12 +500,12 @@ class PieceTable:
         phase switch sees the new coupling), the end the last row."""
         return np.concatenate([np.repeat(values, self.n_steps, axis=0), values[-1:]])
 
-    def spans(self, i0: int, i1: int) -> list:
-        """(lo, hi, h, step matrix) of the rows' steps between grid points
-        i0 and i1."""
-        s, h = self.starts.tolist(), self.h
-        return [(max(lo, i0), min(hi, i1), h[p], self.step_mats[self.slot[p]])
-                for p, (lo, hi) in enumerate(zip(s[:-1], s[1:])) if lo < i1 and hi > i0]
+    def spans(self, i0: int, i1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows with steps between grid points i0 and i1, and the
+        first and last grid index of each row's part there."""
+        s = self.starts
+        p = np.nonzero((s[:-1] < i1) & (s[1:] > i0))[0]
+        return p, np.maximum(s[p], i0), np.minimum(s[p + 1], i1)
 
 
 @dataclass
@@ -533,6 +546,10 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     """
     if dt is None:
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if min_pulse_steps < 1:
+        raise ValueError(f"min_pulse_steps must be at least 1, got {min_pulse_steps}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     d = params.dim
@@ -564,11 +581,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
 
     states = np.empty((len(times), d * d), dtype=complex)
     states[0] = vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None else rho0))
-    # a row's states are E^j times its first, filled _BLOCK powers at a time
     for i, k, s in zip(table.starts.tolist(), n.tolist(), slots.tolist()):
-        p = mats[s:s + 1] if k == 1 else _powers(mats[s], min(k, _BLOCK))[1:]
-        for lo in range(i, i + k, _BLOCK):
-            states[lo + 1:min(lo + _BLOCK, i + k) + 1] = p[:i + k - lo] @ states[lo]
+        _march(mats[s], states[i], states[i + 1:i + k + 1])
     # the fewest grid points on a drive pulse, for resolution diagnostics
     dp = min((int(n[rows].sum()) + 1 for rows in in_pulse if rows.any()), default=10 ** 9)
     return ScenarioRun(

@@ -336,27 +336,21 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
         sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
 
     drive = DriveSchedule(((t0, t_store, complex(alpha0)),))
-    pre = simulate(params, drive, sched, t_r, t_start=0.0, dt=dt)
-    rho_r = pre.states[-1].reshape((2, 2), order="F")
-    p_exc_r = float(rho_r[1, 1].real)
-
-    run = simulate(params, DriveSchedule(()), sched, t_end, t_start=t_r,
-                   rho0=rho_r, dt=dt)
+    run = simulate(params, drive, sched, t_end, dt=dt)
     # packet releases count over the packet support only
     stats_end = t_end if packet is None else min(t_end, packet.end)
     stats = counting_statistics(run, cutoff=cutoff,
                                 window=(t_r, stats_end))
 
-    # one pass over the whole timeline: p_exc = rho_11 (the last entry of
-    # the column-stacked state) and flux = tr(L^dag L rho) = Gamma_eff(phi) p_exc
-    times = np.concatenate([pre.times[:-1], run.times])
-    phase_vals = np.concatenate([pre.pieces.per_point(pre.pieces.phi)[:-1],
-                                 run.pieces.per_point(run.pieces.phi)])
-    p_exc = np.concatenate([pre.states[:-1, 3], run.states[:, 3]]).real
+    # p_exc = rho_11 (the last entry of the column-stacked state) and
+    # flux = tr(L^dag L rho) = Gamma_eff(phi) p_exc
+    phase_vals = run.pieces.per_point(run.pieces.phi)
+    p_exc = run.states[:, 3].real
     flux = params.gamma * (1.0 + np.cos(phase_vals)) * p_exc
 
-    i0, i1 = np.searchsorted(times, stats.window)
-    wgrid = times[i0:i1 + 1]
+    # the window starts at the grid point of t_r, a phase breakpoint
+    i0, i1 = np.searchsorted(run.times, stats.window)
+    wgrid = run.times[i0:i1 + 1]
     wflux = flux[i0:i1 + 1]
     emitted = float(np.trapezoid(wflux, wgrid))
 
@@ -371,11 +365,11 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
 
     return ShapedReleaseResult(
         stats=stats,
-        times=times,
+        times=run.times,
         flux=flux,
         phase=phase_vals,
         p_exc=p_exc,
-        p_exc_at_release=p_exc_r,
+        p_exc_at_release=float(p_exc[i0]),
         emitted_fraction=emitted,
         clip_fraction=sched.clip_fraction,
         flux_match_l2=l2,

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import Operator, Superoperator, _as_matrix, liouvillian, policy
+from .core import HERM_TOL, Operator, Superoperator, _as_matrix, liouvillian
 
 __all__ = [
     "CouplingEntry",
@@ -77,7 +77,7 @@ class SlhTriplet:
         n entries; each may be an operator, a plain complex amplitude,
         a (operator, offset) pair, or a CouplingEntry.
     h : array_like or Operator
-        Hamiltonian; Hermitian within the policy tolerance.
+        Hamiltonian; Hermitian within HERM_TOL.
     dim : int, optional
         Hilbert dimension, required only when every entry is scalar.
     """
@@ -102,9 +102,9 @@ class SlhTriplet:
         h = _as_matrix(h)
         if h.shape != (dim, dim):
             raise ValueError("Hamiltonian dimension mismatch")
-        if np.max(np.abs(h - h.conj().T)) > policy.herm_tol:
+        if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
             raise ValueError("Hamiltonian must be Hermitian")
-        if np.max(np.abs(s @ s.conj().T - np.eye(n))) > policy.herm_tol:
+        if np.max(np.abs(s @ s.conj().T - np.eye(n))) > HERM_TOL:
             raise ValueError("scattering matrix must be unitary")
         self.s = s
         self.couplings = tuple(entries)

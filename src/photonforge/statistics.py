@@ -9,21 +9,21 @@ The order-m counting moment of the output field over a window
 with J(t) rho = M(t) rho M(t)^dag the counting jump channel and
 E(t', t) the two-time propagator, so N_m is the mean number of
 unordered m-photon detection combinations, E[C(n, m)]. Rather than
-nesting quadratures, each extra order adds one backward sweep of a
-running functional over the grid: u_m(t_i) accumulates "everything
-later than t_i", and N_m costs O(m n) matrix-vector products on an
-n-point grid. The forward map from moments to photon-number
+nesting quadratures, one backward chain carries w = [1, u_1 .. u_L]
+over the grid: u_m(t_i) accumulates "everything later than t_i" up to
+order m, and the grid-trapezoid step of every level is one matrix M,
+the trapezoid counterpart of Van Loan's block generator for integrals
+of the matrix exponential. The forward map from moments to photon-number
 probabilities inverts through alternating binomial sums, computed by
 two independent routes that must agree to near machine precision.
 
-Every statistic reads the run's piece table (`dynamics.PieceTable`):
-counting operators are expanded from its rows to the grid points,
-right-continuously, and propagation between grid points walks its rows.
-Pair correlations of a two-channel emitter are the same construction
-with one jump from each channel. Their late-time row is constant, so
-the backward sweep is evaluated one table row at a time from stacked
-powers of the row's step matrix and its exact step; the quadrature is
-the same grid trapezoid. The quality metric
+Every statistic reads the run's piece table (`dynamics.PieceTable`).
+M is constant inside a table row except at the row's last step, whose
+later point takes the counting operator of the next row
+(right-continuously), so the chain walks the rows and fills each from
+stacked powers of its M. Pair correlations of a two-channel emitter are
+the same chain with one level, channel b's jump on every row and
+channel a's in the early-time integrand. The quality metric
 v = G_is^2 - G_ii G_ss is positive only when the cross-channel
 coincidence beats the geometric mean of the single-channel ones, which
 no classical field can arrange.
@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import _as_matrix, spre_spost, trace_row
-from .dynamics import _BLOCK, ScenarioRun, _powers
+from .dynamics import _BLOCK, ScenarioRun, _march
 
 __all__ = [
     "photon_mtiples",
@@ -110,52 +110,78 @@ def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
     return i0, i1
 
 
-def _backward_functional(rows, steps, hs):
-    """u[i] = trapezoid of Integral_{t_i}^{T} rows(s) E(s, t_i) ds.
+def _trapz(hs, f) -> float:
+    """Grid trapezoid of the samples f over the steps hs."""
+    return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
 
-    rows[i] is the integrand row vector at grid point i; one backward
-    sweep folds the propagators in as the window end recedes.
+
+def _chain_steps(e, jc, jn, h, levels):
+    """Stacked one-step matrices M of the chain w = [1, u_1 .. u_L].
+
+    With X = (h/2) J_cur, Q = (h/2)(E J_cur + J_next E) and
+    c = (h/2)(tr J_cur + tr J_next E), the blocks are M[u_a, u_a] = E,
+    M[u_a, u_{a+k}] = Q X^(k-1) and M[1, u_k] = c X^(k-1): the grid
+    trapezoid step u_m[i] = (u_m[i+1] + (h/2) u_{m-1}[i+1] J_next) E
+    + (h/2) u_{m-1}[i] J_cur of every level at once, with u_0 the trace.
     """
-    n = len(rows)
-    u = [None] * n
-    u[n - 1] = np.zeros_like(rows[0])
-    for i in range(n - 2, -1, -1):
-        h = hs[i]
-        u[i] = (u[i + 1] + (h / 2.0) * rows[i + 1]) @ steps[i] + (h / 2.0) * rows[i]
-    return u
+    r, d2 = e.shape[:2]
+    hh = (h / 2.0)[:, None, None]
+    tr = trace_row(math.isqrt(d2))
+    x = hh * jc
+    q = hh * (e @ jc + jn @ e)
+    cx = hh * ((tr @ jc)[:, None] + (tr @ jn)[:, None] @ e)
+    m = np.zeros((r, 1 + levels * d2, 1 + levels * d2), dtype=complex)
+    m[:, 0, 0] = 1.0
+    blk = [slice(1 + a * d2, 1 + (a + 1) * d2) for a in range(levels)]
+    for a in range(levels):
+        m[:, blk[a], blk[a]] = e
+    for k in range(levels):
+        m[:, :1, blk[k]] = cx
+        for a in range(levels - k - 1):
+            m[:, blk[a], blk[a + k + 1]] = q
+        if k < levels - 1:
+            cx = cx @ x
+        if k < levels - 2:
+            q = q @ x
+    return m
 
 
-def _pair_functional(row, spans, n):
-    """_backward_functional for a row that is the same at every point.
+def _chain(run: ScenarioRun, i0: int, i1: int, jumps, levels: int) -> np.ndarray:
+    """Backward trapezoid functionals w = [1, u_1 .. u_L] at grid points i0..i1.
 
-    `spans` are the piece table's (lo, hi, h, E) rows over grid points
-    0..n-1. Within a row the recurrence is
-    u[i] = u[i+1] E + c with c = (h/2)(row E + row), so
-    u[hi-j] = u[hi] E^j + c (E^0 + ... + E^{j-1}); each block of up to
-    _BLOCK points is one stacked matmul against the powers of E.
+    u_m(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_{m-1}(s) J(s)
+    E(s, t_i) ds with u_0 the trace row and T = times[i1]; jumps[p] is J
+    on table row p. w[i] = w[i+1] M walks the rows backward: a row's last
+    step, whose later point takes J of the row starting there
+    (right-continuously), is one product, and its interior steps are
+    filled from stacked powers of the interior M.
     """
-    u = np.empty((n, len(row)), dtype=complex)
-    u[-1] = 0.0
-    for lo, hi, h, e in reversed(spans):
-        c = (h / 2.0) * (row @ e + row)
-        k = min(_BLOCK, hi - lo)
-        p = _powers(e, k)
-        q = np.cumsum(c @ p[:k], axis=0)
-        j = hi
-        while j > lo:
-            b = min(k, j - lo)
-            u[j - b:j] = (u[j] @ p[1:b + 1] + q[:b])[::-1]
-            j -= b
-    return u
+    table = run.pieces
+    ps, lo, hi = table.spans(i0, i1)
+    nxt = table.per_point(np.arange(len(table.slot)))[hi]
+    w = np.zeros((i1 - i0 + 1, 1 + levels * jumps.shape[-1]), dtype=complex)
+    w[-1, 0] = 1.0
+    # _BLOCK rows' last-step matrices at a time, which bounds memory on long ramps
+    for stop in range(len(ps), 0, -_BLOCK):
+        c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
+        e, jc, h = table.step_mats[table.slot[ps[c]]], jumps[ps[c]], table.h[ps[c]]
+        last = _chain_steps(e, jc, jumps[nxt[c]], h, levels)
+        for r, a, b in zip(range(len(c)), (lo[c] - i0).tolist(), (hi[c] - i0).tolist()):
+            w[b - 1] = w[b] @ last[r]
+            if b - a > 1:
+                m = _chain_steps(e[r:r + 1], jc[r:r + 1], jc[r:r + 1], h[r:r + 1], levels)
+                _march(m[0].T.copy(), w[b - 1], w[a:b - 1][::-1])
+    return w
 
 
 def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
                    window: Optional[Tuple[float, float]] = None) -> list:
     """Counting moments N_1..N_cutoff of the window's output field.
 
-    The piece table's counting operators are expanded to the grid
-    points, right-continuously, and its step matrices to the steps. N_1
-    is checked against an independent direct flux quadrature to 1e-6.
+    N_m is the trapezoid of u_{m-1}(t) J(t) rho(t) over the window, with
+    u_1 .. u_{cutoff-1} from one backward chain over the piece table
+    (`_chain`) and J(t) each point's row operator, right-continuously.
+    N_1 is checked against an independent direct flux quadrature to 1e-6.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -167,42 +193,34 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     table = run.pieces
     if table.ops is None:
         raise ValueError("run carries no counting operators")
-    mats = table.per_point(table.ops)[i0:i1 + 1]
-    t = run.times[i0:i1 + 1]
-    states = run.states[i0:i1 + 1]
-    steps = table.step_mats[table.per_point(table.slot)[i0:i1]]
     if run.drive_points < 20:
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
 
-    # jump superoperators conj(M) kron M of the whole window at once
-    n = len(t)
-    js = np.einsum("nij,nkl->nikjl", mats.conj(), mats).reshape(n, d * d, d * d)
-    jrows = trace_row(d) @ js
-    hs = np.diff(t)
-
-    def trapz(f):
-        return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
-
-    n1 = trapz(np.einsum("ni,ni->n", jrows, states))
+    # jump superoperators conj(M) kron M of every row at once
+    ops = table.ops
+    jumps = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
+    rows = table.per_point(np.arange(len(ops)))[i0:i1 + 1]
+    js = jumps[rows]
+    states = run.states[i0:i1 + 1]
+    hs = np.diff(run.times[i0:i1 + 1])
+    n1 = _trapz(hs, np.einsum("ni,ni->n", trace_row(d) @ js, states))
     # independent route: direct flux expectation tr(M^dag M rho), with
     # rho[c, a] = states[a d + c] read from the unstacked state
-    rho_t = states.reshape(n, d, d)
-    n1_direct = trapz(np.einsum("nba,nbc,nac->n", mats.conj(), mats, rho_t))
+    mats = ops[rows]
+    n1_direct = _trapz(hs, np.einsum("nba,nbc,nac->n", mats.conj(), mats,
+                                     states.reshape(-1, d, d)))
     if abs(n1 - n1_direct) > 1e-6:
         raise RuntimeError(
             f"first-moment routes disagree: {n1} vs {n1_direct}")
 
-    out = [n1]
-    if cutoff >= 2:
-        u1 = np.array(_backward_functional(jrows, steps, hs))
-        out.append(trapz(np.einsum("ni,nij,nj->n", u1, js, states)))
-    if cutoff >= 3:
-        u2 = np.array(_backward_functional(
-            np.einsum("ni,nij->nj", u1, js), steps, hs))
-        out.append(trapz(np.einsum("ni,nij,nj->n", u2, js, states)))
-    return out
+    if cutoff == 1:
+        return [n1]
+    w = _chain(run, i0, i1, jumps, cutoff - 1)
+    u = w[:, 1:].reshape(len(w), cutoff - 1, d * d)
+    return [n1] + [_trapz(hs, np.einsum("ni,nij,nj->n", u[:, m], js, states))
+                   for m in range(cutoff - 1)]
 
 
 def invert_to_probabilities(n_tiples: Sequence[float],
@@ -293,8 +311,8 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
 
     v = jump(idx[0], run.states[idx[0]])
     for i_prev, i_next in zip(idx, idx[1:]):
-        for lo, hi, _, e in table.spans(i_prev, i_next):
-            v = np.linalg.matrix_power(e, hi - lo) @ v
+        for p, lo, hi in zip(*table.spans(i_prev, i_next)):
+            v = np.linalg.matrix_power(table.step_mats[table.slot[p]], hi - lo) @ v
         v = jump(i_next, v)
     val = float((trace_row(run.dim) @ v).real)
     if val < -1e-9:
@@ -323,27 +341,24 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     """A_{first,second}: both-jumps integral with `first` at the earlier time.
 
     A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt',
-    the nested grid trapezoid from one backward sweep of the late-time
-    functional of channel b against a forward trapezoid in the early
-    time. The sweep walks the rows of the run's piece table with stacked
-    matrix powers and each row's exact step (`_pair_functional`). T is
-    the end of the run, or `horizon`, which must lie on the grid to 1e-9.
+    the nested grid trapezoid of the late-time functional u_1 of channel
+    b, from the same backward chain as the counting moments (`_chain`,
+    one level, J_b on every row), against J_a rho(t) in the early time.
+    T is the end of the run, or `horizon`, which must lie on the grid to
+    1e-9.
     """
     la = _channel_matrix(run, first)
     lb = _channel_matrix(run, second)
-    d = run.dim
     i1 = len(run.times) - 1 if horizon is None else \
         _grid_index(run, horizon, "horizon")
-    t = run.times[: i1 + 1]
-    n = len(t)
-    if n < 2:
+    if i1 < 1:
         raise ValueError("horizon leaves no integration span")
     ja = spre_spost(la, la.conj().T)
-    jb_row = trace_row(d) @ spre_spost(lb, lb.conj().T)
-    hs = np.diff(t)
-    u = _pair_functional(jb_row, run.pieces.spans(0, i1), n)
-    f = np.einsum("ni,ni->n", u, run.states[:n] @ ja.T)
-    return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
+    jb = spre_spost(lb, lb.conj().T)
+    jumps = np.broadcast_to(jb, (len(run.pieces.slot),) + jb.shape)
+    u = _chain(run, 0, i1, jumps, 1)[:, 1:]
+    f = np.einsum("ni,ni->n", u, run.states[:i1 + 1] @ ja.T)
+    return _trapz(np.diff(run.times[:i1 + 1]), f)
 
 
 def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str,

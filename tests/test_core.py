@@ -182,7 +182,24 @@ class TestGenerators:
 
 class TestPolicy:
     def test_defaults(self):
-        p = pf.NumericPolicy()
-        assert p.herm_tol == 1e-10
-        assert p.trace_tol == 1e-10
-        assert p.psd_tol == 1e-9
+        """Hermiticity and trace checks pass 1e-11 and fail 1e-9; the
+        eigenvalue floor passes -1e-10 and fails -1e-8."""
+        def skew(eps):
+            return np.array([[0.0, eps], [0.0, 0.0]])
+
+        assert pf.Operator(skew(1e-11)).is_hermitian()
+        assert not pf.Operator(skew(1e-9)).is_hermitian()
+        pf.liouvillian(skew(1e-11))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pf.liouvillian(skew(1e-9))
+        pf.DensityMatrix(np.eye(2) / 2 + skew(1e-11))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pf.DensityMatrix(np.eye(2) / 2 + skew(1e-9))
+        pf.DensityMatrix(np.diag([1.0 + 1e-11, 0.0]))
+        with pytest.raises(ValueError, match="unit trace"):
+            pf.DensityMatrix(np.diag([1.0 + 1e-9, 0.0]))
+        assert pf.Superoperator(np.diag([1e-11, 0, 0, 0])).annihilates_trace()
+        assert not pf.Superoperator(np.diag([1e-9, 0, 0, 0])).annihilates_trace()
+        pf.DensityMatrix(np.diag([1.0 + 1e-10, -1e-10]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            pf.DensityMatrix(np.diag([1.0 + 1e-8, -1e-8]))

@@ -482,6 +482,19 @@ class TestSimulate:
             pf.simulate(params, pf.DriveSchedule(()),
                         pf.PhaseSchedule.constant(0.0), 0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_rejects_nonpositive_or_nonfinite_dt(self, dt):
+        drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            pf.simulate(pf.MirrorQubitParams(), drive,
+                        pf.PhaseSchedule.constant(0.0), 2.0, dt=dt)
+
+    def test_rejects_min_pulse_steps_below_one(self):
+        drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="min_pulse_steps"):
+            pf.simulate(pf.MirrorQubitParams(), drive,
+                        pf.PhaseSchedule.constant(0.0), 2.0, min_pulse_steps=0)
+
 
 class TestObservables:
     def test_expectation_of_identity_is_one(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import photonforge as pf
+from photonforge.dynamics import _BLOCK
 
 import oracles
 
@@ -48,6 +49,42 @@ class TestMomentsAgainstNestedQuadrature:
         want = oracles.naive_counting_moments(run.times, oracles.grid_steps(run),
                                               oracles.grid_ops(run), run.states,
                                               mmax=3)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-10
+
+    def test_window_through_ramp_ends_on_a_phase_switch(self):
+        # one-step ramp rows, then a ten-step row whose last step ends on
+        # the switch to phi = 1.9: the window's end point takes the
+        # counting operator of the phi = 1.9 row, and so must the chain
+        ramp = (np.linspace(0.6, 1.0, 5),
+                np.random.default_rng(7).uniform(0.0, 2.0 * PI, 5))
+        phase = pf.PhaseSchedule(((-math.inf, 2.0, 0.3), (2.0, math.inf, 1.9)), ramp=ramp)
+        drive = pf.DriveSchedule(((0.0, 3.0, 1.5 - 0.5j),))
+        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), drive, phase, 3.0, dt=0.1)
+        assert list(run.pieces.n_steps) == [6, 1, 1, 1, 1, 10, 10]
+        i0, i1 = 8, 20
+        got = pf.photon_mtiples(run, cutoff=3, window=(run.times[i0], run.times[i1]))
+        want = oracles.naive_counting_moments(
+            run.times[i0:i1 + 1], oracles.grid_steps(run)[i0:i1],
+            oracles.grid_ops(run)[i0:i1 + 1], run.states[i0:i1 + 1], mmax=3)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-10
+
+    def test_second_moment_over_more_rows_than_a_block(self):
+        # the chain builds its rows' last-step matrices _BLOCK rows at a
+        # time; one-step ramp rows span several such blocks here
+        n = 2 * _BLOCK + 10
+        ramp = (np.linspace(0.5, 0.5 + 0.02 * n, n + 1),
+                np.random.default_rng(8).uniform(0.0, 2.0 * PI, n + 1))
+        end = 1.0 + 0.02 * n
+        drive = pf.DriveSchedule(((0.0, end, 1.2 + 0.4j),))
+        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), drive,
+                          pf.PhaseSchedule(ramp=ramp), end, dt=0.02)
+        assert len(run.pieces.n_steps) == n + 2
+        got = pf.photon_mtiples(run, cutoff=2)
+        want = oracles.naive_counting_moments(run.times, oracles.grid_steps(run),
+                                              oracles.grid_ops(run), run.states,
+                                              mmax=2)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
 
