@@ -300,6 +300,9 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lines_seen[key]}: unknown key {key!r} for "
                 f"scenario {name}")
         values[key] = _coerce(val, defaults[key], key, lines_seen[key])
+        if key == "dt" and not (math.isfinite(values[key]) and values[key] > 0):
+            raise ConfigError(
+                f"line {lines_seen[key]}: dt must be positive and finite, got {val!r}")
     return RunConfig(scenario=name, outdir=outdir, values=values)
 
 

@@ -247,12 +247,16 @@ class PhaseSchedule:
         return pts
 
 
+def _line_coupling(gamma, phi):
+    """c(phi) = sqrt(Gamma (1 + cos phi)) e^{i phi/2}, so L = c sigma_minus."""
+    return np.sqrt(gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
+
+
 def output_coupling(params: MirrorQubitParams, phi: float) -> Operator:
     """Line coupling operator L = sqrt(Gamma_eff) e^{i phi/2} sigma_minus."""
     if params.levels != 2:
         raise ValueError("output_coupling is the two-level line operator")
-    geff = effective_coupling(params.gamma, phi)
-    return lowering_op(2, 0, 1) * (np.sqrt(geff) * np.exp(1j * phi / 2.0))
+    return lowering_op(2, 0, 1) * _line_coupling(params.gamma, phi)
 
 
 def channel_couplings(params: MirrorQubitParams) -> dict:
@@ -305,7 +309,7 @@ def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     if params.levels == 2:
-        c = np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
+        c = _line_coupling(params.gamma, phi)
         e = np.exp(1j * phi)
         beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
         rnr = math.sqrt(params.gamma_nr)
@@ -337,106 +341,7 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
 
 
 # ---------------------------------------------------------------------------
-# piecewise-constant propagation
-
-
-def _collect_pieces(params, drive: DriveSchedule, phase: PhaseSchedule,
-                    t1: float, t2: float, extra=()):
-    """Split [t1, t2], also at the points of `extra` inside it, into
-    maximal (a, b, phi, alpha) constant pieces."""
-    pts = [t1, t2]
-    for x in drive.breakpoints() + list(extra):
-        if t1 < x < t2:
-            pts.append(float(x))
-    pts.extend(phase.breakpoints(t1, t2))
-    pts = sorted(set(pts))
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] > 1e-12:
-            merged.append(x)
-    merged[-1] = t2
-    pieces = []
-    for a, b in zip(merged[:-1], merged[1:]):
-        pieces.append((a, b, phase.phi_at(a), drive.amplitude_at(a)))
-    return pieces
-
-
-def _step_matrices(params, keys):
-    """Distinct exp(L(phi, alpha) h) of the (phi, alpha, h) `keys`.
-
-    Returns the (S, d^2, d^2) stack of the distinct keys, exponentiated
-    in one call, and each key's slot in it.
-    """
-    index = {}
-    slots = np.array([index.setdefault(k, len(index)) for k in keys], dtype=int)
-    phi, alpha, h = np.array(list(index), dtype=complex).reshape(-1, 3).T
-    return sup_exp(_generators(params, phi.real, alpha), h.real), slots
-
-
-def propagator(params: MirrorQubitParams, drive: DriveSchedule,
-               phase: PhaseSchedule, t1: float, t2: float) -> Superoperator:
-    """Evolution superoperator P(t2, t1), t1 <= t2.
-
-    Ordered product of constant-piece exponentials over the breakpoint
-    partition of [t1, t2]; sampled phase ramps contribute one piece per
-    sample interval. Satisfies P(t,t) = identity and the composition law
-    P(t3,t2) P(t2,t1) = P(t3,t1).
-    """
-    if t2 < t1:
-        raise ValueError(f"reversed times: t1={t1} > t2={t2}")
-    d = params.dim
-    out = np.eye(d * d, dtype=complex)
-    pieces = _collect_pieces(params, drive, phase, t1, t2) if t2 > t1 else []
-    mats, slots = _step_matrices(
-        params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
-    for s in slots:
-        out = mats[s] @ out
-    return Superoperator(out)
-
-
-def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
-                       phase: PhaseSchedule, observable, grid,
-                       rho0=None) -> np.ndarray:
-    """tr(O rho(t)) on the given time grid, starting from rho0 (ground).
-
-    `observable` is a constant operator, or a callable t -> matrix for
-    time-dependent readouts. The grid points cut the pieces of one
-    compiled schedule, which the state marches through once.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be a 1d nondecreasing array")
-    d = params.dim
-    v = vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None else rho0))
-    ob = observable if callable(observable) else (lambda t, _m=_as_matrix(observable): _m)
-    pieces = _collect_pieces(params, drive, phase, grid[0], grid[-1], grid) \
-        if len(grid) else []
-    mats, slots = _step_matrices(
-        params, [(phi, alpha, b - a) for a, b, phi, alpha in pieces])
-    out = np.empty(len(grid), dtype=complex)
-    k = 0
-    for i, t in enumerate(grid):
-        while k < len(pieces) and pieces[k][1] <= t + 1e-12:
-            v = mats[slots[k]] @ v
-            k += 1
-        rho = v.reshape((d, d), order="F")
-        out[i] = np.trace(_as_matrix(ob(t)) @ rho)
-    return out
-
-
-def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
-                phase: PhaseSchedule, grid, rho0=None) -> np.ndarray:
-    """Output flux <L^dag L>(t) with L tracking phi(t)."""
-
-    def op(t):
-        lop = _as_matrix(output_coupling(params, phase.phi_at(t)))
-        return lop.conj().T @ lop
-
-    return expectation_series(params, drive, phase, op, grid, rho0).real
-
-
-# ---------------------------------------------------------------------------
-# gridded simulation runs (consumed by the statistics module)
+# piece tables: one row per constant piece, marched once
 
 _BLOCK = 128  # powers of one step matrix, or rows' chain steps, held at once
 
@@ -457,13 +362,14 @@ def _march(e, v, out):
     """Fill row j of out with e^(j+1) v, from at most _BLOCK powers of e.
 
     The powers are stacked as one (_BLOCK n, n) matrix, so each block of
-    up to _BLOCK rows is a single matrix-vector product.
+    up to _BLOCK rows is a single product with v, a vector or a matrix.
     """
-    k, n = out.shape
+    k, n = out.shape[:2]
     p = e if k == 1 else _powers(e, min(k, _BLOCK))[1:].reshape(-1, n)
     for lo in range(0, k, _BLOCK):
         b = min(_BLOCK, k - lo)
-        out[lo:lo + b] = (p[:b * n] @ (v if lo == 0 else out[lo - 1])).reshape(b, n)
+        block = out[lo:lo + b]
+        block[...] = (p[:b * n] @ (v if lo == 0 else out[lo - 1])).reshape(block.shape)
 
 
 @dataclass(frozen=True)
@@ -506,6 +412,112 @@ class PieceTable:
         s = self.starts
         p = np.nonzero((s[:-1] < i1) & (s[1:] > i0))[0]
         return p, np.maximum(s[p], i0), np.minimum(s[p + 1], i1)
+
+
+def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
+                 phase: PhaseSchedule, t1: float, t2: float, extra=(),
+                 steps=None) -> PieceTable:
+    """The table of [t1, t2], cut at every breakpoint and every point of
+    `extra` inside it into maximal constant pieces.
+
+    steps(t_a, t_b) gives each row's step count (one by default); the
+    distinct (phi, alpha, h) step matrices are exponentiated in one
+    stacked call.
+    """
+    pts = [t1, t2]
+    for x in drive.breakpoints() + list(extra):
+        if t1 < x < t2:
+            pts.append(float(x))
+    pts.extend(phase.breakpoints(t1, t2))
+    pts = sorted(set(pts))
+    merged = [pts[0]]
+    for x in pts[1:]:
+        if x - merged[-1] > 1e-12:
+            merged.append(x)
+    merged[-1] = t2
+    t_a, t_b = np.array(merged[:-1]), np.array(merged[1:])
+    phi = np.array([phase.phi_at(a) for a in merged[:-1]], dtype=float)
+    alpha = np.array([drive.amplitude_at(a) for a in merged[:-1]], dtype=complex)
+    n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
+    h = (t_b - t_a) / n
+    index = {}
+    slots = np.array([index.setdefault(k, len(index))
+                      for k in zip(phi.tolist(), alpha.tolist(), h.tolist())], dtype=int)
+    keys = np.array(list(index), dtype=complex).reshape(-1, 3).T
+    mats = sup_exp(_generators(params, keys[0].real, keys[1]), keys[2].real)
+    ops = None
+    if params.levels == 2:
+        ops = np.multiply.outer(_line_coupling(params.gamma, phi), lowering_op(2, 0, 1).mat)
+    return PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
+                      slot=slots, step_mats=mats, ops=ops)
+
+
+def _march_table(table: PieceTable, v0) -> np.ndarray:
+    """v0 carried to every grid point of the table, row by row from
+    stacked powers of its step matrix; v0 is a state vector, or a matrix
+    whose columns all march."""
+    v0 = np.asarray(v0, dtype=complex)
+    states = np.empty((int(table.starts[-1]) + 1,) + v0.shape, dtype=complex)
+    states[0] = v0
+    for i, k, s in zip(table.starts.tolist(), table.n_steps.tolist(), table.slot.tolist()):
+        _march(table.step_mats[s], states[i], states[i + 1:i + k + 1])
+    return states
+
+
+def propagator(params: MirrorQubitParams, drive: DriveSchedule,
+               phase: PhaseSchedule, t1: float, t2: float) -> Superoperator:
+    """Evolution superoperator P(t2, t1), t1 <= t2.
+
+    Ordered product of constant-piece exponentials over the breakpoint
+    partition of [t1, t2]; sampled phase ramps contribute one piece per
+    sample interval. Satisfies P(t,t) = identity and the composition law
+    P(t3,t2) P(t2,t1) = P(t3,t1).
+    """
+    if t2 < t1:
+        raise ValueError(f"reversed times: t1={t1} > t2={t2}")
+    d = params.dim
+    table = _piece_table(params, drive, phase, t1, t2)
+    return Superoperator(_march_table(table, np.eye(d * d))[-1])
+
+
+def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
+                       phase: PhaseSchedule, observable, grid,
+                       rho0=None) -> np.ndarray:
+    """tr(O rho(t)) on the given time grid, starting from rho0 (ground).
+
+    `observable` is a constant operator, or a callable t -> matrix for
+    time-dependent readouts. The grid points cut the pieces of one
+    piece table, which the state marches through once.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be a 1d nondecreasing array")
+    if not len(grid):
+        return np.empty(0, dtype=complex)
+    d = params.dim
+    ob = observable if callable(observable) else (lambda t, _m=_as_matrix(observable): _m)
+    table = _piece_table(params, drive, phase, grid[0], grid[-1], grid)
+    states = _march_table(table, vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None
+                                                else rho0)))
+    # a grid point reads the state after every piece ending at or before it
+    at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
+    return np.array([np.trace(_as_matrix(ob(t)) @ states[i].reshape((d, d), order="F"))
+                     for t, i in zip(grid, at)], dtype=complex)
+
+
+def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
+                phase: PhaseSchedule, grid, rho0=None) -> np.ndarray:
+    """Output flux <L^dag L>(t) with L tracking phi(t)."""
+
+    def op(t):
+        lop = _as_matrix(output_coupling(params, phase.phi_at(t)))
+        return lop.conj().T @ lop
+
+    return expectation_series(params, drive, phase, op, grid, rho0).real
+
+
+# ---------------------------------------------------------------------------
+# gridded simulation runs (consumed by the statistics module)
 
 
 @dataclass
@@ -552,45 +564,38 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         raise ValueError(f"min_pulse_steps must be at least 1, got {min_pulse_steps}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    d = params.dim
-    pieces = _collect_pieces(params, drive, phase, t_start, t_end)
-    t_a, t_b, phi, alpha = (np.array(c) for c in zip(*pieces))
-    local_dt = np.full(len(t_a), float(dt))
-    in_pulse = [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
-    for rows, (s, e, _) in zip(in_pulse, drive.segments):
-        local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
-    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
-    if phase.ramp is not None:
-        # a sampled ramp defines its own integration grid: exactly one
-        # step per sampling interval, never re-subdivided
-        ramp = phase.ramp[0]
-        n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
-    h = (t_b - t_a) / n
-    mats, slots = _step_matrices(params, zip(phi.tolist(), alpha.tolist(), h.tolist()))
-    ops = None
-    if params.levels == 2:
-        amp = np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
-        ops = np.multiply.outer(amp, lowering_op(2, 0, 1).mat)
-    table = PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
-                       slot=slots, step_mats=mats, ops=ops)
+
+    def in_pulse(t_a, t_b):
+        return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
+
+    def steps(t_a, t_b):
+        local_dt = np.full(len(t_a), float(dt))
+        for rows, (s, e, _) in zip(in_pulse(t_a, t_b), drive.segments):
+            local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
+        n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
+        if phase.ramp is not None:
+            # a sampled ramp defines its own integration grid: exactly one
+            # step per sampling interval, never re-subdivided
+            ramp = phase.ramp[0]
+            n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
+        return n
+
+    table = _piece_table(params, drive, phase, t_start, t_end, steps=steps)
     # piece p's grid points are t_a + j h for j < n_steps, as np.linspace
     # places them, so each piece starts exactly on its breakpoint
-    row = np.repeat(np.arange(len(n)), n)
-    j = np.arange(len(row)) - np.repeat(table.starts[:-1], n)
-    times = np.append(j * h[row] + t_a[row], t_end)
-
-    states = np.empty((len(times), d * d), dtype=complex)
-    states[0] = vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None else rho0))
-    for i, k, s in zip(table.starts.tolist(), n.tolist(), slots.tolist()):
-        _march(mats[s], states[i], states[i + 1:i + k + 1])
+    row = np.repeat(np.arange(len(table.n_steps)), table.n_steps)
+    j = np.arange(len(row)) - np.repeat(table.starts[:-1], table.n_steps)
+    times = np.append(j * table.h[row] + table.t_a[row], t_end)
     # the fewest grid points on a drive pulse, for resolution diagnostics
-    dp = min((int(n[rows].sum()) + 1 for rows in in_pulse if rows.any()), default=10 ** 9)
+    dp = min((int(table.n_steps[rows].sum()) + 1
+              for rows in in_pulse(table.t_a, table.t_b) if rows.any()), default=10 ** 9)
     return ScenarioRun(
         params=params,
         drive=drive,
         phase=phase,
         times=times,
-        states=states,
+        states=_march_table(table, vec(_as_matrix(
+            DensityMatrix.ground(params.dim) if rho0 is None else rho0))),
         pieces=table,
         grid_step=dt,
         channels=channel_couplings(params) if params.levels == 3 else None,

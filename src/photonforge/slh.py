@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import HERM_TOL, Operator, Superoperator, _as_matrix, liouvillian
+from .core import HERM_TOL, Operator, Superoperator, _as_matrix, liouvillian, lowering_op
 
 __all__ = [
     "CouplingEntry",
@@ -52,6 +52,14 @@ class CouplingEntry:
 
     def plus(self, other: "CouplingEntry") -> "CouplingEntry":
         return CouplingEntry(self.op + other.op, self.offset + other.offset)
+
+
+def _cross(a: CouplingEntry, b: CouplingEntry) -> np.ndarray:
+    """(L_a + alpha_a)^dag (L_b + alpha_b), the offsets times the identity."""
+    return (a.op.conj().T @ b.op
+            + b.offset * a.op.conj().T
+            + np.conj(a.offset) * b.op
+            + np.conj(a.offset) * b.offset * np.eye(a.op.shape[0]))
 
 
 def _entry(x, dim: int) -> CouplingEntry:
@@ -162,16 +170,8 @@ def series(g2: SlhTriplet, g1: SlhTriplet) -> SlhTriplet:
     # interaction term (1/2i)(L2^dag S2 L1 - h.c.)
     x = np.zeros((d, d), dtype=complex)
     for i in range(n):
-        li2 = g2.couplings[i]
         for j in range(n):
-            lj1 = g1.couplings[j]
-            c = g2.s[i, j]
-            x = x + c * (
-                li2.op.conj().T @ lj1.op
-                + lj1.offset * li2.op.conj().T
-                + np.conj(li2.offset) * lj1.op
-                + np.conj(li2.offset) * lj1.offset * np.eye(d)
-            )
+            x = x + g2.s[i, j] * _cross(g2.couplings[i], g1.couplings[j])
     h = g1.h + g2.h + (x - x.conj().T) / 2j
     return SlhTriplet(s, couplings, h, dim=d)
 
@@ -221,14 +221,7 @@ def feedback(g: SlhTriplet, out_port: int, in_port: int) -> SlhTriplet:
     # Hamiltonian correction (1/2i)((sum_j L_j^dag S_jl) (1-S_kl)^-1 L_k - h.c.)
     x = np.zeros((d, d), dtype=complex)
     for j in range(n):
-        lj = g.couplings[j]
-        c = g.s[j, l] * inv
-        x = x + c * (
-            lj.op.conj().T @ lk.op
-            + lk.offset * lj.op.conj().T
-            + np.conj(lj.offset) * lk.op
-            + np.conj(lj.offset) * lk.offset * np.eye(d)
-        )
+        x = x + (g.s[j, l] * inv) * _cross(g.couplings[j], lk)
     h = g.h + (x - x.conj().T) / 2j
     return SlhTriplet(s, couplings, h, dim=d)
 
@@ -259,15 +252,9 @@ def triplet_liouvillian(g: SlhTriplet) -> Superoperator:
     return liouvillian(h, ls)
 
 
-def _qubit_sm() -> np.ndarray:
-    m = np.zeros((2, 2), dtype=complex)
-    m[0, 1] = 1.0
-    return m
-
-
 def emitter_triplet(gamma: float, h_tls=None, dim: int = 2) -> SlhTriplet:
     """Two-sided emitter: each line direction couples at rate gamma / 2."""
-    sm = _qubit_sm()
+    sm = lowering_op(2, 0, 1).mat
     if h_tls is None:
         h_tls = np.zeros((2, 2))
     amp = np.sqrt(gamma / 2.0)
@@ -305,7 +292,7 @@ def mirror_triplet(gamma: float, phi: float, h_tls=None) -> SlhTriplet:
     form picks up a sign from the square-root branch while this form
     stays continuous and exactly equal to the feedback composition.
     """
-    sm = _qubit_sm()
+    sm = lowering_op(2, 0, 1).mat
     if h_tls is None:
         h_tls = np.zeros((2, 2))
     lop = np.sqrt(gamma / 2.0) * (1.0 + np.exp(1j * phi)) * sm

@@ -13,20 +13,23 @@ nesting quadratures, one backward chain carries w = [1, u_1 .. u_L]
 over the grid: u_m(t_i) accumulates "everything later than t_i" up to
 order m, and the grid-trapezoid step of every level is one matrix M,
 the trapezoid counterpart of Van Loan's block generator for integrals
-of the matrix exponential. The forward map from moments to photon-number
-probabilities inverts through alternating binomial sums, computed by
-two independent routes that must agree to near machine precision.
+of the matrix exponential. The states obey rho(t_{i+1}) = E rho(t_i) on
+the grid, so the chain closes every integral itself: N_m is
+u_m(t_r) rho(t_r), read at the window start. The forward map from
+moments to photon-number probabilities inverts through alternating
+binomial sums, computed by two independent routes that must agree to
+near machine precision.
 
 Every statistic reads the run's piece table (`dynamics.PieceTable`).
 M is constant inside a table row except at the row's last step, whose
 later point takes the counting operator of the next row
-(right-continuously), so the chain walks the rows and fills each from
-stacked powers of its M. Pair correlations of a two-channel emitter are
-the same chain with one level, channel b's jump on every row and
-channel a's in the early-time integrand. The quality metric
-v = G_is^2 - G_ii G_ss is positive only when the cross-channel
-coincidence beats the geometric mean of the single-channel ones, which
-no classical field can arrange.
+(right-continuously), so the chain walks the rows backward, one product
+for a row's last step and one matrix power for its interior. Pair
+correlations of a two-channel emitter are the same chain with two
+levels, channel b's jump on the first and channel a's on the second.
+The quality metric v = G_is^2 - G_ii G_ss is positive only when the
+cross-channel coincidence beats the geometric mean of the single-channel
+ones, which no classical field can arrange.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import _as_matrix, spre_spost, trace_row
-from .dynamics import _BLOCK, ScenarioRun, _march
+from .dynamics import _BLOCK, ScenarioRun
 
 __all__ = [
     "photon_mtiples",
@@ -110,67 +113,63 @@ def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
     return i0, i1
 
 
-def _trapz(hs, f) -> float:
-    """Grid trapezoid of the samples f over the steps hs."""
-    return float(np.sum(0.5 * hs * (f[:-1] + f[1:])).real)
-
-
-def _chain_steps(e, jc, jn, h, levels):
+def _chain_steps(e, jc, jn, h):
     """Stacked one-step matrices M of the chain w = [1, u_1 .. u_L].
 
-    With X = (h/2) J_cur, Q = (h/2)(E J_cur + J_next E) and
-    c = (h/2)(tr J_cur + tr J_next E), the blocks are M[u_a, u_a] = E,
-    M[u_a, u_{a+k}] = Q X^(k-1) and M[1, u_k] = c X^(k-1): the grid
-    trapezoid step u_m[i] = (u_m[i+1] + (h/2) u_{m-1}[i+1] J_next) E
-    + (h/2) u_{m-1}[i] J_cur of every level at once, with u_0 the trace.
+    Level k's jump is jc[k-1] at a step's earlier point and jn[k-1] at
+    its later one. With X_k = (h/2) Jc_k, Q_k = (h/2)(E Jc_k + Jn_k E)
+    and c = (h/2)(tr Jc_1 + tr Jn_1 E), the blocks are M[u_a, u_a] = E,
+    M[u_a, u_b] = Q_{a+1} X_{a+2} .. X_b and M[1, u_b] = c X_2 .. X_b:
+    the grid trapezoid step u_k[i] = (u_k[i+1] + (h/2) u_{k-1}[i+1] Jn_k)
+    E + (h/2) u_{k-1}[i] Jc_k of every level at once, with u_0 the trace.
     """
     r, d2 = e.shape[:2]
     hh = (h / 2.0)[:, None, None]
     tr = trace_row(math.isqrt(d2))
-    x = hh * jc
-    q = hh * (e @ jc + jn @ e)
-    cx = hh * ((tr @ jc)[:, None] + (tr @ jn)[:, None] @ e)
-    m = np.zeros((r, 1 + levels * d2, 1 + levels * d2), dtype=complex)
+    m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2), dtype=complex)
     m[:, 0, 0] = 1.0
-    blk = [slice(1 + a * d2, 1 + (a + 1) * d2) for a in range(levels)]
-    for a in range(levels):
-        m[:, blk[a], blk[a]] = e
-    for k in range(levels):
-        m[:, :1, blk[k]] = cx
-        for a in range(levels - k - 1):
-            m[:, blk[a], blk[a + k + 1]] = q
-        if k < levels - 1:
-            cx = cx @ x
-        if k < levels - 2:
-            q = q @ x
+    blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
+    m[:, :1, blk[0]] = hh * ((tr @ jc[0])[:, None] + (tr @ jn[0])[:, None] @ e)
+    for k in range(len(jc)):
+        m[:, blk[k], blk[k]] = e
+        if k:
+            # the scalar and u_1 .. u_{k-1} reach u_{k+1} through u_k's X,
+            # and u_k reaches it through Q
+            top = slice(0, blk[k - 1].start)
+            m[:, top, blk[k]] = m[:, top, blk[k - 1]] @ (hh * jc[k])
+            m[:, blk[k - 1], blk[k]] = hh * (e @ jc[k] + jn[k] @ e)
     return m
 
 
-def _chain(run: ScenarioRun, i0: int, i1: int, jumps, levels: int) -> np.ndarray:
-    """Backward trapezoid functionals w = [1, u_1 .. u_L] at grid points i0..i1.
+def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
+    """Backward trapezoid functional w = [1, u_1 .. u_L] at grid point i0.
 
-    u_m(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_{m-1}(s) J(s)
-    E(s, t_i) ds with u_0 the trace row and T = times[i1]; jumps[p] is J
-    on table row p. w[i] = w[i+1] M walks the rows backward: a row's last
-    step, whose later point takes J of the row starting there
-    (right-continuously), is one product, and its interior steps are
-    filled from stacked powers of the interior M.
+    u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_{k-1}(s) J_k(s)
+    E(s, t_i) ds with u_0 the trace row and T = times[i1]; jumps[k-1][p]
+    is J_k on table row p. Because the states obey rho(t_{i+1}) =
+    E rho(t_i) on the grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of
+    u_{k-1} J_k rho over [t_i0, T]. w = w M walks the rows backward: a
+    row's last step, whose later point takes the jumps of the row starting
+    there (right-continuously), is one product, and its interior steps
+    one power of the interior M.
     """
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
-    w = np.zeros((i1 - i0 + 1, 1 + levels * jumps.shape[-1]), dtype=complex)
-    w[-1, 0] = 1.0
+    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1], dtype=complex)
+    w[0] = 1.0
     # _BLOCK rows' last-step matrices at a time, which bounds memory on long ramps
     for stop in range(len(ps), 0, -_BLOCK):
         c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
-        e, jc, h = table.step_mats[table.slot[ps[c]]], jumps[ps[c]], table.h[ps[c]]
-        last = _chain_steps(e, jc, jumps[nxt[c]], h, levels)
-        for r, a, b in zip(range(len(c)), (lo[c] - i0).tolist(), (hi[c] - i0).tolist()):
-            w[b - 1] = w[b] @ last[r]
-            if b - a > 1:
-                m = _chain_steps(e[r:r + 1], jc[r:r + 1], jc[r:r + 1], h[r:r + 1], levels)
-                _march(m[0].T.copy(), w[b - 1], w[a:b - 1][::-1])
+        e, h = table.step_mats[table.slot[ps[c]]], table.h[ps[c]]
+        jc = [j[ps[c]] for j in jumps]
+        last = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h)
+        for r, k in enumerate((hi[c] - lo[c]).tolist()):
+            w = w @ last[r]
+            if k > 1:
+                row = [j[r:r + 1] for j in jc]
+                m = _chain_steps(e[r:r + 1], row, row, h[r:r + 1])[0]
+                w = w @ np.linalg.matrix_power(m, k - 1)
     return w
 
 
@@ -178,10 +177,10 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
                    window: Optional[Tuple[float, float]] = None) -> list:
     """Counting moments N_1..N_cutoff of the window's output field.
 
-    N_m is the trapezoid of u_{m-1}(t) J(t) rho(t) over the window, with
-    u_1 .. u_{cutoff-1} from one backward chain over the piece table
-    (`_chain`) and J(t) each point's row operator, right-continuously.
-    N_1 is checked against an independent direct flux quadrature to 1e-6.
+    N_m = u_m(t_r) rho(t_r), read at the window start from one backward
+    chain of `cutoff` levels over the piece table (`_chain`), every
+    level with each row's jump J, right-continuously. N_1 is checked
+    against an independent direct flux quadrature to 1e-6.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -201,26 +200,19 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     # jump superoperators conj(M) kron M of every row at once
     ops = table.ops
     jumps = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
-    rows = table.per_point(np.arange(len(ops)))[i0:i1 + 1]
-    js = jumps[rows]
-    states = run.states[i0:i1 + 1]
-    hs = np.diff(run.times[i0:i1 + 1])
-    n1 = _trapz(hs, np.einsum("ni,ni->n", trace_row(d) @ js, states))
-    # independent route: direct flux expectation tr(M^dag M rho), with
+    w = _chain(run, i0, i1, [jumps] * cutoff)
+    moments = (w[1:].reshape(cutoff, d * d) @ run.states[i0]).real.tolist()
+    # independent route: direct flux quadrature of tr(M^dag M rho), with
     # rho[c, a] = states[a d + c] read from the unstacked state
-    mats = ops[rows]
-    n1_direct = _trapz(hs, np.einsum("nba,nbc,nac->n", mats.conj(), mats,
-                                     states.reshape(-1, d, d)))
-    if abs(n1 - n1_direct) > 1e-6:
+    mats = table.per_point(ops)[i0:i1 + 1]
+    flux = np.einsum("nba,nbc,nac->n", mats.conj(), mats,
+                     run.states[i0:i1 + 1].reshape(-1, d, d))
+    hs = np.diff(run.times[i0:i1 + 1])
+    n1_direct = float(np.sum(0.5 * hs * (flux[:-1] + flux[1:])).real)
+    if abs(moments[0] - n1_direct) > 1e-6:
         raise RuntimeError(
-            f"first-moment routes disagree: {n1} vs {n1_direct}")
-
-    if cutoff == 1:
-        return [n1]
-    w = _chain(run, i0, i1, jumps, cutoff - 1)
-    u = w[:, 1:].reshape(len(w), cutoff - 1, d * d)
-    return [n1] + [_trapz(hs, np.einsum("ni,nij,nj->n", u[:, m], js, states))
-                   for m in range(cutoff - 1)]
+            f"first-moment routes disagree: {moments[0]} vs {n1_direct}")
+    return moments
 
 
 def invert_to_probabilities(n_tiples: Sequence[float],
@@ -341,11 +333,11 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     """A_{first,second}: both-jumps integral with `first` at the earlier time.
 
     A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt',
-    the nested grid trapezoid of the late-time functional u_1 of channel
-    b, from the same backward chain as the counting moments (`_chain`,
-    one level, J_b on every row), against J_a rho(t) in the early time.
-    T is the end of the run, or `horizon`, which must lie on the grid to
-    1e-9.
+    the nested grid trapezoid, read as u_2(0) rho(0) from the same
+    backward chain as the counting moments (`_chain`) with levels
+    (J_b, J_a): u_1 carries the late jump of channel b, u_2 the early
+    jump of channel a. T is the end of the run, or `horizon`, which must
+    lie on the grid to 1e-9.
     """
     la = _channel_matrix(run, first)
     lb = _channel_matrix(run, second)
@@ -353,12 +345,10 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
         _grid_index(run, horizon, "horizon")
     if i1 < 1:
         raise ValueError("horizon leaves no integration span")
-    ja = spre_spost(la, la.conj().T)
-    jb = spre_spost(lb, lb.conj().T)
-    jumps = np.broadcast_to(jb, (len(run.pieces.slot),) + jb.shape)
-    u = _chain(run, 0, i1, jumps, 1)[:, 1:]
-    f = np.einsum("ni,ni->n", u, run.states[:i1 + 1] @ ja.T)
-    return _trapz(np.diff(run.times[:i1 + 1]), f)
+    jumps = [np.broadcast_to(j, (len(run.pieces.slot),) + j.shape)
+             for j in (spre_spost(lb, lb.conj().T), spre_spost(la, la.conj().T))]
+    w = _chain(run, 0, i1, jumps)
+    return float((w[1 + run.dim ** 2:] @ run.states[0]).real)
 
 
 def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str,

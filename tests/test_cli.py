@@ -216,6 +216,18 @@ class TestRunCommand:
         assert f"config error: line 2: key {key!r} has no values" in err
         assert not (outdir / "result.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-0.005", "0", "nan", "inf"])
+    @pytest.mark.parametrize("scenario", [
+        name for name, spec in SCENARIOS.items() if "dt" in dict(spec.defaults)])
+    def test_bad_dt_exits_two(self, tmp_path, capsys, scenario, value):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = {scenario}\ndt = {value}\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 2: dt must be positive and finite" in err
+        assert not (outdir / "result.csv").exists()
+
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().err

@@ -522,3 +522,23 @@ class TestObservables:
                               pf.PhaseSchedule.constant(0.0), grid,
                               rho0=pf.DensityMatrix.excited(2))
         assert abs(np.trapezoid(flux, grid) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 0.5, 0.5, 1.2, 1.2, 3.0, 4.5, 4.5],
+        [1.1, 1.15, 1.6, 2.0, 3.5, 5.0],
+        [1.2],
+    ], ids=["repeated_points", "starts_inside_pulse", "single_point"])
+    def test_expectation_equals_propagated_state(self, grid):
+        # the drive pulse is [1.0, 1.1 + tw], the release switch at 3.0
+        params = pf.MirrorQubitParams(gamma=1.0, delta=0.3, gamma_nr=0.1)
+        geff = pf.effective_coupling(1.0, 0.9 * PI)
+        drive = pf.DriveSchedule(((1.0, 1.1 + pf.pi_pulse_width(5.0, geff), 5.0 - 1.0j),))
+        phase = pf.PhaseSchedule.storage_release(0.9 * PI, 1.6, 3.0, PI / 2.0)
+        rho0 = pf.DensityMatrix.from_ket([0.6, 0.8j])
+        obs = np.array([[0.2, 0.5 - 0.1j], [0.5 + 0.1j, -1.0]])
+        got = pf.expectation_series(params, drive, phase, obs, grid, rho0=rho0)
+        want = [np.trace(obs @ pf.unvec(pf.propagator(params, drive, phase, grid[0], t).mat
+                                        @ pf.vec(rho0.mat), 2))
+                for t in grid]
+        assert len(got) == len(grid)
+        assert np.max(np.abs(got - np.array(want))) < 1e-12

@@ -88,6 +88,12 @@ class TestMomentsAgainstNestedQuadrature:
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
 
+    def test_cutoff_one_is_the_first_moment_of_a_longer_chain(self):
+        run = pulsed_run()
+        first = pf.photon_mtiples(run, cutoff=1)
+        assert len(first) == 1
+        assert abs(first[0] - pf.photon_mtiples(run, cutoff=3)[0]) < 1e-14
+
     def test_cutoff_bounds(self):
         run = pulsed_run(t_end=2.0)
         with pytest.raises(ValueError, match="at least 1"):
