@@ -202,7 +202,7 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
         (("alpha0", (5.0, 10.0)), ("gamma", 1.0), ("gamma_nr", 0.0),
          ("phi_i", 0.9 * math.pi), ("t0", 1.0), ("t_r", 8.0),
          ("t_end", 20.0), ("phi_r", math.pi / 2), ("packet", "none"),
-         ("packet_center", 12.0), ("packet_width", 1.0),
+         ("packet_center", 12.0), ("packet_width", 1.5),
          ("packet_kappa", 1.0), ("clip_budget", 0.01), ("dt", 0.005),
          ("cutoff", 3)),
         _run_shaped_release),

@@ -33,10 +33,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
+from .core import sup_exp
 from .dynamics import (
     DriveSchedule,
     MirrorQubitParams,
     PhaseSchedule,
+    build_liouvillian,
     effective_coupling,
     pi_pulse_width,
     simulate,
@@ -145,15 +147,14 @@ class WavePacket:
         return float(self.grid[-1])
 
     def intensity(self) -> np.ndarray:
+        """|xi|^2, whose trapezoid over the grid is 1 to rounding."""
         return np.abs(self.xi) ** 2
 
 
 def _release_rate(packet: WavePacket) -> np.ndarray:
     """Required coupling Gamma_eff(t) = |xi|^2 / Integral_t^end |xi|^2."""
-    grid = packet.grid
     xi2 = packet.intensity()
-    xi2 = xi2 / np.trapezoid(xi2, grid)
-    strips = 0.5 * (xi2[1:] + xi2[:-1]) * np.diff(grid)
+    strips = 0.5 * (xi2[1:] + xi2[:-1]) * np.diff(packet.grid)
     tail = np.concatenate([np.cumsum(strips[::-1])[::-1], [0.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(tail > 0, xi2 / tail, np.inf)
@@ -169,10 +170,8 @@ def minimal_sufficient_gamma(packet: WavePacket,
     the answer.
     """
     rate = _release_rate(packet)
-    xi2 = packet.intensity()
-    xi2 = xi2 / np.trapezoid(xi2, packet.grid)
     order = np.argsort(rate)[::-1]
-    w = xi2 * np.gradient(packet.grid)
+    w = packet.intensity() * np.gradient(packet.grid)
     cum = np.cumsum(w[order])
     idx = min(int(np.searchsorted(cum, clip_budget)), len(cum) - 1)
     return float(rate[order][idx] / 2.0)
@@ -189,9 +188,7 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    grid = packet.grid
-    xi2 = packet.intensity()
-    xi2 = xi2 / np.trapezoid(xi2, grid)
+    grid, xi2 = packet.grid, packet.intensity()
     rate = _release_rate(packet)
     clip_mass = float(np.trapezoid(np.where(rate > 2.0 * gamma, xi2, 0.0), grid))
     if clip_mass > clip_budget:
@@ -324,14 +321,11 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
             warnings.warn(
                 "release window ends before the packet support; the tail "
                 "will be clipped", stacklevel=2)
-        ramp_sched = shape_to_schedule(packet, params.gamma, clip_budget)
-        sched = PhaseSchedule(
-            segments=((-math.inf, t_store, float(phi_i)),
-                      (t_store, t_r, math.pi)) + ramp_sched.segments[1:],
-            ramp=ramp_sched.ramp,
-            release_time=t_r,
-            clip_fraction=ramp_sched.clip_fraction,
-        )
+        shaped = shape_to_schedule(packet, params.gamma, clip_budget)
+        # the last ramp phase holds from t_r on, outside the ramp's span
+        sched = replace(PhaseSchedule.storage_release(phi_i, t_store, t_r,
+                                                      float(shaped.ramp[1][-1])),
+                        ramp=shaped.ramp, clip_fraction=shaped.clip_fraction)
     else:
         sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
 
@@ -348,18 +342,16 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     p_exc = run.states[:, 3].real
     flux = params.gamma * (1.0 + np.cos(phase_vals)) * p_exc
 
-    # the window starts at the grid point of t_r, a phase breakpoint
+    # the window starts at the grid point of t_r, a phase breakpoint; the
+    # emitted fraction is the window's first counting moment
     i0, i1 = np.searchsorted(run.times, stats.window)
-    wgrid = run.times[i0:i1 + 1]
-    wflux = flux[i0:i1 + 1]
-    emitted = float(np.trapezoid(wflux, wgrid))
+    emitted = stats.n_tiples[0]
 
     l2 = None
     if packet is not None:
-        xi2 = packet.intensity()
-        xi2 = xi2 / np.trapezoid(xi2, packet.grid)
-        target = np.interp(wgrid, packet.grid, xi2)
-        fn = wflux / emitted
+        wgrid = run.times[i0:i1 + 1]
+        target = np.interp(wgrid, packet.grid, packet.intensity())
+        fn = flux[i0:i1 + 1] / emitted
         l2 = float(math.sqrt(np.trapezoid((fn - target) ** 2, wgrid) /
                              np.trapezoid(target ** 2, wgrid)))
 
@@ -510,9 +502,6 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
         raise ValueError("encoding is a two-level scenario")
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
-    from .dynamics import build_liouvillian
-    from .core import sup_exp
-
     gamma = params.gamma
     geff = effective_coupling(gamma, phi)
     if geff <= 0:
@@ -521,12 +510,11 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
     ground[0] = 1.0
     psi = np.array([target.mu, target.nu])
 
-    def fidelity_of(delta, alpha, t_w):
-        if t_w <= 0:
-            return 1.0 if abs(target.nu) < 1e-12 else 0.0
+    def loaded(delta, alpha, t_w):
+        """State after the square segment from ground, and its fidelity."""
         lv = build_liouvillian(params.with_(delta=delta), phi, alpha)
         rho = (sup_exp(lv, t_w).mat @ ground).reshape((2, 2), order="F")
-        return float(np.real(psi.conj() @ rho @ psi))
+        return rho, float(np.real(psi.conj() @ rho @ psi))
 
     if abs(target.nu) < 1e-9:
         return EncodeResult(schedule=DriveSchedule(()), delta=0.0, alpha=0.0,
@@ -544,7 +532,7 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
 
     def objective(x):
         delta, amp, th, t_w = x
-        return 1.0 - fidelity_of(delta, amp * np.exp(1j * th), t_w)
+        return 1.0 - loaded(delta, amp * np.exp(1j * th), t_w)[1]
 
     best = None
     for th0 in np.linspace(-math.pi, math.pi, seeds + 1)[:-1]:
@@ -564,9 +552,7 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
             f"{anharmonicity:.4g}; leakage outside the qubit space is "
             "not modeled", stacklevel=2)
 
-    lv = build_liouvillian(params.with_(delta=delta), phi, alpha)
-    rho = (sup_exp(lv, t_w).mat @ ground).reshape((2, 2), order="F")
-    fid = float(np.real(psi.conj() @ rho @ psi))
+    rho, fid = loaded(delta, alpha, t_w)
     return EncodeResult(
         schedule=DriveSchedule(((0.0, t_w, alpha),)),
         delta=delta, alpha=alpha, t_w=t_w, fidelity=fid, final_state=rho,

@@ -16,9 +16,8 @@ the trapezoid counterpart of Van Loan's block generator for integrals
 of the matrix exponential. The states obey rho(t_{i+1}) = E rho(t_i) on
 the grid, so the chain closes every integral itself: N_m is
 u_m(t_r) rho(t_r), read at the window start. The forward map from
-moments to photon-number probabilities inverts through alternating
-binomial sums, computed by two independent routes that must agree to
-near machine precision.
+probabilities to moments, N_m = sum_n C(n, m) P_n, is upper triangular,
+so the probabilities follow from the moments by back substitution.
 
 Every statistic reads the run's piece table (`dynamics.PieceTable`).
 M is constant inside a table row except at the row's last step, whose
@@ -179,8 +178,8 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
 
     N_m = u_m(t_r) rho(t_r), read at the window start from one backward
     chain of `cutoff` levels over the piece table (`_chain`), every
-    level with each row's jump J, right-continuously. N_1 is checked
-    against an independent direct flux quadrature to 1e-6.
+    level with each row's jump J, right-continuously. MAX_ORDER bounds
+    the chain's size.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -201,55 +200,30 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     ops = table.ops
     jumps = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
     w = _chain(run, i0, i1, [jumps] * cutoff)
-    moments = (w[1:].reshape(cutoff, d * d) @ run.states[i0]).real.tolist()
-    # independent route: direct flux quadrature of tr(M^dag M rho), with
-    # rho[c, a] = states[a d + c] read from the unstacked state
-    mats = table.per_point(ops)[i0:i1 + 1]
-    flux = np.einsum("nba,nbc,nac->n", mats.conj(), mats,
-                     run.states[i0:i1 + 1].reshape(-1, d, d))
-    hs = np.diff(run.times[i0:i1 + 1])
-    n1_direct = float(np.sum(0.5 * hs * (flux[:-1] + flux[1:])).real)
-    if abs(moments[0] - n1_direct) > 1e-6:
-        raise RuntimeError(
-            f"first-moment routes disagree: {moments[0]} vs {n1_direct}")
-    return moments
+    return (w[1:].reshape(cutoff, d * d) @ run.states[i0]).real.tolist()
 
 
 def invert_to_probabilities(n_tiples: Sequence[float],
                             cutoff: Optional[int] = None) -> list:
     """Photon-number probabilities P_0..P_k from counting moments.
 
-    Two independent inversion routes (back substitution of the upper
-    triangular forward map, and the closed-form alternating binomial
-    sum) must agree to 1e-12. Probabilities below -1e-3 abort; small
-    negative values from quadrature error are clamped to zero with the
-    whole vector renormalized.
+    Back substitution of the upper triangular forward map N_m =
+    sum_n C(n, m) P_n, peeling orders off from the top. Probabilities
+    below -1e-3 abort; small negative values from quadrature error are
+    clamped to zero with the whole vector renormalized.
     """
     k = len(n_tiples) if cutoff is None else cutoff
     if k < 1 or k > len(n_tiples):
         raise ValueError(f"cutoff {k} incompatible with {len(n_tiples)} moments")
     nm = [1.0] + [float(x) for x in n_tiples[:k]]
-
-    # route 1: peel orders off from the top
-    p_a = [0.0] * (k + 1)
+    probs = [0.0] * (k + 1)
     for nn in range(k, 0, -1):
         s = nm[nn]
         for m in range(nn + 1, k + 1):
-            s -= math.comb(m, nn) * p_a[m]
-        p_a[nn] = s
-    p_a[0] = 1.0 - sum(p_a[1:])
+            s -= math.comb(m, nn) * probs[m]
+        probs[nn] = s
+    probs[0] = 1.0 - sum(probs[1:])
 
-    # route 2: closed-form alternating sum
-    p_b = [
-        sum((-1) ** (m - nn) * math.comb(m, nn) * nm[m] for m in range(nn, k + 1))
-        for nn in range(k + 1)
-    ]
-
-    diff = max(abs(a - b) for a, b in zip(p_a, p_b))
-    if diff > 1e-12:
-        raise RuntimeError(f"inversion routes disagree by {diff}")
-
-    probs = p_a
     worst = min(probs)
     if worst < -1e-3:
         raise ValueError(

@@ -3,10 +3,11 @@
 Everything here deliberately uses different algorithms than the package:
 adaptive ODE integration instead of exact piecewise exponentials,
 forward-nested quadrature instead of backward sweeps (for counting
-moments and for pair integrals), Taylor series
-with step doubling instead of Pade exponentials, and basis-column
-assembly instead of Kronecker products. Agreement with the package is
-therefore a meaningful cross-check, not a tautology.
+moments and for pair integrals), closed-form alternating binomial sums
+instead of back substitution, Taylor series with step doubling instead
+of Pade exponentials, and basis-column assembly instead of Kronecker
+products. Agreement with the package is therefore a meaningful
+cross-check, not a tautology.
 """
 
 import math
@@ -195,6 +196,15 @@ def forward_binomial_moments(probs, mmax):
         sum(math.comb(nn, m) * p for nn, p in enumerate(probs))
         for m in range(1, mmax + 1)
     ]
+
+
+def alternating_binomial_inverse(n_tiples):
+    """P_n = sum_{m >= n} (-1)^(m-n) C(m, n) N_m with N_0 = 1, the
+    closed-form inverse of the moment map, summed term by term."""
+    nm = [1.0] + [float(x) for x in n_tiples]
+    k = len(n_tiples)
+    return [sum((-1) ** (m - nn) * math.comb(m, nn) * nm[m] for m in range(nn, k + 1))
+            for nn in range(k + 1)]
 
 
 def poisson_moments(lam, mmax):

@@ -257,11 +257,12 @@ class TestScenarioSchemas:
         assert abs(sum(row[1:]) - 1.0) < 1e-6
         assert row[2] > 0.9
 
-    def test_shaped_release_exponential_packet(self, tmp_path):
+    @pytest.mark.parametrize("packet", ["exponential", "gaussian"])
+    def test_shaped_release_packet(self, tmp_path, packet):
+        # the packet's kappa and width are the registry defaults
         lines = self.run_lines(
             tmp_path,
-            "scenario = shaped_release\nalpha0 = 10\ndt = 0.05\n"
-            "packet = exponential\npacket_kappa = 1.0\n")
+            f"scenario = shaped_release\nalpha0 = 10\ndt = 0.05\npacket = {packet}\n")
         row = [float(x) for x in lines[2].split(",")]
         assert row[2] > 0.9
 

@@ -1,0 +1,124 @@
+"""Properties of propagation and counting over random two-level schedules.
+
+Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
+a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
+points are never within the piece table's 1e-12 merge tolerance of each
+other. Examples are derandomized, so every run checks the same cases.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import photonforge as pf
+from photonforge.core import trace_row
+
+T_END = 4.0
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+params = st.builds(pf.MirrorQubitParams, gamma=st.floats(0.1, 2.0),
+                   delta=st.floats(-2.0, 2.0), gamma_nr=st.floats(0.0, 0.5))
+phases = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+def lattice(min_size, max_size):
+    """Sorted distinct lattice indices k in [0, 4000], time k / 1000."""
+    return st.lists(st.integers(0, 4000), min_size=min_size, max_size=max_size,
+                    unique=True).map(sorted)
+
+
+def amplitudes(bound):
+    return st.builds(complex, st.floats(-bound, bound), st.floats(-bound, bound))
+
+
+@st.composite
+def drive_segments(draw, bound=3.0, min_size=0):
+    """(k_start, k_end, alpha) of disjoint drive segments, in lattice units."""
+    ks = draw(lattice(2 * min_size, 6))
+    ks = ks[:len(ks) // 2 * 2]
+    return [(a, b, draw(amplitudes(bound))) for a, b in zip(ks[::2], ks[1::2])]
+
+
+def drive_of(segments):
+    return pf.DriveSchedule(tuple((a / 1000.0, b / 1000.0, x) for a, b, x in segments))
+
+
+@st.composite
+def drives(draw, bound=3.0):
+    return drive_of(draw(drive_segments(bound)))
+
+
+@st.composite
+def phase_schedules(draw):
+    """Constant segments covering the line, and an optional sampled ramp."""
+    edges = [-math.inf] + [k / 1000.0 for k in draw(lattice(0, 3))] + [math.inf]
+    segments = tuple((a, b, draw(phases)) for a, b in zip(edges, edges[1:]))
+    ramp = None
+    if draw(st.booleans()):
+        times = np.array(draw(lattice(2, 6))) / 1000.0
+        ramp = (times, np.array([draw(phases) for _ in times]))
+    return pf.PhaseSchedule(segments, ramp=ramp)
+
+
+@st.composite
+def pure_states(draw):
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    ket = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    return np.outer(ket, ket.conj())
+
+
+@PROPERTY
+@given(params, drives(), phase_schedules())
+def test_propagator_keeps_the_trace_row(p, drive, phase):
+    prop = pf.propagator(p, drive, phase, 0.0, T_END).mat
+    assert np.max(np.abs(trace_row(2) @ prop - trace_row(2))) < 1e-12
+
+
+@PROPERTY
+@given(params, drives(), phase_schedules(),
+       st.lists(st.integers(0, 4000), min_size=3, max_size=3).map(sorted))
+def test_composition_law(p, drive, phase, ks):
+    t1, t2, t3 = (k / 1000.0 for k in ks)
+    whole = pf.propagator(p, drive, phase, t1, t3).mat
+    parts = (pf.propagator(p, drive, phase, t2, t3).mat
+             @ pf.propagator(p, drive, phase, t1, t2).mat)
+    assert np.max(np.abs(parts - whole)) < 1e-12
+
+
+@PROPERTY
+@given(params, drive_segments(min_size=1), phase_schedules(), st.data())
+def test_splitting_a_segment_leaves_the_propagator(p, segments, phase, data):
+    i = data.draw(st.integers(0, len(segments) - 1))
+    a, b, x = segments[i]
+    # a split point strictly inside the segment, on the 1e-4 lattice
+    m = data.draw(st.integers(10 * a + 1, 10 * b - 1)) / 10000.0
+    split = [(a / 1000.0, m, x), (m, b / 1000.0, x)]
+    rest = [(s / 1000.0, e / 1000.0, y) for s, e, y in segments]
+    drive = pf.DriveSchedule(tuple(rest[:i] + split + rest[i + 1:]))
+    whole = pf.propagator(p, drive_of(segments), phase, 0.0, T_END).mat
+    assert np.max(np.abs(pf.propagator(p, drive, phase, 0.0, T_END).mat - whole)) < 1e-12
+
+
+@PROPERTY
+@given(params, drives(), phase_schedules(), pure_states())
+def test_propagated_states_stay_positive(p, drive, phase, rho0):
+    run = pf.simulate(p, drive, phase, T_END, rho0=rho0, dt=0.05)
+    rhos = run.states.reshape(-1, 2, 2).transpose(0, 2, 1)
+    herm = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(herm).min() > -1e-9
+
+
+# a ramp step may cut a pulse below the resolution that warning asks for;
+# the property holds at any resolution
+@pytest.mark.filterwarnings("ignore:a drive pulse spans fewer than 20")
+@PROPERTY
+@given(params, drives(bound=0.3), phase_schedules())
+def test_counting_probabilities_are_a_distribution(p, drive, phase):
+    run = pf.simulate(p, drive, phase, T_END, dt=0.05)
+    probs = pf.counting_statistics(run, cutoff=3).probabilities
+    assert abs(sum(probs) - 1.0) < 1e-12
+    assert min(probs) >= 0.0

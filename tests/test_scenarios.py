@@ -257,6 +257,16 @@ class TestPacketRelease:
             pf.run_shaped_release(qubit_unit(), alpha0=10.0, release=packet,
                                   clip_budget=0.1)
 
+    def test_packet_starting_just_after_release_time(self):
+        # within the 1e-9 alignment tolerance; [t_r, start) is covered by
+        # the release phase
+        late = pf.WavePacket.exponential(1.0, 8.0 + 5e-10)
+        aligned = pf.WavePacket.exponential(1.0, 8.0)
+        a, b = (pf.run_shaped_release(qubit_unit(), alpha0=10.0, release=packet)
+                for packet in (late, aligned))
+        for x, y in zip(a.stats.probabilities, b.stats.probabilities):
+            assert abs(x - y) < 1e-9
+
     def test_packet_tail_clipping_warns(self):
         packet = pf.WavePacket.exponential(1.0, 8.0, duration=4.0)
         with pytest.warns(UserWarning, match="clipped"):

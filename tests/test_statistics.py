@@ -135,6 +135,45 @@ class TestMomentsAgainstNestedQuadrature:
             assert abs(a - b) < 1e-12
 
 
+def bench_job_stats(kind):
+    """Statistics of one job of a benchmark kind, at dt = 0.005."""
+    if kind in ("beam_splitter", "residual_drive"):
+        config = pf.BeamSplitterConfig(alpha0=10.0, r=0.995, dt=0.005,
+                                       phase_error=0.05 if kind == "residual_drive" else 0.0)
+        return pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5, gamma_nr=0.02), config)
+    if kind == "release":
+        release, gamma = 0.4 * PI, 1.0
+    elif kind == "exponential":
+        release, gamma = pf.WavePacket.exponential(1.0, 8.0, duration=12.0), 1.0
+    else:
+        release, gamma = pf.WavePacket.gaussian(13.0, 1.25, t_start=8.0), 1.5
+    return pf.run_shaped_release(pf.MirrorQubitParams(gamma=gamma), alpha0=8.0,
+                                 release=release, dt=0.005).stats
+
+
+class TestFirstMomentAgainstDirectFlux:
+    @pytest.mark.parametrize("kind", ["beam_splitter", "residual_drive", "release",
+                                      "exponential", "gaussian"])
+    def test_scenario_first_moment(self, kind, monkeypatch):
+        # the scenario's own run, with its counting operators, reaches the
+        # statistics layer through counting_statistics
+        seen = []
+        real = pf.scenarios.counting_statistics
+
+        def spy(run, cutoff=3, window=None):
+            seen.append(run)
+            return real(run, cutoff=cutoff, window=window)
+
+        monkeypatch.setattr(pf.scenarios, "counting_statistics", spy)
+        stats = bench_job_stats(kind)
+        run, = seen
+        i0, i1 = np.searchsorted(run.times, stats.window)
+        want = oracles.naive_counting_moments(
+            run.times[i0:i1 + 1], oracles.grid_steps(run)[i0:i1],
+            oracles.grid_ops(run)[i0:i1 + 1], run.states[i0:i1 + 1], mmax=1)
+        assert abs(stats.n_tiples[0] - want[0]) < 1e-10
+
+
 class TestInversion:
     def test_binomial_roundtrip(self):
         for size in range(4, 10):
@@ -143,6 +182,22 @@ class TestInversion:
             moments = oracles.forward_binomial_moments(p, size - 1)
             back = pf.invert_to_probabilities(moments)
             assert max(abs(a - b) for a, b in zip(back, p)) < 1e-12
+
+    def test_agrees_with_alternating_sum(self):
+        rng = np.random.default_rng(426)
+        for size in range(2, 14):
+            p = rng.uniform(0.0, 1.0, size=size)
+            p /= p.sum()
+            moments = oracles.forward_binomial_moments(p, size - 1)
+            got = pf.invert_to_probabilities(moments)
+            want = oracles.alternating_binomial_inverse(moments)
+            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
+
+    def test_uniform_over_thirteen_counts_round_trips(self):
+        # binomial weights up to C(12, 6) = 924 amplify the moments' rounding
+        p = [1.0 / 13.0] * 13
+        back = pf.invert_to_probabilities(oracles.forward_binomial_moments(p, 12))
+        assert max(abs(a - b) for a, b in zip(back, p)) < 1e-10
 
     def test_poisson_reference(self):
         moments = oracles.poisson_moments(0.2, 8)
