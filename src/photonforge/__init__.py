@@ -19,101 +19,19 @@ The package is organised in layers:
   interference cancellation budgets.
 - :mod:`photonforge.cli` -- the ``photonforge`` command-line entry
   point that drives the scenario registry from plain config files.
+
+The package's public names are those of the five library modules, each
+listed once in its module's ``__all__``.
 """
 
-from .core import (
-    DensityMatrix,
-    Operator,
-    Superoperator,
-    dissipator,
-    liouvillian,
-    lowering_op,
-    sup_exp,
-    unvec,
-    vec,
-)
-from .dynamics import (
-    DriveSchedule,
-    MirrorQubitParams,
-    PhaseSchedule,
-    ScenarioRun,
-    build_liouvillian,
-    channel_couplings,
-    effective_coupling,
-    expectation_series,
-    flux_series,
-    output_coupling,
-    pi_pulse_width,
-    propagator,
-    simulate,
-)
-from .scenarios import (
-    BeamSplitterConfig,
-    CancellationInputs,
-    CancellationOutcome,
-    EncodeResult,
-    FlyingQubitTarget,
-    ShapedReleaseResult,
-    WavePacket,
-    cancellation_budget,
-    encode_flying_qubit,
-    minimal_sufficient_gamma,
-    run_beam_splitter,
-    run_cascade,
-    run_shaped_release,
-    shape_to_schedule,
-    sweep_cascade,
-    sweep_nonradiative,
-    sweep_wait_time,
-)
-from .slh import (
-    SlhTriplet,
-    concatenate,
-    drive_triplet,
-    emitter_triplet,
-    feedback,
-    mirror_network,
-    mirror_triplet,
-    series,
-    to_master_equation,
-)
-from .statistics import (
-    CrossPairResult,
-    PhotonStatistics,
-    correlator_gm,
-    counting_statistics,
-    cross_pair_integral,
-    csi_metric,
-    invert_to_probabilities,
-    ordered_pair_count,
-    photon_mtiples,
-)
+from . import core, dynamics, scenarios, slh, statistics
+from .core import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .slh import *  # noqa: F401,F403
+from .statistics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "DensityMatrix", "Operator", "Superoperator", "dissipator",
-    "liouvillian", "lowering_op", "sup_exp", "unvec", "vec",
-    # slh
-    "SlhTriplet", "concatenate", "drive_triplet", "emitter_triplet",
-    "feedback", "mirror_network", "mirror_triplet", "series",
-    "to_master_equation",
-    # dynamics
-    "DriveSchedule", "MirrorQubitParams", "PhaseSchedule", "ScenarioRun",
-    "build_liouvillian", "channel_couplings", "effective_coupling",
-    "expectation_series", "pi_pulse_width",
-    "flux_series", "output_coupling", "propagator", "simulate",
-    # statistics
-    "CrossPairResult", "PhotonStatistics", "correlator_gm",
-    "counting_statistics", "cross_pair_integral", "csi_metric",
-    "invert_to_probabilities", "ordered_pair_count", "photon_mtiples",
-    # scenarios
-    "BeamSplitterConfig", "CancellationInputs", "CancellationOutcome",
-    "EncodeResult", "FlyingQubitTarget", "ShapedReleaseResult",
-    "WavePacket", "cancellation_budget", "encode_flying_qubit",
-    "minimal_sufficient_gamma", "run_beam_splitter", "run_cascade",
-    "run_shaped_release", "shape_to_schedule", "sweep_cascade",
-    "sweep_nonradiative", "sweep_wait_time",
-]
+__all__ = ["__version__", *core.__all__, *slh.__all__, *dynamics.__all__,
+           *statistics.__all__, *scenarios.__all__]

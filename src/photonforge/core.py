@@ -31,6 +31,8 @@ __all__ = [
     "dissipator",
     "liouvillian",
     "sup_exp",
+    "vec",
+    "unvec",
 ]
 
 
@@ -280,14 +282,16 @@ def sup_exp(lv, t):
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
     array of their propagators from one stacked call. Uses
     scaling-and-squaring Pade exponentiation; at these dimensions
-    (<= 81) robustness matters more than speed.
+    (<= 81) robustness matters more than speed. A non-finite result
+    raises FloatingPointError instead of travelling on as NaN.
     """
     m = _as_matrix(lv)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"duration must be nonnegative, got {t}")
-    if m.ndim == 3:
-        return expm(m * t[:, None, None])
-    if t == 0:
+    if m.ndim == 2 and t == 0:
         return Superoperator(np.eye(m.shape[0], dtype=complex))
-    return Superoperator(expm(m * t))
+    out = expm(m * (t[:, None, None] if m.ndim == 3 else t))
+    if not np.isfinite(out).all():
+        raise FloatingPointError("matrix exponential is not finite")
+    return out if m.ndim == 3 else Superoperator(out)

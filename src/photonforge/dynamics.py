@@ -21,9 +21,10 @@ weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
 distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
-A simulated run is its piece table, one row per constant piece, plus
-the states on the grid the rows span; each row's states are filled from
-stacked powers of its step matrix.
+A simulated run is its piece table, one row per constant piece with
+each output channel's collapse operator on that row, plus the states on
+the grid the rows span; each row's states are filled from stacked
+powers of its step matrix.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -93,9 +94,12 @@ class MirrorQubitParams:
     def __post_init__(self):
         if self.levels not in (2, 3):
             raise ValueError(f"levels must be 2 or 3, got {self.levels}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         for name in ("gamma", "gamma_nr", "gamma01", "gamma12", "gamma02"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def dim(self) -> int:
@@ -199,9 +203,9 @@ class PhaseSchedule:
             values = np.asarray(values, dtype=float)
             if times.ndim != 1 or times.shape != values.shape:
                 raise ValueError("ramp times and values must be 1d and equal length")
-            if np.any(np.diff(times) <= 0):
-                raise ValueError("ramp times must be strictly increasing")
-            if np.any((values < 0) | (values >= TWO_PI)):
+            if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+                raise ValueError("ramp times must be finite and strictly increasing")
+            if not np.all((values >= 0) & (values < TWO_PI)):
                 raise ValueError("ramp phi values outside [0, 2 pi)")
             object.__setattr__(self, "ramp", (times, values))
 
@@ -378,8 +382,9 @@ class PieceTable:
 
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
     h[p] at (phi[p], alpha[p]), with step matrix step_mats[slot[p]],
-    shared by rows of equal (phi, alpha, h). ops[p] is the row's output
-    counting operator on two levels; ops is None on three.
+    shared by rows of equal (phi, alpha, h). channels maps each output
+    channel to its (P, d, d) stack of per-row collapse operators: "line"
+    on two levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -389,7 +394,7 @@ class PieceTable:
     alpha: np.ndarray
     slot: np.ndarray
     step_mats: np.ndarray
-    ops: Optional[np.ndarray] = None
+    channels: dict
 
     @property
     def h(self) -> np.ndarray:
@@ -445,11 +450,14 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
                       for k in zip(phi.tolist(), alpha.tolist(), h.tolist())], dtype=int)
     keys = np.array(list(index), dtype=complex).reshape(-1, 3).T
     mats = sup_exp(_generators(params, keys[0].real, keys[1]), keys[2].real)
-    ops = None
     if params.levels == 2:
-        ops = np.multiply.outer(_line_coupling(params.gamma, phi), lowering_op(2, 0, 1).mat)
+        channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
+                                              lowering_op(2, 0, 1).mat)}
+    else:
+        channels = {k: np.broadcast_to(op.mat, (len(phi), 3, 3))
+                    for k, op in channel_couplings(params).items()}
     return PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
-                      slot=slots, step_mats=mats, ops=ops)
+                      slot=slots, step_mats=mats, channels=channels)
 
 
 def _march_table(table: PieceTable, v0) -> np.ndarray:
@@ -524,11 +532,11 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
 class ScenarioRun:
     """A propagated scenario on a fixed grid.
 
-    `pieces` is the run's piece table. times[i] are the grid instants,
-    each row's np.linspace(t_a, t_b, n_steps + 1), so every breakpoint
-    is a grid point exactly; states is an (n, d^2) array whose row i is
-    the column-stacked density matrix at times[i]. For three-level runs
-    `channels` holds the per-transition collapse operators.
+    `pieces` is the run's piece table, output channels included.
+    times[i] are the grid instants, each row's np.linspace(t_a, t_b,
+    n_steps + 1), so every breakpoint is a grid point exactly; states is
+    an (n, d^2) array whose row i is the column-stacked density matrix
+    at times[i].
     """
 
     params: MirrorQubitParams
@@ -538,7 +546,6 @@ class ScenarioRun:
     states: np.ndarray
     pieces: PieceTable
     grid_step: float
-    channels: Optional[dict] = None
     drive_points: int = 10 ** 9
 
     @property
@@ -598,6 +605,5 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
             DensityMatrix.ground(params.dim) if rho0 is None else rho0))),
         pieces=table,
         grid_step=dt,
-        channels=channel_couplings(params) if params.levels == 3 else None,
         drive_points=dp,
     )

@@ -246,7 +246,8 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
                       cutoff: int = 3) -> PhotonStatistics:
     """Counting statistics of the splitter output over [t0, t_end].
 
-    The counting mode is M(t) = i r L + c(t) with the residual drive
+    The counting mode, which replaces the run's "line" channel, is
+    M(t) = i r L + c(t) with the residual drive
     c(t) = -i r alpha_in(t) (1 - (1 + eps) e^{i delta}), read per piece
     of the run like L, so both switch together at the pulse end; with
     perfect matching c vanishes and the statistics are the bare emission
@@ -262,9 +263,9 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
     mismatch = 1.0 - (1.0 + config.amp_error) * np.exp(1j * config.phase_error)
     table = run.pieces
     c = -1j * config.r * table.alpha * mismatch
-    ops = 1j * config.r * table.ops + c[:, None, None] * np.eye(2)
-    return counting_statistics(replace(run, pieces=replace(table, ops=ops)),
-                               cutoff=cutoff)
+    line = 1j * config.r * table.channels["line"] + c[:, None, None] * np.eye(2)
+    return counting_statistics(
+        replace(run, pieces=replace(table, channels={"line": line})), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "mirror_triplet",
     "mirror_network",
     "drive_triplet",
+    "emitter_triplet",
 ]
 
 

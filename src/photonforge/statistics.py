@@ -19,13 +19,16 @@ u_m(t_r) rho(t_r), read at the window start. The forward map from
 probabilities to moments, N_m = sum_n C(n, m) P_n, is upper triangular,
 so the probabilities follow from the moments by back substitution.
 
-Every statistic reads the run's piece table (`dynamics.PieceTable`).
-M is constant inside a table row except at the row's last step, whose
-later point takes the counting operator of the next row
-(right-continuously), so the chain walks the rows backward, one product
-for a row's last step and one matrix power for its interior. Pair
-correlations of a two-channel emitter are the same chain with two
-levels, channel b's jump on the first and channel a's on the second.
+Every statistic reads the run's piece table (`dynamics.PieceTable`),
+whose output channels give each row's collapse operator M; `_jumps`
+turns a channel into the rows' jump superoperators conj(M) kron M.
+Counting uses the two-level "line" channel. The chain's step is
+constant inside a table row except at the row's last step, whose later
+point takes the jump of the next row (right-continuously), so the chain
+walks the rows backward, one product for a row's last step and one
+matrix power for its interior. Pair correlations of the three-level
+cascade are the same chain with two levels, channel b's jump on the
+first and channel a's on the second.
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -41,7 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _as_matrix, spre_spost, trace_row
+from .core import trace_row
 from .dynamics import _BLOCK, ScenarioRun
 
 __all__ = [
@@ -85,6 +88,9 @@ class CrossPairResult:
     v: float
 
     def __post_init__(self):
+        for name in ("g_ii", "g_ss", "g_is", "v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         for name in ("g_ii", "g_ss", "g_is"):
             if getattr(self, name) < -1e-9:
                 raise ValueError(f"{name} = {getattr(self, name)} is negative")
@@ -110,6 +116,16 @@ def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
     if i1 <= i0:
         raise ValueError("empty counting window")
     return i0, i1
+
+
+def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
+    """Jump superoperators conj(M) kron M of a channel's collapse
+    operator M on every table row, shape (P, d^2, d^2)."""
+    ops = run.pieces.channels.get(channel)
+    if ops is None:
+        raise ValueError("run carries no counting operators")
+    d = ops.shape[-1]
+    return np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
 
 
 def _chain_steps(e, jc, jn, h):
@@ -178,8 +194,8 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
 
     N_m = u_m(t_r) rho(t_r), read at the window start from one backward
     chain of `cutoff` levels over the piece table (`_chain`), every
-    level with each row's jump J, right-continuously. MAX_ORDER bounds
-    the chain's size.
+    level with each row's jump of the "line" channel, right-continuously.
+    MAX_ORDER bounds the chain's size.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -187,20 +203,13 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
         raise NotImplementedError(
             f"counting moments implemented up to order {MAX_ORDER}")
     i0, i1 = _window_indices(run, window)
-    d = run.dim
-    table = run.pieces
-    if table.ops is None:
-        raise ValueError("run carries no counting operators")
+    jumps = _jumps(run)
     if run.drive_points < 20:
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
-
-    # jump superoperators conj(M) kron M of every row at once
-    ops = table.ops
-    jumps = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
     w = _chain(run, i0, i1, [jumps] * cutoff)
-    return (w[1:].reshape(cutoff, d * d) @ run.states[i0]).real.tolist()
+    return (w[1:].reshape(cutoff, -1) @ run.states[i0]).real.tolist()
 
 
 def invert_to_probabilities(n_tiples: Sequence[float],
@@ -208,14 +217,17 @@ def invert_to_probabilities(n_tiples: Sequence[float],
     """Photon-number probabilities P_0..P_k from counting moments.
 
     Back substitution of the upper triangular forward map N_m =
-    sum_n C(n, m) P_n, peeling orders off from the top. Probabilities
-    below -1e-3 abort; small negative values from quadrature error are
-    clamped to zero with the whole vector renormalized.
+    sum_n C(n, m) P_n, peeling orders off from the top. Non-finite
+    moments and probabilities below -1e-3 abort; small negative values
+    from quadrature error are clamped to zero with the whole vector
+    renormalized, so the probabilities sum to 1 to rounding.
     """
     k = len(n_tiples) if cutoff is None else cutoff
     if k < 1 or k > len(n_tiples):
         raise ValueError(f"cutoff {k} incompatible with {len(n_tiples)} moments")
     nm = [1.0] + [float(x) for x in n_tiples[:k]]
+    if not all(map(math.isfinite, nm)):
+        raise ValueError(f"counting moments {nm[1:]} are not all finite")
     probs = [0.0] * (k + 1)
     for nn in range(k, 0, -1):
         s = nm[nn]
@@ -258,8 +270,8 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     """m-point intensity correlator G^(m)(t_1..t_m) at grid times.
 
     Each time must lie on the simulation grid to 1e-9. The quantum
-    regression chain: jump at t_1, propagate piece by piece, jump at
-    t_2, and so on, then trace.
+    regression chain: jump of the "line" channel at t_1, propagate piece
+    by piece, jump at t_2, and so on, then trace.
     """
     ts = list(at_times)
     if len(ts) < 1:
@@ -268,18 +280,12 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
         raise ValueError("times must be nondecreasing")
     idx = [_grid_index(run, t, "time") for t in ts]
     table = run.pieces
-    if table.ops is None:
-        raise ValueError("run carries no counting operators")
-    ops = table.per_point(table.ops)
-
-    def jump(i, v):
-        return spre_spost(ops[i], ops[i].conj().T) @ v
-
-    v = jump(idx[0], run.states[idx[0]])
+    jumps = table.per_point(_jumps(run))
+    v = jumps[idx[0]] @ run.states[idx[0]]
     for i_prev, i_next in zip(idx, idx[1:]):
         for p, lo, hi in zip(*table.spans(i_prev, i_next)):
             v = np.linalg.matrix_power(table.step_mats[table.slot[p]], hi - lo) @ v
-        v = jump(i_next, v)
+        v = jumps[i_next] @ v
     val = float((trace_row(run.dim) @ v).real)
     if val < -1e-9:
         raise RuntimeError(f"correlator came out negative: {val}")
@@ -293,13 +299,13 @@ _CHANNEL_ALIASES = {
 }
 
 
-def _channel_matrix(run: ScenarioRun, name: str) -> np.ndarray:
-    if run.channels is None:
+def _channel_jumps(run: ScenarioRun, name: str) -> np.ndarray:
+    if run.params.levels != 3:
         raise ValueError("pair correlations require a three-level run")
     key = _CHANNEL_ALIASES.get(str(name).lower())
-    if key is None or key not in run.channels:
+    if key is None:
         raise ValueError(f"unknown channel {name!r}")
-    return _as_matrix(run.channels[key])
+    return _jumps(run, key)
 
 
 def ordered_pair_count(run: ScenarioRun, first: str, second: str,
@@ -313,15 +319,13 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str,
     jump of channel a. T is the end of the run, or `horizon`, which must
     lie on the grid to 1e-9.
     """
-    la = _channel_matrix(run, first)
-    lb = _channel_matrix(run, second)
+    ja = _channel_jumps(run, first)
+    jb = _channel_jumps(run, second)
     i1 = len(run.times) - 1 if horizon is None else \
         _grid_index(run, horizon, "horizon")
     if i1 < 1:
         raise ValueError("horizon leaves no integration span")
-    jumps = [np.broadcast_to(j, (len(run.pieces.slot),) + j.shape)
-             for j in (spre_spost(lb, lb.conj().T), spre_spost(la, la.conj().T))]
-    w = _chain(run, 0, i1, jumps)
+    w = _chain(run, 0, i1, [jb, ja])
     return float((w[1 + run.dim ** 2:] @ run.states[0]).real)
 
 

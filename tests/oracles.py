@@ -13,6 +13,7 @@ cross-check, not a tautology.
 import math
 
 import numpy as np
+import photonforge as pf
 from scipy.integrate import solve_ivp
 
 
@@ -91,7 +92,8 @@ def grid_ops(run):
     table = run.pieces
     rows = [int(np.nonzero((table.t_a <= t) & (t < table.t_b))[0][0])
             for t in run.times[:-1]]
-    return [table.ops[p] for p in rows + [len(table.ops) - 1]]
+    ops = table.channels["line"]
+    return [ops[p] for p in rows + [len(ops) - 1]]
 
 
 def march_states(run):
@@ -163,7 +165,8 @@ def nested_pair_count(run, first, second, horizon=None):
     For each early index i, J_a rho_i is propagated forward with
     `grid_steps(run)` and tr(J_b .) is trapezoid-integrated over the later
     grid points; the outer trapezoid runs over i. O(n^2), coarse grids
-    only. `first` and `second` are keys of `run.channels`; `horizon`
+    only. `first` and `second` are keys of `pf.channel_couplings`, read
+    from the run's parameters rather than its piece table; `horizon`
     must be a grid time.
     """
     t = np.asarray(run.times, dtype=float)
@@ -171,8 +174,9 @@ def nested_pair_count(run, first, second, horizon=None):
         t = t[: int(np.argmin(np.abs(t - horizon))) + 1]
     n = len(t)
     d = run.dim
-    la = run.channels[first].mat
-    lb = run.channels[second].mat
+    channels = pf.channel_couplings(run.params)
+    la = channels[first].mat
+    lb = channels[second].mat
     ja = np.kron(la.conj(), la)
     jb = np.kron(lb.conj(), lb)
     tr = np.zeros(d * d, dtype=complex)

@@ -133,12 +133,13 @@ class TestRunCommand:
         assert "a2=0.5" in meta
         assert "a1=1.0" in meta
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_rerun_is_byte_identical(self, tmp_path, scenario):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
             cfg = write_config(
-                tmp_path, f"scenario = cancel_budget\noutdir = {out}\n")
+                tmp_path, f"scenario = {scenario}\noutdir = {out}\n")
             assert main(["run", cfg]) == 0
         assert (out_a / "result.csv").read_bytes() == \
             (out_b / "result.csv").read_bytes()
@@ -226,6 +227,20 @@ class TestRunCommand:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: line 2: dt must be positive and finite" in err
+        assert not (outdir / "result.csv").exists()
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("beam_splitter", "delta = nan"),
+        ("beam_splitter", "gamma_nr = nan"),
+        ("cascade_sweep", "gamma02 = 0.1, inf"),
+    ])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, scenario, line):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = {scenario}\n{line}\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        key = line.split(" =")[0]
+        assert f"config error: line 2: {key} must be finite" in capsys.readouterr().err
         assert not (outdir / "result.csv").exists()
 
     def test_no_subcommand_prints_usage(self, capsys):

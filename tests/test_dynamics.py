@@ -25,6 +25,13 @@ class TestParams:
         with pytest.raises(ValueError, match="nonnegative"):
             pf.MirrorQubitParams(gamma_nr=-1.0)
 
+    @pytest.mark.parametrize("field", [
+        "gamma", "delta", "gamma_nr", "gamma01", "gamma12", "gamma02"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            pf.MirrorQubitParams(levels=3, **{field: value})
+
     def test_rejects_bad_level_count(self):
         with pytest.raises(ValueError, match="levels"):
             pf.MirrorQubitParams(levels=4)
@@ -133,6 +140,13 @@ class TestPhaseSchedule:
             pf.PhaseSchedule(ramp=(np.array([1.0, 1.0]), np.array([0.3, 0.4])))
         with pytest.raises(ValueError, match="outside"):
             pf.PhaseSchedule(ramp=(np.array([0.0, 1.0]), np.array([0.3, 7.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ramp_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            pf.PhaseSchedule(ramp=(np.array([0.0, 1.0, bad]), np.array([0.3, 0.4, 0.5])))
+        with pytest.raises(ValueError, match="outside"):
+            pf.PhaseSchedule(ramp=(np.array([0.0, 1.0, 2.0]), np.array([0.3, bad, 0.5])))
 
 
 class TestCouplings:
@@ -375,11 +389,15 @@ class TestPieceTable:
     def test_counting_ops_by_row(self, table_run):
         table = table_run.pieces
         if table_run.params.levels == 3:
-            assert table.ops is None
+            want = pf.channel_couplings(table_run.params)
+            assert set(table.channels) == set(want)
+            for name, op in want.items():
+                assert table.channels[name].shape == (len(table.phi), 3, 3)
+                assert (table.channels[name] == op.mat).all()
             return
-        for phi, op in zip(table.phi, table.ops):
+        for phi, op in zip(table.phi, table.channels["line"]):
             assert np.array_equal(op, pf.output_coupling(table_run.params, phi).mat)
-        assert np.array_equal(table.per_point(table.ops),
+        assert np.array_equal(table.per_point(table.channels["line"]),
                               np.array(oracles.grid_ops(table_run)))
 
 
@@ -447,18 +465,27 @@ class TestSimulate:
         traces = [abs(np.trace(s.reshape((3, 3), order="F")) - 1.0)
                   for s in run.states]
         assert max(traces) < 1e-8
-        assert set(run.channels) == {"signal", "idler", "pump"}
+        assert set(run.pieces.channels) == {"signal", "idler", "pump"}
 
     def test_counting_op_right_continuous_at_release(self):
         params = pf.MirrorQubitParams(gamma=1.0)
         phase = pf.PhaseSchedule.storage_release(0.9 * PI, 1.0, 3.0, PI / 2.0)
         run = pf.simulate(params, pf.DriveSchedule(()), phase, 5.0, dt=0.1)
         idx = int(np.argmin(np.abs(run.times - 3.0)))
-        ops = run.pieces.per_point(run.pieces.ops)
+        ops = run.pieces.per_point(run.pieces.channels["line"])
         want = pf.output_coupling(params, PI / 2.0).mat
         assert np.max(np.abs(ops[idx] - want)) < 1e-14
         before = pf.output_coupling(params, PI).mat
         assert np.max(np.abs(ops[idx - 1] - before)) < 1e-14
+
+    # scipy's triangular expm branch divides by eigenvalue differences of
+    # order 1e-311 here and warns before the result is checked
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_non_finite_exponential_raises(self):
+        params = pf.MirrorQubitParams(delta=2.2e-311)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            pf.propagator(params, pf.DriveSchedule(()),
+                          pf.PhaseSchedule.constant(0.0), 0.0, 4.0)
 
     def test_dark_phase_freezes_the_state(self):
         params = pf.MirrorQubitParams(gamma=1.0)

@@ -1,4 +1,5 @@
-"""Properties of propagation and counting over random two-level schedules.
+"""Properties of propagation and counting over random two-level schedules,
+and the grid order of the counting moments and pair integrals.
 
 Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
 a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
@@ -122,3 +123,42 @@ def test_counting_probabilities_are_a_distribution(p, drive, phase):
     probs = pf.counting_statistics(run, cutoff=3).probabilities
     assert abs(sum(probs) - 1.0) < 1e-12
     assert min(probs) >= 0.0
+
+
+# The moments and pair integrals are grid trapezoids, so halving dt
+# divides their error by 4 once the h^2 term dominates. Every pulse end
+# lies on all three grids. N_3 is not yet asymptotic at these steps, and
+# the h^2 term of G_ss nearly cancels (ratio about 16), so both are left out.
+CONVERGENCE_DTS = (0.02, 0.01, 0.005)
+
+
+def refinement_ratios(values):
+    """(f(h) - f(h/2)) / (f(h/2) - f(h/4)) of each quantity."""
+    a, b, c = np.array(values)
+    return (a - b) / (b - c)
+
+
+@pytest.mark.filterwarnings("ignore:a drive pulse spans fewer than 20")
+def test_moments_converge_at_second_order():
+    params = pf.MirrorQubitParams(gamma=0.5)
+    drive = pf.DriveSchedule(((0.0, 0.32, 4.9),))
+    values = []
+    for dt in CONVERGENCE_DTS:
+        run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 8.0,
+                          dt=dt, min_pulse_steps=1)
+        values.append(pf.photon_mtiples(run, cutoff=2))
+    for ratio in refinement_ratios(values):
+        assert 3.5 <= ratio <= 4.5, ratio
+
+
+def test_pair_integrals_converge_at_second_order():
+    params = pf.MirrorQubitParams(levels=3, gamma02=0.35)
+    drive = pf.DriveSchedule(((0.0, 0.24, 8.0),))
+    values = []
+    for dt in CONVERGENCE_DTS:
+        run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 8.0,
+                          dt=dt, min_pulse_steps=1)
+        values.append([pf.cross_pair_integral(run, "idler", "idler"),
+                       pf.cross_pair_integral(run, "idler", "signal")])
+    for ratio in refinement_ratios(values):
+        assert 3.5 <= ratio <= 4.5, ratio

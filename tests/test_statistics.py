@@ -217,6 +217,11 @@ class TestInversion:
         with pytest.raises(ValueError, match="below -1e-3"):
             pf.invert_to_probabilities([0.8, -5e-3, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_moments_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            pf.invert_to_probabilities([0.8, bad, 0.0])
+
     def test_cutoff_argument_validated(self):
         with pytest.raises(ValueError, match="incompatible"):
             pf.invert_to_probabilities([0.5], cutoff=2)
@@ -312,6 +317,18 @@ class TestPairIntegrals:
     def test_two_level_run_rejected(self, stored_excitation_run):
         with pytest.raises(ValueError, match="three-level"):
             pf.ordered_pair_count(stored_excitation_run, "signal", "idler")
+
+    def test_counting_needs_the_line_channel(self, run3):
+        with pytest.raises(ValueError, match="run carries no counting operators"):
+            pf.photon_mtiples(run3)
+        with pytest.raises(ValueError, match="run carries no counting operators"):
+            pf.correlator_gm(run3, [run3.times[10]])
+
+    @pytest.mark.parametrize("field", ["g_ii", "g_ss", "g_is", "v"])
+    def test_result_rejects_non_finite_fields(self, field):
+        values = {**dict(g_ii=0.0, g_ss=0.0, g_is=0.0, v=0.0), field: math.nan}
+        with pytest.raises(ValueError, match=f"{field} = nan is not finite"):
+            pf.CrossPairResult(**values)
 
     def test_off_grid_horizon_rejected(self, run3):
         horizon = run3.times[300] + 0.4 * run3.grid_step
