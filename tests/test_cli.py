@@ -133,8 +133,8 @@ class TestRunCommand:
         assert "a2=0.5" in meta
         assert "a1=1.0" in meta
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_rerun_is_byte_identical(self, tmp_path, scenario):
+    @staticmethod
+    def _assert_rerun_is_byte_identical(tmp_path, scenario):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
@@ -143,6 +143,13 @@ class TestRunCommand:
             assert main(["run", cfg]) == 0
         assert (out_a / "result.csv").read_bytes() == \
             (out_b / "result.csv").read_bytes()
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        self._assert_rerun_is_byte_identical(tmp_path, "cancel_budget")
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_scenario_reruns_byte_identical(self, tmp_path, scenario):
+        self._assert_rerun_is_byte_identical(tmp_path, scenario)
 
     def test_beam_splitter_known_row(self, tmp_path):
         outdir = tmp_path / "out"
