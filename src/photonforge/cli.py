@@ -2,8 +2,9 @@
 
 Configs are plain text, one `key=value` per line with `#` comments.
 Every scenario ships defaults for all of its keys, so a config can be
-as short as `scenario=beam_splitter`. Unknown or duplicate keys, and float
-values that are not finite, are rejected with their line number.
+as short as `scenario=beam_splitter`. Unknown or duplicate keys, integer
+values below 1 and float values that are not finite are rejected with
+their line number.
 
 Each run writes two files into the output directory: `result.csv`
 (header row, comma separator, floats at 12 significant digits, plus a
@@ -233,15 +234,15 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 
 
 def _coerce(text: str, default, key: str, lineno: int):
-    """The value of `key` parsed like its default; floats must be finite
-    (and dt positive), which NaN fails."""
+    """The value of `key` parsed like its default; integers must be at
+    least 1, floats finite (and dt positive), which NaN fails."""
     try:
         if isinstance(default, tuple):
             value = tuple(float(x) for x in text.split(",") if x.strip() != "")
             if not value:
                 raise ConfigError(f"line {lineno}: key {key!r} has no values")
         elif isinstance(default, int) and not isinstance(default, bool):
-            return int(text)
+            value = int(text)
         elif isinstance(default, float):
             value = float(text)
         else:
@@ -249,6 +250,8 @@ def _coerce(text: str, default, key: str, lineno: int):
     except ValueError:
         raise ConfigError(
             f"line {lineno}: cannot parse value {text!r} for key {key!r}")
+    if isinstance(value, int) and value < 1:
+        raise ConfigError(f"line {lineno}: {key} must be at least 1, got {text!r}")
     rule = "positive and finite" if key == "dt" else "finite"
     for x in value if isinstance(value, tuple) else (value,):
         if not (math.isfinite(x) and (key != "dt" or x > 0)):
@@ -326,16 +329,11 @@ def _cmd_run(path: str) -> int:
         return 2
     try:
         config = parse_config(text)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         columns, rows = SCENARIOS[config.scenario].runner(config.values)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, NotImplementedError,
-            FloatingPointError) as e:
+    except (ValueError, RuntimeError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
     os.makedirs(config.outdir, exist_ok=True)

@@ -212,11 +212,6 @@ def unvec(v, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
-def spre_spost(a, b) -> np.ndarray:
-    """Matrix of rho -> a rho b under column stacking: (b^T kron a)."""
-    return np.kron(_as_matrix(b).T, _as_matrix(a))
-
-
 def trace_row(d: int) -> np.ndarray:
     """Row vector r with r @ vec(rho) = tr(rho) on a d-level space."""
     r = np.zeros(d * d, dtype=complex)

@@ -429,12 +429,8 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     distinct (phi, alpha, h) step matrices are exponentiated in one
     stacked call.
     """
-    pts = [t1, t2]
-    for x in drive.breakpoints() + list(extra):
-        if t1 < x < t2:
-            pts.append(float(x))
-    pts.extend(phase.breakpoints(t1, t2))
-    pts = sorted(set(pts))
+    pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints(t1, t2)])
+    pts = np.unique(pts[(pts >= t1) & (pts <= t2)]).tolist()
     merged = [pts[0]]
     for x in pts[1:]:
         if x - merged[-1] > 1e-12:
@@ -488,40 +484,50 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
     return Superoperator(_march_table(table, np.eye(d * d))[-1])
 
 
+def _grid_states(params: MirrorQubitParams, drive: DriveSchedule,
+                 phase: PhaseSchedule, grid, rho0):
+    """One table over a grid's span, cut also at each grid point, the state at
+    each point and its row (right-continuous; the end point's is the last row)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.isfinite(grid).all() or np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be a 1d nondecreasing array of finite times")
+    table = _piece_table(params, drive, phase,
+                         *(grid[[0, -1]] if len(grid) else (0.0, 0.0)), grid)
+    states = _march_table(table, vec(_as_matrix(
+        DensityMatrix.ground(params.dim) if rho0 is None else rho0)))
+    # a grid point reads the state after every piece ending at or before it
+    at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
+    return table, states[at], np.minimum(at, len(table.t_a) - 1)
+
+
+def _flux(ops, rows, states) -> np.ndarray:
+    """Output flux tr(L^dag L rho) of column-stacked states, L = ops[rows]
+    the line operator of each state's row; tr(A rho) = A.ravel() @ vec(rho)."""
+    ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
+    return np.einsum("ni,ni->n", np.take(ldl, rows, axis=0), states).real
+
+
 def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
                        phase: PhaseSchedule, observable, grid,
                        rho0=None) -> np.ndarray:
-    """tr(O rho(t)) on the given time grid, starting from rho0 (ground).
-
-    `observable` is a constant operator, or a callable t -> matrix for
-    time-dependent readouts. The grid points cut the pieces of one
-    piece table, which the state marches through once.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be a 1d nondecreasing array")
-    if not len(grid):
-        return np.empty(0, dtype=complex)
-    d = params.dim
-    ob = observable if callable(observable) else (lambda t, _m=_as_matrix(observable): _m)
-    table = _piece_table(params, drive, phase, grid[0], grid[-1], grid)
-    states = _march_table(table, vec(_as_matrix(DensityMatrix.ground(d) if rho0 is None
-                                                else rho0)))
-    # a grid point reads the state after every piece ending at or before it
-    at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
-    return np.array([np.trace(_as_matrix(ob(t)) @ states[i].reshape((d, d), order="F"))
-                     for t, i in zip(grid, at)], dtype=complex)
+    """tr(O rho(t)) of a constant operator O on the given time grid,
+    starting from rho0 (ground); the grid points cut the pieces of one
+    piece table, which the state marches through once."""
+    _, states, _ = _grid_states(params, drive, phase, grid, rho0)
+    return states @ _as_matrix(observable).ravel()
 
 
 def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
                 phase: PhaseSchedule, grid, rho0=None) -> np.ndarray:
-    """Output flux <L^dag L>(t) with L tracking phi(t)."""
-
-    def op(t):
-        lop = _as_matrix(output_coupling(params, phase.phi_at(t)))
-        return lop.conj().T @ lop
-
-    return expectation_series(params, drive, phase, op, grid, rho0).real
+    """Output flux <L^dag L>(t), L the "line" channel of each point's table
+    row as counting reads it: right-continuous, the end point the last row."""
+    if params.levels != 2:
+        raise ValueError("flux_series reads the two-level line channel")
+    table, states, rows = _grid_states(params, drive, phase, grid, rho0)
+    ops = table.channels["line"]
+    if len(states) and not len(ops):  # one distinct grid point cuts no row
+        ops = output_coupling(params, phase.phi_at(float(grid[0]))).mat[None]
+    return _flux(ops, rows, states)
 
 
 # ---------------------------------------------------------------------------

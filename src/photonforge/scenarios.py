@@ -38,6 +38,7 @@ from .dynamics import (
     DriveSchedule,
     MirrorQubitParams,
     PhaseSchedule,
+    _flux,
     build_liouvillian,
     effective_coupling,
     pi_pulse_width,
@@ -337,11 +338,13 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     stats = counting_statistics(run, cutoff=cutoff,
                                 window=(t_r, stats_end))
 
-    # p_exc = rho_11 (the last entry of the column-stacked state) and
-    # flux = tr(L^dag L rho) = Gamma_eff(phi) p_exc
-    phase_vals = run.pieces.per_point(run.pieces.phi)
+    # p_exc = rho_11 (the last entry of the column-stacked state); the
+    # flux reads each point's line channel as counting does
+    table = run.pieces
+    phase_vals = table.per_point(table.phi)
     p_exc = run.states[:, 3].real
-    flux = params.gamma * (1.0 + np.cos(phase_vals)) * p_exc
+    flux = _flux(table.channels["line"], table.per_point(np.arange(len(table.phi))),
+                 run.states)
 
     # the window starts at the grid point of t_r, a phase breakpoint; the
     # emitted fraction is the window's first counting moment
@@ -503,6 +506,8 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
         raise ValueError("encoding is a two-level scenario")
     if alpha_max <= 0:
         raise ValueError("alpha_max must be positive")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     gamma = params.gamma
     geff = effective_coupling(gamma, phi)
     if geff <= 0:

@@ -61,8 +61,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MAX_ORDER = 3
-
 
 @dataclass(frozen=True)
 class PhotonStatistics:
@@ -195,13 +193,10 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     N_m = u_m(t_r) rho(t_r), read at the window start from one backward
     chain of `cutoff` levels over the piece table (`_chain`), every
     level with each row's jump of the "line" channel, right-continuously.
-    MAX_ORDER bounds the chain's size.
+    The chain is generic in its level count: any cutoff of at least 1 runs.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if cutoff > MAX_ORDER:
-        raise NotImplementedError(
-            f"counting moments implemented up to order {MAX_ORDER}")
     i0, i1 = _window_indices(run, window)
     jumps = _jumps(run)
     if run.drive_points < 20:

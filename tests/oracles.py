@@ -53,6 +53,11 @@ def mirror_qubit_ops(gamma, phi, delta=0.0, alpha=0.0, gamma_nr=0.0):
     return h, collapse
 
 
+def spre_spost(a, b):
+    """Matrix of rho -> a rho b under column stacking: (b^T kron a)."""
+    return np.kron(np.asarray(b).T, np.asarray(a))
+
+
 def ode_propagator(pieces, dim, rtol=1e-11, atol=1e-13):
     """Adaptive-step propagator over [(t0, t1, generator matrix), ...].
 
@@ -71,6 +76,38 @@ def ode_propagator(pieces, dim, rtol=1e-11, atol=1e-13):
             raise RuntimeError(f"ODE integration failed on ({a}, {b})")
         p = sol.y[:, -1].reshape(d2, d2)
     return p
+
+
+def number_resolved_probabilities(run, kmax=10, rtol=1e-12, atol=1e-20):
+    """P_0..P_kmax of the photons a two-level run emits into the line,
+    P_kmax the mass of n >= kmax, by adaptive ODE integration.
+
+    The conditioned states x_n (n photons counted so far) obey
+    x_n' = (L - J) x_n + J x_{n-1}, and the absorbing x_kmax' = L x_kmax
+    + J x_{kmax-1}, with J rho = M rho M^dag the jump of the line
+    operator M: a block-bidiagonal generator (P. Zoller, M. Marte &
+    D. F. Walls, Phys. Rev. A 35, 198 (1987)). Each row of the run's
+    piece table is one DOP853 integration of it, from the run's first
+    state in x_0; the generators are assembled afresh from the row's
+    phase and drive, and the counting covers the whole run.
+    """
+    p, table = run.params, run.pieces
+    d2 = run.dim ** 2
+    x = np.zeros((kmax + 1) * d2, dtype=complex)
+    x[:d2] = run.states[0]
+    for t_a, t_b, phi, alpha in zip(table.t_a, table.t_b, table.phi, table.alpha):
+        h, collapse = mirror_qubit_ops(p.gamma, phi, p.delta, alpha, p.gamma_nr)
+        jump = np.kron(collapse[0].conj(), collapse[0])
+        gen = (np.kron(np.eye(kmax + 1), generator_matrix(h, collapse) - jump)
+               + np.kron(np.eye(kmax + 1, k=-1), jump))
+        gen[-d2:, -d2:] += jump
+        sol = solve_ivp(lambda t, y: gen @ y, (t_a, t_b), x, method="DOP853",
+                        rtol=rtol, atol=atol)
+        if not sol.success:
+            raise RuntimeError(f"ODE integration failed on ({t_a}, {t_b})")
+        x = sol.y[:, -1]
+    tr = np.eye(run.dim).reshape(-1)
+    return [float((tr @ x[n * d2:(n + 1) * d2]).real) for n in range(kmax + 1)]
 
 
 def grid_steps(run):

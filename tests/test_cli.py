@@ -250,6 +250,38 @@ class TestRunCommand:
         assert f"config error: line 2: {key} must be finite" in capsys.readouterr().err
         assert not (outdir / "result.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("scenario", [
+        "beam_splitter", "shaped_release", "nr_sweep", "wait_sweep"])
+    def test_cutoff_below_one_exits_two(self, tmp_path, capsys, scenario, value):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = {scenario}\ncutoff = {value}\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 2: cutoff must be at least 1" in err
+        assert not (outdir / "result.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_seeds_below_one_exits_two(self, tmp_path, capsys, value):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = encode\nseeds = {value}\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 2: seeds must be at least 1" in err
+        assert not (outdir / "result.csv").exists()
+
+    def test_cutoff_above_three_runs(self, tmp_path):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = beam_splitter\nalpha0 = 5\ncutoff = 4\n"
+            f"dt = 0.05\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 0
+        lines = (outdir / "result.csv").read_text().splitlines()
+        assert lines[1] == "alpha0,P0,P1,P2,P3,P4"
+        assert len(lines[2].split(",")) == 6
+
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().err

@@ -550,6 +550,44 @@ class TestObservables:
                               rho0=pf.DensityMatrix.excited(2))
         assert abs(np.trapezoid(flux, grid) - 1.0) < 1e-6
 
+    def test_flux_trapezoid_is_n1_when_the_run_ends_on_a_switch(self):
+        # the run ends at the release time t_r = 8, where the flux reads
+        # the last row as counting does, not the reopened coupling
+        params = pf.MirrorQubitParams(gamma=1.0)
+        geff = pf.effective_coupling(1.0, 0.9 * PI)
+        drive = pf.DriveSchedule.square_pi_pulse(10.0, 1.0, geff)
+        phase = pf.PhaseSchedule.storage_release(
+            0.9 * PI, 1.0 + pf.pi_pulse_width(10.0, geff), 8.0, PI / 2.0)
+        run = pf.simulate(params, drive, phase, 8.0, dt=0.005)
+        flux = pf.flux_series(params, drive, phase, run.times)
+        n1 = pf.photon_mtiples(run, cutoff=1)[0]
+        assert abs(np.trapezoid(flux, run.times) - n1) < 1e-12
+
+    @pytest.mark.parametrize("grid, want", [([3.0], [1.0]), ([2.0, 2.0], [1.0, 1.0]),
+                                            ([], [])],
+                             ids=["one_point", "one_distinct_point", "empty"])
+    def test_flux_on_a_grid_without_rows(self, grid, want):
+        params = pf.MirrorQubitParams(gamma=0.5)
+        flux = pf.flux_series(params, pf.DriveSchedule(()),
+                              pf.PhaseSchedule.constant(0.0), grid,
+                              rho0=pf.DensityMatrix.excited(2))
+        assert flux.shape == (len(want),)
+        assert np.max(np.abs(flux - want), initial=0.0) < 1e-15
+
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [math.nan], [0.0, math.inf]])
+    def test_readouts_reject_non_finite_grid_times(self, grid):
+        params = pf.MirrorQubitParams(gamma=0.5)
+        args = (pf.DriveSchedule(()), pf.PhaseSchedule.constant(0.0))
+        with pytest.raises(ValueError, match="finite times"):
+            pf.flux_series(params, *args, grid)
+        with pytest.raises(ValueError, match="finite times"):
+            pf.expectation_series(params, *args, np.eye(2), grid)
+
+    def test_flux_needs_two_levels(self):
+        with pytest.raises(ValueError, match="two-level"):
+            pf.flux_series(pf.MirrorQubitParams(levels=3), pf.DriveSchedule(()),
+                           pf.PhaseSchedule.constant(0.0), [0.0, 1.0])
+
     @pytest.mark.parametrize("grid", [
         [0.0, 0.5, 0.5, 1.2, 1.2, 3.0, 4.5, 4.5],
         [1.1, 1.15, 1.6, 2.0, 3.5, 5.0],

@@ -451,6 +451,8 @@ class TestFlyingQubitEncoding:
             pf.encode_flying_qubit(target, qubit_unit(), phi=PI)
         with pytest.raises(ValueError, match="alpha_max"):
             pf.encode_flying_qubit(target, qubit_unit(), alpha_max=0.0)
+        with pytest.raises(ValueError, match="seeds must be at least 1"):
+            pf.encode_flying_qubit(target, qubit_unit(), seeds=0)
         with pytest.raises(ValueError, match="two-level"):
             pf.encode_flying_qubit(target, ladder())
 

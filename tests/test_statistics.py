@@ -98,8 +98,7 @@ class TestMomentsAgainstNestedQuadrature:
         run = pulsed_run(t_end=2.0)
         with pytest.raises(ValueError, match="at least 1"):
             pf.photon_mtiples(run, cutoff=0)
-        with pytest.raises(NotImplementedError, match="order 3"):
-            pf.photon_mtiples(run, cutoff=4)
+        assert len(pf.photon_mtiples(run, cutoff=4)) == 4
 
     def test_coarse_pulse_warns(self):
         params = pf.MirrorQubitParams(gamma=1.0)
@@ -133,6 +132,31 @@ class TestMomentsAgainstNestedQuadrature:
         direct = pf.photon_mtiples(fresh, cutoff=3)
         for a, b in zip(windowed, direct):
             assert abs(a - b) < 1e-12
+
+
+class TestMomentsAgainstNumberResolvedOde:
+    """N_1..N_6 of the bare alpha0 = 5 source against sum_n C(n, m) P_n,
+    P_n from the number-resolved ODE route."""
+
+    @pytest.fixture(scope="class")
+    def gaps(self):
+        out = {}
+        for dt in (0.01, 0.005):
+            run = pulsed_run(dt=dt)
+            probs = oracles.number_resolved_probabilities(run, kmax=10)
+            assert abs(sum(probs) - 1.0) < 1e-12
+            want = oracles.forward_binomial_moments(probs, 6)
+            got = pf.photon_mtiples(run, cutoff=6)
+            out[dt] = [abs(g - w) / w for g, w in zip(got, want)]
+        return out
+
+    def test_every_order_within_the_grid_error(self, gaps):
+        assert max(gaps[0.005]) < 2e-4
+
+    def test_low_orders_converge_at_second_order(self, gaps):
+        # N_4..N_6 are not yet asymptotic at these steps
+        for m in range(3):
+            assert 3.4 <= gaps[0.01][m] / gaps[0.005][m] <= 4.6, m
 
 
 def bench_job_stats(kind):
