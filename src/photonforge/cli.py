@@ -156,11 +156,7 @@ def _run_encode(v):
 
 
 def _run_cancel_budget(v):
-    inputs = CancellationInputs(
-        a1=v["a1"], a2=v["a2"], phi1=v["phi1"], phi2=v["phi2"],
-        omega1=v["omega1"], omega2=v["omega2"], phi=v["phi"],
-        tau1=v["tau1"], tau2=v["tau2"])
-    out = cancellation_budget(inputs)
+    out = cancellation_budget(CancellationInputs(**v))
     return ["residual_ratio", "residual_db"], [
         (out.residual_ratio, out.residual_db)]
 

@@ -107,6 +107,8 @@ class DensityMatrix:
         mat = np.array(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         mat.setflags(write=False)
         self.mat = mat
         self.validate()
@@ -115,15 +117,15 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def validate(self, trace_tol=TRACE_TOL, herm_tol=HERM_TOL, psd_tol=PSD_TOL):
-        """Raise ValueError unless trace-one, Hermitian and PSD within tolerance."""
-        if abs(np.trace(self.mat) - 1.0) > trace_tol:
+    def validate(self):
+        """Raise ValueError unless trace-one, Hermitian and PSD (module tolerances)."""
+        if abs(np.trace(self.mat) - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {np.trace(self.mat)} violates unit trace")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > herm_tol:
+        if np.max(np.abs(self.mat - self.mat.conj().T)) > HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().T))
-        if w.min() < -psd_tol:
-            raise ValueError(f"negative eigenvalue {w.min()} below -{psd_tol}")
+        if w.min() < -PSD_TOL:
+            raise ValueError(f"negative eigenvalue {w.min()} below -{PSD_TOL}")
 
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
@@ -153,21 +155,20 @@ class DensityMatrix:
 class Superoperator:
     """A linear map on vectorized density matrices (column-stacking).
 
-    Holds a dim^2 x dim^2 dense matrix. Composition is `@`. Use `apply`
-    to act on a state and get the resulting matrix back.
+    Holds a dim^2 x dim^2 dense matrix; dim is read off its side.
+    Composition with another Superoperator is `@`. Use `apply` to act on
+    a state and get the resulting matrix back.
     """
 
     __slots__ = ("mat", "dim")
 
-    def __init__(self, mat, dim: int | None = None):
+    def __init__(self, mat):
         mat = np.array(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"superoperator must be square, got {mat.shape}")
         d = int(round(np.sqrt(mat.shape[0])))
         if d * d != mat.shape[0]:
             raise ValueError(f"side {mat.shape[0]} is not a perfect square")
-        if dim is not None and dim != d:
-            raise ValueError(f"declared dim {dim} does not match matrix ({d})")
         mat.setflags(write=False)
         self.mat = mat
         self.dim = d
@@ -178,21 +179,8 @@ class Superoperator:
         v = self.mat @ r.reshape(-1, order="F")
         return v.reshape((self.dim, self.dim), order="F")
 
-    def __matmul__(self, other):
-        if isinstance(other, Superoperator):
-            return Superoperator(self.mat @ other.mat)
-        return self.mat @ np.asarray(other)
-
-    def __add__(self, other):
-        return Superoperator(self.mat + _as_matrix(other))
-
-    def __sub__(self, other):
-        return Superoperator(self.mat - _as_matrix(other))
-
-    def __mul__(self, c):
-        return Superoperator(self.mat * complex(c))
-
-    __rmul__ = __mul__
+    def __matmul__(self, other: "Superoperator") -> "Superoperator":
+        return Superoperator(self.mat @ other.mat)
 
     def annihilates_trace(self, tol: float = TRACE_TOL) -> bool:
         """True if tr(S rho) = 0 for all rho, the Liouvillian property."""
@@ -272,7 +260,8 @@ def liouvillian(h, collapse_ops=()) -> Superoperator:
 
 
 def sup_exp(lv, t):
-    """Propagator exp(L t) of a constant Liouvillian over duration t >= 0.
+    """Propagator exp(L t) of a constant Liouvillian over a finite
+    duration t >= 0; at t = 0 it is the identity exactly.
 
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
     array of their propagators from one stacked call. Uses
@@ -282,10 +271,8 @@ def sup_exp(lv, t):
     """
     m = _as_matrix(lv)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    if m.ndim == 2 and t == 0:
-        return Superoperator(np.eye(m.shape[0], dtype=complex))
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError(f"duration must be finite and nonnegative, got {t}")
     out = expm(m * (t[:, None, None] if m.ndim == 3 else t))
     if not np.isfinite(out).all():
         raise FloatingPointError("matrix exponential is not finite")

@@ -80,7 +80,8 @@ class MirrorQubitParams:
 
     Only the detuning Delta and the phase phi enter the model; bare
     transition and drive frequencies never appear individually. For
-    levels=3 the three ladder rates are in units of gamma01.
+    levels=3 the three ladder rates are in units of gamma01, and delta
+    and gamma_nr, which that model does not carry, must be zero.
     """
 
     gamma: float = 1.0
@@ -100,6 +101,9 @@ class MirrorQubitParams:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
                                  f"got {getattr(self, name)}")
+        for name in ("delta", "gamma_nr") if self.levels == 3 else ():
+            if getattr(self, name) != 0:
+                raise ValueError(f"{name} is not modeled for the three-level ladder")
 
     @property
     def dim(self) -> int:
@@ -184,7 +188,6 @@ class PhaseSchedule:
 
     segments: Tuple[Tuple[float, float, float], ...] = ((-math.inf, math.inf, 0.0),)
     ramp: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    release_time: Optional[float] = None
     clip_fraction: float = 0.0
 
     def __post_init__(self):
@@ -227,7 +230,7 @@ class PhaseSchedule:
         if t_r > t_store:
             segs.append((t_store, t_r, math.pi))
         segs.append((t_r, math.inf, float(phi_r)))
-        return cls(tuple(segs), release_time=t_r)
+        return cls(tuple(segs))
 
     def phi_at(self, t: float) -> float:
         if self.ramp is not None:
@@ -322,8 +325,6 @@ def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
     else:
         if np.any(np.abs(phi) > 1e-12):
             raise ValueError("the three-level ladder model is defined at phi = 0")
-        if params.gamma_nr != 0:
-            raise ValueError("gamma_nr is not modeled for the three-level ladder")
         rates = [np.sqrt(2.0 * g) for g in (params.gamma01, params.gamma12, params.gamma02)]
         beta = alpha * rates[2]
         w = [np.full(phi.shape, r * r) for r in rates]
@@ -423,7 +424,8 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
                  phase: PhaseSchedule, t1: float, t2: float, extra=(),
                  steps=None) -> PieceTable:
     """The table of [t1, t2], cut at every breakpoint and every point of
-    `extra` inside it into maximal constant pieces.
+    `extra` inside it into maximal constant pieces; a span of one point
+    is one zero-length row, whose step matrix is the identity.
 
     steps(t_a, t_b) gives each row's step count (one by default); the
     distinct (phi, alpha, h) step matrices are exponentiated in one
@@ -435,7 +437,7 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     for x in pts[1:]:
         if x - merged[-1] > 1e-12:
             merged.append(x)
-    merged[-1] = t2
+    merged[max(len(merged) - 1, 1):] = [t2]  # a one-point span keeps t1 and t2
     t_a, t_b = np.array(merged[:-1]), np.array(merged[1:])
     phi = np.array([phase.phi_at(a) for a in merged[:-1]], dtype=float)
     alpha = np.array([drive.amplitude_at(a) for a in merged[:-1]], dtype=complex)
@@ -477,6 +479,8 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
     sample interval. Satisfies P(t,t) = identity and the composition law
     P(t3,t2) P(t2,t1) = P(t3,t1).
     """
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError(f"times must be finite, got t1={t1}, t2={t2}")
     if t2 < t1:
         raise ValueError(f"reversed times: t1={t1} > t2={t2}")
     d = params.dim
@@ -524,10 +528,7 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
     if params.levels != 2:
         raise ValueError("flux_series reads the two-level line channel")
     table, states, rows = _grid_states(params, drive, phase, grid, rho0)
-    ops = table.channels["line"]
-    if len(states) and not len(ops):  # one distinct grid point cuts no row
-        ops = output_coupling(params, phase.phi_at(float(grid[0]))).mat[None]
-    return _flux(ops, rows, states)
+    return _flux(table.channels["line"], rows, states)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +576,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if min_pulse_steps < 1:
         raise ValueError(f"min_pulse_steps must be at least 1, got {min_pulse_steps}")
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
 

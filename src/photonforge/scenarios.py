@@ -25,9 +25,10 @@ The experiments:
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -122,20 +123,17 @@ class WavePacket:
     @classmethod
     def gaussian(cls, center: float, width: float,
                  t_start: Optional[float] = None,
-                 t_end: Optional[float] = None,
                  dt: float = 0.005) -> "WavePacket":
         """Gaussian intensity profile of standard deviation `width`.
 
-        |xi(t)|^2 ~ exp(-(t-center)^2 / (2 width^2)), truncated at
-        4 sigma by default.
+        |xi(t)|^2 ~ exp(-(t-center)^2 / (2 width^2)) on a support from
+        t_start (default center - 4 width) to center + 4 width.
         """
         if width <= 0:
             raise ValueError("width must be positive")
         if t_start is None:
             t_start = center - 4.0 * width
-        if t_end is None:
-            t_end = center + 4.0 * width
-        grid = np.arange(t_start, t_end + dt / 2, dt)
+        grid = np.arange(t_start, center + 4.0 * width + dt / 2, dt)
         xi = np.exp(-((grid - center) ** 2) / (4.0 * width ** 2)).astype(complex)
         return cls(grid, xi, kind="gaussian")
 
@@ -167,12 +165,15 @@ def minimal_sufficient_gamma(packet: WavePacket,
     """Smallest line rate whose 2*Gamma ceiling clips at most the budget.
 
     Sorts the required rates descending and walks the cumulative packet
-    mass until the budget is spent; the rate at that point, halved, is
+    mass, in the grid-trapezoid weights that `shape_to_schedule` clips
+    with, until the budget is spent; the rate at that point, halved, is
     the answer.
     """
     rate = _release_rate(packet)
     order = np.argsort(rate)[::-1]
-    w = packet.intensity() * np.gradient(packet.grid)
+    w = np.gradient(packet.grid)
+    w[[0, -1]] /= 2.0
+    w = packet.intensity() * w
     cum = np.cumsum(w[order])
     idx = min(int(np.searchsorted(cum, clip_budget)), len(cum) - 1)
     return float(rate[order][idx] / 2.0)
@@ -204,7 +205,6 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
     return PhaseSchedule(
         segments=((-math.inf, t0, math.pi), (t1, math.inf, float(phi[-1]))),
         ramp=(grid, phi),
-        release_time=t0,
         clip_fraction=clip_mass,
     )
 
@@ -465,6 +465,8 @@ class FlyingQubitTarget:
     nu: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.mu) and cmath.isfinite(self.nu)):
+            raise ValueError(f"target amplitudes must be finite, got {self.mu}, {self.nu}")
         norm = abs(self.mu) ** 2 + abs(self.nu) ** 2
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"target norm {norm} is not 1; use .of() to normalize")
@@ -589,6 +591,9 @@ class CancellationInputs:
     tau2: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.a1 <= 0:
             raise ValueError("reference amplitude a1 must be positive")
         if self.a2 < 0:

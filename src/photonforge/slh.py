@@ -253,7 +253,7 @@ def triplet_liouvillian(g: SlhTriplet) -> Superoperator:
     return liouvillian(h, ls)
 
 
-def emitter_triplet(gamma: float, h_tls=None, dim: int = 2) -> SlhTriplet:
+def emitter_triplet(gamma: float, h_tls=None) -> SlhTriplet:
     """Two-sided emitter: each line direction couples at rate gamma / 2."""
     sm = lowering_op(2, 0, 1).mat
     if h_tls is None:

@@ -70,7 +70,6 @@ class PhotonStatistics:
     probabilities: Tuple[float, ...]
     cutoff: int
     window: Tuple[float, float]
-    grid_step: float
 
     def prob(self, n: int) -> float:
         return self.probabilities[n]
@@ -207,20 +206,20 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     return (w[1:].reshape(cutoff, -1) @ run.states[i0]).real.tolist()
 
 
-def invert_to_probabilities(n_tiples: Sequence[float],
-                            cutoff: Optional[int] = None) -> list:
-    """Photon-number probabilities P_0..P_k from counting moments.
+def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
+    """Photon-number probabilities P_0..P_k from the moments N_1..N_k.
 
     Back substitution of the upper triangular forward map N_m =
-    sum_n C(n, m) P_n, peeling orders off from the top. Non-finite
-    moments and probabilities below -1e-3 abort; small negative values
-    from quadrature error are clamped to zero with the whole vector
-    renormalized, so the probabilities sum to 1 to rounding.
+    sum_n C(n, m) P_n, peeling orders off from the top; a lower cutoff
+    is a slice of the moments. Non-finite moments and probabilities
+    below -1e-3 abort; small negative values from quadrature error are
+    clamped to zero with the whole vector renormalized, so the
+    probabilities sum to 1 to rounding.
     """
-    k = len(n_tiples) if cutoff is None else cutoff
-    if k < 1 or k > len(n_tiples):
-        raise ValueError(f"cutoff {k} incompatible with {len(n_tiples)} moments")
-    nm = [1.0] + [float(x) for x in n_tiples[:k]]
+    k = len(n_tiples)
+    if k < 1:
+        raise ValueError("need at least one counting moment")
+    nm = [1.0] + [float(x) for x in n_tiples]
     if not all(map(math.isfinite, nm)):
         raise ValueError(f"counting moments {nm[1:]} are not all finite")
     probs = [0.0] * (k + 1)
@@ -257,7 +256,6 @@ def counting_statistics(run: ScenarioRun, cutoff: int = 3,
         probabilities=tuple(probs),
         cutoff=cutoff,
         window=(float(run.times[i0]), float(run.times[i1])),
-        grid_step=run.grid_step,
     )
 
 
@@ -287,56 +285,40 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     return val
 
 
-_CHANNEL_ALIASES = {
-    "signal": "signal", "01": "signal", "s": "signal",
-    "idler": "idler", "12": "idler", "i": "idler",
-    "pump": "pump", "02": "pump",
-}
-
-
 def _channel_jumps(run: ScenarioRun, name: str) -> np.ndarray:
     if run.params.levels != 3:
         raise ValueError("pair correlations require a three-level run")
-    key = _CHANNEL_ALIASES.get(str(name).lower())
-    if key is None:
+    if name not in run.pieces.channels:
         raise ValueError(f"unknown channel {name!r}")
-    return _jumps(run, key)
+    return _jumps(run, name)
 
 
-def ordered_pair_count(run: ScenarioRun, first: str, second: str,
-                       horizon: Optional[float] = None) -> float:
+def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     """A_{first,second}: both-jumps integral with `first` at the earlier time.
 
-    A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt',
-    the nested grid trapezoid, read as u_2(0) rho(0) from the same
+    A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt'
+    over the whole run, T its end; a shorter span is a shorter run. The
+    nested grid trapezoid is read as u_2(0) rho(0) from the same
     backward chain as the counting moments (`_chain`) with levels
     (J_b, J_a): u_1 carries the late jump of channel b, u_2 the early
-    jump of channel a. T is the end of the run, or `horizon`, which must
-    lie on the grid to 1e-9.
+    jump of channel a. The channels are "signal", "idler" and "pump".
     """
     ja = _channel_jumps(run, first)
     jb = _channel_jumps(run, second)
-    i1 = len(run.times) - 1 if horizon is None else \
-        _grid_index(run, horizon, "horizon")
-    if i1 < 1:
-        raise ValueError("horizon leaves no integration span")
-    w = _chain(run, 0, i1, [jb, ja])
+    w = _chain(run, 0, len(run.times) - 1, [jb, ja])
     return float((w[1 + run.dim ** 2:] @ run.states[0]).real)
 
 
-def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str,
-                        horizon: Optional[float] = None) -> float:
-    """Window-integrated two-channel coincidence G_ab, symmetric in a, b.
+def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
+    """Run-integrated two-channel coincidence G_ab, symmetric in a, b.
 
     G_ab = A_ab + A_ba for distinct channels and 2 A_aa for a single
     channel, so both time orderings of the pair are counted.
     """
-    a = _CHANNEL_ALIASES.get(str(chan_a).lower())
-    b = _CHANNEL_ALIASES.get(str(chan_b).lower())
-    if a == b:
-        return 2.0 * ordered_pair_count(run, chan_a, chan_a, horizon)
-    return ordered_pair_count(run, chan_a, chan_b, horizon) + \
-        ordered_pair_count(run, chan_b, chan_a, horizon)
+    if chan_a == chan_b:
+        return 2.0 * ordered_pair_count(run, chan_a, chan_a)
+    return ordered_pair_count(run, chan_a, chan_b) + \
+        ordered_pair_count(run, chan_b, chan_a)
 
 
 def csi_metric(g_ii: float, g_ss: float, g_is: float) -> float:

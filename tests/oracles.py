@@ -196,19 +196,16 @@ def naive_counting_moments(times, steps, ops, states, mmax=3):
     return out
 
 
-def nested_pair_count(run, first, second, horizon=None):
+def nested_pair_count(run, first, second):
     """Ordered pair integral A_ab by explicit forward-nested trapezoids.
 
     For each early index i, J_a rho_i is propagated forward with
     `grid_steps(run)` and tr(J_b .) is trapezoid-integrated over the later
     grid points; the outer trapezoid runs over i. O(n^2), coarse grids
     only. `first` and `second` are keys of `pf.channel_couplings`, read
-    from the run's parameters rather than its piece table; `horizon`
-    must be a grid time.
+    from the run's parameters rather than its piece table.
     """
     t = np.asarray(run.times, dtype=float)
-    if horizon is not None:
-        t = t[: int(np.argmin(np.abs(t - horizon))) + 1]
     n = len(t)
     d = run.dim
     channels = pf.channel_couplings(run.params)

@@ -101,6 +101,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             pf.DensityMatrix(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every later check is false for NaN, so the state would pass them
+        with pytest.raises(ValueError, match="finite"):
+            pf.DensityMatrix([[bad, 0.0], [0.0, 1.0]])
+
     def test_from_ket_normalizes(self):
         rho = pf.DensityMatrix.from_ket([3.0, 4.0j])
         assert abs(np.trace(rho.mat) - 1.0) < 1e-14

@@ -32,6 +32,11 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             pf.MirrorQubitParams(levels=3, **{field: value})
 
+    @pytest.mark.parametrize("field", ["delta", "gamma_nr"])
+    def test_three_levels_reject_the_two_level_knobs(self, field):
+        with pytest.raises(ValueError, match=f"{field} is not modeled"):
+            pf.MirrorQubitParams(levels=3, **{field: 0.7})
+
     def test_rejects_bad_level_count(self):
         with pytest.raises(ValueError, match="levels"):
             pf.MirrorQubitParams(levels=4)
@@ -108,7 +113,6 @@ class TestPhaseSchedule:
         assert p.phi_at(2.0) == PI
         assert p.phi_at(4.999) == PI
         assert p.phi_at(5.0) == PI / 2.0
-        assert p.release_time == 5.0
 
     def test_storage_release_immediate(self):
         p = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 2.0, PI / 2.0)
@@ -416,6 +420,12 @@ class TestPropagator:
         with pytest.raises(ValueError, match="reversed"):
             pf.propagator(self.params, self.drive, self.phase, 3.0, 2.0)
 
+    @pytest.mark.parametrize("t1, t2", [(math.nan, 1.0), (0.0, math.nan),
+                                        (0.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_non_finite_times(self, t1, t2):
+        with pytest.raises(ValueError, match="times must be finite"):
+            pf.propagator(self.params, self.drive, self.phase, t1, t2)
+
     def test_composition_law(self):
         args = (self.params, self.drive, self.phase)
         full = pf.propagator(*args, 0.0, 4.0).mat
@@ -508,6 +518,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="exceed"):
             pf.simulate(params, pf.DriveSchedule(()),
                         pf.PhaseSchedule.constant(0.0), 0.0)
+
+    @pytest.mark.parametrize("t_start, t_end", [(0.0, math.nan), (0.0, math.inf),
+                                                (math.nan, 2.0), (-math.inf, 2.0)])
+    def test_rejects_non_finite_span(self, t_start, t_end):
+        with pytest.raises(ValueError, match="must be finite"):
+            pf.simulate(pf.MirrorQubitParams(), pf.DriveSchedule(()),
+                        pf.PhaseSchedule.constant(0.0), t_end, t_start=t_start)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
     def test_rejects_nonpositive_or_nonfinite_dt(self, dt):

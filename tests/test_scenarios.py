@@ -305,10 +305,19 @@ class TestWavePacket:
         packet = pf.WavePacket.gaussian(12.0, 1.0, t_start=8.0)
         assert abs(pf.minimal_sufficient_gamma(packet, 0.01) - GAMMA_MIN_PIN) < 1e-9
 
+    def test_minimal_sufficient_gamma_is_the_clipping_threshold(self):
+        # the packet mass is weighed with the grid trapezoid that
+        # shape_to_schedule clips with, so the answer is the smallest rate
+        # that passes
+        packet = pf.WavePacket.exponential(0.3, 8.0, duration=12.0, dt=0.02)
+        g = pf.minimal_sufficient_gamma(packet, 0.01)
+        pf.shape_to_schedule(packet, g, 0.01)
+        with pytest.raises(ValueError, match="would suffice"):
+            pf.shape_to_schedule(packet, g * (1.0 - 1e-9), 0.01)
+
     def test_shape_to_schedule_geometry(self):
         packet = pf.WavePacket.exponential(1.0, 8.0)
         sched = pf.shape_to_schedule(packet, 1.0)
-        assert sched.release_time == 8.0
         assert abs(sched.clip_fraction - EXP_PIN["clip"]) < 1e-9
         assert sched.phi_at(7.0) == PI
         assert 0.0 <= sched.phi_at(9.0) < PI
@@ -445,6 +454,13 @@ class TestFlyingQubitEncoding:
         with pytest.raises(ValueError, match="zero"):
             pf.FlyingQubitTarget.of(0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_target_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pf.FlyingQubitTarget(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            pf.FlyingQubitTarget.of(bad, 1.0)
+
     def test_rejects_unworkable_setups(self):
         target = pf.FlyingQubitTarget(0.0, 1.0)
         with pytest.raises(ValueError, match="decouples"):
@@ -487,6 +503,14 @@ class TestCancellationBudget:
         out = pf.cancellation_budget(pf.CancellationInputs(a1=1.0, a2=0.0))
         assert out.residual_ratio == 1.0
         assert out.residual_db == 0.0
+
+    @pytest.mark.parametrize("field", ["a1", "a2", "phi1", "phi2", "omega1",
+                                       "omega2", "phi", "tau1", "tau2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        # a NaN phase or amplitude used to read as perfect cancellation
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            pf.CancellationInputs(**{"a1": 1.0, "a2": 1.0, field: bad})
 
     def test_validation(self):
         with pytest.raises(ValueError, match="a1"):
