@@ -74,23 +74,6 @@ class Operator:
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
-    def __matmul__(self, other):
-        return Operator(self.mat @ _as_matrix(other))
-
-    def __add__(self, other):
-        return Operator(self.mat + _as_matrix(other))
-
-    def __sub__(self, other):
-        return Operator(self.mat - _as_matrix(other))
-
-    def __mul__(self, c):
-        return Operator(self.mat * complex(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(-self.mat)
-
     def __repr__(self):
         return f"Operator(dim={self.dim})"
 

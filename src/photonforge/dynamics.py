@@ -61,7 +61,6 @@ __all__ = [
     "effective_coupling",
     "pi_pulse_width",
     "build_liouvillian",
-    "output_coupling",
     "channel_couplings",
     "propagator",
     "expectation_series",
@@ -105,25 +104,23 @@ class MirrorQubitParams:
             if getattr(self, name) != 0:
                 raise ValueError(f"{name} is not modeled for the three-level ladder")
 
-    @property
-    def dim(self) -> int:
-        return self.levels
-
     def with_(self, **kw) -> "MirrorQubitParams":
         return replace(self, **kw)
 
 
 def effective_coupling(gamma: float, phi: float) -> float:
     """Gamma_eff(phi) = Gamma (1 + cos phi), between 0 and 2 Gamma."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     return gamma * (1.0 + math.cos(phi))
 
 
 def pi_pulse_width(alpha0: float, gamma_eff: float) -> float:
     """Width of a resonant square pi pulse: pi / (2 alpha0 sqrt(Gamma_eff))."""
-    if alpha0 <= 0 or gamma_eff <= 0:
-        raise ValueError("alpha0 and gamma_eff must be positive")
+    if not (0 < alpha0 < math.inf and 0 < gamma_eff < math.inf):
+        raise ValueError("alpha0 and gamma_eff must be positive and finite")
     return math.pi / (2.0 * alpha0 * math.sqrt(gamma_eff))
 
 
@@ -170,10 +167,6 @@ class DriveSchedule:
         for t0, t1, _ in self.segments:
             pts.extend((t0, t1))
         return pts
-
-    @property
-    def end(self) -> float:
-        return self.segments[-1][1] if self.segments else 0.0
 
 
 @dataclass(frozen=True)
@@ -257,13 +250,6 @@ class PhaseSchedule:
 def _line_coupling(gamma, phi):
     """c(phi) = sqrt(Gamma (1 + cos phi)) e^{i phi/2}, so L = c sigma_minus."""
     return np.sqrt(gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
-
-
-def output_coupling(params: MirrorQubitParams, phi: float) -> Operator:
-    """Line coupling operator L = sqrt(Gamma_eff) e^{i phi/2} sigma_minus."""
-    if params.levels != 2:
-        raise ValueError("output_coupling is the two-level line operator")
-    return lowering_op(2, 0, 1) * _line_coupling(params.gamma, phi)
 
 
 def channel_couplings(params: MirrorQubitParams) -> dict:
@@ -483,9 +469,17 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
         raise ValueError(f"times must be finite, got t1={t1}, t2={t2}")
     if t2 < t1:
         raise ValueError(f"reversed times: t1={t1} > t2={t2}")
-    d = params.dim
     table = _piece_table(params, drive, phase, t1, t2)
-    return Superoperator(_march_table(table, np.eye(d * d))[-1])
+    return Superoperator(_march_table(table, np.eye(params.levels ** 2))[-1])
+
+
+def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
+    """vec of rho0 (ground by default), checked as a state of the run's levels."""
+    rho = (DensityMatrix.ground(params.levels) if rho0 is None
+           else DensityMatrix(_as_matrix(rho0)))
+    if rho.dim != params.levels:
+        raise ValueError(f"rho0 has {rho.dim} levels, the run {params.levels}")
+    return vec(rho)
 
 
 def _grid_states(params: MirrorQubitParams, drive: DriveSchedule,
@@ -495,10 +489,10 @@ def _grid_states(params: MirrorQubitParams, drive: DriveSchedule,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not np.isfinite(grid).all() or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be a 1d nondecreasing array of finite times")
+    v0 = _initial_state(params, rho0)
     table = _piece_table(params, drive, phase,
                          *(grid[[0, -1]] if len(grid) else (0.0, 0.0)), grid)
-    states = _march_table(table, vec(_as_matrix(
-        DensityMatrix.ground(params.dim) if rho0 is None else rho0)))
+    states = _march_table(table, v0)
     # a grid point reads the state after every piece ending at or before it
     at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
     return table, states[at], np.minimum(at, len(table.t_a) - 1)
@@ -552,12 +546,11 @@ class ScenarioRun:
     times: np.ndarray
     states: np.ndarray
     pieces: PieceTable
-    grid_step: float
     drive_points: int = 10 ** 9
 
     @property
     def dim(self) -> int:
-        return self.params.dim
+        return self.params.levels
 
 
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
@@ -580,6 +573,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
+    v0 = _initial_state(params, rho0)
 
     def in_pulse(t_a, t_b):
         return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
@@ -610,9 +604,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         drive=drive,
         phase=phase,
         times=times,
-        states=_march_table(table, vec(_as_matrix(
-            DensityMatrix.ground(params.dim) if rho0 is None else rho0))),
+        states=_march_table(table, v0),
         pieces=table,
-        grid_step=dt,
         drive_points=dp,
     )

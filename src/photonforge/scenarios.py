@@ -50,7 +50,6 @@ from .statistics import (
     PhotonStatistics,
     counting_statistics,
     cross_pair_integral,
-    csi_metric,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ class WavePacket:
 
     grid: np.ndarray
     xi: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -118,7 +116,7 @@ class WavePacket:
             duration = 12.0 / kappa
         grid = np.arange(t_start, t_start + duration + dt / 2, dt)
         xi = np.exp(-kappa * (grid - t_start) / 2.0).astype(complex)
-        return cls(grid, xi, kind="exponential")
+        return cls(grid, xi)
 
     @classmethod
     def gaussian(cls, center: float, width: float,
@@ -135,7 +133,7 @@ class WavePacket:
             t_start = center - 4.0 * width
         grid = np.arange(t_start, center + 4.0 * width + dt / 2, dt)
         xi = np.exp(-((grid - center) ** 2) / (4.0 * width ** 2)).astype(complex)
-        return cls(grid, xi, kind="gaussian")
+        return cls(grid, xi)
 
     @property
     def start(self) -> float:
@@ -160,6 +158,11 @@ def _release_rate(packet: WavePacket) -> np.ndarray:
     return rate
 
 
+def _check_budget(clip_budget: float) -> None:
+    if not 0.0 <= clip_budget < 1.0:
+        raise ValueError(f"clip_budget must lie in [0, 1), got {clip_budget}")
+
+
 def minimal_sufficient_gamma(packet: WavePacket,
                              clip_budget: float = 0.01) -> float:
     """Smallest line rate whose 2*Gamma ceiling clips at most the budget.
@@ -169,6 +172,7 @@ def minimal_sufficient_gamma(packet: WavePacket,
     with, until the budget is spent; the rate at that point, halved, is
     the answer.
     """
+    _check_budget(clip_budget)
     rate = _release_rate(packet)
     order = np.argsort(rate)[::-1]
     w = np.gradient(packet.grid)
@@ -188,8 +192,9 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
     the clipped packet mass exceeds `clip_budget` the packet is
     declared unreachable at this Gamma.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_budget(clip_budget)
     grid, xi2 = packet.grid, packet.intensity()
     rate = _release_rate(packet)
     clip_mass = float(np.trapezoid(np.where(rate > 2.0 * gamma, xi2, 0.0), grid))
@@ -218,8 +223,8 @@ class BeamSplitterConfig:
     """Unbalanced splitter extracting the emission from the drive path.
 
     The cancellation tone on the transmitted port is derived from
-    (r, tau, alpha_in), so it is exact unless the mismatch knobs
-    amp_error / phase_error are set.
+    (r, alpha_in), so it is exact unless the mismatch knobs
+    amp_error / phase_error are set. Every field must be finite.
     """
 
     r: float = 0.995
@@ -231,16 +236,15 @@ class BeamSplitterConfig:
     phase_error: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0.0 < self.r <= 1.0):
             raise ValueError("reflectivity r must be in (0, 1]")
         if abs(self.alpha0) <= 0:
             raise ValueError("alpha0 must be nonzero")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
-
-    @property
-    def tau(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.r * self.r))
 
 
 def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
@@ -291,18 +295,20 @@ class ShapedReleaseResult:
 def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
                        phi_i: float = 0.9 * math.pi, t0: float = 1.0,
                        t_r: float = 8.0, t_end: float = 20.0,
-                       release: Union[float, WavePacket, PhaseSchedule] = math.pi / 2,
+                       release: Union[float, WavePacket] = math.pi / 2,
                        cutoff: int = 3, dt: float = 0.005,
                        clip_budget: float = 0.01) -> ShapedReleaseResult:
     """Prepare at phi_i, store at the dark point, release at t_r.
 
-    `release` selects the reopened coupling: a constant phase, a target
-    WavePacket (converted to a phase ramp), or a prebuilt PhaseSchedule.
-    Counting statistics cover [t_r, t_end], except for packet releases
-    where they cover the packet support.
+    `release` is one of two kinds: a constant phase, or a target
+    WavePacket (converted to a phase ramp); `simulate` and
+    `counting_statistics` run any other phase schedule. Counting covers
+    [t_r, t_end], or the packet support for packet releases.
     """
     if params.levels != 2:
         raise ValueError("shaped release is a two-level scenario")
+    if not t_r < t_end:
+        raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
     geff_i = effective_coupling(params.gamma, phi_i)
     t_w = pi_pulse_width(abs(alpha0), geff_i)
     t_store = t0 + t_w
@@ -310,11 +316,10 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
         raise ValueError(
             f"preparation ends at {t_store:.4f}, after the release time {t_r}")
 
-    packet: Optional[WavePacket] = None
-    if isinstance(release, PhaseSchedule):
-        sched = release
-    elif isinstance(release, WavePacket):
-        packet = release
+    packet = release if isinstance(release, WavePacket) else None
+    if packet is None:
+        sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
+    else:
         if abs(packet.start - t_r) > 1e-9:
             raise ValueError(
                 f"packet starts at {packet.start}, not at the release "
@@ -328,8 +333,6 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
         sched = replace(PhaseSchedule.storage_release(phi_i, t_store, t_r,
                                                       float(shaped.ramp[1][-1])),
                         ramp=shaped.ramp, clip_fraction=shaped.clip_fraction)
-    else:
-        sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
 
     drive = DriveSchedule(((t0, t_store, complex(alpha0)),))
     run = simulate(params, drive, sched, t_end, dt=dt)
@@ -385,19 +388,17 @@ def run_cascade(params: MirrorQubitParams, alpha_d: float,
     """
     if params.levels != 3:
         raise ValueError("the cascade source needs levels=3")
-    if alpha_d < 0:
-        raise ValueError("alpha_d must be nonnegative")
+    if not 0 <= alpha_d < math.inf:
+        raise ValueError(f"alpha_d must be finite and nonnegative, got {alpha_d}")
     if alpha_d == 0:
-        return CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0, v=0.0)
+        return CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
     g02e = 2.0 * params.gamma02
     t_w = pi_pulse_width(alpha_d, g02e)
     drive = DriveSchedule(((0.0, t_w, complex(alpha_d)),))
     run = simulate(params, drive, PhaseSchedule.constant(0.0), t_end, dt=dt)
-    g_ii = cross_pair_integral(run, "idler", "idler")
-    g_ss = cross_pair_integral(run, "signal", "signal")
-    g_is = cross_pair_integral(run, "idler", "signal")
-    return CrossPairResult(g_ii=g_ii, g_ss=g_ss, g_is=g_is,
-                           v=csi_metric(g_ii, g_ss, g_is))
+    return CrossPairResult(g_ii=cross_pair_integral(run, "idler", "idler"),
+                           g_ss=cross_pair_integral(run, "signal", "signal"),
+                           g_is=cross_pair_integral(run, "idler", "signal"))
 
 
 def sweep_cascade(params: MirrorQubitParams, alpha_d_values: Sequence[float],
@@ -506,8 +507,8 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
     """
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
-    if alpha_max <= 0:
-        raise ValueError("alpha_max must be positive")
+    if not 0 < alpha_max < math.inf:
+        raise ValueError(f"alpha_max must be positive and finite, got {alpha_max}")
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     gamma = params.gamma
@@ -531,7 +532,7 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
 
     lamb = (gamma / 2.0) * math.sin(phi)
     theta0 = 2.0 * math.acos(min(1.0, abs(target.mu)))
-    tw_pi = math.pi / (2.0 * alpha_max * math.sqrt(geff))
+    tw_pi = pi_pulse_width(alpha_max, geff)
     tw0 = max(theta0, 1e-3) / (2.0 * alpha_max * math.sqrt(geff))
     bounds = [(-10.0 * gamma, 10.0 * gamma),
               (1e-3 * alpha_max, alpha_max),

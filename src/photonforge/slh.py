@@ -20,7 +20,7 @@ provided by `mirror_triplet` and is rederived network-algebraically in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -136,11 +136,6 @@ class SlhTriplet:
     @property
     def n_ports(self) -> int:
         return self.s.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int = 2, n_ports: int = 1) -> "SlhTriplet":
-        zeros = [CouplingEntry(np.zeros((dim, dim), dtype=complex))] * n_ports
-        return cls(np.eye(n_ports), zeros, np.zeros((dim, dim)), dim=dim)
 
     def __repr__(self):
         return f"SlhTriplet(n_ports={self.n_ports}, dim={self.dim})"

@@ -68,7 +68,6 @@ class PhotonStatistics:
 
     n_tiples: Tuple[float, ...]
     probabilities: Tuple[float, ...]
-    cutoff: int
     window: Tuple[float, float]
 
     def prob(self, n: int) -> float:
@@ -77,24 +76,23 @@ class PhotonStatistics:
 
 @dataclass(frozen=True)
 class CrossPairResult:
-    """Integrated pair correlations of the two-channel cascade."""
+    """Integrated pair correlations of the two-channel cascade and their metric v."""
 
     g_ii: float
     g_ss: float
     g_is: float
-    v: float
 
     def __post_init__(self):
-        for name in ("g_ii", "g_ss", "g_is", "v"):
+        for name in ("g_ii", "g_ss", "g_is"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
-        for name in ("g_ii", "g_ss", "g_is"):
             if getattr(self, name) < -1e-9:
                 raise ValueError(f"{name} = {getattr(self, name)} is negative")
-        # with G_ii, G_ss >= 0, v = G_is^2 - G_ii G_ss cannot exceed G_is^2;
-        # it can exceed 1 when re-excitation emits more than one pair
-        if self.v > self.g_is ** 2 + 1e-6:
-            raise ValueError(f"v = {self.v} exceeds g_is^2 = {self.g_is ** 2}")
+
+    @property
+    def v(self) -> float:
+        """`csi_metric` of the integrals; may pass 1 when several pairs are emitted."""
+        return csi_metric(self.g_ii, self.g_ss, self.g_is)
 
 
 def _grid_index(run: ScenarioRun, t: float, what: str) -> int:
@@ -254,7 +252,6 @@ def counting_statistics(run: ScenarioRun, cutoff: int = 3,
     return PhotonStatistics(
         n_tiples=tuple(nm),
         probabilities=tuple(probs),
-        cutoff=cutoff,
         window=(float(run.times[i0]), float(run.times[i1])),
     )
 

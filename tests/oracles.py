@@ -53,6 +53,14 @@ def mirror_qubit_ops(gamma, phi, delta=0.0, alpha=0.0, gamma_nr=0.0):
     return h, collapse
 
 
+def output_coupling(params, phi):
+    """Two-level line operator L = sqrt(Gamma_eff) e^{i phi/2} sigma_minus."""
+    if params.levels != 2:
+        raise ValueError("output_coupling is the two-level line operator")
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return sm * (np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0))
+
+
 def spre_spost(a, b):
     """Matrix of rho -> a rho b under column stacking: (b^T kron a)."""
     return np.kron(np.asarray(b).T, np.asarray(a))

@@ -51,15 +51,6 @@ class TestOperator:
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
 
-    def test_arithmetic(self):
-        a, b = random_matrix(2), random_matrix(2)
-        oa, ob = pf.Operator(a), pf.Operator(b)
-        assert np.allclose((oa @ ob).mat, a @ b, atol=1e-14)
-        assert np.allclose((oa + ob).mat, a + b, atol=1e-14)
-        assert np.allclose((oa - ob).mat, a - b, atol=1e-14)
-        assert np.allclose((2.5j * oa).mat, 2.5j * a, atol=1e-14)
-        assert np.allclose((-oa).mat, -a, atol=1e-14)
-
     def test_hermiticity_check(self):
         h = random_matrix(3)
         assert pf.Operator(h + h.conj().T).is_hermitian(1e-12)

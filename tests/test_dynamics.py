@@ -43,7 +43,7 @@ class TestParams:
 
     def test_with_replaces_fields(self):
         p = pf.MirrorQubitParams(gamma=0.5).with_(gamma_nr=0.2)
-        assert p.gamma == 0.5 and p.gamma_nr == 0.2 and p.dim == 2
+        assert p.gamma == 0.5 and p.gamma_nr == 0.2 and p.levels == 2
 
 
 class TestRates:
@@ -64,6 +64,19 @@ class TestRates:
         with pytest.raises(ValueError, match="positive"):
             pf.pi_pulse_width(5.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rates_reject_non_finite_input(self, bad):
+        # NaN used to come back as a NaN rate or width, and fail later
+        # with a message about segment durations or the detuning
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            pf.effective_coupling(bad, 0.0)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            pf.effective_coupling(1.0, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            pf.pi_pulse_width(bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            pf.pi_pulse_width(5.0, bad)
+
 
 class TestDriveSchedule:
     def test_square_pulse_geometry(self):
@@ -79,7 +92,6 @@ class TestDriveSchedule:
         assert d.amplitude_at(0.0) == 3.0
         assert d.amplitude_at(1.0) == 7.0
         assert d.amplitude_at(2.0) == 0.0
-        assert d.end == 2.0
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -159,13 +171,13 @@ class TestCouplings:
         for phi in (0.0, 0.9, 2.2):
             geff = 0.8 * (1.0 + math.cos(phi))
             want = math.sqrt(geff) * np.exp(1j * phi / 2.0)
-            got = pf.output_coupling(params, phi).mat
+            got = oracles.output_coupling(params, phi)
             assert abs(got[0, 1] - want) < 1e-14
             assert got[1, 0] == 0 and got[0, 0] == 0 and got[1, 1] == 0
 
     def test_output_coupling_needs_two_levels(self):
         with pytest.raises(ValueError, match="two-level"):
-            pf.output_coupling(pf.MirrorQubitParams(levels=3), 0.0)
+            oracles.output_coupling(pf.MirrorQubitParams(levels=3), 0.0)
 
     def test_channel_couplings_rates(self):
         params = pf.MirrorQubitParams(levels=3, gamma01=1.0, gamma12=2.0,
@@ -264,7 +276,7 @@ class TestCompiler:
             (pf.MirrorQubitParams(gamma=0.7, delta=1.3, gamma_nr=0.2), phi),
             (pf.MirrorQubitParams(levels=3), np.zeros(50)),
         ]:
-            d = params.dim
+            d = params.levels
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = pf.vec(a + a.conj().T)
             for gen in pf.dynamics._generators(params, phis, alpha):
@@ -400,7 +412,7 @@ class TestPieceTable:
                 assert (table.channels[name] == op.mat).all()
             return
         for phi, op in zip(table.phi, table.channels["line"]):
-            assert np.array_equal(op, pf.output_coupling(table_run.params, phi).mat)
+            assert np.array_equal(op, oracles.output_coupling(table_run.params, phi))
         assert np.array_equal(table.per_point(table.channels["line"]),
                               np.array(oracles.grid_ops(table_run)))
 
@@ -483,9 +495,9 @@ class TestSimulate:
         run = pf.simulate(params, pf.DriveSchedule(()), phase, 5.0, dt=0.1)
         idx = int(np.argmin(np.abs(run.times - 3.0)))
         ops = run.pieces.per_point(run.pieces.channels["line"])
-        want = pf.output_coupling(params, PI / 2.0).mat
+        want = oracles.output_coupling(params, PI / 2.0)
         assert np.max(np.abs(ops[idx] - want)) < 1e-14
-        before = pf.output_coupling(params, PI).mat
+        before = oracles.output_coupling(params, PI)
         assert np.max(np.abs(ops[idx - 1] - before)) < 1e-14
 
     # scipy's triangular expm branch divides by eigenvalue differences of
@@ -532,6 +544,24 @@ class TestSimulate:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             pf.simulate(pf.MirrorQubitParams(), drive,
                         pf.PhaseSchedule.constant(0.0), 2.0, dt=dt)
+
+    @pytest.mark.parametrize("rho0, match", [
+        ([[math.nan, 0.0], [0.0, 1.0]], "finite"),
+        (np.diag([0.0, 2.0]), "unit trace"),
+        ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian"),
+        (np.eye(3) / 3.0, "rho0 has 3 levels, the run 2"),
+    ])
+    def test_rejects_an_invalid_initial_state(self, rho0, match):
+        # each used to run: to NaN states, to a counting error blaming the
+        # grid, to wrong probabilities, or to a reshape error
+        args = (pf.MirrorQubitParams(), pf.DriveSchedule(()),
+                pf.PhaseSchedule.constant(PI / 2.0))
+        with pytest.raises(ValueError, match=match):
+            pf.simulate(*args, 2.0, rho0=rho0, dt=0.01)
+        with pytest.raises(ValueError, match=match):
+            pf.flux_series(*args, [0.0, 2.0], rho0=rho0)
+        with pytest.raises(ValueError, match=match):
+            pf.expectation_series(*args, np.eye(2), [0.0, 2.0], rho0=rho0)
 
     def test_rejects_min_pulse_steps_below_one(self):
         drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)

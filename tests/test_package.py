@@ -1,4 +1,8 @@
-"""The package namespace: every public name of the library modules."""
+"""The package namespace: every public name of the library modules, and
+no module importing a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import photonforge as pf
 from photonforge import core, dynamics, scenarios, slh, statistics
@@ -14,7 +18,7 @@ EARLIER_NAMES = (
     "DriveSchedule", "MirrorQubitParams", "PhaseSchedule", "ScenarioRun",
     "build_liouvillian", "channel_couplings", "effective_coupling",
     "expectation_series", "pi_pulse_width",
-    "flux_series", "output_coupling", "propagator", "simulate",
+    "flux_series", "propagator", "simulate",
     "CrossPairResult", "PhotonStatistics", "correlator_gm",
     "counting_statistics", "cross_pair_integral", "csi_metric",
     "invert_to_probabilities", "ordered_pair_count", "photon_mtiples",
@@ -28,7 +32,7 @@ EARLIER_NAMES = (
 
 
 def test_earlier_names_kept_and_resolve():
-    assert len(EARLIER_NAMES) == 58
+    assert len(EARLIER_NAMES) == 57
     assert set(EARLIER_NAMES) <= set(pf.__all__)
     for name in EARLIER_NAMES:
         assert getattr(pf, name) is not None, name
@@ -42,3 +46,39 @@ def test_all_is_the_modules_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(pf, name) is getattr(m, name), name
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; a name listed in its
+    `__all__` counts as read (a re-export)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(pf.__file__).parent
+    assert [u for p in sorted(src.glob("*.py")) for u in _unused_imports(p)] == []
+
+
+def test_unused_import_check_sees_a_dead_name(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\nfrom typing import Sequence, Tuple\n"
+                   "x: Tuple = ()\n__all__ = ['os']\n", encoding="utf-8")
+    assert _unused_imports(mod) == ["mod.py:3 Sequence"]

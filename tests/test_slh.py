@@ -59,7 +59,7 @@ class TestConstruction:
 
     def test_identity_element(self):
         g = random_triplet()
-        ident = pf.SlhTriplet.identity(dim=2, n_ports=2)
+        ident = pf.SlhTriplet(np.eye(2), [np.zeros((2, 2))] * 2)
         assert_triplet_close(pf.series(ident, g), g, tol=1e-12)
         assert_triplet_close(pf.series(g, ident), g, tol=1e-12)
 
