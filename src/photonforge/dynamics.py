@@ -567,8 +567,9 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if min_pulse_steps < 1:
-        raise ValueError(f"min_pulse_steps must be at least 1, got {min_pulse_steps}")
+    if not (isinstance(min_pulse_steps, (int, np.integer)) and min_pulse_steps >= 1):
+        raise ValueError(f"min_pulse_steps must be an integer of at least 1, "
+                         f"got {min_pulse_steps}")
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:

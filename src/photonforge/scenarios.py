@@ -32,15 +32,16 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import sup_exp
 from .dynamics import (
     DriveSchedule,
     MirrorQubitParams,
     PhaseSchedule,
+    _basis,
     _flux,
-    build_liouvillian,
+    _generators,
+    _line_coupling,
     effective_coupling,
     pi_pulse_width,
     simulate,
@@ -77,6 +78,12 @@ __all__ = [
 # wave packets and coupling schedules
 
 
+def _check_positive(**values) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class WavePacket:
     """Target output envelope xi(t) on a time grid, normalized to unit power.
@@ -110,8 +117,7 @@ class WavePacket:
         The hard cutoff at t_start + duration makes the required
         coupling diverge at the end; the scheduler clips it there.
         """
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        _check_positive(kappa=kappa, dt=dt)
         if duration is None:
             duration = 12.0 / kappa
         grid = np.arange(t_start, t_start + duration + dt / 2, dt)
@@ -127,8 +133,7 @@ class WavePacket:
         |xi(t)|^2 ~ exp(-(t-center)^2 / (2 width^2)) on a support from
         t_start (default center - 4 width) to center + 4 width.
         """
-        if width <= 0:
-            raise ValueError("width must be positive")
+        _check_positive(width=width, dt=dt)
         if t_start is None:
             t_start = center - 4.0 * width
         grid = np.arange(t_start, center + 4.0 * width + dt / 2, dt)
@@ -307,6 +312,8 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     """
     if params.levels != 2:
         raise ValueError("shaped release is a two-level scenario")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     if not t_r < t_end:
         raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
     geff_i = effective_coupling(params.gamma, phi_i)
@@ -492,6 +499,39 @@ class EncodeResult:
     final_state: np.ndarray
 
 
+def _encode_objective(params: MirrorQubitParams, phi: float, psi):
+    """x = (delta, |alpha|, arg alpha, t_w) -> (1 - F, its gradient in x,
+    vec rho) for the square segment that loads rho from ground, with
+    F = <psi|rho|psi>.
+
+    The generator is L0 + delta D_delta + |alpha| D_amp, each D a fixed
+    `_basis` combination (D_amp rotates with arg alpha). The derivatives
+    of exp(L t_w) in delta, |alpha| and arg alpha are the top-right
+    blocks of the Van Loan matrices [[L, D], [0, L]] over t_w,
+    exponentiated in one stacked call; the derivative in t_w is L rho.
+    """
+    w = np.outer(np.conj(psi), psi).reshape(-1, order="F")  # F = w @ vec(rho)
+    basis = _basis(2)
+    lv0 = _generators(params.with_(delta=0.0), [phi], [0.0])[0]
+    cbar = np.conj(_line_coupling(params.gamma, phi))
+
+    def objective(x):
+        delta, amp, th, t_w = x
+        u = np.exp(1j * (th + phi)) * cbar  # d beta / d|alpha|
+        dl = np.tensordot([[0.0, 0.5, 0.0, 0.0], [0.0, 0.0, u.real, u.imag],
+                           [0.0, 0.0, -amp * u.imag, amp * u.real]], basis, axes=1)
+        lv = lv0 + delta * dl[0] + amp * dl[1]
+        vl = np.zeros((3, 8, 8), dtype=complex)
+        vl[:, :4, :4] = vl[:, 4:, 4:] = lv
+        vl[:, :4, 4:] = dl
+        ground = sup_exp(vl, np.full(3, t_w))[:, :4, [0, 4]]
+        rho = ground[0, :, 0]
+        grad = -np.append(ground[:, :, 1] @ w, w @ lv @ rho).real
+        return 1.0 - (w @ rho).real, grad, rho
+
+    return objective
+
+
 def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
                         *, phi: float = 0.9 * math.pi,
                         alpha_max: float = 10.0,
@@ -499,11 +539,11 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
                         seeds: int = 8) -> EncodeResult:
     """Find (detuning, amplitude, phase, width) loading the target state.
 
-    A bounded derivative-free search over a single square segment,
-    seeded at the amplitude ceiling with the drive phase swept around
-    the circle and the detuning at the phase-dependent level shift.
-    The residual infidelity scales with Gamma_eff * t_w, so larger
-    amplitude budgets encode more faithfully.
+    A bounded quasi-Newton search (L-BFGS-B, exact gradient) over a
+    single square segment, seeded at the amplitude ceiling with the
+    drive phase swept around the circle and the detuning at the
+    phase-dependent level shift. The residual infidelity scales with
+    Gamma_eff * t_w, so larger amplitude budgets encode more faithfully.
     """
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
@@ -515,20 +555,14 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
     geff = effective_coupling(gamma, phi)
     if geff <= 0:
         raise ValueError("phi = pi decouples the emitter; nothing can be encoded")
-    ground = np.zeros(4, dtype=complex)
-    ground[0] = 1.0
-    psi = np.array([target.mu, target.nu])
-
-    def loaded(delta, alpha, t_w):
-        """State after the square segment from ground, and its fidelity."""
-        lv = build_liouvillian(params.with_(delta=delta), phi, alpha)
-        rho = (sup_exp(lv, t_w).mat @ ground).reshape((2, 2), order="F")
-        return rho, float(np.real(psi.conj() @ rho @ psi))
 
     if abs(target.nu) < 1e-9:
         return EncodeResult(schedule=DriveSchedule(()), delta=0.0, alpha=0.0,
                             t_w=0.0, fidelity=1.0,
                             final_state=np.diag([1.0 + 0j, 0.0]))
+
+    # imported here so that importing the package does not load scipy
+    from scipy.optimize import minimize
 
     lamb = (gamma / 2.0) * math.sin(phi)
     theta0 = 2.0 * math.acos(min(1.0, abs(target.mu)))
@@ -538,17 +572,13 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
               (1e-3 * alpha_max, alpha_max),
               (-math.pi, math.pi),
               (1e-6 * tw_pi, 4.0 * tw_pi)]
-
-    def objective(x):
-        delta, amp, th, t_w = x
-        return 1.0 - loaded(delta, amp * np.exp(1j * th), t_w)[1]
+    objective = _encode_objective(params, phi, np.array([target.mu, target.nu]))
 
     best = None
     for th0 in np.linspace(-math.pi, math.pi, seeds + 1)[:-1]:
-        res = minimize(objective, [lamb, alpha_max, th0, tw0],
-                       method="Nelder-Mead", bounds=bounds,
-                       options=dict(xatol=1e-11, fatol=1e-15,
-                                    maxiter=6000, maxfev=8000))
+        res = minimize(lambda x: objective(x)[:2], [lamb, alpha_max, th0, tw0],
+                       jac=True, method="L-BFGS-B", bounds=bounds,
+                       options=dict(ftol=1e-15, gtol=1e-12))
         if best is None or res.fun < best.fun:
             best = res
     delta, amp, th, t_w = (float(v) for v in best.x)
@@ -561,10 +591,11 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
             f"{anharmonicity:.4g}; leakage outside the qubit space is "
             "not modeled", stacklevel=2)
 
-    rho, fid = loaded(delta, alpha, t_w)
+    infid, _, rho = objective(best.x)
     return EncodeResult(
         schedule=DriveSchedule(((0.0, t_w, alpha),)),
-        delta=delta, alpha=alpha, t_w=t_w, fidelity=fid, final_state=rho,
+        delta=delta, alpha=alpha, t_w=t_w, fidelity=1.0 - infid,
+        final_state=rho.reshape((2, 2), order="F"),
     )
 
 

@@ -168,6 +168,32 @@ class TestGenerators:
                 want = oracles.expm_series(lv.mat, t)
                 assert np.max(np.abs(got - want)) < 1e-9
 
+    def test_sup_exp_stack_matches_series_at_every_degree(self):
+        # 1-norms just below and above each Pade bound theta_m, and 1e3,
+        # which the degree-13 branch halves s = 8 times
+        norms = np.append(np.outer(pf.core._THETA, [0.9, 1.1]).ravel(), 1e3)
+        for params in (pf.MirrorQubitParams(gamma=0.8, delta=0.3, gamma_nr=0.1),
+                       pf.MirrorQubitParams(levels=3, gamma02=0.4)):
+            k = len(norms)
+            phi = RNG.uniform(0.0, 2.0 * np.pi, k) if params.levels == 2 else np.zeros(k)
+            alpha = 3.0 * (RNG.normal(size=k) + 1j * RNG.normal(size=k))
+            gens = pf.dynamics._generators(params, phi, alpha)
+            t = norms / np.abs(gens).sum(axis=1).max(axis=1)
+            got = pf.sup_exp(gens, t)
+            for g, tk, e in zip(gens, t, got):
+                want = oracles.expm_series(g, tk)
+                assert np.max(np.abs(e - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_sup_exp_slice_ignores_its_stack(self):
+        gens = np.array([pf.liouvillian(h + h.conj().T, [random_matrix(2)]).mat
+                         for h in (random_matrix(2) for _ in range(6))])
+        t = np.array([0.0, 1e-3, 0.1, 0.6, 2.5, 40.0])
+        stack = pf.sup_exp(gens, t)
+        assert np.array_equal(stack[0], np.eye(4))
+        for g, tk, e in zip(gens, t, stack):
+            assert np.array_equal(pf.sup_exp(g, tk).mat, e)
+        assert np.array_equal(pf.sup_exp(gens[::-1], t[::-1])[::-1], stack)
+
     def test_propagated_state_stays_physical(self):
         h = random_matrix(2)
         lv = pf.liouvillian(h + h.conj().T, [random_matrix(2)])

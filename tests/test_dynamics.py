@@ -500,14 +500,18 @@ class TestSimulate:
         before = oracles.output_coupling(params, PI)
         assert np.max(np.abs(ops[idx - 1] - before)) < 1e-14
 
-    # scipy's triangular expm branch divides by eigenvalue differences of
-    # order 1e-311 here and warns before the result is checked
-    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_subnormal_detuning_propagates_finitely(self):
+        # a triangular exponential that divides by eigenvalue differences
+        # of order 1e-311 turns this generator into NaN
+        args = (pf.DriveSchedule(()), pf.PhaseSchedule.constant(0.0), 0.0, 4.0)
+        got = pf.propagator(pf.MirrorQubitParams(delta=2.2e-311), *args).mat
+        want = pf.propagator(pf.MirrorQubitParams(), *args).mat
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_non_finite_exponential_raises(self):
-        params = pf.MirrorQubitParams(delta=2.2e-311)
         with pytest.raises(FloatingPointError, match="not finite"):
-            pf.propagator(params, pf.DriveSchedule(()),
-                          pf.PhaseSchedule.constant(0.0), 0.0, 4.0)
+            pf.sup_exp(np.full((4, 4), 1e308), 10.0)
 
     def test_dark_phase_freezes_the_state(self):
         params = pf.MirrorQubitParams(gamma=1.0)
@@ -568,6 +572,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match="min_pulse_steps"):
             pf.simulate(pf.MirrorQubitParams(), drive,
                         pf.PhaseSchedule.constant(0.0), 2.0, min_pulse_steps=0)
+
+    @pytest.mark.parametrize("steps", [math.nan, 2.5])
+    def test_rejects_min_pulse_steps_that_are_not_integers(self, steps):
+        # both used to pass silently; NaN refined nothing, as
+        # min(dt, width / nan) is dt
+        drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="min_pulse_steps must be an integer"):
+            pf.simulate(pf.MirrorQubitParams(), drive,
+                        pf.PhaseSchedule.constant(0.0), 2.0, min_pulse_steps=steps)
 
 
 class TestObservables:

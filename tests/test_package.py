@@ -2,6 +2,9 @@
 no module importing a name it never uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import photonforge as pf
@@ -46,6 +49,17 @@ def test_all_is_the_modules_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(pf, name) is getattr(m, name), name
+
+
+def test_import_loads_no_scipy():
+    # scipy's import costs several times the package's own; only
+    # encode_flying_qubit loads it, when called
+    code = ("import sys, photonforge; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pf.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def _unused_imports(path):

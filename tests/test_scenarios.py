@@ -222,6 +222,11 @@ class TestShapedRelease:
         with pytest.raises(ValueError, match="alpha0 and gamma_eff must be positive and finite"):
             pf.run_shaped_release(qubit_unit(), alpha0=math.nan)
 
+    def test_rejects_non_finite_start(self):
+        # used to fail as "phase segment has nonpositive duration"
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            pf.run_shaped_release(qubit_unit(), t0=math.nan)
+
 
 class TestPacketRelease:
     def test_gaussian_packet(self):
@@ -304,6 +309,18 @@ class TestWavePacket:
             pf.WavePacket.exponential(0.0, 1.0)
         with pytest.raises(ValueError, match="width"):
             pf.WavePacket.gaussian(1.0, 0.0)
+
+    def test_constructors_reject_non_finite_input(self):
+        # NaN used to fail as "packet has no power" or inside numpy with
+        # "arange: cannot compute length"
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            pf.WavePacket.exponential(math.nan, 1.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            pf.WavePacket.exponential(1.0, 1.0, dt=math.nan)
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            pf.WavePacket.gaussian(1.0, math.nan)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            pf.WavePacket.gaussian(1.0, 1.0, dt=math.nan)
 
     def test_minimal_sufficient_gamma(self):
         packet = pf.WavePacket.gaussian(12.0, 1.0, t_start=8.0)
@@ -458,6 +475,24 @@ class TestFlyingQubitEncoding:
         for target in targets:
             res = pf.encode_flying_qubit(target, params, alpha_max=2000.0)
             assert 1.0 - res.fidelity <= 1e-4
+
+    @pytest.mark.parametrize("x", [(0.1, 7.0, 0.4, 0.3), (-0.5, 3.0, -2.0, 0.6),
+                                   (0.8, 9.5, 2.7, 0.15)])
+    def test_objective_gradient_matches_central_differences(self, x):
+        params = pf.MirrorQubitParams(gamma=1.0, gamma_nr=0.1)
+        psi = np.array([1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0) * np.exp(1j * PI / 4.0)])
+        objective = pf.scenarios._encode_objective(params, 0.9 * PI, psi)
+        x = np.array(x)
+        infid, grad, rho = objective(x)
+        h = 1e-5
+        fd = [(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2.0 * h)
+              for e in np.eye(4)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=0.0)
+        lv = pf.build_liouvillian(params.with_(delta=x[0]), 0.9 * PI,
+                                  x[1] * np.exp(1j * x[2]))
+        want = pf.unvec(pf.sup_exp(lv, x[3]).mat[:, 0], 2)
+        assert np.max(np.abs(pf.unvec(rho, 2) - want)) < 1e-13
+        assert abs(infid - (1.0 - (psi.conj() @ want @ psi).real)) < 1e-13
 
     def test_anharmonicity_guard_boundary(self):
         params = qubit_unit()
