@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -63,7 +62,6 @@ __all__ = [
     "build_liouvillian",
     "channel_couplings",
     "propagator",
-    "expectation_series",
     "flux_series",
     "simulate",
     "PieceTable",
@@ -156,17 +154,14 @@ class DriveSchedule:
         tw = pi_pulse_width(abs(alpha0), gamma_eff)
         return cls(((t0, t0 + tw, complex(alpha0)),))
 
-    def amplitude_at(self, t: float) -> complex:
-        for t0, t1, a in self.segments:
-            if t0 <= t < t1:
-                return a
-        return 0.0
+    def amplitude_at(self, t):
+        """alpha at a time or an array of times, 0 outside the segments."""
+        t0, t1, a = np.array(self.segments, dtype=complex).reshape(-1, 3).T
+        return _step_lookup(t0.real, t1.real, a, t, 0.0)
 
     def breakpoints(self) -> list:
-        pts = []
-        for t0, t1, _ in self.segments:
-            pts.extend((t0, t1))
-        return pts
+        """Every segment's start and end."""
+        return [x for seg in self.segments for x in seg[:2]]
 
 
 @dataclass(frozen=True)
@@ -225,26 +220,38 @@ class PhaseSchedule:
         segs.append((t_r, math.inf, float(phi_r)))
         return cls(tuple(segs))
 
-    def phi_at(self, t: float) -> float:
+    def phi_at(self, t):
+        """phi at a time or an array of times: the ramp's on its span, else
+        the segments'. A time neither covers raises ValueError."""
+        t0, t1, phi = np.array(self.segments, dtype=float).reshape(-1, 3).T
+        phi = _step_lookup(t0, t1, phi, t, math.nan)
         if self.ramp is not None:
             times, values = self.ramp
-            if times[0] <= t < times[-1]:
-                return float(values[bisect_right(times, t) - 1])
-        for t0, t1, phi in self.segments:
-            if t0 <= t < t1:
-                return phi
-        raise ValueError(f"phase schedule does not cover t = {t}")
+            phi = _step_lookup(times[:-1], times[1:], values[:-1], t, phi)
+        uncovered = np.isnan(phi)
+        if uncovered.any():
+            first = np.broadcast_to(t, uncovered.shape)[uncovered][0]
+            raise ValueError(f"phase schedule does not cover t = {first}")
+        return phi
 
-    def breakpoints(self, t1: float, t2: float) -> list:
-        pts = []
-        for a, b, _ in self.segments:
-            for x in (a, b):
-                if t1 < x < t2 and math.isfinite(x):
-                    pts.append(x)
+    def breakpoints(self) -> list:
+        """Every segment's start and end, infinite ones included, then
+        every ramp time."""
+        pts = [x for seg in self.segments for x in seg[:2]]
         if self.ramp is not None:
-            times = self.ramp[0]
-            pts.extend(times[(times > t1) & (times < t2)].tolist())
+            pts.extend(self.ramp[0].tolist())
         return pts
+
+
+def _step_lookup(starts, ends, values, t, fill):
+    """At a time or an array of times t, values[i] of the first step
+    [starts[i], ends[i]) holding it, or fill (broadcast against t) where
+    none does. The ends are searched: segments longer than their 1e-15
+    overlap allowance have nondecreasing ends, so the first end past t is
+    the first step that can hold it, and where steps overlap it wins."""
+    i = np.searchsorted(ends, t, side="right")
+    held = np.append(starts, math.nan)[i] <= t
+    return np.where(held, np.append(values, 0.0)[i], fill)[()]
 
 
 def _line_coupling(gamma, phi):
@@ -417,7 +424,7 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     distinct (phi, alpha, h) step matrices are exponentiated in one
     stacked call.
     """
-    pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints(t1, t2)])
+    pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
     pts = np.unique(pts[(pts >= t1) & (pts <= t2)]).tolist()
     merged = [pts[0]]
     for x in pts[1:]:
@@ -425,8 +432,7 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
             merged.append(x)
     merged[max(len(merged) - 1, 1):] = [t2]  # a one-point span keeps t1 and t2
     t_a, t_b = np.array(merged[:-1]), np.array(merged[1:])
-    phi = np.array([phase.phi_at(a) for a in merged[:-1]], dtype=float)
-    alpha = np.array([drive.amplitude_at(a) for a in merged[:-1]], dtype=complex)
+    phi, alpha = phase.phi_at(t_a), drive.amplitude_at(t_a)
     n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
     h = (t_b - t_a) / n
     index = {}
@@ -482,10 +488,22 @@ def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
     return vec(rho)
 
 
-def _grid_states(params: MirrorQubitParams, drive: DriveSchedule,
-                 phase: PhaseSchedule, grid, rho0):
-    """One table over a grid's span, cut also at each grid point, the state at
-    each point and its row (right-continuous; the end point's is the last row)."""
+def _flux(ops, rows, states) -> np.ndarray:
+    """Output flux tr(L^dag L rho) of column-stacked states, L = ops[rows]
+    the line operator of each state's row; tr(A rho) = A.ravel() @ vec(rho)."""
+    ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
+    return np.einsum("ni,ni->n", np.take(ldl, rows, axis=0), states).real
+
+
+def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
+                phase: PhaseSchedule, grid, rho0=None) -> np.ndarray:
+    """Output flux <L^dag L>(t) on a nondecreasing grid of finite times,
+    starting from rho0 (ground). The grid points cut the pieces of one
+    table, which the state marches through once; L is the "line" channel
+    of each point's row as counting reads it: right-continuous, the end
+    point the last row."""
+    if params.levels != 2:
+        raise ValueError("flux_series reads the two-level line channel")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not np.isfinite(grid).all() or np.any(np.diff(grid) < 0):
         raise ValueError("grid must be a 1d nondecreasing array of finite times")
@@ -495,34 +513,7 @@ def _grid_states(params: MirrorQubitParams, drive: DriveSchedule,
     states = _march_table(table, v0)
     # a grid point reads the state after every piece ending at or before it
     at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
-    return table, states[at], np.minimum(at, len(table.t_a) - 1)
-
-
-def _flux(ops, rows, states) -> np.ndarray:
-    """Output flux tr(L^dag L rho) of column-stacked states, L = ops[rows]
-    the line operator of each state's row; tr(A rho) = A.ravel() @ vec(rho)."""
-    ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
-    return np.einsum("ni,ni->n", np.take(ldl, rows, axis=0), states).real
-
-
-def expectation_series(params: MirrorQubitParams, drive: DriveSchedule,
-                       phase: PhaseSchedule, observable, grid,
-                       rho0=None) -> np.ndarray:
-    """tr(O rho(t)) of a constant operator O on the given time grid,
-    starting from rho0 (ground); the grid points cut the pieces of one
-    piece table, which the state marches through once."""
-    _, states, _ = _grid_states(params, drive, phase, grid, rho0)
-    return states @ _as_matrix(observable).ravel()
-
-
-def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
-                phase: PhaseSchedule, grid, rho0=None) -> np.ndarray:
-    """Output flux <L^dag L>(t), L the "line" channel of each point's table
-    row as counting reads it: right-continuous, the end point the last row."""
-    if params.levels != 2:
-        raise ValueError("flux_series reads the two-level line channel")
-    table, states, rows = _grid_states(params, drive, phase, grid, rho0)
-    return _flux(table.channels["line"], rows, states)
+    return _flux(table.channels["line"], np.minimum(at, len(table.t_a) - 1), states[at])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,12 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
+def _check_finite(**values) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class WavePacket:
     """Target output envelope xi(t) on a time grid, normalized to unit power.
@@ -120,6 +126,8 @@ class WavePacket:
         _check_positive(kappa=kappa, dt=dt)
         if duration is None:
             duration = 12.0 / kappa
+        _check_positive(duration=duration)
+        _check_finite(t_start=t_start)
         grid = np.arange(t_start, t_start + duration + dt / 2, dt)
         xi = np.exp(-kappa * (grid - t_start) / 2.0).astype(complex)
         return cls(grid, xi)
@@ -134,8 +142,10 @@ class WavePacket:
         t_start (default center - 4 width) to center + 4 width.
         """
         _check_positive(width=width, dt=dt)
+        _check_finite(center=center)
         if t_start is None:
             t_start = center - 4.0 * width
+        _check_finite(t_start=t_start)
         grid = np.arange(t_start, center + 4.0 * width + dt / 2, dt)
         xi = np.exp(-((grid - center) ** 2) / (4.0 * width ** 2)).astype(complex)
         return cls(grid, xi)
@@ -312,8 +322,7 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     """
     if params.levels != 2:
         raise ValueError("shaped release is a two-level scenario")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
+    _check_finite(t0=t0)
     if not t_r < t_end:
         raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
     geff_i = effective_coupling(params.gamma, phi_i)
@@ -623,9 +632,7 @@ class CancellationInputs:
     tau2: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if self.a1 <= 0:
             raise ValueError("reference amplitude a1 must be positive")
         if self.a2 < 0:

@@ -61,6 +61,21 @@ def output_coupling(params, phi):
     return sm * (np.sqrt(params.gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0))
 
 
+def schedule_value(segments, t, ramp=None):
+    """A schedule's value at t by a loop over its pieces: the ramp sample
+    i on [times[i], times[i+1]), else the first segment (t0, t1, v) with
+    t0 <= t < t1, else None."""
+    if ramp is not None:
+        times, values = ramp
+        for k in range(len(times) - 1):
+            if times[k] <= t < times[k + 1]:
+                return values[k]
+    for t0, t1, v in segments:
+        if t0 <= t < t1:
+            return v
+    return None
+
+
 def spre_spost(a, b):
     """Matrix of rho -> a rho b under column stacking: (b^T kron a)."""
     return np.kron(np.asarray(b).T, np.asarray(a))

@@ -165,6 +165,69 @@ class TestPhaseSchedule:
             pf.PhaseSchedule(ramp=(np.array([0.0, 1.0, 2.0]), np.array([0.3, bad, 0.5])))
 
 
+ONE_ULP_BELOW_1 = 1.0 - 1e-16  # overlaps its predecessor by 1.1e-16
+
+# schedules and the times at which their array and scalar lookups agree
+LOOKUPS = {
+    "drive": (pf.DriveSchedule(((0.0, 1.0, 3.0), (1.0, 2.0, 7.0 - 2.0j))),
+              [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    "drive_empty": (pf.DriveSchedule(()), [-1.0, 0.0, 5.0]),
+    "drive_overlap": (pf.DriveSchedule(((0.0, 1.0, 3.0), (ONE_ULP_BELOW_1, 2.0, 7.0))),
+                      [0.5, ONE_ULP_BELOW_1, 1.0, 1.5]),
+    "infinite_ends": (pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 5.0, PI / 2.0),
+                      [-math.inf, -1e300, 2.0, 4.999, 5.0, 1e300]),
+    "gap": (pf.PhaseSchedule(((0.0, 1.0, 0.3), (2.0, 3.0, 0.5))),
+            [0.5, 1.0, 1.5, 2.0, 3.5]),
+    "ramp": (pf.PhaseSchedule(((-math.inf, math.inf, 0.1),),
+                              ramp=(np.array([1.0, 1.5, 2.0]), np.array([0.5, 1.0, 1.5]))),
+             [0.5, 1.0, 1.6, 1.999, 2.0, 2.5]),
+    "ramp_over_gap": (pf.PhaseSchedule(((0.0, 1.0, 0.3), (2.0, 3.0, 0.5)),
+                                       ramp=(np.array([0.5, 2.5]), np.array([1.0, 1.2]))),
+                      [0.0, 0.5, 1.5, 2.5, 3.5]),
+    "one_sample_ramp": (pf.PhaseSchedule(((-math.inf, math.inf, 0.1),),
+                                         ramp=(np.array([1.0]), np.array([0.5]))),
+                        [0.5, 1.0, 1.5]),
+    "phase_overlap": (pf.PhaseSchedule(((-math.inf, 1.0, 0.3),
+                                        (ONE_ULP_BELOW_1, math.inf, 0.5))),
+                      [0.5, ONE_ULP_BELOW_1, 1.0]),
+}
+
+
+class TestStepLookup:
+    @pytest.mark.parametrize("name", LOOKUPS)
+    def test_array_lookup_equals_scalar_lookups(self, name):
+        sched, times = LOOKUPS[name]
+        times = np.array(times)
+        if isinstance(sched, pf.DriveSchedule):
+            look = sched.amplitude_at
+            want = [oracles.schedule_value(sched.segments, t) for t in times]
+            want = [0.0 if w is None else w for w in want]
+        else:
+            look = sched.phi_at
+            want = [oracles.schedule_value(sched.segments, t, sched.ramp) for t in times]
+        if None in want:
+            first = times[want.index(None)]
+            with pytest.raises(ValueError, match=f"does not cover t = {first}$"):
+                look(times)
+        else:
+            got = look(times)
+            assert got.shape == times.shape
+            assert got.tolist() == want
+        for t, w in zip(times, want):
+            if w is None:
+                with pytest.raises(ValueError, match=f"does not cover t = {t}$"):
+                    look(t)
+            else:
+                assert np.isscalar(look(t))
+                assert look(t) == w
+
+    def test_one_sample_ramp_is_a_cut_point(self):
+        sched, _ = LOOKUPS["one_sample_ramp"]
+        run = pf.simulate(pf.MirrorQubitParams(), pf.DriveSchedule(()), sched, 2.0, dt=0.3)
+        assert run.pieces.t_a.tolist() == [0.0, 1.0]
+        assert 1.0 in run.times.tolist()
+
+
 class TestCouplings:
     def test_output_coupling_form(self):
         params = pf.MirrorQubitParams(gamma=0.8)
@@ -316,6 +379,21 @@ class TestCompiler:
         assert len(run.pieces.slot) >= 2400
         assert len(calls) <= 3
 
+    def test_packet_release_looks_up_each_schedule_once(self, monkeypatch):
+        calls = []
+        for cls, name in ((pf.PhaseSchedule, "phi_at"), (pf.DriveSchedule, "amplitude_at")):
+            def counting(self, t, real=getattr(cls, name), name=name):
+                calls.append((name, np.shape(t)))
+                return real(self, t)
+
+            monkeypatch.setattr(cls, name, counting)
+        phase, rho0 = exponential_release()
+        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
+                          phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
+        rows = (len(run.pieces.slot),)
+        assert rows[0] >= 2400
+        assert calls == [("phi_at", rows), ("amplitude_at", rows)]
+
     def test_flux_series_matches_recorded_states_on_a_ramp(self):
         params = pf.MirrorQubitParams(gamma=1.0)
         phase, rho0 = exponential_release()
@@ -393,8 +471,8 @@ class TestPieceTable:
     def test_breakpoints_are_grid_points(self, table_run):
         run = table_run
         t1, t2 = run.times[0], run.times[-1]
-        points = [x for x in run.drive.breakpoints() if t1 < x < t2]
-        points += run.phase.breakpoints(t1, t2)
+        points = [x for x in run.drive.breakpoints() + run.phase.breakpoints()
+                  if t1 < x < t2]
         assert points
         assert set(points) <= set(run.times.tolist())
 
@@ -564,8 +642,6 @@ class TestSimulate:
             pf.simulate(*args, 2.0, rho0=rho0, dt=0.01)
         with pytest.raises(ValueError, match=match):
             pf.flux_series(*args, [0.0, 2.0], rho0=rho0)
-        with pytest.raises(ValueError, match=match):
-            pf.expectation_series(*args, np.eye(2), [0.0, 2.0], rho0=rho0)
 
     def test_rejects_min_pulse_steps_below_one(self):
         drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
@@ -584,15 +660,6 @@ class TestSimulate:
 
 
 class TestObservables:
-    def test_expectation_of_identity_is_one(self):
-        params = pf.MirrorQubitParams(gamma=0.5)
-        drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
-        grid = np.linspace(0.0, 3.0, 7)
-        vals = pf.expectation_series(params, drive,
-                                     pf.PhaseSchedule.constant(0.0),
-                                     np.eye(2), grid)
-        assert np.max(np.abs(vals - 1.0)) < 1e-10
-
     def test_flux_of_released_excitation_decays_exponentially(self):
         params = pf.MirrorQubitParams(gamma=0.5)
         grid = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
@@ -640,8 +707,6 @@ class TestObservables:
         args = (pf.DriveSchedule(()), pf.PhaseSchedule.constant(0.0))
         with pytest.raises(ValueError, match="finite times"):
             pf.flux_series(params, *args, grid)
-        with pytest.raises(ValueError, match="finite times"):
-            pf.expectation_series(params, *args, np.eye(2), grid)
 
     def test_flux_needs_two_levels(self):
         with pytest.raises(ValueError, match="two-level"):
@@ -659,11 +724,14 @@ class TestObservables:
         geff = pf.effective_coupling(1.0, 0.9 * PI)
         drive = pf.DriveSchedule(((1.0, 1.1 + pf.pi_pulse_width(5.0, geff), 5.0 - 1.0j),))
         phase = pf.PhaseSchedule.storage_release(0.9 * PI, 1.6, 3.0, PI / 2.0)
+        # no grid ends on a phase switch, so each point reads L at phi_at(t)
         rho0 = pf.DensityMatrix.from_ket([0.6, 0.8j])
-        obs = np.array([[0.2, 0.5 - 0.1j], [0.5 + 0.1j, -1.0]])
-        got = pf.expectation_series(params, drive, phase, obs, grid, rho0=rho0)
-        want = [np.trace(obs @ pf.unvec(pf.propagator(params, drive, phase, grid[0], t).mat
-                                        @ pf.vec(rho0.mat), 2))
-                for t in grid]
+        got = pf.flux_series(params, drive, phase, grid, rho0=rho0)
+        want = []
+        for t in grid:
+            rho = pf.unvec(pf.propagator(params, drive, phase, grid[0], t).mat
+                           @ pf.vec(rho0.mat), 2)
+            op = oracles.output_coupling(params, phase.phi_at(t))
+            want.append(np.trace(op.conj().T @ op @ rho).real)
         assert len(got) == len(grid)
         assert np.max(np.abs(got - np.array(want))) < 1e-12

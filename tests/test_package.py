@@ -1,5 +1,6 @@
-"""The package namespace: every public name of the library modules, and
-no module importing a name it never uses."""
+"""The package namespace: every public name of the library modules, no
+module importing a name it never uses, and no private function, class
+or method that the package never references."""
 
 import ast
 import os
@@ -20,7 +21,7 @@ EARLIER_NAMES = (
     "to_master_equation",
     "DriveSchedule", "MirrorQubitParams", "PhaseSchedule", "ScenarioRun",
     "build_liouvillian", "channel_couplings", "effective_coupling",
-    "expectation_series", "pi_pulse_width",
+    "pi_pulse_width",
     "flux_series", "propagator", "simulate",
     "CrossPairResult", "PhotonStatistics", "correlator_gm",
     "counting_statistics", "cross_pair_integral", "csi_metric",
@@ -35,7 +36,7 @@ EARLIER_NAMES = (
 
 
 def test_earlier_names_kept_and_resolve():
-    assert len(EARLIER_NAMES) == 57
+    assert len(EARLIER_NAMES) == 56
     assert set(EARLIER_NAMES) <= set(pf.__all__)
     for name in EARLIER_NAMES:
         assert getattr(pf, name) is not None, name
@@ -96,3 +97,35 @@ def test_unused_import_check_sees_a_dead_name(tmp_path):
                    "import os.path\nfrom typing import Sequence, Tuple\n"
                    "x: Tuple = ()\n__all__ = ['os']\n", encoding="utf-8")
     assert _unused_imports(mod) == ["mod.py:3 Sequence"]
+
+
+def _dead_private_definitions(paths):
+    """Private module-level functions and classes, and private methods,
+    whose name no module among `paths` reads as a name or an attribute."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            for d in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defined.append(f"{path.name}:{d.lineno} {d.name}")
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [d for d in defined if d.split()[-1] not in used]
+
+
+def test_every_private_definition_is_referenced():
+    src = Path(pf.__file__).parent
+    assert _dead_private_definitions(sorted(src.glob("*.py"))) == []
+
+
+def test_dead_private_check_sees_an_unreferenced_helper(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _used():\n    return 1\n"
+                   "def _dead():\n    return _used()\n"
+                   "class _Box:\n    def __init__(self):\n        self._live()\n"
+                   "    def _live(self):\n        pass\n"
+                   "    def _stale(self):\n        pass\n"
+                   "BOX = _Box\n", encoding="utf-8")
+    assert _dead_private_definitions([mod]) == ["mod.py:3 _dead", "mod.py:10 _stale"]

@@ -322,6 +322,30 @@ class TestWavePacket:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             pf.WavePacket.gaussian(1.0, 1.0, dt=math.nan)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"t_start": math.nan}, "t_start must be finite"),
+        ({"t_start": math.inf}, "t_start must be finite"),
+        ({"duration": math.nan}, "duration must be positive and finite"),
+        ({"duration": -1.0}, "duration must be positive and finite"),
+        ({"duration": 0.0}, "duration must be positive and finite"),
+    ])
+    def test_exponential_rejects_bad_span(self, kwargs, match):
+        # these used to fail inside numpy ("arange: cannot compute
+        # length") or on the grid ("matching 1d grid")
+        with pytest.raises(ValueError, match=match):
+            pf.WavePacket.exponential(1.0, **{"t_start": 0.0, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"center": math.nan}, "center must be finite"),
+        ({"t_start": math.nan}, "t_start must be finite"),
+        ({"t_start": -math.inf}, "t_start must be finite"),
+    ])
+    def test_gaussian_rejects_bad_span(self, kwargs, match):
+        # these used to fail inside numpy, with "arange: cannot compute
+        # length" or, for t_start = -inf, "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match=match):
+            pf.WavePacket.gaussian(**{"center": 5.0, "width": 1.0, **kwargs})
+
     def test_minimal_sufficient_gamma(self):
         packet = pf.WavePacket.gaussian(12.0, 1.0, t_start=8.0)
         assert abs(pf.minimal_sufficient_gamma(packet, 0.01) - GAMMA_MIN_PIN) < 1e-9
