@@ -23,8 +23,8 @@ with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus the states on
-the grid the rows span; each row's states are filled from stacked
-powers of its step matrix.
+the grid the rows span, one product per one-step row and stacked
+powers of its step matrix for a longer row.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -344,32 +344,6 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
 _BLOCK = 128  # powers of one step matrix, or rows' chain steps, held at once
 
 
-def _powers(e, k):
-    """Stacked E^0 .. E^k by repeated doubling."""
-    p = np.empty((k + 1,) + e.shape, dtype=complex)
-    p[0] = np.eye(e.shape[0])
-    em, m = e, 1
-    while m <= k:
-        top = min(2 * m, k + 1)
-        p[m:top] = p[:top - m] @ em
-        em, m = em @ em, 2 * m
-    return p
-
-
-def _march(e, v, out):
-    """Fill row j of out with e^(j+1) v, from at most _BLOCK powers of e.
-
-    The powers are stacked as one (_BLOCK n, n) matrix, so each block of
-    up to _BLOCK rows is a single product with v, a vector or a matrix.
-    """
-    k, n = out.shape[:2]
-    p = e if k == 1 else _powers(e, min(k, _BLOCK))[1:].reshape(-1, n)
-    for lo in range(0, k, _BLOCK):
-        b = min(_BLOCK, k - lo)
-        block = out[lo:lo + b]
-        block[...] = (p[:b * n] @ (v if lo == 0 else out[lo - 1])).reshape(block.shape)
-
-
 @dataclass(frozen=True)
 class PieceTable:
     """The constant pieces of a run, one row per piece; the rows tile it.
@@ -451,14 +425,31 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
 
 
 def _march_table(table: PieceTable, v0) -> np.ndarray:
-    """v0 carried to every grid point of the table, row by row from
-    stacked powers of its step matrix; v0 is a state vector, or a matrix
-    whose columns all march."""
+    """v0, a state vector or a matrix whose columns all march, carried to
+    every grid point of the table in one walk over its rows. A one-step
+    row is one product with its step matrix E; a longer row stacks
+    E^1 .. E^b, b = min(n_steps, _BLOCK), by doubling into one (b n, n)
+    matrix, so one product with its latest state fills up to b points."""
     v0 = np.asarray(v0, dtype=complex)
     states = np.empty((int(table.starts[-1]) + 1,) + v0.shape, dtype=complex)
     states[0] = v0
     for i, k, s in zip(table.starts.tolist(), table.n_steps.tolist(), table.slot.tolist()):
-        _march(table.step_mats[s], states[i], states[i + 1:i + k + 1])
+        e = table.step_mats[s]
+        if k == 1:
+            states[i + 1] = e @ states[i]
+            continue
+        b = min(k, _BLOCK)
+        p = np.empty((b + 1,) + e.shape, dtype=complex)
+        p[0] = np.eye(len(e))
+        em, m = e, 1
+        while m <= b:
+            top = min(2 * m, b + 1)
+            p[m:top] = p[:top - m] @ em
+            em, m = em @ em, 2 * m
+        p = p[1:].reshape(-1, len(e))
+        for lo in range(i, i + k, _BLOCK):
+            c = min(_BLOCK, i + k - lo)
+            states[lo + 1:lo + c + 1] = (p[:c * len(e)] @ states[lo]).reshape((c,) + v0.shape)
     return states
 
 
@@ -551,8 +542,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     """Propagate on a uniform-per-piece grid and record everything.
 
     The nominal step is dt (default 0.01/gamma); drive pulses are
-    refined so each carries at least `min_pulse_steps` steps. Each
-    piece's states are filled from stacked powers of its step matrix.
+    refined so each carries at least `min_pulse_steps` steps. A one-step
+    piece is one product, a longer one fills from stacked matrix powers.
     """
     if dt is None:
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01

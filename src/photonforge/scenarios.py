@@ -104,8 +104,11 @@ class WavePacket:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         xi = np.asarray(self.xi, dtype=complex)
-        if grid.ndim != 1 or grid.shape != xi.shape or len(grid) < 3:
+        if grid.ndim != 1 or grid.shape != xi.shape:
             raise ValueError("packet needs matching 1d grid and amplitude arrays")
+        if len(grid) < 3:
+            raise ValueError(f"packet support holds {len(grid)} grid points, "
+                             "fewer than 3")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("packet grid must be strictly increasing")
         power = np.trapezoid(np.abs(xi) ** 2, grid)

@@ -435,6 +435,14 @@ TABLE_RUNS = {
         pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(((0.25, 0.75, 2.0),)),
         pf.PhaseSchedule.storage_release(0.9 * PI, 0.75, 1.0, PI / 2.0), 3.0,
         dt=0.25, min_pulse_steps=2),
+    # rows of _BLOCK, _BLOCK + 1 and 2 _BLOCK + 3 steps of 1/64 around
+    # three one-step ramp rows: the stacked-power fill's block edges
+    "block_edges": lambda: pf.simulate(
+        pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(((0.0, 2.0, 1.5),)),
+        pf.PhaseSchedule(((-math.inf, 2.0, 0.3), (2.0, 4.0625, 1.1),
+                          (4.0625, math.inf, 2.0)),
+                         ramp=(np.arange(257, 261) / 64, np.array([0.4, 5.9, 2.5, 0.0]))),
+        8.109375, dt=1 / 64),
     "three_level": lambda: pf.simulate(
         pf.MirrorQubitParams(levels=3, gamma02=0.1),
         pf.DriveSchedule(((0.0, 0.8, 5.0), (3.0, 3.5, 2.0j))),
@@ -462,6 +470,11 @@ class TestPieceTable:
         run = TABLE_RUNS["short_rows"]()
         assert run.pieces.n_steps.tolist() == [1, 2, 1, 8]
 
+    def test_block_edge_rows(self):
+        run = TABLE_RUNS["block_edges"]()
+        assert pf.dynamics._BLOCK == 128
+        assert run.pieces.n_steps.tolist() == [128, 129, 1, 1, 1, 259]
+
     def test_row_times_are_linspace(self, table_run):
         table = table_run.pieces
         for p, (lo, hi) in enumerate(zip(table.starts[:-1], table.starts[1:])):
@@ -479,6 +492,15 @@ class TestPieceTable:
     def test_states_equal_sequential_march(self, table_run):
         want = oracles.march_states(table_run)
         assert np.max(np.abs(table_run.states - want)) < 1e-13
+
+    def test_one_step_rows_march_bitwise(self):
+        # one product per one-step row, as the oracle takes one per step
+        run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
+                          pf.DriveSchedule(((0.5, 1.2, 2.0 - 1.0j),)),
+                          random_ramp(np.random.default_rng(7), 0.0, 2.0, 200), 2.0,
+                          dt=0.05)
+        assert run.pieces.n_steps.tolist() == [1] * 200
+        assert np.array_equal(run.states, oracles.march_states(run))
 
     def test_counting_ops_by_row(self, table_run):
         table = table_run.pieces

@@ -3,10 +3,13 @@ module importing a name it never uses, and no private function, class
 or method that the package never references."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import photonforge as pf
 from photonforge import core, dynamics, scenarios, slh, statistics
@@ -50,6 +53,19 @@ def test_all_is_the_modules_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(pf, name) is getattr(m, name), name
+
+
+def test_pyproject_matches_the_package(capsys):
+    # the CLI's meta file records __version__, and no CI step installs the
+    # package, so the console script is resolved and run here
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(pf.__file__).parents[2] / "pyproject.toml"
+    project = tomllib.loads(path.read_text(encoding="utf-8"))["project"]
+    assert project["version"] == pf.__version__
+    assert project["scripts"] == {"photonforge": "photonforge.cli:main"}
+    module, name = project["scripts"]["photonforge"].split(":")
+    assert getattr(importlib.import_module(module), name)(["list"]) == 0
+    assert "beam_splitter" in capsys.readouterr().out
 
 
 def test_import_loads_no_scipy():

@@ -297,10 +297,13 @@ class TestWavePacket:
         assert abs(packet.end - (3.0 + 24.0)) < 1e-9
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="matching 1d"):
+        with pytest.raises(ValueError, match="holds 2 grid points, fewer than 3"):
             pf.WavePacket(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="matching 1d"):
             pf.WavePacket(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
+        # short and mismatched: the shape check comes first
+        with pytest.raises(ValueError, match="matching 1d grid and amplitude arrays"):
+            pf.WavePacket(np.array([0.0, 1.0]), np.ones(1))
         with pytest.raises(ValueError, match="increasing"):
             pf.WavePacket(np.array([0.0, 2.0, 1.0]), np.ones(3))
         with pytest.raises(ValueError, match="no power"):
@@ -321,6 +324,17 @@ class TestWavePacket:
             pf.WavePacket.gaussian(1.0, math.nan)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             pf.WavePacket.gaussian(1.0, 1.0, dt=math.nan)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pf.WavePacket.gaussian(5.0, 1.0, t_start=20.0),
+        lambda: pf.WavePacket.gaussian(5.0, 1.0, t_start=8.995),
+        lambda: pf.WavePacket.exponential(1.0, 0.0, duration=0.005),
+    ])
+    def test_short_support_names_its_grid_points(self, make):
+        # these used to blame the arrays ("matching 1d grid") instead of
+        # the support, which ends before a third grid point
+        with pytest.raises(ValueError, match="fewer than 3"):
+            make()
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"t_start": math.nan}, "t_start must be finite"),
