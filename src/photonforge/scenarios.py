@@ -218,10 +218,12 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
     clip_mass = float(np.trapezoid(np.where(rate > 2.0 * gamma, xi2, 0.0), grid))
     if clip_mass > clip_budget:
         need = minimal_sufficient_gamma(packet, clip_budget)
+        cure = (f"a line rate of at least {need:.4g} would suffice"
+                if math.isfinite(need) else
+                "no finite line rate keeps the clipped mass within the budget")
         raise ValueError(
             f"packet needs coupling above 2*gamma over {clip_mass:.2%} of its "
-            f"norm (budget {clip_budget:.2%}); a line rate of at least "
-            f"{need:.4g} would suffice")
+            f"norm (budget {clip_budget:.2%}); {cure}")
     rate_c = np.clip(rate, 0.0, 2.0 * gamma)
     phi = np.arccos(np.clip(rate_c / gamma - 1.0, -1.0, 1.0))
     t0, t1 = float(grid[0]), float(grid[-1])
@@ -561,8 +563,8 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
         raise ValueError("encoding is a two-level scenario")
     if not 0 < alpha_max < math.inf:
         raise ValueError(f"alpha_max must be positive and finite, got {alpha_max}")
-    if seeds < 1:
-        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    if not (isinstance(seeds, (int, np.integer)) and seeds >= 1):
+        raise ValueError(f"seeds must be at least 1 and an integer, got {seeds!r}")
     gamma = params.gamma
     geff = effective_coupling(gamma, phi)
     if geff <= 0:
@@ -640,9 +642,10 @@ class CancellationInputs:
             raise ValueError("reference amplitude a1 must be positive")
         if self.a2 < 0:
             raise ValueError("a2 must be nonnegative")
-        for name in ("tau1", "tau2"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not (0.0 < self.tau1 <= 1.0):
+            raise ValueError("reference transmission tau1 must lie in (0, 1]")
+        if not (0.0 <= self.tau2 <= 1.0):
+            raise ValueError("tau2 must lie in [0, 1]")
 
     @classmethod
     def matched(cls, a1: float = 1.0, phi1: float = 0.0, omega: float = 0.0,

@@ -10,6 +10,10 @@ Coupling entries are (operator, offset) pairs so a purely coherent
 channel like a laser tone, (S, L, H) = (1, alpha, 0), fits in the same
 container; offsets ride along linearly through every product and are
 turned into drive terms of the Hamiltonian by `to_master_equation`.
+The products act on the stacked couplings, an (n, d, d) array of
+operator parts beside an (n,) array of offsets, so each is a few array
+products; in the Hamiltonian cross term an offset enters as that
+multiple of the identity.
 
 The closed-form triplet of a two-level emitter coupled to a
 semi-infinite line (round-trip phase phi to the reflecting end) is
@@ -47,20 +51,20 @@ class CouplingEntry:
     op: np.ndarray
     offset: complex = 0.0
 
-    def scaled(self, c: complex) -> "CouplingEntry":
-        c = complex(c)
-        return CouplingEntry(self.op * c, self.offset * c)
 
-    def plus(self, other: "CouplingEntry") -> "CouplingEntry":
-        return CouplingEntry(self.op + other.op, self.offset + other.offset)
+def _stack(g: SlhTriplet) -> Tuple[np.ndarray, np.ndarray]:
+    """A triplet's couplings as (n, d, d) operator parts and (n,) offsets."""
+    return (np.array([e.op for e in g.couplings]),
+            np.array([e.offset for e in g.couplings], dtype=complex))
 
 
-def _cross(a: CouplingEntry, b: CouplingEntry) -> np.ndarray:
-    """(L_a + alpha_a)^dag (L_b + alpha_b), the offsets times the identity."""
-    return (a.op.conj().T @ b.op
-            + b.offset * a.op.conj().T
-            + np.conj(a.offset) * b.op
-            + np.conj(a.offset) * b.offset * np.eye(a.op.shape[0]))
+def _interaction(c: np.ndarray, a, b) -> np.ndarray:
+    """(1/2i)(X - X^dag), X = sum_ij c_ij (A_i + alpha_i)^dag (B_j + beta_j),
+    for stacked couplings a = (A, alpha) and b = (B, beta); each offset
+    enters as that multiple of the identity."""
+    ta, tb = (ops + offs[:, None, None] * np.eye(ops.shape[1]) for ops, offs in (a, b))
+    x = np.einsum("ij,iqp,jqr->pr", c, ta.conj(), tb)
+    return (x - x.conj().T) / 2j
 
 
 def _entry(x, dim: int) -> CouplingEntry:
@@ -150,26 +154,14 @@ def series(g2: SlhTriplet, g1: SlhTriplet) -> SlhTriplet:
     that the product stays associative.
     """
     if g1.n_ports != g2.n_ports:
-        raise ValueError(
-            f"port count mismatch: {g2.n_ports} vs {g1.n_ports}"
-        )
+        raise ValueError(f"port count mismatch: {g2.n_ports} vs {g1.n_ports}")
     if g1.dim != g2.dim:
         raise ValueError("Hilbert dimension mismatch")
-    n, d = g1.n_ports, g1.dim
-    s = g2.s @ g1.s
-    couplings = []
-    for i in range(n):
-        acc = g2.couplings[i]
-        for j in range(n):
-            acc = acc.plus(g1.couplings[j].scaled(g2.s[i, j]))
-        couplings.append(acc)
-    # interaction term (1/2i)(L2^dag S2 L1 - h.c.)
-    x = np.zeros((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            x = x + g2.s[i, j] * _cross(g2.couplings[i], g1.couplings[j])
-    h = g1.h + g2.h + (x - x.conj().T) / 2j
-    return SlhTriplet(s, couplings, h, dim=d)
+    (ops2, offs2), (ops1, offs1) = _stack(g2), _stack(g1)
+    ops = ops2 + np.tensordot(g2.s, ops1, axes=1)
+    offs = offs2 + g2.s @ offs1
+    h = g1.h + g2.h + _interaction(g2.s, (ops2, offs2), (ops1, offs1))
+    return SlhTriplet(g2.s @ g1.s, list(zip(ops, offs)), h, dim=g1.dim)
 
 
 def concatenate(g2: SlhTriplet, g1: SlhTriplet) -> SlhTriplet:
@@ -192,7 +184,7 @@ def feedback(g: SlhTriplet, out_port: int, in_port: int) -> SlhTriplet:
     invertible; a singular loop is rejected with a diagnostic.
     """
     k, l = out_port, in_port
-    n, d = g.n_ports, g.dim
+    n = g.n_ports
     if n < 2:
         raise ValueError("feedback needs at least two ports")
     if not (0 <= k < n and 0 <= l < n):
@@ -203,23 +195,14 @@ def feedback(g: SlhTriplet, out_port: int, in_port: int) -> SlhTriplet:
             f"singular feedback loop: S[{k},{l}] = {g.s[k, l]} makes "
             "1 - S[k,l] non-invertible"
         )
-    inv = 1.0 / denom
-    rows = [i for i in range(n) if i != k]
-    cols = [j for j in range(n) if j != l]
-    s = np.empty((n - 1, n - 1), dtype=complex)
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            s[a, b] = g.s[i, j] + g.s[i, l] * inv * g.s[k, j]
-    lk = g.couplings[k]
-    couplings = [
-        g.couplings[i].plus(lk.scaled(g.s[i, l] * inv)) for i in rows
-    ]
-    # Hamiltonian correction (1/2i)((sum_j L_j^dag S_jl) (1-S_kl)^-1 L_k - h.c.)
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(n):
-        x = x + (g.s[j, l] * inv) * _cross(g.couplings[j], lk)
-    h = g.h + (x - x.conj().T) / 2j
-    return SlhTriplet(s, couplings, h, dim=d)
+    c = g.s[:, l] / denom
+    s = np.delete(np.delete(g.s + np.outer(c, g.s[k]), k, 0), l, 1)
+    ops, offs = _stack(g)
+    kept_ops = np.delete(ops + c[:, None, None] * ops[k], k, 0)
+    kept_offs = np.delete(offs + c * offs[k], k, 0)
+    # (1/2i)((sum_j L_j^dag S_jl) (1 - S_kl)^-1 L_k - h.c.)
+    h = g.h + _interaction(c[:, None], (ops, offs), (ops[k:k + 1], offs[k:k + 1]))
+    return SlhTriplet(s, list(zip(kept_ops, kept_offs)), h, dim=g.dim)
 
 
 def to_master_equation(g: SlhTriplet) -> Tuple[Operator, list]:
@@ -230,16 +213,10 @@ def to_master_equation(g: SlhTriplet) -> Tuple[Operator, list]:
     the Hamiltonian as the drive -(i/2)(alpha L^dag - conj(alpha) L).
     Zero operator parts are dropped from the collapse list.
     """
-    d = g.dim
-    h = g.h.astype(complex).copy()
-    collapse = []
-    for e in g.couplings:
-        if e.offset != 0:
-            x = e.offset * e.op.conj().T
-            h = h + (x - x.conj().T) / 2j
-        if np.any(np.abs(e.op) > 0):
-            collapse.append(Operator(e.op))
-    return Operator(h), collapse
+    ops, offs = _stack(g)
+    x = np.einsum("i,iqp->pq", offs, ops.conj())
+    h = g.h + (x - x.conj().T) / 2j
+    return Operator(h), list(map(Operator, ops[np.any(ops, axis=(1, 2))]))
 
 
 def triplet_liouvillian(g: SlhTriplet) -> Superoperator:
@@ -248,18 +225,13 @@ def triplet_liouvillian(g: SlhTriplet) -> Superoperator:
     return liouvillian(h, ls)
 
 
-def emitter_triplet(gamma: float, h_tls=None) -> SlhTriplet:
+def emitter_triplet(gamma: float) -> SlhTriplet:
     """Two-sided emitter: each line direction couples at rate gamma / 2."""
-    sm = lowering_op(2, 0, 1).mat
-    if h_tls is None:
-        h_tls = np.zeros((2, 2))
-    amp = np.sqrt(gamma / 2.0)
-    return SlhTriplet(
-        np.eye(2), [CouplingEntry(amp * sm), CouplingEntry(amp * sm)], h_tls
-    )
+    entry = CouplingEntry(np.sqrt(gamma / 2.0) * lowering_op(2, 0, 1).mat)
+    return SlhTriplet(np.eye(2), [entry, entry])
 
 
-def mirror_network(gamma: float, phi: float, h_tls=None) -> SlhTriplet:
+def mirror_network(gamma: float, phi: float) -> SlhTriplet:
     """Emitter in front of a reflecting line end, by network composition.
 
     The left-moving output acquires the round-trip phase phi and returns
@@ -273,15 +245,15 @@ def mirror_network(gamma: float, phi: float, h_tls=None) -> SlhTriplet:
         np.zeros((2, 2)),
         dim=2,
     )
-    emitter = emitter_triplet(gamma, h_tls)
+    emitter = emitter_triplet(gamma)
     return feedback(series(phase, emitter), out_port=0, in_port=1)
 
 
-def mirror_triplet(gamma: float, phi: float, h_tls=None) -> SlhTriplet:
+def mirror_triplet(gamma: float, phi: float) -> SlhTriplet:
     """Closed-form single-port triplet of the emitter-plus-mirror system.
 
     S = e^{i phi}, L = sqrt(gamma/2) (1 + e^{i phi}) sigma_minus,
-    H = H_TLS + (gamma/2) sin(phi) sigma_plus sigma_minus.
+    H = (gamma/2) sin(phi) sigma_plus sigma_minus.
 
     On phi in [0, pi] the coupling equals the polar form
     e^{i phi/2} sqrt(gamma (1 + cos phi)) sigma_minus; past pi the polar
@@ -289,10 +261,8 @@ def mirror_triplet(gamma: float, phi: float, h_tls=None) -> SlhTriplet:
     stays continuous and exactly equal to the feedback composition.
     """
     sm = lowering_op(2, 0, 1).mat
-    if h_tls is None:
-        h_tls = np.zeros((2, 2))
     lop = np.sqrt(gamma / 2.0) * (1.0 + np.exp(1j * phi)) * sm
-    h = _as_matrix(h_tls) + (gamma / 2.0) * np.sin(phi) * (sm.conj().T @ sm)
+    h = (gamma / 2.0) * np.sin(phi) * (sm.conj().T @ sm)
     return SlhTriplet(np.array([[np.exp(1j * phi)]]), [CouplingEntry(lop)], h)
 
 

@@ -192,8 +192,8 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     level with each row's jump of the "line" channel, right-continuously.
     The chain is generic in its level count: any cutoff of at least 1 runs.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    if not (isinstance(cutoff, (int, np.integer)) and cutoff >= 1):
+        raise ValueError(f"cutoff must be an integer of at least 1, got {cutoff!r}")
     i0, i1 = _window_indices(run, window)
     jumps = _jumps(run)
     if run.drive_points < 20:

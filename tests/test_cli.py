@@ -192,6 +192,15 @@ class TestRunCommand:
         assert "below -1e-3" in err
         assert not (outdir / "result.csv").exists()
 
+    def test_blocked_reference_path_exits_one(self, tmp_path, capsys):
+        # the residual is relative to path 1: a blocked path 1 has none
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"scenario = cancel_budget\ntau1 = 0\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 1
+        assert "tau1" in capsys.readouterr().err
+        assert not (outdir / "result.csv").exists()
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -68,6 +68,31 @@ def test_pyproject_matches_the_package(capsys):
     assert "beam_splitter" in capsys.readouterr().out
 
 
+def _python_floor():
+    """The (major, minor) of pyproject's requires-python ">=X.Y"."""
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(pf.__file__).parents[2] / "pyproject.toml"
+    spec = tomllib.loads(path.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert spec.startswith(">="), spec
+    return tuple(int(part) for part in spec[2:].split(".")[:2])
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # CI runs one newer interpreter; this holds the syntax to the floor
+    floor = _python_floor()
+    src = Path(pf.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10), reason="needs a match-aware parser")
+def test_floor_parse_rejects_newer_syntax():
+    code = "match x:\n    case 1:\n        pass\n"
+    ast.parse(code, feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse(code, feature_version=(3, 9))
+
+
 def test_import_loads_no_scipy():
     # scipy's import costs several times the package's own; only
     # encode_flying_qubit loads it, when called

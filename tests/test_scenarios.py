@@ -374,6 +374,14 @@ class TestWavePacket:
         with pytest.raises(ValueError, match="would suffice"):
             pf.shape_to_schedule(packet, g * (1.0 - 1e-9), 0.01)
 
+    def test_zero_budget_names_no_finite_rate(self):
+        # the tail integral at the last point is 0, so the rate needed
+        # there is infinite: no gamma releases the packet unclipped
+        packet = pf.WavePacket.exponential(1.0, 0.0)
+        assert pf.minimal_sufficient_gamma(packet, 0.0) == math.inf
+        with pytest.raises(ValueError, match="no finite line rate keeps the clipped mass"):
+            pf.shape_to_schedule(packet, 1.0, clip_budget=0.0)
+
     def test_shape_to_schedule_geometry(self):
         packet = pf.WavePacket.exponential(1.0, 8.0)
         sched = pf.shape_to_schedule(packet, 1.0)
@@ -567,8 +575,17 @@ class TestFlyingQubitEncoding:
             pf.encode_flying_qubit(target, qubit_unit(), alpha_max=0.0)
         with pytest.raises(ValueError, match="seeds must be at least 1"):
             pf.encode_flying_qubit(target, qubit_unit(), seeds=0)
+        with pytest.raises(ValueError, match="seeds"):
+            pf.encode_flying_qubit(target, qubit_unit(), seeds=2.5)
         with pytest.raises(ValueError, match="two-level"):
             pf.encode_flying_qubit(target, ladder())
+
+    def test_numpy_integer_seeds(self):
+        target = pf.FlyingQubitTarget.of(1.0, 1.0)
+        want = pf.encode_flying_qubit(target, qubit_unit(), seeds=2)
+        got = pf.encode_flying_qubit(target, qubit_unit(), seeds=np.int64(2))
+        assert (got.delta, got.alpha, got.t_w, got.fidelity) == (
+            want.delta, want.alpha, want.t_w, want.fidelity)
 
     def test_rejects_non_finite_inputs(self):
         # a NaN phi used to fail as "delta must be finite"
@@ -610,6 +627,11 @@ class TestCancellationBudget:
         assert out.residual_ratio == 1.0
         assert out.residual_db == 0.0
 
+    def test_rejects_blocked_reference_path(self):
+        # the residual is relative to path 1: a blocked path 1 has none
+        with pytest.raises(ValueError, match="tau1"):
+            pf.CancellationInputs(a1=1.0, a2=1.0, tau1=0.0)
+
     @pytest.mark.parametrize("field", ["a1", "a2", "phi1", "phi2", "omega1",
                                        "omega2", "phi", "tau1", "tau2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -625,5 +647,7 @@ class TestCancellationBudget:
             pf.CancellationInputs(a1=1.0, a2=-0.1)
         with pytest.raises(ValueError, match="tau1"):
             pf.CancellationInputs(a1=1.0, a2=1.0, tau1=1.5)
+        with pytest.raises(ValueError, match="tau2"):
+            pf.CancellationInputs(a1=1.0, a2=1.0, tau2=-0.1)
         with pytest.raises(ValueError, match="tau2"):
             pf.CancellationInputs.matched(tau2=0.0)
