@@ -54,12 +54,6 @@ class RunConfig:
     values: dict
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _fmt_default(v) -> str:
     if isinstance(v, tuple):
         return ",".join(repr(x) for x in v)
@@ -73,7 +67,7 @@ def _fmt_default(v) -> str:
 
 
 def _probability_columns(v):
-    return ["alpha0"] + [f"P{n}" for n in range(int(v["cutoff"]) + 1)]
+    return ["alpha0"] + [f"P{n}" for n in range(v["cutoff"] + 1)]
 
 
 def _run_beam_splitter(v):
@@ -85,7 +79,7 @@ def _run_beam_splitter(v):
     def one(a0):
         return (a0,) + run_beam_splitter(
             params, BeamSplitterConfig(alpha0=a0, **config),
-            cutoff=int(v["cutoff"])).probabilities
+            cutoff=v["cutoff"]).probabilities
 
     return _probability_columns(v), [one(a0) for a0 in v["alpha0"]]
 
@@ -108,7 +102,7 @@ def _run_shaped_release(v):
     def one(a0):
         res = run_shaped_release(
             params, alpha0=a0, phi_i=v["phi_i"], t0=v["t0"], t_r=v["t_r"],
-            t_end=v["t_end"], release=release, cutoff=int(v["cutoff"]),
+            t_end=v["t_end"], release=release, cutoff=v["cutoff"],
             dt=v["dt"], clip_budget=v["clip_budget"])
         return (a0,) + res.stats.probabilities
 
@@ -126,7 +120,7 @@ def _run_cascade_sweep(v):
 def _run_nr_sweep(v):
     params = MirrorQubitParams(gamma=v["gamma"])
     rows = sweep_nonradiative(params, v["alpha0"], v["r"], v["gamma_nr"],
-                              cutoff=int(v["cutoff"]), t0=v["t0"],
+                              cutoff=v["cutoff"], t0=v["t0"],
                               t_end=v["t_end"], dt=v["dt"])
     return ["gamma_nr", "P0", "P1"], [
         (gnr, stats.probabilities[0], stats.probabilities[1]) for gnr, stats in rows]
@@ -136,7 +130,7 @@ def _run_wait_sweep(v):
     params = MirrorQubitParams(gamma=v["gamma"])
     rows = sweep_wait_time(params, v["alpha0"], v["gamma_nr"], v["phi_r"],
                            v["t_wait"], phi_i=v["phi_i"], t0=v["t0"],
-                           window=v["window"], cutoff=int(v["cutoff"]),
+                           window=v["window"], cutoff=v["cutoff"],
                            dt=v["dt"])
     return ["t_wait", "P0", "P1"], [
         (t_wait, res.stats.probabilities[0], res.stats.probabilities[1])
@@ -150,7 +144,7 @@ def _run_encode(v):
     anh = v["anharmonicity"] if v["anharmonicity"] > 0 else None
     res = encode_flying_qubit(target, params, phi=v["phi"],
                               alpha_max=v["alpha_max"], anharmonicity=anh,
-                              seeds=int(v["seeds"]))
+                              seeds=v["seeds"])
     row = (res.delta, res.alpha.real, res.alpha.imag, res.t_w, res.fidelity)
     return ["delta", "alpha_re", "alpha_im", "t_w", "fidelity"], [row]
 
@@ -297,14 +291,18 @@ def parse_config(text: str) -> RunConfig:
 # artifact writing
 
 
+def _write_lines(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def _write_csv(path: str, columns, rows) -> None:
     lines = ["# gnuplot columns: " +
              " ".join(f"{i + 1}={c}" for i, c in enumerate(columns))]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(float(x)) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        lines.append(",".join(f"{float(x):.12g}" for x in row))
+    _write_lines(path, lines)
 
 
 def _write_meta(path: str, config: RunConfig) -> None:
@@ -312,8 +310,7 @@ def _write_meta(path: str, config: RunConfig) -> None:
              f"outdir={config.outdir}"]
     for key, _ in SCENARIOS[config.scenario].defaults:
         lines.append(f"{key}={_fmt_default(config.values[key])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _cmd_run(path: str) -> int:
@@ -325,6 +322,11 @@ def _cmd_run(path: str) -> int:
         return 2
     try:
         config = parse_config(text)
+        # the directory is made before the run so a long run is not lost to it
+        try:
+            os.makedirs(config.outdir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create outdir {config.outdir!r}: {e}")
         columns, rows = SCENARIOS[config.scenario].runner(config.values)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -332,7 +334,6 @@ def _cmd_run(path: str) -> int:
     except (ValueError, RuntimeError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
-    os.makedirs(config.outdir, exist_ok=True)
     _write_csv(os.path.join(config.outdir, "result.csv"), columns, rows)
     _write_meta(os.path.join(config.outdir, "meta"), config)
     return 0

@@ -46,6 +46,15 @@ def _as_matrix(x):
     return np.asarray(m, dtype=complex)
 
 
+def _square(mat, what: str) -> np.ndarray:
+    """A read-only complex copy of mat, which must be a square matrix."""
+    mat = np.array(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {mat.shape}")
+    mat.setflags(write=False)
+    return mat
+
+
 class Operator:
     """A dense complex matrix on a finite Hilbert space.
 
@@ -56,11 +65,7 @@ class Operator:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {mat.shape}")
-        mat.setflags(write=False)
-        self.mat = mat
+        self.mat = _square(mat, "operator")
 
     @property
     def dim(self) -> int:
@@ -86,13 +91,9 @@ class DensityMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got {mat.shape}")
-        if not np.isfinite(mat).all():
+        self.mat = _square(mat, "density matrix")
+        if not np.isfinite(self.mat).all():
             raise ValueError("density matrix entries must be finite")
-        mat.setflags(write=False)
-        self.mat = mat
         self.validate()
 
     @property
@@ -145,15 +146,10 @@ class Superoperator:
     __slots__ = ("mat", "dim")
 
     def __init__(self, mat):
-        mat = np.array(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"superoperator must be square, got {mat.shape}")
-        d = int(round(np.sqrt(mat.shape[0])))
-        if d * d != mat.shape[0]:
-            raise ValueError(f"side {mat.shape[0]} is not a perfect square")
-        mat.setflags(write=False)
-        self.mat = mat
-        self.dim = d
+        self.mat = _square(mat, "superoperator")
+        self.dim = int(round(np.sqrt(len(self.mat))))
+        if self.dim ** 2 != len(self.mat):
+            raise ValueError(f"side {len(self.mat)} is not a perfect square")
 
     def apply(self, rho) -> np.ndarray:
         """Apply to a density matrix (or bare matrix); returns a matrix."""

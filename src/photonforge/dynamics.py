@@ -118,7 +118,8 @@ def effective_coupling(gamma: float, phi: float) -> float:
 def pi_pulse_width(alpha0: float, gamma_eff: float) -> float:
     """Width of a resonant square pi pulse: pi / (2 alpha0 sqrt(Gamma_eff))."""
     if not (0 < alpha0 < math.inf and 0 < gamma_eff < math.inf):
-        raise ValueError("alpha0 and gamma_eff must be positive and finite")
+        raise ValueError("alpha0 and gamma_eff must be positive and finite, "
+                         f"got alpha0={alpha0}, gamma_eff={gamma_eff}")
     return math.pi / (2.0 * alpha0 * math.sqrt(gamma_eff))
 
 
@@ -213,7 +214,8 @@ class PhaseSchedule:
         switches from phi_i to phi_r directly.
         """
         if t_r < t_store:
-            raise ValueError("release must not precede the storage point")
+            raise ValueError(f"storage point {t_store!r} falls after the "
+                             f"release time {t_r!r}")
         segs = [(-math.inf, t_store, float(phi_i))]
         if t_r > t_store:
             segs.append((t_store, t_r, math.pi))
@@ -479,11 +481,12 @@ def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
     return vec(rho)
 
 
-def _flux(ops, rows, states) -> np.ndarray:
-    """Output flux tr(L^dag L rho) of column-stacked states, L = ops[rows]
-    the line operator of each state's row; tr(A rho) = A.ravel() @ vec(rho)."""
+def _flux(table: PieceTable, states, at=slice(None)) -> np.ndarray:
+    """Output flux tr(L^dag L rho) of column-stacked states at grid points `at`,
+    L each point's line operator by `per_point`; tr(A rho) = A.ravel() @ vec(rho)."""
+    ops = table.channels["line"]
     ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
-    return np.einsum("ni,ni->n", np.take(ldl, rows, axis=0), states).real
+    return np.einsum("ni,ni->n", table.per_point(ldl)[at], states[at]).real
 
 
 def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
@@ -503,8 +506,7 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
                          *(grid[[0, -1]] if len(grid) else (0.0, 0.0)), grid)
     states = _march_table(table, v0)
     # a grid point reads the state after every piece ending at or before it
-    at = np.searchsorted(table.t_b, grid + 1e-12, side="right")
-    return _flux(table.channels["line"], np.minimum(at, len(table.t_a) - 1), states[at])
+    return _flux(table, states, np.searchsorted(table.t_b, grid + 1e-12, side="right"))
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,7 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
     the clipped packet mass exceeds `clip_budget` the packet is
     declared unreachable at this Gamma.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_positive(gamma=gamma)
     _check_budget(clip_budget)
     grid, xi2 = packet.grid, packet.intensity()
     rate = _release_rate(packet)
@@ -222,8 +221,8 @@ def shape_to_schedule(packet: WavePacket, gamma: float,
                 if math.isfinite(need) else
                 "no finite line rate keeps the clipped mass within the budget")
         raise ValueError(
-            f"packet needs coupling above 2*gamma over {clip_mass:.2%} of its "
-            f"norm (budget {clip_budget:.2%}); {cure}")
+            f"packet needs coupling above 2*gamma over {clip_mass:.3g} of its "
+            f"norm (budget {clip_budget:.3g}); {cure}")
     rate_c = np.clip(rate, 0.0, 2.0 * gamma)
     phi = np.arccos(np.clip(rate_c / gamma - 1.0, -1.0, 1.0))
     t0, t1 = float(grid[0]), float(grid[-1])
@@ -330,12 +329,9 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     _check_finite(t0=t0)
     if not t_r < t_end:
         raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
-    geff_i = effective_coupling(params.gamma, phi_i)
-    t_w = pi_pulse_width(abs(alpha0), geff_i)
-    t_store = t0 + t_w
-    if t_store > t_r + 1e-12:
-        raise ValueError(
-            f"preparation ends at {t_store:.4f}, after the release time {t_r}")
+    drive = DriveSchedule.square_pi_pulse(alpha0, t0,
+                                          effective_coupling(params.gamma, phi_i))
+    t_store = drive.segments[0][1]
 
     packet = release if isinstance(release, WavePacket) else None
     if packet is None:
@@ -355,7 +351,6 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
                                                       float(shaped.ramp[1][-1])),
                         ramp=shaped.ramp, clip_fraction=shaped.clip_fraction)
 
-    drive = DriveSchedule(((t0, t_store, complex(alpha0)),))
     run = simulate(params, drive, sched, t_end, dt=dt)
     # packet releases count over the packet support only
     stats_end = t_end if packet is None else min(t_end, packet.end)
@@ -367,8 +362,7 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     table = run.pieces
     phase_vals = table.per_point(table.phi)
     p_exc = run.states[:, 3].real
-    flux = _flux(table.channels["line"], table.per_point(np.arange(len(table.phi))),
-                 run.states)
+    flux = _flux(table, run.states)
 
     # the window starts at the grid point of t_r, a phase breakpoint; the
     # emitted fraction is the window's first counting moment
@@ -413,9 +407,7 @@ def run_cascade(params: MirrorQubitParams, alpha_d: float,
         raise ValueError(f"alpha_d must be finite and nonnegative, got {alpha_d}")
     if alpha_d == 0:
         return CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
-    g02e = 2.0 * params.gamma02
-    t_w = pi_pulse_width(alpha_d, g02e)
-    drive = DriveSchedule(((0.0, t_w, complex(alpha_d)),))
+    drive = DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * params.gamma02)
     run = simulate(params, drive, PhaseSchedule.constant(0.0), t_end, dt=dt)
     return CrossPairResult(g_ii=cross_pair_integral(run, "idler", "idler"),
                            g_ss=cross_pair_integral(run, "signal", "signal"),
@@ -461,11 +453,11 @@ def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
     phi_r, and counts over a window of fixed length.
     """
     p = params.with_(gamma_nr=gamma_nr)
-    geff_i = effective_coupling(p.gamma, phi_i)
-    t_w = pi_pulse_width(abs(alpha0), geff_i)
+    pulse = DriveSchedule.square_pi_pulse(alpha0, t0, effective_coupling(p.gamma, phi_i))
+    t_store = pulse.segments[0][1]
 
     def one(t_wait):
-        t_r = t0 + t_w + t_wait
+        t_r = t_store + t_wait
         t_end = t_r + window
         res = run_shaped_release(p, alpha0=alpha0, phi_i=phi_i, t0=t0,
                                  t_r=t_r, t_end=t_end, release=phi_r,
@@ -561,8 +553,7 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
     """
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
-    if not 0 < alpha_max < math.inf:
-        raise ValueError(f"alpha_max must be positive and finite, got {alpha_max}")
+    _check_positive(alpha_max=alpha_max)
     if not (isinstance(seeds, (int, np.integer)) and seeds >= 1):
         raise ValueError(f"seeds must be at least 1 and an integer, got {seeds!r}")
     gamma = params.gamma

@@ -128,13 +128,11 @@ class SlhTriplet:
     def _infer_dim(couplings, h):
         if h is not None:
             return _as_matrix(h).shape[0]
+        # a scalar coupling coerced at dimension 0 has no operator part
         for x in couplings:
-            if isinstance(x, CouplingEntry):
-                return x.op.shape[0]
-            if isinstance(x, tuple):
-                return _as_matrix(x[0]).shape[0]
-            if not isinstance(x, (int, float, complex)):
-                return _as_matrix(x).shape[0]
+            d = _entry(x, 0).op.shape[0]
+            if d:
+                return d
         raise ValueError("cannot infer Hilbert dimension; pass dim=")
 
     @property

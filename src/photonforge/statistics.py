@@ -118,7 +118,8 @@ def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     operator M on every table row, shape (P, d^2, d^2)."""
     ops = run.pieces.channels.get(channel)
     if ops is None:
-        raise ValueError("run carries no counting operators")
+        raise ValueError(f"unknown channel {channel!r}; this run has "
+                         f"{', '.join(run.pieces.channels)}")
     d = ops.shape[-1]
     return np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
 
@@ -282,14 +283,6 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     return val
 
 
-def _channel_jumps(run: ScenarioRun, name: str) -> np.ndarray:
-    if run.params.levels != 3:
-        raise ValueError("pair correlations require a three-level run")
-    if name not in run.pieces.channels:
-        raise ValueError(f"unknown channel {name!r}")
-    return _jumps(run, name)
-
-
 def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     """A_{first,second}: both-jumps integral with `first` at the earlier time.
 
@@ -300,8 +293,9 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     (J_b, J_a): u_1 carries the late jump of channel b, u_2 the early
     jump of channel a. The channels are "signal", "idler" and "pump".
     """
-    ja = _channel_jumps(run, first)
-    jb = _channel_jumps(run, second)
+    if run.params.levels != 3:
+        raise ValueError("pair correlations require a three-level run")
+    ja, jb = _jumps(run, first), _jumps(run, second)
     w = _chain(run, 0, len(run.times) - 1, [jb, ja])
     return float((w[1 + run.dim ** 2:] @ run.states[0]).real)
 

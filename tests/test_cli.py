@@ -201,6 +201,26 @@ class TestRunCommand:
         assert "tau1" in capsys.readouterr().err
         assert not (outdir / "result.csv").exists()
 
+    def test_undecoupled_cascade_names_the_pulse_inputs(self, tmp_path, capsys):
+        # gamma02 = 0 leaves the 0-2 line no rate for the pi pulse
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario = cascade_sweep\nalpha_d = 5\ngamma02 = 0\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 1
+        assert "alpha0=5.0, gamma_eff=0.0" in capsys.readouterr().err
+        assert not (outdir / "result.csv").exists()
+
+    def test_unusable_outdir_exits_two_before_running(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / "out"
+        cfg = write_config(tmp_path, f"scenario = cancel_budget\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot create outdir {str(outdir)!r}" in err
+        assert not blocker.is_dir()
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -207,6 +207,18 @@ class TestShapedRelease:
         with pytest.raises(ValueError, match="after the release time"):
             pf.run_shaped_release(qubit_unit(), alpha0=5.0, t_r=1.2)
 
+    @pytest.mark.parametrize("packet", [False, True])
+    def test_storage_after_release_names_both_times(self, packet):
+        # a release 5e-13 early used to slip past a 1e-12 allowance and
+        # fail naming neither time; a packet release is shaped first
+        t_store = 1.0 + pf.pi_pulse_width(5.0, pf.effective_coupling(1.0, 0.9 * PI))
+        t_r = t_store - (1.2 if packet else 5e-13)
+        release = pf.WavePacket.exponential(1.0, t_r) if packet else PI / 2
+        with pytest.raises(ValueError) as err:
+            pf.run_shaped_release(qubit_unit(), alpha0=5.0, t_r=t_r, release=release)
+        assert str(err.value) == (
+            f"storage point {t_store!r} falls after the release time {t_r!r}")
+
     def test_three_level_rejected(self):
         with pytest.raises(ValueError, match="two-level"):
             pf.run_shaped_release(ladder())
@@ -380,6 +392,9 @@ class TestWavePacket:
         packet = pf.WavePacket.exponential(1.0, 0.0)
         assert pf.minimal_sufficient_gamma(packet, 0.0) == math.inf
         with pytest.raises(ValueError, match="no finite line rate keeps the clipped mass"):
+            pf.shape_to_schedule(packet, 1.0, clip_budget=0.0)
+        # the clipped mass is 6.1e-6, which a percentage printed as 0.00%
+        with pytest.raises(ValueError, match=r"over 6\.14e-06 of its norm \(budget 0\)"):
             pf.shape_to_schedule(packet, 1.0, clip_budget=0.0)
 
     def test_shape_to_schedule_geometry(self):
