@@ -292,8 +292,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -328,14 +331,14 @@ def _cmd_run(path: str) -> int:
         except OSError as e:
             raise ConfigError(f"cannot create outdir {config.outdir!r}: {e}")
         columns, rows = SCENARIOS[config.scenario].runner(config.values)
+        _write_csv(os.path.join(config.outdir, "result.csv"), columns, rows)
+        _write_meta(os.path.join(config.outdir, "meta"), config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
-    _write_csv(os.path.join(config.outdir, "result.csv"), columns, rows)
-    _write_meta(os.path.join(config.outdir, "meta"), config)
     return 0
 
 

@@ -15,10 +15,13 @@ Under this convention the commutator part of a Liouvillian is
     conj(X) kron X - (1/2) I kron X^dag X - (1/2) (X^dag X)^T kron I.
 
 All code in this package assumes this one convention; do not mix in
-row-stacked superoperators from elsewhere.
+row-stacked superoperators from elsewhere. Compiled runs use the real
+`coordinates` of a Hermitian matrix instead (`to_coordinates`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,6 +41,11 @@ __all__ = [
 HERM_TOL = 1e-10   # Hermiticity checks
 TRACE_TOL = 1e-10  # trace-one / trace-annihilation checks
 PSD_TOL = 1e-9     # eigenvalue floor for density matrices
+
+
+def _check_count(name: str, v) -> None:
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
 
 
 def _as_matrix(x):
@@ -185,6 +193,32 @@ def trace_row(d: int) -> np.ndarray:
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def coordinates(d: int):
+    """Read-only (V, W), vec(rho) = V c and c = W vec(rho), for the real coordinates
+    c of a Hermitian rho: rho_jj, then Re and Im rho_jk, j < k. V's entries are 0, 1,
+    +-i, W's 0, 1, 1/2, +-i/2, so W V = V W = I exactly (Gorini et al. 1976)."""
+    v = np.zeros((d * d, d * d), dtype=complex)
+    v[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    for n, (j, k) in enumerate(zip(*np.triu_indices(d, 1))):
+        v[[j + k * d, k + j * d], d + 2 * n:d + 2 * n + 2] = [[1.0, 1j], [1.0, -1j]]
+    w = v.conj().T / (np.abs(v) ** 2).sum(axis=0)[:, None]
+    v.flags.writeable = w.flags.writeable = False
+    return v, w
+
+
+@functools.lru_cache(maxsize=None)
+def _sandwich(d: int) -> np.ndarray:
+    return np.kron(coordinates(d)[1].T, coordinates(d)[0])
+
+
+def to_coordinates(sups: np.ndarray) -> np.ndarray:
+    """W S V, real, of each Hermiticity-preserving superoperator S of an
+    array: the flattened rows of S times kron(W^T, V) in one product."""
+    n = sups.shape[-1]
+    return (sups.reshape(-1, n * n) @ _sandwich(round(n ** 0.5))).real.reshape(sups.shape)
+
+
 def lowering_op(dim: int, lower: int, upper: int) -> Operator:
     """|lower><upper| on a dim-level system.
 
@@ -260,16 +294,16 @@ def sup_exp(lv, t):
     duration t >= 0; at t = 0 it is the identity exactly.
 
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
-    array of their propagators from one stacked call. Scaling and
-    squaring with Pade approximants (Higham 2005) in numpy: each slice
-    takes the lowest degree whose bound its 1-norm meets, or degree 13
-    after halving s times, and is squared back s times. The stack is
-    evaluated in one pass of stacked products and one stacked solve,
-    and a slice's result never depends on the rest of the stack. A
-    non-finite result raises FloatingPointError instead of travelling
-    on as NaN.
+    array of their propagators from one stacked call; a real stack stays
+    real. Scaling and squaring with Pade approximants (Higham 2005) in
+    numpy: each slice takes the lowest degree whose bound its 1-norm
+    meets, or degree 13 after halving s times, and is squared back s
+    times. The stack is evaluated in one pass of stacked products and one
+    stacked solve, and a slice's result never depends on the rest of the
+    stack. A non-finite result raises FloatingPointError instead of
+    travelling on as NaN.
     """
-    m = _as_matrix(lv)
+    m = np.asarray(getattr(lv, "mat", lv))
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError(f"duration must be finite and nonnegative, got {t}")

@@ -24,7 +24,8 @@ distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus the states on
 the grid the rows span, one product per one-step row and stacked
-powers of its step matrix for a longer row.
+powers of its step matrix for a longer row. Step matrices and states are
+real `core.coordinates`; `ScenarioRun.states` and `propagator` are vec.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -46,10 +47,13 @@ from .core import (
     Operator,
     Superoperator,
     _as_matrix,
+    _check_count,
+    coordinates,
     dissipator,
     liouvillian,
     lowering_op,
     sup_exp,
+    to_coordinates,
     vec,
 )
 
@@ -298,15 +302,20 @@ def _basis(levels: int) -> np.ndarray:
 
 
 def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
-    """Stacked generators at the pieces' (phi, alpha), shape (P, d^2, d^2).
+    """Stacked vec-basis generators at the pieces' (phi, alpha), (P, d^2, d^2)."""
+    return np.tensordot(_weights(params, phi, alpha), _basis(params.levels), axes=1)
+
+
+def _weights(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
+    """The pieces' real-valued weights of the `_basis` superoperators.
 
     With L = c sigma_minus, c = sqrt(Gamma_eff) e^{i phi/2}, the phase
     cancels inside D[L]: its weight is conj(c) c, plus Gamma_nr. The
     drive -i(beta X - h.c.) enters through the real and imaginary parts
     of beta = alpha e^{i phi} conj(c). Each weight is rounded as the
     operator entry it stands for (alpha e^{i phi} as a scalar product,
-    in real arithmetic), so a generator matches `core.liouvillian` of
-    the same H and L to the bit, at any stack size.
+    in real arithmetic), so a `_generators` slice matches
+    `core.liouvillian` of the same H and L to the bit, at any stack size.
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
@@ -323,8 +332,7 @@ def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
         rates = [np.sqrt(2.0 * g) for g in (params.gamma01, params.gamma12, params.gamma02)]
         beta = alpha * rates[2]
         w = [np.full(phi.shape, r * r) for r in rates]
-    w = np.stack(w + [beta.real, beta.imag], axis=-1)
-    return np.tensordot(w, _basis(params.levels), axes=1)
+    return np.stack(w + [beta.real, beta.imag], axis=-1)
 
 
 def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoperator:
@@ -351,10 +359,10 @@ class PieceTable:
     """The constant pieces of a run, one row per piece; the rows tile it.
 
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
-    h[p] at (phi[p], alpha[p]), with step matrix step_mats[slot[p]],
-    shared by rows of equal (phi, alpha, h). channels maps each output
-    channel to its (P, d, d) stack of per-row collapse operators: "line"
-    on two levels, "signal", "idler" and "pump" on three.
+    h[p] at (phi[p], alpha[p]), with real step matrix step_mats[slot[p]]
+    in coordinates, shared by rows of equal (phi, alpha, h). channels
+    maps each output channel to its (P, d, d) stack of per-row collapse
+    operators: "line" on two levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -415,7 +423,8 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     slots = np.array([index.setdefault(k, len(index))
                       for k in zip(phi.tolist(), alpha.tolist(), h.tolist())], dtype=int)
     keys = np.array(list(index), dtype=complex).reshape(-1, 3).T
-    mats = sup_exp(_generators(params, keys[0].real, keys[1]), keys[2].real)
+    mats = sup_exp(np.tensordot(_weights(params, keys[0].real, keys[1]).real,
+                                to_coordinates(_basis(params.levels)), axes=1), keys[2].real)
     if params.levels == 2:
         channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
                                               lowering_op(2, 0, 1).mat)}
@@ -427,13 +436,12 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
 
 
 def _march_table(table: PieceTable, v0) -> np.ndarray:
-    """v0, a state vector or a matrix whose columns all march, carried to
+    """v0, a coordinate array: a state or a matrix whose columns all march, carried to
     every grid point of the table in one walk over its rows. A one-step
     row is one product with its step matrix E; a longer row stacks
     E^1 .. E^b, b = min(n_steps, _BLOCK), by doubling into one (b n, n)
     matrix, so one product with its latest state fills up to b points."""
-    v0 = np.asarray(v0, dtype=complex)
-    states = np.empty((int(table.starts[-1]) + 1,) + v0.shape, dtype=complex)
+    states = np.empty((int(table.starts[-1]) + 1,) + v0.shape)
     states[0] = v0
     for i, k, s in zip(table.starts.tolist(), table.n_steps.tolist(), table.slot.tolist()):
         e = table.step_mats[s]
@@ -441,7 +449,7 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
             states[i + 1] = e @ states[i]
             continue
         b = min(k, _BLOCK)
-        p = np.empty((b + 1,) + e.shape, dtype=complex)
+        p = np.empty((b + 1,) + e.shape)
         p[0] = np.eye(len(e))
         em, m = e, 1
         while m <= b:
@@ -469,24 +477,26 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
     if t2 < t1:
         raise ValueError(f"reversed times: t1={t1} > t2={t2}")
     table = _piece_table(params, drive, phase, t1, t2)
-    return Superoperator(_march_table(table, np.eye(params.levels ** 2))[-1])
+    v, w = coordinates(params.levels)
+    return Superoperator(v @ _march_table(table, np.eye(params.levels ** 2))[-1] @ w)
 
 
 def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
-    """vec of rho0 (ground by default), checked as a state of the run's levels."""
+    """Coordinates of rho0 (ground by default), a state of the run's levels."""
     rho = (DensityMatrix.ground(params.levels) if rho0 is None
            else DensityMatrix(_as_matrix(rho0)))
     if rho.dim != params.levels:
         raise ValueError(f"rho0 has {rho.dim} levels, the run {params.levels}")
-    return vec(rho)
+    return (coordinates(rho.dim)[1] @ vec(rho)).real
 
 
-def _flux(table: PieceTable, states, at=slice(None)) -> np.ndarray:
-    """Output flux tr(L^dag L rho) of column-stacked states at grid points `at`,
-    L each point's line operator by `per_point`; tr(A rho) = A.ravel() @ vec(rho)."""
+def _flux(table: PieceTable, coords, at=slice(None)) -> np.ndarray:
+    """Output flux tr(L^dag L rho) of coordinate states at grid points `at`,
+    L each point's line operator by `per_point`; tr(A rho) = A.ravel() @ V c."""
     ops = table.channels["line"]
     ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
-    return np.einsum("ni,ni->n", table.per_point(ldl)[at], states[at]).real
+    ldl = (ldl @ coordinates(ops.shape[-1])[0]).real
+    return np.einsum("ni,ni->n", table.per_point(ldl)[at], coords[at])
 
 
 def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
@@ -519,22 +529,27 @@ class ScenarioRun:
 
     `pieces` is the run's piece table, output channels included.
     times[i] are the grid instants, each row's np.linspace(t_a, t_b,
-    n_steps + 1), so every breakpoint is a grid point exactly; states is
-    an (n, d^2) array whose row i is the column-stacked density matrix
-    at times[i].
+    n_steps + 1), so every breakpoint is a grid point exactly; coords is
+    the real (n, d^2) array whose row i is the density matrix at times[i]
+    in `core.coordinates`.
     """
 
     params: MirrorQubitParams
     drive: DriveSchedule
     phase: PhaseSchedule
     times: np.ndarray
-    states: np.ndarray
+    coords: np.ndarray
     pieces: PieceTable
     drive_points: int = 10 ** 9
 
     @property
     def dim(self) -> int:
         return self.params.levels
+
+    @property
+    def states(self) -> np.ndarray:
+        """Column-stacked density matrices, (n, d^2), derived from coords."""
+        return self.coords @ coordinates(self.dim)[0].T
 
 
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
@@ -551,9 +566,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (isinstance(min_pulse_steps, (int, np.integer)) and min_pulse_steps >= 1):
-        raise ValueError(f"min_pulse_steps must be an integer of at least 1, "
-                         f"got {min_pulse_steps}")
+    _check_count("min_pulse_steps", min_pulse_steps)
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:
@@ -589,7 +602,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         drive=drive,
         phase=phase,
         times=times,
-        states=_march_table(table, v0),
+        coords=_march_table(table, v0),
         pieces=table,
         drive_points=dp,
     )

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import sup_exp
+from .core import _check_count, sup_exp
 from .dynamics import (
     DriveSchedule,
     MirrorQubitParams,
@@ -357,12 +357,12 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     stats = counting_statistics(run, cutoff=cutoff,
                                 window=(t_r, stats_end))
 
-    # p_exc = rho_11 (the last entry of the column-stacked state); the
-    # flux reads each point's line channel as counting does
+    # p_exc = rho_11 (coordinate 1, the second population); the flux
+    # reads each point's line channel as counting does
     table = run.pieces
     phase_vals = table.per_point(table.phi)
-    p_exc = run.states[:, 3].real
-    flux = _flux(table, run.states)
+    p_exc = run.coords[:, 1]
+    flux = _flux(table, run.coords)
 
     # the window starts at the grid point of t_r, a phase breakpoint; the
     # emitted fraction is the window's first counting moment
@@ -554,8 +554,7 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
     _check_positive(alpha_max=alpha_max)
-    if not (isinstance(seeds, (int, np.integer)) and seeds >= 1):
-        raise ValueError(f"seeds must be at least 1 and an integer, got {seeds!r}")
+    _check_count("seeds", seeds)
     gamma = params.gamma
     geff = effective_coupling(gamma, phi)
     if geff <= 0:

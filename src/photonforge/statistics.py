@@ -21,7 +21,8 @@ so the probabilities follow from the moments by back substitution.
 
 Every statistic reads the run's piece table (`dynamics.PieceTable`),
 whose output channels give each row's collapse operator M; `_jumps`
-turns a channel into the rows' jump superoperators conj(M) kron M.
+turns a channel into the rows' jump superoperators conj(M) kron M. These,
+the chain and w are real in `core.coordinates`, where the trace sums the populations.
 Counting uses the two-level "line" channel. The chain's step is
 constant inside a table row except at the row's last step, whose later
 point takes the jump of the next row (right-continuously), so the chain
@@ -44,7 +45,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import trace_row
+from .core import _check_count, to_coordinates
 from .dynamics import _BLOCK, ScenarioRun
 
 __all__ = [
@@ -114,14 +115,14 @@ def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
 
 
 def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
-    """Jump superoperators conj(M) kron M of a channel's collapse
-    operator M on every table row, shape (P, d^2, d^2)."""
+    """Jump superoperators conj(M) kron M, in coordinates, of a channel's
+    collapse operator M on every table row, shape (P, d^2, d^2)."""
     ops = run.pieces.channels.get(channel)
     if ops is None:
         raise ValueError(f"unknown channel {channel!r}; this run has "
                          f"{', '.join(run.pieces.channels)}")
-    d = ops.shape[-1]
-    return np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(len(ops), d * d, d * d)
+    d2 = ops.shape[-1] ** 2
+    return to_coordinates(np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(-1, d2, d2))
 
 
 def _chain_steps(e, jc, jn, h):
@@ -136,8 +137,8 @@ def _chain_steps(e, jc, jn, h):
     """
     r, d2 = e.shape[:2]
     hh = (h / 2.0)[:, None, None]
-    tr = trace_row(math.isqrt(d2))
-    m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2), dtype=complex)
+    tr = (np.arange(d2) < math.isqrt(d2)).astype(float)  # the populations' sum
+    m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2))
     m[:, 0, 0] = 1.0
     blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
     m[:, :1, blk[0]] = hh * ((tr @ jc[0])[:, None] + (tr @ jn[0])[:, None] @ e)
@@ -167,7 +168,7 @@ def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
-    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1], dtype=complex)
+    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1])
     w[0] = 1.0
     # _BLOCK rows' last-step matrices at a time, which bounds memory on long ramps
     for stop in range(len(ps), 0, -_BLOCK):
@@ -193,8 +194,7 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     level with each row's jump of the "line" channel, right-continuously.
     The chain is generic in its level count: any cutoff of at least 1 runs.
     """
-    if not (isinstance(cutoff, (int, np.integer)) and cutoff >= 1):
-        raise ValueError(f"cutoff must be an integer of at least 1, got {cutoff!r}")
+    _check_count("cutoff", cutoff)
     i0, i1 = _window_indices(run, window)
     jumps = _jumps(run)
     if run.drive_points < 20:
@@ -202,7 +202,7 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
     w = _chain(run, i0, i1, [jumps] * cutoff)
-    return (w[1:].reshape(cutoff, -1) @ run.states[i0]).real.tolist()
+    return (w[1:].reshape(cutoff, -1) @ run.coords[i0]).tolist()
 
 
 def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
@@ -272,12 +272,12 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     idx = [_grid_index(run, t, "time") for t in ts]
     table = run.pieces
     jumps = table.per_point(_jumps(run))
-    v = jumps[idx[0]] @ run.states[idx[0]]
+    v = jumps[idx[0]] @ run.coords[idx[0]]
     for i_prev, i_next in zip(idx, idx[1:]):
         for p, lo, hi in zip(*table.spans(i_prev, i_next)):
             v = np.linalg.matrix_power(table.step_mats[table.slot[p]], hi - lo) @ v
         v = jumps[i_next] @ v
-    val = float((trace_row(run.dim) @ v).real)
+    val = float(v[:run.dim].sum())
     if val < -1e-9:
         raise RuntimeError(f"correlator came out negative: {val}")
     return val
@@ -297,7 +297,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
         raise ValueError("pair correlations require a three-level run")
     ja, jb = _jumps(run, first), _jumps(run, second)
     w = _chain(run, 0, len(run.times) - 1, [jb, ja])
-    return float((w[1 + run.dim ** 2:] @ run.states[0]).real)
+    return float(w[1 + run.dim ** 2:] @ run.coords[0])
 
 
 def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:

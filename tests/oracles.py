@@ -133,13 +133,16 @@ def number_resolved_probabilities(run, kmax=10, rtol=1e-12, atol=1e-20):
     return [float((tr @ x[n * d2:(n + 1) * d2]).real) for n in range(kmax + 1)]
 
 
-def grid_steps(run):
+def grid_steps(run, coords=False):
     """The step matrix of every grid interval of a run, from its piece
-    table: row p's matrix repeated over its n_steps intervals."""
+    table: row p's matrix repeated over its n_steps intervals, in the vec
+    basis, V E W, or as stored in real coordinates with coords=True."""
     table = run.pieces
+    v, w = pf.core.coordinates(run.dim)
     out = []
     for slot, n in zip(table.slot, table.n_steps):
-        out.extend([table.step_mats[slot]] * int(n))
+        e = table.step_mats[slot]
+        out.extend([e if coords else v @ e @ w] * int(n))
     return out
 
 
@@ -156,10 +159,11 @@ def grid_ops(run):
     return [ops[p] for p in rows + [len(ops) - 1]]
 
 
-def march_states(run):
-    """States on the grid by one matrix-vector product per step."""
-    out = [run.states[0]]
-    for e in grid_steps(run):
+def march_states(run, coords=False):
+    """States on the grid by one matrix-vector product per step from the
+    run's first state: column-stacked, or real coordinates with coords=True."""
+    out = [run.coords[0] if coords else run.states[0]]
+    for e in grid_steps(run, coords):
         out.append(e @ out[-1])
     return np.array(out)
 

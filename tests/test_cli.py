@@ -221,6 +221,15 @@ class TestRunCommand:
         assert f"config error: cannot create outdir {str(outdir)!r}" in err
         assert not blocker.is_dir()
 
+    @pytest.mark.parametrize("name", ["result.csv", "meta"])
+    def test_unwritable_output_file_exits_two(self, tmp_path, capsys, name):
+        outdir = tmp_path / "out"
+        (outdir / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, f"scenario = cancel_budget\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {outdir / name}: Is a directory\n"
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

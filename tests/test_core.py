@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import photonforge as pf
-from photonforge.core import trace_row
+from photonforge.core import coordinates, to_coordinates, trace_row
 
 import oracles
 
@@ -38,6 +38,51 @@ class TestVectorization:
     def test_trace_row(self):
         rho = random_matrix(4)
         assert abs(trace_row(4) @ pf.vec(rho) - np.trace(rho)) < 1e-13
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_conversion_is_exact(self, d):
+        v, w = coordinates(d)
+        assert np.array_equal(w @ v, np.eye(d * d))
+        assert np.array_equal(v @ w, np.eye(d * d))
+        assert np.array_equal(trace_row(d) @ v, [1.0] * d + [0.0] * (d * d - d))
+        assert not (v.flags.writeable or w.flags.writeable)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_populations_then_coherences(self, d):
+        rho = random_density(d)
+        j, k = np.triu_indices(d, 1)
+        want = np.concatenate([np.diag(rho).real,
+                               np.stack([rho[j, k].real, rho[j, k].imag], axis=-1).ravel()])
+        v, w = coordinates(d)
+        assert np.max(np.abs(w @ pf.vec(rho) - want)) < 1e-15
+        assert np.max(np.abs(v @ want - pf.vec(rho))) < 1e-15
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_basis_is_real(self, levels):
+        v, w = coordinates(levels)
+        basis = pf.dynamics._basis(levels)
+        got = w @ basis @ v
+        assert np.max(np.abs(got.imag)) <= 1e-15 * np.max(np.abs(got))
+        assert np.max(np.abs(to_coordinates(basis) - got.real)) <= 1e-15 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_jumps_of_a_random_operator_are_real(self, d):
+        # the beam-splitter counting mode i r L + c I, L = c_line sigma_minus,
+        # on two levels, and a dense complex M on three
+        rng = np.random.default_rng(d)
+        if d == 2:
+            line = rng.normal(size=(50, 1, 1)) + 1j * rng.normal(size=(50, 1, 1))
+            c = rng.normal(size=(50, 1, 1)) + 1j * rng.normal(size=(50, 1, 1))
+            ops = 1j * 0.995 * line * pf.lowering_op(2, 0, 1).mat + c * np.eye(2)
+        else:
+            ops = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        jumps = np.array([np.kron(m.conj(), m) for m in ops])
+        v, w = coordinates(d)
+        got = w @ jumps @ v
+        assert np.max(np.abs(got.imag)) <= 1e-15 * np.max(np.abs(got))
+        assert np.max(np.abs(to_coordinates(jumps) - got.real)) <= 1e-15 * np.max(np.abs(got))
 
 
 class TestOperator:
@@ -183,6 +228,27 @@ class TestGenerators:
             for g, tk, e in zip(gens, t, got):
                 want = oracles.expm_series(g, tk)
                 assert np.max(np.abs(e - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_sup_exp_keeps_a_real_stack_real(self):
+        # 1-norms just below and above each Pade bound, at most one
+        # squaring; eight squarings (norm 1e3) amplify either path's
+        # rounding to about 1e-14
+        norms = np.outer(pf.core._THETA, [0.9, 1.1]).ravel()
+        for params in (pf.MirrorQubitParams(gamma=0.8, delta=0.3, gamma_nr=0.1),
+                       pf.MirrorQubitParams(levels=3, gamma02=0.4)):
+            k = len(norms)
+            phi = RNG.uniform(0.0, 2.0 * np.pi, k) if params.levels == 2 else np.zeros(k)
+            alpha = 3.0 * (RNG.normal(size=k) + 1j * RNG.normal(size=k))
+            gens = to_coordinates(pf.dynamics._generators(params, phi, alpha))
+            t = norms / np.abs(gens).sum(axis=1).max(axis=1)
+            got = pf.sup_exp(gens, t)
+            assert got.dtype == np.float64
+            want = pf.sup_exp(gens.astype(complex), t)
+            for e, f in zip(got, want):
+                assert np.max(np.abs(e - f)) <= 1e-15 * np.max(np.abs(f))
+            eye = pf.sup_exp(gens, np.zeros(k))
+            assert eye.dtype == np.float64
+            assert np.array_equal(eye, np.broadcast_to(np.eye(gens.shape[-1]), gens.shape))
 
     def test_sup_exp_slice_ignores_its_stack(self):
         gens = np.array([pf.liouvillian(h + h.conj().T, [random_matrix(2)]).mat

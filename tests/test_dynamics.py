@@ -313,11 +313,12 @@ class TestCompiler:
         phase = random_ramp(rng, 0.2, 2.2, 40)
         run = pf.simulate(params, drive, phase, 2.5, dt=0.05)
         table = run.pieces
+        v, w = pf.core.coordinates(params.levels)
         for t, h, slot in zip(table.t_a, table.h, table.slot):
             gen = oracle_generator(params.gamma, phase.phi_at(t),
                                    alpha=drive.amplitude_at(t),
                                    delta=params.delta, gamma_nr=params.gamma_nr)
-            step = table.step_mats[slot]
+            step = v @ table.step_mats[slot] @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_three_level_step_matrices_match_oracle_exponentials(self):
@@ -326,9 +327,10 @@ class TestCompiler:
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 2.0,
                           dt=0.05)
         table = run.pieces
+        v, w = pf.core.coordinates(params.levels)
         for t, h, slot in zip(table.t_a, table.h, table.slot):
             gen = ladder_generator(params, drive.amplitude_at(t))
-            step = table.step_mats[slot]
+            step = v @ table.step_mats[slot] @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_generators_annihilate_trace_and_keep_hermiticity(self):
@@ -489,6 +491,22 @@ class TestPieceTable:
         assert points
         assert set(points) <= set(run.times.tolist())
 
+    def test_step_matrices_are_real_in_coordinates(self, table_run):
+        # the complex vec-basis stack of every row, moved to coordinates
+        table, params = table_run.pieces, table_run.params
+        v, w = pf.core.coordinates(params.levels)
+        gens = pf.dynamics._generators(params, table.phi, table.alpha)
+        got = w @ pf.sup_exp(gens, table.h) @ v
+        assert np.max(np.abs(got.imag)) <= 1e-15 * np.max(np.abs(got))
+        assert table.step_mats.dtype == np.float64
+        assert np.max(np.abs(table.step_mats[table.slot] - got.real)) < 1e-13
+
+    def test_states_derive_from_coords(self, table_run):
+        v = pf.core.coordinates(table_run.dim)[0]
+        assert table_run.coords.dtype == np.float64
+        assert np.array_equal(table_run.states, table_run.coords @ v.T)
+        assert "states" not in vars(table_run)
+
     def test_states_equal_sequential_march(self, table_run):
         want = oracles.march_states(table_run)
         assert np.max(np.abs(table_run.states - want)) < 1e-13
@@ -500,7 +518,7 @@ class TestPieceTable:
                           random_ramp(np.random.default_rng(7), 0.0, 2.0, 200), 2.0,
                           dt=0.05)
         assert run.pieces.n_steps.tolist() == [1] * 200
-        assert np.array_equal(run.states, oracles.march_states(run))
+        assert np.array_equal(run.coords, oracles.march_states(run, coords=True))
 
     def test_counting_ops_by_row(self, table_run):
         table = table_run.pieces
@@ -671,10 +689,10 @@ class TestSimulate:
             pf.simulate(pf.MirrorQubitParams(), drive,
                         pf.PhaseSchedule.constant(0.0), 2.0, min_pulse_steps=0)
 
-    @pytest.mark.parametrize("steps", [math.nan, 2.5])
+    @pytest.mark.parametrize("steps", [math.nan, 2.5, True])
     def test_rejects_min_pulse_steps_that_are_not_integers(self, steps):
-        # both used to pass silently; NaN refined nothing, as
-        # min(dt, width / nan) is dt
+        # all used to pass silently; NaN refined nothing, as
+        # min(dt, width / nan) is dt, and True ran as 1
         drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="min_pulse_steps must be an integer"):
             pf.simulate(pf.MirrorQubitParams(), drive,

@@ -199,6 +199,11 @@ class TestShapedRelease:
         assert np.all(res.phase[(t > 2.0) & (t < 7.9)] == PI)
         assert np.all(res.phase[t >= 8.0] == PI / 2.0)
 
+    def test_one_excitation_has_no_pair_moments(self, release_results):
+        # the dark store holds at most one excitation, and the real
+        # coordinates keep the structural zeros of N_2 and N_3 exact
+        assert release_results[5.0].stats.n_tiples[1:] == (0.0, 0.0)
+
     def test_emitted_fraction_equals_first_moment(self, release_results):
         for res in release_results.values():
             assert abs(res.emitted_fraction - res.stats.n_tiples[0]) < 1e-9
@@ -588,12 +593,18 @@ class TestFlyingQubitEncoding:
             pf.encode_flying_qubit(target, qubit_unit(), phi=PI)
         with pytest.raises(ValueError, match="alpha_max"):
             pf.encode_flying_qubit(target, qubit_unit(), alpha_max=0.0)
-        with pytest.raises(ValueError, match="seeds must be at least 1"):
+        with pytest.raises(ValueError, match="seeds must be an integer of at least 1"):
             pf.encode_flying_qubit(target, qubit_unit(), seeds=0)
         with pytest.raises(ValueError, match="seeds"):
             pf.encode_flying_qubit(target, qubit_unit(), seeds=2.5)
         with pytest.raises(ValueError, match="two-level"):
             pf.encode_flying_qubit(target, ladder())
+
+    def test_rejects_bool_seeds(self):
+        # True used to run silently as one seed
+        with pytest.raises(ValueError,
+                           match=r"^seeds must be an integer of at least 1, got True$"):
+            pf.encode_flying_qubit(pf.FlyingQubitTarget(0.0, 1.0), qubit_unit(), seeds=True)
 
     def test_numpy_integer_seeds(self):
         target = pf.FlyingQubitTarget.of(1.0, 1.0)

@@ -101,9 +101,11 @@ class TestMomentsAgainstNestedQuadrature:
         assert len(pf.photon_mtiples(run, cutoff=4)) == 4
         assert len(pf.photon_mtiples(run, cutoff=np.int64(2))) == 2
 
-    @pytest.mark.parametrize("cutoff", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("cutoff", [2.5, 2.0, "2", None, True])
     def test_rejects_non_integer_cutoff(self, cutoff):
-        with pytest.raises(ValueError, match="cutoff"):
+        # True used to pass the check and fail inside the chain
+        with pytest.raises(ValueError, match=f"^cutoff must be an integer of at "
+                                             f"least 1, got {cutoff!r}$"):
             pf.photon_mtiples(pulsed_run(t_end=2.0), cutoff=cutoff)
 
     def test_coarse_pulse_warns(self):
