@@ -23,9 +23,10 @@ with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus the states on
-the grid the rows span, one product per one-step row and stacked
-powers of its step matrix for a longer row. Step matrices and states are
-real `core.coordinates`; `ScenarioRun.states` and `propagator` are vec.
+the grid the rows span: a run of one-step rows (a sampled ramp) is one
+chunked scan of stacked prefix products, a longer row stacked powers of
+its step matrix. Step matrices and states are real `core.coordinates`;
+`ScenarioRun.states` and `propagator` are vec.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -352,6 +353,7 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
 # piece tables: one row per constant piece, marched once
 
 _BLOCK = 128  # powers of one step matrix, or rows' chain steps, held at once
+_CHUNK = 48  # one-step rows per chunk of the forward scan
 
 
 @dataclass(frozen=True)
@@ -435,19 +437,42 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
                       slot=slots, step_mats=mats, channels=channels)
 
 
+def _scan(e, states, i) -> None:
+    """states[i] carried through one-step rows of step matrices e, in chunks
+    of _CHUNK rows, the last padded with identities: the prefix products
+    of all chunks are one stacked product per position in a chunk, the
+    chunk starts are carried one product each, and one stacked product
+    from the starts fills every point."""
+    r, n = len(e), e.shape[-1]
+    b = min(_CHUNK, r)
+    c = -(-r // b)
+    p = np.concatenate([e, np.broadcast_to(np.eye(n), (c * b - r, n, n))]).reshape(c, b, n, n)
+    for j in range(1, b):
+        p[:, j] = p[:, j] @ p[:, j - 1]
+    for k in range(c):
+        states[min(i + k * b + b, i + r)] = p[k, -1] @ states[i + k * b]
+    fill = p @ states[i:i + r:b].reshape(c, 1, n, -1)
+    states[i + 1:i + r + 1] = fill.reshape((-1,) + states.shape[1:])[:r]
+
+
 def _march_table(table: PieceTable, v0) -> np.ndarray:
-    """v0, a coordinate array: a state or a matrix whose columns all march, carried to
-    every grid point of the table in one walk over its rows. A one-step
-    row is one product with its step matrix E; a longer row stacks
-    E^1 .. E^b, b = min(n_steps, _BLOCK), by doubling into one (b n, n)
-    matrix, so one product with its latest state fills up to b points."""
-    states = np.empty((int(table.starts[-1]) + 1,) + v0.shape)
+    """v0, a coordinate state or matrix, carried to every grid point of a table.
+
+    A maximal run of one-step rows, such as a ramp, is one chunked scan
+    (`_scan`). A longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK),
+    of its step matrix E by doubling into one (b n, n) matrix, so one
+    product with its latest state fills up to b points."""
+    n_steps, starts = table.n_steps, table.starts
+    states = np.empty((int(starts[-1]) + 1,) + v0.shape)
     states[0] = v0
-    for i, k, s in zip(table.starts.tolist(), table.n_steps.tolist(), table.slot.tolist()):
-        e = table.step_mats[s]
+    # a maximal run of one-step rows is one segment, each longer row its own
+    cuts = np.flatnonzero((n_steps[1:] > 1) | (n_steps[:-1] > 1)) + 1
+    for rows in np.split(np.arange(len(n_steps)), cuts):
+        i, k = int(starts[rows[0]]), int(n_steps[rows[0]])
         if k == 1:
-            states[i + 1] = e @ states[i]
+            _scan(table.step_mats[table.slot[rows]], states, i)
             continue
+        e = table.step_mats[table.slot[rows[0]]]
         b = min(k, _BLOCK)
         p = np.empty((b + 1,) + e.shape)
         p[0] = np.eye(len(e))
@@ -559,8 +584,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     """Propagate on a uniform-per-piece grid and record everything.
 
     The nominal step is dt (default 0.01/gamma); drive pulses are
-    refined so each carries at least `min_pulse_steps` steps. A one-step
-    piece is one product, a longer one fills from stacked matrix powers.
+    refined so each carries at least `min_pulse_steps` steps. One-step
+    pieces are a chunked scan, a longer piece stacked matrix powers.
     """
     if dt is None:
         dt = 0.01 / params.gamma if params.gamma > 0 else 0.01

@@ -25,11 +25,11 @@ turns a channel into the rows' jump superoperators conj(M) kron M. These,
 the chain and w are real in `core.coordinates`, where the trace sums the populations.
 Counting uses the two-level "line" channel. The chain's step is
 constant inside a table row except at the row's last step, whose later
-point takes the jump of the next row (right-continuously), so the chain
-walks the rows backward, one product for a row's last step and one
-matrix power for its interior. Pair correlations of the three-level
-cascade are the same chain with two levels, channel b's jump on the
-first and channel a's on the second.
+point takes the jump of the next row (right-continuously), so a row is
+its last step's M times a power of its interior M, and the chain
+reduces each block of `_BLOCK` rows pairwise, applying w to the block's
+product. Pair correlations of the three-level cascade are the same
+chain with two levels, channel b's jump on the first and a's on the second.
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -153,6 +153,14 @@ def _chain_steps(e, jc, jn, h):
     return m
 
 
+def _product(mats) -> np.ndarray:
+    """mats[0] @ mats[1] @ ... @ mats[-1], in log2(len(mats)) stacked products."""
+    while len(mats) > 1:
+        even = len(mats) // 2 * 2
+        mats = np.concatenate([mats[0:even:2] @ mats[1:even:2], mats[even:]])
+    return mats[0]
+
+
 def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
     """Backward trapezoid functional w = [1, u_1 .. u_L] at grid point i0.
 
@@ -160,28 +168,29 @@ def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
     E(s, t_i) ds with u_0 the trace row and T = times[i1]; jumps[k-1][p]
     is J_k on table row p. Because the states obey rho(t_{i+1}) =
     E rho(t_i) on the grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of
-    u_{k-1} J_k rho over [t_i0, T]. w = w M walks the rows backward: a
-    row's last step, whose later point takes the jumps of the row starting
-    there (right-continuously), is one product, and its interior steps
-    one power of the interior M.
+    u_{k-1} J_k rho over [t_i0, T]. A row is the M of its last step, whose
+    later point takes the jumps of the row starting there, times a power
+    of its interior M; w = w M takes the rows backward, one `_product` per
+    block of _BLOCK rows.
     """
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
     w = np.zeros(1 + len(jumps) * jumps[0].shape[-1])
     w[0] = 1.0
-    # _BLOCK rows' last-step matrices at a time, which bounds memory on long ramps
+    # _BLOCK rows' matrices at a time, which bounds memory on long ramps
     for stop in range(len(ps), 0, -_BLOCK):
         c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
-        e, h = table.step_mats[table.slot[ps[c]]], table.h[ps[c]]
+        e, h, k = table.step_mats[table.slot[ps[c]]], table.h[ps[c]], hi[c] - lo[c]
         jc = [j[ps[c]] for j in jumps]
-        last = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h)
-        for r, k in enumerate((hi[c] - lo[c]).tolist()):
-            w = w @ last[r]
-            if k > 1:
-                row = [j[r:r + 1] for j in jc]
-                m = _chain_steps(e[r:r + 1], row, row, h[r:r + 1])[0]
-                w = w @ np.linalg.matrix_power(m, k - 1)
+        m = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h)
+        r = np.flatnonzero(k > 1)
+        if len(r):
+            inner = [j[r] for j in jc]
+            for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r]),
+                               (k[r] - 1).tolist()):
+                m[x] = m[x] @ np.linalg.matrix_power(a, n)
+        w = w @ _product(m)
     return w
 
 
@@ -261,8 +270,8 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     """m-point intensity correlator G^(m)(t_1..t_m) at grid times.
 
     Each time must lie on the simulation grid to 1e-9. The quantum
-    regression chain: jump of the "line" channel at t_1, propagate piece
-    by piece, jump at t_2, and so on, then trace.
+    regression chain: jump of the "line" channel at t_1, propagate by one
+    `_product` of the rows' step-matrix powers, jump at t_2, and so on.
     """
     ts = list(at_times)
     if len(ts) < 1:
@@ -274,8 +283,12 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     jumps = table.per_point(_jumps(run))
     v = jumps[idx[0]] @ run.coords[idx[0]]
     for i_prev, i_next in zip(idx, idx[1:]):
-        for p, lo, hi in zip(*table.spans(i_prev, i_next)):
-            v = np.linalg.matrix_power(table.step_mats[table.slot[p]], hi - lo) @ v
+        ps, lo, hi = table.spans(i_prev, i_next)
+        if len(ps):
+            e = table.step_mats[table.slot[ps]]
+            for x in np.flatnonzero(hi - lo > 1).tolist():
+                e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
+            v = _product(e[::-1]) @ v
         v = jumps[i_next] @ v
     val = float(v[:run.dim].sum())
     if val < -1e-9:

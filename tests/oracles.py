@@ -255,6 +255,26 @@ def nested_pair_count(run, first, second):
     return float(np.trapezoid(g, t))
 
 
+def chain_walk(run, i0, i1, jumps):
+    """The backward chain w = [1, u_1 .. u_L] at grid point i0 by a walk
+    over the rows from the window end: per row, one vector product with
+    the chain step of its last grid step (whose later point takes the
+    jumps of the row starting there) and one with a `matrix_power` of its
+    interior step. The package reduces the same row matrices as a tree."""
+    table = run.pieces
+    ps, lo, hi = table.spans(i0, i1)
+    nxt = table.per_point(np.arange(len(table.slot)))[hi]
+    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1])
+    w[0] = 1.0
+    for p, n, q in zip(ps[::-1], (hi - lo)[::-1], nxt[::-1]):
+        e, h = table.step_mats[table.slot[p:p + 1]], table.h[p:p + 1]
+        jc = [j[p:p + 1] for j in jumps]
+        w = w @ pf.statistics._chain_steps(e, jc, [j[q:q + 1] for j in jumps], h)[0]
+        if n > 1:
+            w = w @ np.linalg.matrix_power(pf.statistics._chain_steps(e, jc, jc, h)[0], n - 1)
+    return w
+
+
 def forward_binomial_moments(probs, mmax):
     """N_m = sum_n C(n, m) P_n, the exact moment map of a finite P vector."""
     return [

@@ -1,6 +1,7 @@
 """Schedules, generators, and piecewise propagation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -512,11 +513,13 @@ class TestPieceTable:
         assert np.max(np.abs(table_run.states - want)) < 1e-13
 
     def test_one_step_rows_march_bitwise(self):
-        # one product per one-step row, as the oracle takes one per step
-        run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
-                          pf.DriveSchedule(((0.5, 1.2, 2.0 - 1.0j),)),
-                          random_ramp(np.random.default_rng(7), 0.0, 2.0, 200), 2.0,
-                          dt=0.05)
+        # with chunks of one row the scan is one product per one-step row,
+        # as the oracle takes one per step
+        with mock.patch.object(pf.dynamics, "_CHUNK", 1):
+            run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
+                              pf.DriveSchedule(((0.5, 1.2, 2.0 - 1.0j),)),
+                              random_ramp(np.random.default_rng(7), 0.0, 2.0, 200),
+                              2.0, dt=0.05)
         assert run.pieces.n_steps.tolist() == [1] * 200
         assert np.array_equal(run.coords, oracles.march_states(run, coords=True))
 
@@ -561,6 +564,21 @@ class TestPropagator:
         full = pf.propagator(*args, 0.0, 4.0).mat
         split = pf.propagator(*args, 2.5, 4.0).mat @ pf.propagator(*args, 0.0, 2.5).mat
         assert np.max(np.abs(full - split)) < 1e-12
+
+    def test_ramp_matches_ordered_step_product(self):
+        # 300 one-step ramp rows, more than six chunks of the forward scan
+        params = pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2)
+        drive = pf.DriveSchedule(((0.5, 1.7, 2.0 - 1.0j),))
+        phase = random_ramp(np.random.default_rng(8), 0.0, 3.0, 300)
+        run = pf.simulate(params, drive, phase, 3.0, dt=0.05)
+        assert run.pieces.n_steps.tolist() == [1] * 300
+        want = np.eye(4)
+        for e in oracles.grid_steps(run):
+            want = e @ want
+        got = pf.propagator(params, drive, phase, 0.0, 3.0).mat
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(pf.propagator(params, drive, phase, 1.5, 1.5).mat,
+                              np.eye(4, dtype=complex))
 
     def test_matches_adaptive_ode(self):
         t_store = 1.0 + self.tw

@@ -56,8 +56,9 @@ def test_all_is_the_modules_all():
 
 
 def test_pyproject_matches_the_package(capsys):
-    # the CLI's meta file records __version__, and no CI step installs the
-    # package, so the console script is resolved and run here
+    # the CLI's meta file records __version__; CI installs the package and
+    # runs the console script outside the checkout, and this resolves and
+    # runs it from the source tree, where tier-1 runs without an install
     tomllib = pytest.importorskip("tomllib")
     path = Path(pf.__file__).parents[2] / "pyproject.toml"
     project = tomllib.loads(path.read_text(encoding="utf-8"))["project"]

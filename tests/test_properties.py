@@ -8,6 +8,8 @@ other. Examples are derandomized, so every run checks the same cases.
 """
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 
 import photonforge as pf
 from photonforge.core import trace_row
+
+import oracles
 
 T_END = 4.0
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -123,6 +127,38 @@ def test_counting_probabilities_are_a_distribution(p, drive, phase):
     probs = pf.counting_statistics(run, cutoff=3).probabilities
     assert abs(sum(probs) - 1.0) < 1e-12
     assert min(probs) >= 0.0
+
+
+@st.composite
+def row_layouts(draw):
+    """Step counts of a table's rows and a forward-scan chunk size B: a
+    run of R = 1..300 one-step rows between two longer rows, with short
+    one-step runs and longer rows mixed in on either side."""
+    r = draw(st.integers(1, 300))
+    side = st.lists(st.integers(1, 140), max_size=4)
+    counts = (draw(side) + [draw(st.integers(2, 300))] + [1] * r
+              + [draw(st.integers(2, 300))] + draw(side))
+    return counts, draw(st.sampled_from([1, 2, 3, 7, 48, 64, max(r - 1, 1), r, r + 1]))
+
+
+@PROPERTY
+@given(params, amplitudes(3.0), pure_states(), row_layouts(),
+       st.integers(0, 2 ** 32 - 1))
+def test_chunked_scan_is_the_step_by_step_march(p, alpha, rho0, layout, seed):
+    counts, b = layout
+    # rows of counts[i] steps of 0.01 at their own ramp phase
+    edges = np.concatenate([[0.0], np.cumsum(counts) / 100.0])
+    phase = pf.PhaseSchedule(ramp=(edges, np.random.default_rng(seed).uniform(
+        0.0, 2.0 * math.pi, len(edges))))
+    drive = pf.DriveSchedule(((0.0, edges[-1], alpha),))
+    table = pf.dynamics._piece_table(p, drive, phase, 0.0, edges[-1], edges,
+                                     steps=lambda t_a, t_b: np.array(counts))
+    assert table.n_steps.tolist() == counts
+    v0 = pf.dynamics._initial_state(p, rho0)
+    with mock.patch.object(pf.dynamics, "_CHUNK", b):
+        got = pf.dynamics._march_table(table, v0)
+    run = SimpleNamespace(pieces=table, coords=v0[None], dim=2)
+    assert np.max(np.abs(got - oracles.march_states(run, coords=True))) < 1e-13
 
 
 # The moments and pair integrals are grid trapezoids, so halving dt

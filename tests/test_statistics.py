@@ -10,6 +10,7 @@ import photonforge as pf
 from photonforge.dynamics import _BLOCK
 
 import oracles
+from test_dynamics import TABLE_RUNS
 
 PI = math.pi
 RNG = np.random.default_rng(425)
@@ -345,6 +346,52 @@ class TestMultiTimeCorrelator:
         # a jump with no drive after it leaves the ground state, so every
         # later jump reads exactly 0; the rest must be a real check
         assert nonzero >= 30
+
+    def test_times_across_ramp_blocks(self):
+        # a driven 600-row ramp of one-step rows; each tuple's times span
+        # more than 2 _BLOCK rows
+        phase = pf.PhaseSchedule(ramp=(np.linspace(0.0, 3.0, 601),
+                                       np.random.default_rng(17).uniform(0.0, 2.0 * PI, 601)))
+        run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
+                          pf.DriveSchedule(((0.0, 3.0, 1.5 - 0.5j),)), phase, 3.0, dt=0.05)
+        assert run.pieces.n_steps.tolist() == [1] * 600
+        for idx in ([3, 290, 597], [40, 600], [10, 150, 2 * _BLOCK + 20]):
+            got = pf.correlator_gm(run, run.times[idx])
+            want = explicit_correlator(run, idx)
+            assert want > 0
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestChainAgainstRowWalk:
+    """The block-wise tree product of `_chain` against the backward walk
+    of `oracles.chain_walk`, one vector product per row."""
+
+    @pytest.fixture(scope="class", params=sorted(TABLE_RUNS))
+    def run(self, request):
+        return TABLE_RUNS[request.param]()
+
+    def test_matches_row_walk(self, run):
+        if run.dim == 2:
+            jumps = [pf.statistics._jumps(run)] * 3
+        else:
+            jumps = [pf.statistics._jumps(run, "idler"), pf.statistics._jumps(run, "signal")]
+        n = len(run.times) - 1
+        for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
+            want = oracles.chain_walk(run, i0, i1, jumps)
+            got = pf.statistics._chain(run, i0, i1, jumps)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_windows_reach_the_block_cases(self):
+        # the ramp's (0, n - 1) window is 2,399 one-step rows, so its last
+        # block holds an odd 95 rows; the pulse's (1, n - 1) window starts
+        # and ends inside a row; block_edges is in TABLE_RUNS
+        ramp = TABLE_RUNS["ramp"]()
+        rows = ramp.pieces.spans(0, len(ramp.times) - 2)[0]
+        assert (ramp.pieces.n_steps[rows] == 1).all()
+        assert len(rows) > 2 * _BLOCK and len(rows) % _BLOCK % 2 == 1
+        pulse = TABLE_RUNS["pulse"]()
+        assert not {1, len(pulse.times) - 2} & set(pulse.pieces.starts.tolist())
+        assert "block_edges" in TABLE_RUNS
 
 
 ORDERINGS =[("signal", "idler"), ("idler", "signal"),
