@@ -22,11 +22,12 @@ with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
 distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
 A simulated run is its piece table, one row per constant piece with
-each output channel's collapse operator on that row, plus the states on
-the grid the rows span: a run of one-step rows (a sampled ramp) is one
-chunked scan of stacked prefix products, a longer row stacked powers of
-its step matrix. Step matrices and states are real `core.coordinates`;
-`ScenarioRun.states` and `propagator` are vec.
+each output channel's collapse operator on that row, plus its first
+state; the states on the grid the rows span are marched on first read:
+a run of one-step rows (a sampled ramp) is one chunked scan of stacked
+prefix products, a longer row stacked powers of its step matrix. Step
+matrices and states are real `core.coordinates`; `ScenarioRun.states`
+and `propagator` are vec.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -550,26 +551,34 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
 
 @dataclass
 class ScenarioRun:
-    """A propagated scenario on a fixed grid.
+    """A scenario on a fixed grid, propagated when its states are read.
 
     `pieces` is the run's piece table, output channels included.
     times[i] are the grid instants, each row's np.linspace(t_a, t_b,
-    n_steps + 1), so every breakpoint is a grid point exactly; coords is
-    the real (n, d^2) array whose row i is the density matrix at times[i]
-    in `core.coordinates`.
+    n_steps + 1), so every breakpoint is a grid point exactly; coords,
+    marched from `start` on first read, is the real (n, d^2) array whose
+    row i is the density matrix at times[i] in `core.coordinates`.
     """
 
     params: MirrorQubitParams
     drive: DriveSchedule
     phase: PhaseSchedule
     times: np.ndarray
-    coords: np.ndarray
+    start: np.ndarray
     pieces: PieceTable
     drive_points: int = 10 ** 9
 
     @property
     def dim(self) -> int:
         return self.params.levels
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        return _march_table(self.pieces, self.start)
+
+    def coords_at(self, i: int) -> np.ndarray:
+        """The state at grid index i; i = 0 is `start` and marches nothing."""
+        return self.start if i == 0 else self.coords[i]
 
     @property
     def states(self) -> np.ndarray:
@@ -581,7 +590,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
              phase: PhaseSchedule, t_end: float, *, t_start: float = 0.0,
              rho0=None, dt: Optional[float] = None,
              min_pulse_steps: int = 20) -> ScenarioRun:
-    """Propagate on a uniform-per-piece grid and record everything.
+    """Compile a run on a uniform-per-piece grid; its states march on first read.
 
     The nominal step is dt (default 0.01/gamma); drive pulses are
     refined so each carries at least `min_pulse_steps` steps. One-step
@@ -627,7 +636,7 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
         drive=drive,
         phase=phase,
         times=times,
-        coords=_march_table(table, v0),
+        start=v0,
         pieces=table,
         drive_points=dp,
     )

@@ -50,7 +50,7 @@ from .statistics import (
     CrossPairResult,
     PhotonStatistics,
     counting_statistics,
-    cross_pair_integral,
+    pair_correlations,
 )
 
 __all__ = [
@@ -408,10 +408,8 @@ def run_cascade(params: MirrorQubitParams, alpha_d: float,
     if alpha_d == 0:
         return CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
     drive = DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * params.gamma02)
-    run = simulate(params, drive, PhaseSchedule.constant(0.0), t_end, dt=dt)
-    return CrossPairResult(g_ii=cross_pair_integral(run, "idler", "idler"),
-                           g_ss=cross_pair_integral(run, "signal", "signal"),
-                           g_is=cross_pair_integral(run, "idler", "signal"))
+    return pair_correlations(simulate(params, drive, PhaseSchedule.constant(0.0),
+                                      t_end, dt=dt))
 
 
 def sweep_cascade(params: MirrorQubitParams, alpha_d_values: Sequence[float],

@@ -28,8 +28,8 @@ constant inside a table row except at the row's last step, whose later
 point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
 reduces each block of `_BLOCK` rows pairwise, applying w to the block's
-product. Pair correlations of the three-level cascade are the same
-chain with two levels, channel b's jump on the first and a's on the second.
+product. Levels hang under parent levels: a path for counting, a tree
+for the pair correlations of the three-level cascade (`pair_correlations`).
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -55,6 +55,7 @@ __all__ = [
     "correlator_gm",
     "ordered_pair_count",
     "cross_pair_integral",
+    "pair_correlations",
     "csi_metric",
     "PhotonStatistics",
     "CrossPairResult",
@@ -125,15 +126,16 @@ def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     return to_coordinates(np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(-1, d2, d2))
 
 
-def _chain_steps(e, jc, jn, h):
-    """Stacked one-step matrices M of the chain w = [1, u_1 .. u_L].
+def _chain_steps(e, jc, jn, h, parents=None):
+    """Stacked grid trapezoid steps M of the chain w = [1, u_1 .. u_L].
 
     Level k's jump is jc[k-1] at a step's earlier point and jn[k-1] at
-    its later one. With X_k = (h/2) Jc_k, Q_k = (h/2)(E Jc_k + Jn_k E)
-    and c = (h/2)(tr Jc_1 + tr Jn_1 E), the blocks are M[u_a, u_a] = E,
-    M[u_a, u_b] = Q_{a+1} X_{a+2} .. X_b and M[1, u_b] = c X_2 .. X_b:
-    the grid trapezoid step u_k[i] = (u_k[i+1] + (h/2) u_{k-1}[i+1] Jn_k)
-    E + (h/2) u_{k-1}[i] Jc_k of every level at once, with u_0 the trace.
+    its later one; it hangs under u_p, p = parents[k-1] + 1 < k (k - 1
+    by default; -1 is a root under u_0, the trace). With X_k = (h/2) Jc_k,
+    Q_k = (h/2)(E Jc_k + Jn_k E) and c_k = (h/2)(tr Jc_k + tr Jn_k E), the
+    blocks are M[u_a, u_a] = E, M[u_a, u_b] = Q_c X .. X_b down the tree
+    path a <- c <- .. <- b and M[1, u_b] = c_r X .. X_b from b's root r,
+    so u_k[i] = (u_k[i+1] + (h/2) u_p[i+1] Jn_k) E + (h/2) u_p[i] Jc_k.
     """
     r, d2 = e.shape[:2]
     hh = (h / 2.0)[:, None, None]
@@ -141,15 +143,14 @@ def _chain_steps(e, jc, jn, h):
     m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2))
     m[:, 0, 0] = 1.0
     blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
-    m[:, :1, blk[0]] = hh * ((tr @ jc[0])[:, None] + (tr @ jn[0])[:, None] @ e)
-    for k in range(len(jc)):
+    for k, p in enumerate(range(-1, len(jc) - 1) if parents is None else parents):
         m[:, blk[k], blk[k]] = e
-        if k:
-            # the scalar and u_1 .. u_{k-1} reach u_{k+1} through u_k's X,
-            # and u_k reaches it through Q
-            top = slice(0, blk[k - 1].start)
-            m[:, top, blk[k]] = m[:, top, blk[k - 1]] @ (hh * jc[k])
-            m[:, blk[k - 1], blk[k]] = hh * (e @ jc[k] + jn[k] @ e)
+        if p < 0:  # a root hangs under the scalar row
+            m[:, :1, blk[k]] = hh * ((tr @ jc[k])[:, None] + (tr @ jn[k])[:, None] @ e)
+        else:  # rows above the parent reach u_{k+1} by its X, the parent by Q
+            top = slice(0, blk[p].start)
+            m[:, top, blk[k]] = m[:, top, blk[p]] @ (hh * jc[k])
+            m[:, blk[p], blk[k]] = hh * (e @ jc[k] + jn[k] @ e)
     return m
 
 
@@ -161,14 +162,14 @@ def _product(mats) -> np.ndarray:
     return mats[0]
 
 
-def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
+def _chain(run: ScenarioRun, i0: int, i1: int, jumps, parents=None) -> np.ndarray:
     """Backward trapezoid functional w = [1, u_1 .. u_L] at grid point i0.
 
-    u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_{k-1}(s) J_k(s)
-    E(s, t_i) ds with u_0 the trace row and T = times[i1]; jumps[k-1][p]
-    is J_k on table row p. Because the states obey rho(t_{i+1}) =
-    E rho(t_i) on the grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of
-    u_{k-1} J_k rho over [t_i0, T]. A row is the M of its last step, whose
+    u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_p(s) J_k(s)
+    E(s, t_i) ds, u_p its parent (`_chain_steps`) and T = times[i1];
+    jumps[k-1][q] is J_k on table row q. Because the states obey
+    rho(t_{i+1}) = E rho(t_i) on the grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of
+    u_p J_k rho over [t_i0, T]. A row is the M of its last step, whose
     later point takes the jumps of the row starting there, times a power
     of its interior M; w = w M takes the rows backward, one `_product` per
     block of _BLOCK rows.
@@ -183,11 +184,11 @@ def _chain(run: ScenarioRun, i0: int, i1: int, jumps) -> np.ndarray:
         c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
         e, h, k = table.step_mats[table.slot[ps[c]]], table.h[ps[c]], hi[c] - lo[c]
         jc = [j[ps[c]] for j in jumps]
-        m = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h)
+        m = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h, parents)
         r = np.flatnonzero(k > 1)
         if len(r):
             inner = [j[r] for j in jc]
-            for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r]),
+            for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
                                (k[r] - 1).tolist()):
                 m[x] = m[x] @ np.linalg.matrix_power(a, n)
         w = w @ _product(m)
@@ -211,7 +212,7 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=2)
     w = _chain(run, i0, i1, [jumps] * cutoff)
-    return (w[1:].reshape(cutoff, -1) @ run.coords[i0]).tolist()
+    return (w[1:].reshape(cutoff, -1) @ run.coords_at(i0)).tolist()
 
 
 def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
@@ -281,7 +282,7 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     idx = [_grid_index(run, t, "time") for t in ts]
     table = run.pieces
     jumps = table.per_point(_jumps(run))
-    v = jumps[idx[0]] @ run.coords[idx[0]]
+    v = jumps[idx[0]] @ run.coords_at(idx[0])
     for i_prev, i_next in zip(idx, idx[1:]):
         ps, lo, hi = table.spans(i_prev, i_next)
         if len(ps):
@@ -310,7 +311,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
         raise ValueError("pair correlations require a three-level run")
     ja, jb = _jumps(run, first), _jumps(run, second)
     w = _chain(run, 0, len(run.times) - 1, [jb, ja])
-    return float(w[1 + run.dim ** 2:] @ run.coords[0])
+    return float(w[1 + run.dim ** 2:] @ run.coords_at(0))
 
 
 def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
@@ -323,6 +324,18 @@ def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
         return 2.0 * ordered_pair_count(run, chan_a, chan_a)
     return ordered_pair_count(run, chan_a, chan_b) + \
         ordered_pair_count(run, chan_b, chan_a)
+
+
+def pair_correlations(run: ScenarioRun) -> CrossPairResult:
+    """The three `cross_pair_integral`s of a three-level run from one chain
+    whose roots carry the late idler and signal jumps, each with the early
+    idler and signal jumps as children: `ordered_pair_count`s A_ii .. A_ss."""
+    if run.params.levels != 3:
+        raise ValueError("pair correlations require a three-level run")
+    ji, js = _jumps(run, "idler"), _jumps(run, "signal")
+    w = _chain(run, 0, len(run.times) - 1, [ji, js] * 3, [-1, -1, 0, 0, 1, 1])
+    a_ii, a_si, a_is, a_ss = (w[1:].reshape(6, -1)[2:] @ run.coords_at(0)).tolist()
+    return CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si)
 
 
 def csi_metric(g_ii: float, g_ss: float, g_is: float) -> float:

@@ -255,12 +255,14 @@ def nested_pair_count(run, first, second):
     return float(np.trapezoid(g, t))
 
 
-def chain_walk(run, i0, i1, jumps):
+def chain_walk(run, i0, i1, jumps, parents=None):
     """The backward chain w = [1, u_1 .. u_L] at grid point i0 by a walk
     over the rows from the window end: per row, one vector product with
     the chain step of its last grid step (whose later point takes the
     jumps of the row starting there) and one with a `matrix_power` of its
-    interior step. The package reduces the same row matrices as a tree."""
+    interior step. The package reduces the same row matrices as a tree.
+    `parents` are the levels' parents as `_chain_steps` takes them; the
+    default is the linear path."""
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
@@ -269,9 +271,11 @@ def chain_walk(run, i0, i1, jumps):
     for p, n, q in zip(ps[::-1], (hi - lo)[::-1], nxt[::-1]):
         e, h = table.step_mats[table.slot[p:p + 1]], table.h[p:p + 1]
         jc = [j[p:p + 1] for j in jumps]
-        w = w @ pf.statistics._chain_steps(e, jc, [j[q:q + 1] for j in jumps], h)[0]
+        steps = pf.statistics._chain_steps(e, jc, [j[q:q + 1] for j in jumps], h, parents)
+        w = w @ steps[0]
         if n > 1:
-            w = w @ np.linalg.matrix_power(pf.statistics._chain_steps(e, jc, jc, h)[0], n - 1)
+            interior = pf.statistics._chain_steps(e, jc, jc, h, parents)[0]
+            w = w @ np.linalg.matrix_power(interior, n - 1)
     return w
 
 

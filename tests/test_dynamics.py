@@ -1,6 +1,7 @@
 """Schedules, generators, and piecewise propagation."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -514,14 +515,29 @@ class TestPieceTable:
 
     def test_one_step_rows_march_bitwise(self):
         # with chunks of one row the scan is one product per one-step row,
-        # as the oracle takes one per step
+        # as the oracle takes one per step; the run marches on first read
         with mock.patch.object(pf.dynamics, "_CHUNK", 1):
             run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
                               pf.DriveSchedule(((0.5, 1.2, 2.0 - 1.0j),)),
                               random_ramp(np.random.default_rng(7), 0.0, 2.0, 200),
                               2.0, dt=0.05)
+            run.coords
         assert run.pieces.n_steps.tolist() == [1] * 200
         assert np.array_equal(run.coords, oracles.march_states(run, coords=True))
+
+    def test_coords_march_once_on_first_read(self):
+        with mock.patch.object(pf.dynamics, "_march_table",
+                               wraps=pf.dynamics._march_table) as march:
+            run = TABLE_RUNS["release"]()
+            assert run.coords_at(0) is run.start
+            assert march.call_count == 0
+            first = run.coords
+            assert run.coords is first
+        assert march.call_count == 1
+        assert np.array_equal(run.coords[0], run.start)
+        assert np.array_equal(run.coords_at(7), run.coords[7])
+        # a copy with its own table marches its own states
+        assert "coords" not in vars(replace(run, pieces=run.pieces))
 
     def test_counting_ops_by_row(self, table_run):
         table = table_run.pieces

@@ -7,6 +7,7 @@ tests assert the package reproduces them to 1e-9.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -477,6 +478,24 @@ class TestCascade:
         for (a, g), (_, _, res) in zip(cells, out):
             assert res == pf.run_cascade(ladder().with_(gamma02=g), a,
                                          t_end=6.0, dt=0.05)
+
+
+class TestMarchOnRead:
+    """A scenario marches the grid states only when it reads them: counting
+    from the run's start and the pair chain read its first state alone."""
+
+    @pytest.mark.parametrize("scenario, marches", [
+        (lambda: pf.run_cascade(ladder(), 8.0), 0),
+        (lambda: pf.run_beam_splitter(qubit_half(), pf.BeamSplitterConfig(alpha0=5.0)), 0),
+        (lambda: pf.run_shaped_release(qubit_unit(), alpha0=5.0), 1),
+        (lambda: pf.run_shaped_release(qubit_unit(), alpha0=10.0,
+                                       release=pf.WavePacket.exponential(1.0, 8.0)), 1),
+    ], ids=["cascade", "beam_splitter", "release", "packet_release"])
+    def test_march_count(self, scenario, marches):
+        with mock.patch.object(pf.dynamics, "_march_table",
+                               wraps=pf.dynamics._march_table) as march:
+            scenario()
+        assert march.call_count == marches
 
 
 class TestLossAndWaitSweeps:

@@ -381,6 +381,20 @@ class TestChainAgainstRowWalk:
             got = pf.statistics._chain(run, i0, i1, jumps)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_tree_matches_row_walk(self):
+        # the pair layout: two roots, each with two children; the
+        # two-segment drive leaves several rows with interior powers
+        run = TABLE_RUNS["three_level"]()
+        assert len(run.pieces.n_steps) > 3 and (run.pieces.n_steps > 1).sum() > 2
+        ji, js = pf.statistics._jumps(run, "idler"), pf.statistics._jumps(run, "signal")
+        jumps, parents = [ji, js] * 3, [-1, -1, 0, 0, 1, 1]
+        n = len(run.times) - 1
+        for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
+            want = oracles.chain_walk(run, i0, i1, jumps, parents)
+            got = pf.statistics._chain(run, i0, i1, jumps, parents)
+            assert len(got) == 1 + 6 * 9
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_windows_reach_the_block_cases(self):
         # the ramp's (0, n - 1) window is 2,399 one-step rows, so its last
         # block holds an odd 95 rows; the pulse's (1, n - 1) window starts
@@ -441,6 +455,19 @@ class TestPairIntegrals:
     def test_two_level_run_rejected(self, stored_excitation_run):
         with pytest.raises(ValueError, match="three-level"):
             pf.ordered_pair_count(stored_excitation_run, "signal", "idler")
+        with pytest.raises(ValueError, match="pair correlations require a three-level run"):
+            pf.pair_correlations(stored_excitation_run)
+
+    @pytest.mark.parametrize("alpha_d, gamma02", [(5.0, 0.05), (8.0, 0.35), (10.0, 0.5)])
+    def test_one_tree_chain_equals_the_pair_integrals(self, alpha_d, gamma02):
+        run = pf.simulate(pf.MirrorQubitParams(levels=3, gamma02=gamma02),
+                          pf.DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * gamma02),
+                          pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005)
+        got = pf.pair_correlations(run)
+        want = [pf.cross_pair_integral(run, a, b)
+                for a, b in [("idler", "idler"), ("signal", "signal"), ("idler", "signal")]]
+        for g, x in zip([got.g_ii, got.g_ss, got.g_is], want):
+            assert abs(g - x) <= 1e-13 * abs(x)
 
     def test_counting_needs_the_line_channel(self, run3):
         msg = "unknown channel 'line'; this run has signal, idler, pump"
