@@ -75,13 +75,10 @@ def _run_beam_splitter(v):
                                gamma_nr=v["gamma_nr"])
     config = dict(r=v["r"], t0=v["t0"], t_end=v["t_end"], dt=v["dt"],
                   amp_error=v["amp_error"], phase_error=v["phase_error"])
-
-    def one(a0):
-        return (a0,) + run_beam_splitter(
-            params, BeamSplitterConfig(alpha0=a0, **config),
-            cutoff=v["cutoff"]).probabilities
-
-    return _probability_columns(v), [one(a0) for a0 in v["alpha0"]]
+    return _probability_columns(v), [
+        (a0,) + run_beam_splitter(params, BeamSplitterConfig(alpha0=a0, **config),
+                                  cutoff=v["cutoff"]).probabilities
+        for a0 in v["alpha0"]]
 
 
 def _run_shaped_release(v):
@@ -98,15 +95,10 @@ def _run_shaped_release(v):
     else:
         raise ConfigError(
             f"packet must be none, gaussian, or exponential, not {v['packet']!r}")
-
-    def one(a0):
-        res = run_shaped_release(
-            params, alpha0=a0, phi_i=v["phi_i"], t0=v["t0"], t_r=v["t_r"],
-            t_end=v["t_end"], release=release, cutoff=v["cutoff"],
-            dt=v["dt"], clip_budget=v["clip_budget"])
-        return (a0,) + res.stats.probabilities
-
-    return _probability_columns(v), [one(a0) for a0 in v["alpha0"]]
+    return _probability_columns(v), [(a0,) + run_shaped_release(
+        params, alpha0=a0, phi_i=v["phi_i"], t0=v["t0"], t_r=v["t_r"],
+        t_end=v["t_end"], release=release, cutoff=v["cutoff"], dt=v["dt"],
+        clip_budget=v["clip_budget"]).stats.probabilities for a0 in v["alpha0"]]
 
 
 def _run_cascade_sweep(v):

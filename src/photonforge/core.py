@@ -271,22 +271,17 @@ def liouvillian(h, collapse_ops=()) -> Superoperator:
     return Superoperator(m)
 
 
-# Scaling and squaring with Pade approximants (N. J. Higham, SIAM J.
-# Matrix Anal. Appl. 26, 1179 (2005)): the 1-norm bounds theta_m of the
-# degrees m = 3, 5, 7, 9, 13, and each degree's numerator coefficients
-# b_0 .. b_m, padded with zeros to degree 13.
-_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
-                   9.504178996162932e-1, 2.097847961257068e0, 5.371920351148152e0])
-_PADE = np.array([b + (0.0,) * (14 - len(b)) for b in (
-    (120.0, 60.0, 12.0, 1.0),
-    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-     2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-     1187353796428800.0, 129060195264000.0, 10559470521600.0,
-     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-     16380.0, 182.0, 1.0))])
+# Scaling and squaring with truncated Taylor series: degree m = 1 .. 20 meets unit
+# roundoff on 1-norms up to theta_m (A. H. Al-Mohy and N. J. Higham, SIAM J. Sci.
+# Comput. 33, 488 (2011), Table 3.1). _TAYLOR[m] puts 1/k!, k <= m, at (j, i), k = 4j + i
+# with i >= 1 past j = 0, of the Paterson-Stockmeyer form p(A) = sum_j (A^4)^j sum_i c_ji A^i.
+_THETA = np.array([2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2,
+                   5.00e-2, 8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1,
+                   6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44])
+_TAYLOR = np.zeros((21, 5, 5))
+_TAYLOR[:, 0, 0] = 1.0
+_TAYLOR[:, np.arange(20) // 4, np.arange(20) % 4 + 1] = (
+    np.tril(np.ones((21, 20)), -1) / np.cumprod(np.arange(1.0, 21.0)))
 
 
 def sup_exp(lv, t):
@@ -295,13 +290,13 @@ def sup_exp(lv, t):
 
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
     array of their propagators from one stacked call; a real stack stays
-    real. Scaling and squaring with Pade approximants (Higham 2005) in
-    numpy: each slice takes the lowest degree whose bound its 1-norm
-    meets, or degree 13 after halving s times, and is squared back s
-    times. The stack is evaluated in one pass of stacked products and one
-    stacked solve, and a slice's result never depends on the rest of the
-    stack. A non-finite result raises FloatingPointError instead of
-    travelling on as NaN.
+    real. Scaling and squaring with truncated Taylor series (Al-Mohy and
+    Higham 2011): a slice is halved s times to a 1-norm of at most
+    theta_20, takes the lowest degree its norm allows, and is squared back
+    s times. Its coefficients above that degree are zero in one fixed shape
+    of stacked products, so no slice depends on the rest of the stack. A
+    non-finite result raises FloatingPointError instead of travelling on
+    as NaN.
     """
     m = np.asarray(getattr(lv, "mat", lv))
     t = np.asarray(t, dtype=float)
@@ -309,23 +304,23 @@ def sup_exp(lv, t):
         raise ValueError(f"duration must be finite and nonnegative, got {t}")
     with np.errstate(all="ignore"):
         a = m * t[:, None, None] if m.ndim == 3 else (m * t)[None]
-        norm = np.abs(a).sum(axis=1).max(axis=1)
-        # each slice's degree is the lowest whose bound its norm meets;
-        # degree 13 also takes larger norms, halved s times, and NaN
-        degree = np.searchsorted(_THETA[:-1], norm)
+        norm = np.einsum("pij->jp", np.abs(a)).max(axis=0)
+        # s halvings past theta_20 (none for NaN), then the lowest degree
         s = np.ceil(np.log2(norm / _THETA[-1]))
         s = np.where(np.isfinite(s) & (s > 0), s, 0.0).astype(int)
-        a = a * np.ldexp(1.0, -s)[:, None, None]
-        # U and V, the odd and even parts of each slice's [m/m]
-        # approximant, from the even powers its degree needs; a lower
-        # degree adds exact zeros for the powers it lacks
-        b = _PADE[degree][:, :, None, None]
-        pw = [np.eye(a.shape[-1]), a @ a]
-        while 2 * len(pw) <= (3, 5, 7, 9, 13)[degree.max(initial=0)]:
-            pw.append(pw[-1] @ pw[1])
-        u = a @ sum(b[:, 2 * k + 1] * p for k, p in enumerate(pw))
-        v = sum(b[:, 2 * k] * p for k, p in enumerate(pw))
-        out = np.linalg.solve(v - u, v + u)
+        degree = np.searchsorted(_THETA[:-1], np.ldexp(norm, -s)) + 1
+        pw = np.empty(a.shape[:1] + (5,) + a.shape[1:], dtype=a.dtype)
+        pw[:, 0] = np.eye(a.shape[-1])
+        np.multiply(a, np.ldexp(1.0, -s)[:, None, None], out=pw[:, 1])
+        for k in range(2, 5):
+            np.matmul(pw[:, k // 2], pw[:, k - k // 2], out=pw[:, k])
+        # Horner in A^4 from the stack's top block; a slice's blocks above
+        # its own are exact zeros
+        blocks = (_TAYLOR[degree] @ pw.reshape(len(a), 5, -1)).reshape(pw.shape)
+        top = (int(degree.max(initial=1)) - 1) // 4
+        out = blocks[:, top]
+        for j in range(top - 1, -1, -1):
+            out = blocks[:, j] + pw[:, 4] @ out
         for k in range(s.max(initial=0)):
             sel = s > k
             out[sel] = out[sel] @ out[sel]

@@ -422,12 +422,15 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     phi, alpha = phase.phi_at(t_a), drive.amplitude_at(t_a)
     n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
     h = (t_b - t_a) / n
-    index = {}
-    slots = np.array([index.setdefault(k, len(index))
-                      for k in zip(phi.tolist(), alpha.tolist(), h.tolist())], dtype=int)
-    keys = np.array(list(index), dtype=complex).reshape(-1, 3).T
-    mats = sup_exp(np.tensordot(_weights(params, keys[0].real, keys[1]).real,
-                                to_coordinates(_basis(params.levels)), axes=1), keys[2].real)
+    # a slot per distinct sorted key, keyed by its first row (stable sort)
+    order = np.lexsort((h, alpha.imag, alpha.real, phi))
+    keys = np.stack([phi, alpha.real, alpha.imag, h])[:, order]
+    new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
+    slots = np.empty_like(order)
+    slots[order] = np.cumsum(new) - 1
+    first = order[new]
+    mats = sup_exp(np.tensordot(_weights(params, phi[first], alpha[first]).real,
+                                to_coordinates(_basis(params.levels)), axes=1), h[first])
     if params.levels == 2:
         channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
                                               lowering_op(2, 0, 1).mat)}
@@ -509,8 +512,9 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
 
 def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
     """Coordinates of rho0 (ground by default), a state of the run's levels."""
-    rho = (DensityMatrix.ground(params.levels) if rho0 is None
-           else DensityMatrix(_as_matrix(rho0)))
+    if rho0 is None:  # the ground state: rho_00 = 1, the first coordinate
+        return np.eye(params.levels ** 2)[0]
+    rho = DensityMatrix(_as_matrix(rho0))
     if rho.dim != params.levels:
         raise ValueError(f"rho0 has {rho.dim} levels, the run {params.levels}")
     return (coordinates(rho.dim)[1] @ vec(rho)).real

@@ -453,16 +453,11 @@ def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
     p = params.with_(gamma_nr=gamma_nr)
     pulse = DriveSchedule.square_pi_pulse(alpha0, t0, effective_coupling(p.gamma, phi_i))
     t_store = pulse.segments[0][1]
-
-    def one(t_wait):
-        t_r = t_store + t_wait
-        t_end = t_r + window
-        res = run_shaped_release(p, alpha0=alpha0, phi_i=phi_i, t0=t0,
-                                 t_r=t_r, t_end=t_end, release=phi_r,
-                                 cutoff=cutoff, dt=dt)
-        return (t_wait, res)
-
-    return [one(t_wait) for t_wait in t_wait_values]
+    return [(t_wait, run_shaped_release(p, alpha0=alpha0, phi_i=phi_i, t0=t0,
+                                        t_r=t_store + t_wait,
+                                        t_end=t_store + t_wait + window,
+                                        release=phi_r, cutoff=cutoff, dt=dt))
+            for t_wait in t_wait_values]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ ones, which no classical field can arrange.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -115,6 +116,16 @@ def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
     return i0, i1
 
 
+@functools.lru_cache(maxsize=None)
+def _jump_form(d: int):
+    """Pairs a <= b and real K_ab with conj(M) kron M in coordinates sum_ab m_a m_b K_ab,
+    m the real and imaginary parts of M's entries, in which the jump is real and bilinear."""
+    g = (np.array([1.0, 1j])[:, None, None] * np.eye(d * d)).reshape(-1, d, d)
+    kron = np.einsum("aij,bkl->abikjl", g.conj(), g).reshape(-1, d * d, d * d)
+    k, (a, b) = to_coordinates(kron).reshape(len(g), len(g), -1), np.triu_indices(len(g))
+    return a, b, k[a, b] + (a < b)[:, None] * k[b, a]
+
+
 def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     """Jump superoperators conj(M) kron M, in coordinates, of a channel's
     collapse operator M on every table row, shape (P, d^2, d^2)."""
@@ -122,8 +133,10 @@ def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     if ops is None:
         raise ValueError(f"unknown channel {channel!r}; this run has "
                          f"{', '.join(run.pieces.channels)}")
-    d2 = ops.shape[-1] ** 2
-    return to_coordinates(np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(-1, d2, d2))
+    d = ops.shape[-1]
+    a, b, form = _jump_form(d)
+    m = np.moveaxis(np.array([ops.real, ops.imag]), 1, -1).reshape(2 * d * d, -1)
+    return ((m[a] * m[b]).T @ form).reshape(-1, d * d, d * d)
 
 
 def _chain_steps(e, jc, jn, h, parents=None):
@@ -177,17 +190,18 @@ def _chain(run: ScenarioRun, i0: int, i1: int, jumps, parents=None) -> np.ndarra
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
-    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1])
-    w[0] = 1.0
+    w = np.eye(1 + len(jumps) * jumps[0].shape[-1])[0]
+    distinct = {id(j): j for j in jumps}
     # _BLOCK rows' matrices at a time, which bounds memory on long ramps
     for stop in range(len(ps), 0, -_BLOCK):
         c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
         e, h, k = table.step_mats[table.slot[ps[c]]], table.h[ps[c]], hi[c] - lo[c]
-        jc = [j[ps[c]] for j in jumps]
-        m = _chain_steps(e, jc, [j[nxt[c]] for j in jumps], h, parents)
         r = np.flatnonzero(k > 1)
+        # each distinct jump array gathered once: at rows, next rows, long rows
+        got = {i: (j[ps[c]], j[nxt[c]], j[ps[c[r]]]) for i, j in distinct.items()}
+        jc, jn, inner = zip(*(got[id(j)] for j in jumps))
+        m = _chain_steps(e, jc, jn, h, parents)
         if len(r):
-            inner = [j[r] for j in jc]
             for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
                                (k[r] - 1).tolist()):
                 m[x] = m[x] @ np.linalg.matrix_power(a, n)

@@ -4,8 +4,10 @@ Everything here deliberately uses different algorithms than the package:
 adaptive ODE integration instead of exact piecewise exponentials,
 forward-nested quadrature instead of backward sweeps (for counting
 moments and for pair integrals), closed-form alternating binomial sums
-instead of back substitution, Taylor series with step doubling instead
-of Pade exponentials, and basis-column assembly instead of Kronecker
+instead of back substitution, Taylor series summed to convergence with
+step doubling instead of fixed-degree Paterson-Stockmeyer Taylor
+exponentials, complex Kronecker jumps instead of their real bilinear
+form, and basis-column assembly of generators instead of Kronecker
 products. Agreement with the package is therefore a meaningful
 cross-check, not a tautology.
 """
@@ -319,3 +321,12 @@ def expm_series(mat, t):
     for _ in range(k):
         out = out @ out
     return out
+
+
+def kron_jumps(ops):
+    """conj(M) kron M, in coordinates, of a (P, d, d) stack of collapse
+    operators: the complex Kronecker stack, then `core.to_coordinates`,
+    against which `statistics._jumps` forms them from Re M and Im M."""
+    d2 = ops.shape[-1] ** 2
+    stack = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(-1, d2, d2)
+    return pf.core.to_coordinates(stack)

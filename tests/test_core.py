@@ -214,8 +214,8 @@ class TestGenerators:
                 assert np.max(np.abs(got - want)) < 1e-9
 
     def test_sup_exp_stack_matches_series_at_every_degree(self):
-        # 1-norms just below and above each Pade bound theta_m, and 1e3,
-        # which the degree-13 branch halves s = 8 times
+        # 1-norms just below and above each Taylor bound theta_m, and 1e3,
+        # which is halved s = 10 times to below theta_20
         norms = np.append(np.outer(pf.core._THETA, [0.9, 1.1]).ravel(), 1e3)
         for params in (pf.MirrorQubitParams(gamma=0.8, delta=0.3, gamma_nr=0.1),
                        pf.MirrorQubitParams(levels=3, gamma02=0.4)):
@@ -230,8 +230,8 @@ class TestGenerators:
                 assert np.max(np.abs(e - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_sup_exp_keeps_a_real_stack_real(self):
-        # 1-norms just below and above each Pade bound, at most one
-        # squaring; eight squarings (norm 1e3) amplify either path's
+        # 1-norms just below and above each Taylor bound, at most one
+        # squaring; ten squarings (norm 1e3) amplify either path's
         # rounding to about 1e-14
         norms = np.outer(pf.core._THETA, [0.9, 1.1]).ravel()
         for params in (pf.MirrorQubitParams(gamma=0.8, delta=0.3, gamma_nr=0.1),
@@ -259,6 +259,37 @@ class TestGenerators:
         for g, tk, e in zip(gens, t, stack):
             assert np.array_equal(pf.sup_exp(g, tk).mat, e)
         assert np.array_equal(pf.sup_exp(gens[::-1], t[::-1])[::-1], stack)
+
+    def test_scenario_stacks_match_scipy_expm(self, monkeypatch):
+        # every slice that a packet release, a beam-splitter job, a cascade
+        # cell and an encode exponentiate, against scipy's Pade expm; the
+        # encode Van Loan slices reach 1-norms of about 43, five squarings
+        from scipy.linalg import expm
+
+        stacks = []
+        for module in (pf.dynamics, pf.scenarios):
+            def capture(lv, t, real=module.sup_exp):
+                stacks.append((np.asarray(getattr(lv, "mat", lv)), np.asarray(t, dtype=float)))
+                return real(lv, t)
+            monkeypatch.setattr(module, "sup_exp", capture)
+        packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
+        pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
+        pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), pf.BeamSplitterConfig())
+        pf.run_cascade(pf.MirrorQubitParams(levels=3, gamma02=0.35), 8.0)
+        s = 1.0 / np.sqrt(2.0)
+        pf.encode_flying_qubit(pf.FlyingQubitTarget(s, s), pf.MirrorQubitParams(), seeds=2)
+        monkeypatch.undo()
+        worst = 0.0
+        for gens, t in stacks:
+            gens, t = gens.reshape((-1,) + gens.shape[-2:]), t.reshape(-1)
+            got = pf.sup_exp(gens, t)
+            for g, tk, e in zip(gens, t, got):
+                want = expm(g * tk)
+                worst = max(worst, np.max(np.abs(e - want)) / np.max(np.abs(want)))
+        assert sum(len(t.reshape(-1)) for _, t in stacks) > 2300
+        assert max(np.abs(g * t.reshape(-1, 1, 1)).sum(axis=-2).max()
+                   for g, t in stacks if g.ndim == 3) > 30
+        assert worst <= 1e-14
 
     def test_propagated_state_stays_physical(self):
         h = random_matrix(2)

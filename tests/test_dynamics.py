@@ -383,6 +383,26 @@ class TestCompiler:
         assert len(run.pieces.slot) >= 2400
         assert len(calls) <= 3
 
+    def test_flux_readout_exponentiates_each_distinct_key_once(self, monkeypatch):
+        # the beam-splitter readout: 4,001 rows, few distinct steps
+        slices = []
+        real = pf.dynamics.sup_exp
+
+        def counting(lv, t):
+            slices.append(len(t))
+            return real(lv, t)
+
+        params = pf.MirrorQubitParams(gamma=0.5)
+        drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
+        phase, grid = pf.PhaseSchedule.constant(0.0), np.linspace(0.0, 20.0, 4001)
+        table = pf.dynamics._piece_table(params, drive, phase, 0.0, 20.0, grid)
+        keys = set(zip(table.phi.tolist(), table.alpha.tolist(), table.h.tolist()))
+        assert len(table.slot) > 4000 and len(keys) < 50
+        assert len(table.step_mats) == len(keys)
+        monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
+        pf.flux_series(params, drive, phase, grid)
+        assert 0 < sum(slices) <= len(keys)
+
     def test_packet_release_looks_up_each_schedule_once(self, monkeypatch):
         calls = []
         for cls, name in ((pf.PhaseSchedule, "phi_at"), (pf.DriveSchedule, "amplitude_at")):
@@ -610,6 +630,15 @@ class TestPropagator:
 
 
 class TestSimulate:
+    def test_default_start_is_the_validated_ground_state(self):
+        for levels in (2, 3):
+            params = pf.MirrorQubitParams(levels=levels)
+            got = pf.dynamics._initial_state(params, None)
+            rho = pf.DensityMatrix.ground(levels)
+            want = (pf.core.coordinates(levels)[1] @ pf.vec(rho)).real
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert np.array_equal(pf.dynamics._initial_state(params, rho.mat), want)
+
     def test_grid_geometry(self):
         params = pf.MirrorQubitParams(gamma=0.5)
         drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)

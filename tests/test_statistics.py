@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -427,6 +428,63 @@ def coarse_run3():
 @pytest.fixture(scope="module")
 def run3():
     return cascade_run()
+
+
+class TestJumpsAndGathers:
+    """`_jumps` against the complex Kronecker route of `oracles.kron_jumps`,
+    and `_chain`'s one gather of each distinct jump array per block."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_RUNS))
+    def test_jumps_match_kron_route(self, name):
+        run = TABLE_RUNS[name]()
+        for channel, ops in run.pieces.channels.items():
+            got = pf.statistics._jumps(run, channel)
+            want = oracles.kron_jumps(ops)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_random_operators_match_kron_route(self):
+        for d in (2, 3):
+            ops = RNG.normal(size=(40, d, d)) + 1j * RNG.normal(size=(40, d, d))
+            run = TABLE_RUNS["pulse"]() if d == 2 else TABLE_RUNS["three_level"]()
+            run.pieces = replace(run.pieces, channels={"m": ops})
+            got, want = pf.statistics._jumps(run, "m"), oracles.kron_jumps(ops)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_moments_match_kron_route(self, monkeypatch):
+        def results():
+            config = pf.BeamSplitterConfig(alpha0=5.0, amp_error=0.02, phase_error=0.05)
+            bs = pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), config)
+            pair = pf.pair_correlations(TABLE_RUNS["three_level"]())
+            return (list(pf.photon_mtiples(TABLE_RUNS["release"](), cutoff=3))
+                    + list(bs.n_tiples) + [pair.g_ii, pair.g_ss, pair.g_is])
+
+        got = results()
+        monkeypatch.setattr(pf.statistics, "_jumps", lambda run, channel="line":
+                            oracles.kron_jumps(run.pieces.channels[channel]))
+        want = results()
+        assert min(map(abs, want)) > 0
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_chain_gathers_each_jump_array_once(self, monkeypatch):
+        seen = []
+        real = pf.statistics._chain_steps
+
+        def recording(e, jc, jn, h, parents=None):
+            seen.append(([id(j) for j in jc], [id(j) for j in jn]))
+            return real(e, jc, jn, h, parents)
+
+        monkeypatch.setattr(pf.statistics, "_chain_steps", recording)
+        pf.photon_mtiples(TABLE_RUNS["pulse"](), cutoff=3)
+        assert seen and all(len(set(ids)) == 1 for both in seen for ids in both)
+        seen.clear()
+        pf.pair_correlations(TABLE_RUNS["three_level"]())
+        assert seen
+        for both in seen:
+            for ids in both:
+                assert len(set(ids[0::2])) == len(set(ids[1::2])) == 1
+                assert ids[0] != ids[1]
 
 
 class TestPairIntegrals:
