@@ -282,6 +282,7 @@ _TAYLOR = np.zeros((21, 5, 5))
 _TAYLOR[:, 0, 0] = 1.0
 _TAYLOR[:, np.arange(20) // 4, np.arange(20) % 4 + 1] = (
     np.tril(np.ones((21, 20)), -1) / np.cumprod(np.arange(1.0, 21.0)))
+_SLICES = 512  # slices exponentiated at once, which bounds the temporaries
 
 
 def sup_exp(lv, t):
@@ -289,7 +290,7 @@ def sup_exp(lv, t):
     duration t >= 0; at t = 0 it is the identity exactly.
 
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
-    array of their propagators from one stacked call; a real stack stays
+    array of their propagators, _SLICES slices at a time; a real stack stays
     real. Scaling and squaring with truncated Taylor series (Al-Mohy and
     Higham 2011): a slice is halved s times to a 1-norm of at most
     theta_20, takes the lowest degree its norm allows, and is squared back
@@ -302,6 +303,9 @@ def sup_exp(lv, t):
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError(f"duration must be finite and nonnegative, got {t}")
+    if m.ndim == 3 and len(m) > _SLICES:
+        return np.concatenate([sup_exp(m[i:i + _SLICES], t[i:i + _SLICES])
+                               for i in range(0, len(m), _SLICES)])
     with np.errstate(all="ignore"):
         a = m * t[:, None, None] if m.ndim == 3 else (m * t)[None]
         norm = np.einsum("pij->jp", np.abs(a)).max(axis=0)
@@ -314,13 +318,13 @@ def sup_exp(lv, t):
         np.multiply(a, np.ldexp(1.0, -s)[:, None, None], out=pw[:, 1])
         for k in range(2, 5):
             np.matmul(pw[:, k // 2], pw[:, k - k // 2], out=pw[:, k])
-        # Horner in A^4 from the stack's top block; a slice's blocks above
-        # its own are exact zeros
-        blocks = (_TAYLOR[degree] @ pw.reshape(len(a), 5, -1)).reshape(pw.shape)
+        # Horner in A^4 from the top block; two blocks at least, as one would
+        # round through a matrix-vector product; a slice's higher blocks are 0
         top = (int(degree.max(initial=1)) - 1) // 4
-        out = blocks[:, top]
+        blocks = _TAYLOR[degree, :max(top + 1, 2)] @ pw.reshape(len(a), 5, -1)
+        out = blocks[:, top].reshape(a.shape)
         for j in range(top - 1, -1, -1):
-            out = blocks[:, j] + pw[:, 4] @ out
+            out = blocks[:, j].reshape(a.shape) + pw[:, 4] @ out
         for k in range(s.max(initial=0)):
             sel = s > k
             out[sel] = out[sel] @ out[sel]

@@ -284,13 +284,13 @@ def channel_couplings(params: MirrorQubitParams) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis(levels: int) -> np.ndarray:
+def _basis(levels: int, coords: bool = False) -> np.ndarray:
     """Fixed superoperators whose weighted sums are all the generators.
 
     Two levels: D[sigma_minus] and the commutators with sigma_z and the
     two drive quadratures -i(X - X^dag), X + X^dag of X = sigma_plus.
     Three levels: the three ladder dissipators and the same quadratures
-    of X = |2><0|.
+    of X = |2><0|. With coords, in real coordinates, each flattened to a row.
     """
     if levels == 2:
         sm = lowering_op(2, 0, 1)
@@ -300,7 +300,8 @@ def _basis(levels: int) -> np.ndarray:
         fixed = [dissipator(lowering_op(3, a, b)) for a, b in ((0, 1), (1, 2), (0, 2))]
     x = sm.dag().mat
     quads = [liouvillian(-1j * (x - x.conj().T)), liouvillian(x + x.conj().T)]
-    return np.array([s.mat for s in fixed + quads])
+    basis = np.array([s.mat for s in fixed + quads])
+    return to_coordinates(basis).reshape(len(basis), -1) if coords else basis
 
 
 def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
@@ -377,11 +378,11 @@ class PieceTable:
     step_mats: np.ndarray
     channels: dict
 
-    @property
+    @functools.cached_property
     def h(self) -> np.ndarray:
         return (self.t_b - self.t_a) / self.n_steps
 
-    @property
+    @functools.cached_property
     def starts(self) -> np.ndarray:
         """Grid index of each row's first point, then of the last point."""
         return np.concatenate([[0], np.cumsum(self.n_steps)])
@@ -395,9 +396,8 @@ class PieceTable:
     def spans(self, i0: int, i1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows with steps between grid points i0 and i1, and the
         first and last grid index of each row's part there."""
-        s = self.starts
-        p = np.nonzero((s[:-1] < i1) & (s[1:] > i0))[0]
-        return p, np.maximum(s[p], i0), np.minimum(s[p + 1], i1)
+        p = np.nonzero((self.starts[:-1] < i1) & (self.starts[1:] > i0))[0]
+        return p, np.maximum(self.starts[p], i0), np.minimum(self.starts[p + 1], i1)
 
 
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
@@ -412,13 +412,18 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     stacked call.
     """
     pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
-    pts = np.unique(pts[(pts >= t1) & (pts <= t2)]).tolist()
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] > 1e-12:
-            merged.append(x)
-    merged[max(len(merged) - 1, 1):] = [t2]  # a one-point span keeps t1 and t2
-    t_a, t_b = np.array(merged[:-1]), np.array(merged[1:])
+    pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
+    # keep a point over 1e-12 past the last kept one, a pass per point of a close run
+    keep = np.append(True, np.diff(pts) > 1e-12)
+    close = np.flatnonzero(~keep)
+    while len(close):
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[close - 1]
+        settled = pts[close] - pts[last] > 1e-12
+        if (settled == keep[close]).all():
+            break
+        keep[close] = settled
+    merged = np.append(pts[keep][:max(keep.sum() - 1, 1)], t2)  # t2 ends the span
+    t_a, t_b = merged[:-1], merged[1:]
     phi, alpha = phase.phi_at(t_a), drive.amplitude_at(t_a)
     n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
     h = (t_b - t_a) / n
@@ -429,8 +434,8 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
     slots = np.empty_like(order)
     slots[order] = np.cumsum(new) - 1
     first = order[new]
-    mats = sup_exp(np.tensordot(_weights(params, phi[first], alpha[first]).real,
-                                to_coordinates(_basis(params.levels)), axes=1), h[first])
+    gens = _weights(params, phi[first], alpha[first]).real @ _basis(params.levels, True)
+    mats = sup_exp(gens.reshape((len(first),) + (params.levels ** 2,) * 2), h[first])
     if params.levels == 2:
         channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
                                               lowering_op(2, 0, 1).mat)}
@@ -524,8 +529,8 @@ def _flux(table: PieceTable, coords, at=slice(None)) -> np.ndarray:
     """Output flux tr(L^dag L rho) of coordinate states at grid points `at`,
     L each point's line operator by `per_point`; tr(A rho) = A.ravel() @ V c."""
     ops = table.channels["line"]
-    ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(-1, ops.shape[-1] ** 2)
-    ldl = (ldl @ coordinates(ops.shape[-1])[0]).real
+    ldl = (ops.conj()[:, :, :, None] * ops[:, :, None]).sum(axis=1)
+    ldl = (ldl.reshape(len(ops), -1) @ coordinates(ops.shape[-1])[0]).real
     return np.einsum("ni,ni->n", table.per_point(ldl)[at], coords[at])
 
 

@@ -136,7 +136,9 @@ def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     d = ops.shape[-1]
     a, b, form = _jump_form(d)
     m = np.moveaxis(np.array([ops.real, ops.imag]), 1, -1).reshape(2 * d * d, -1)
-    return ((m[a] * m[b]).T @ form).reshape(-1, d * d, d * d)
+    live = m.any(axis=1)  # a pair with an entry zero on every row adds nothing
+    pair = live[a] & live[b]
+    return ((m[a[pair]] * m[b[pair]]).T @ form[pair]).reshape(-1, d * d, d * d)
 
 
 def _chain_steps(e, jc, jn, h, parents=None):
@@ -156,14 +158,18 @@ def _chain_steps(e, jc, jn, h, parents=None):
     m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2))
     m[:, 0, 0] = 1.0
     blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
+    forms = {}  # c, or X and Q, of each distinct (jc, jn) pair of arrays
     for k, p in enumerate(range(-1, len(jc) - 1) if parents is None else parents):
+        if (key := (p < 0, id(jc[k]), id(jn[k]))) not in forms:
+            forms[key] = (hh * ((tr @ jc[k])[:, None] + (tr @ jn[k])[:, None] @ e) if p < 0
+                          else (hh * jc[k], hh * (e @ jc[k] + jn[k] @ e)))
         m[:, blk[k], blk[k]] = e
         if p < 0:  # a root hangs under the scalar row
-            m[:, :1, blk[k]] = hh * ((tr @ jc[k])[:, None] + (tr @ jn[k])[:, None] @ e)
+            m[:, :1, blk[k]] = forms[key]
         else:  # rows above the parent reach u_{k+1} by its X, the parent by Q
             top = slice(0, blk[p].start)
-            m[:, top, blk[k]] = m[:, top, blk[p]] @ (hh * jc[k])
-            m[:, blk[p], blk[k]] = hh * (e @ jc[k] + jn[k] @ e)
+            m[:, top, blk[k]] = m[:, top, blk[p]] @ forms[key][0]
+            m[:, blk[p], blk[k]] = forms[key][1]
     return m
 
 
@@ -189,7 +195,7 @@ def _chain(run: ScenarioRun, i0: int, i1: int, jumps, parents=None) -> np.ndarra
     """
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
-    nxt = table.per_point(np.arange(len(table.slot)))[hi]
+    nxt = np.minimum(np.searchsorted(table.starts, hi, side="right") - 1, len(table.slot) - 1)
     w = np.eye(1 + len(jumps) * jumps[0].shape[-1])[0]
     distinct = {id(j): j for j in jumps}
     # _BLOCK rows' matrices at a time, which bounds memory on long ramps

@@ -7,9 +7,11 @@ moments and for pair integrals), closed-form alternating binomial sums
 instead of back substitution, Taylor series summed to convergence with
 step doubling instead of fixed-degree Paterson-Stockmeyer Taylor
 exponentials, complex Kronecker jumps instead of their real bilinear
-form, and basis-column assembly of generators instead of Kronecker
-products. Agreement with the package is therefore a meaningful
-cross-check, not a tautology.
+form, the complex stacked product L^dag L instead of its broadcast sum,
+a sequential merge loop over the breakpoints instead of passes over
+runs of close points, and basis-column assembly of generators instead
+of Kronecker products. Agreement with the package is therefore a
+meaningful cross-check, not a tautology.
 """
 
 import math
@@ -330,3 +332,27 @@ def kron_jumps(ops):
     d2 = ops.shape[-1] ** 2
     stack = np.einsum("pij,pkl->pikjl", ops.conj(), ops).reshape(-1, d2, d2)
     return pf.core.to_coordinates(stack)
+
+
+def merge_breakpoints(points, t1, t2):
+    """Row edges (t_a, t_b) of [t1, t2] cut at `points`, one point at a
+    time: a point is kept when it lies more than 1e-12 past the last kept
+    one, and the last kept point gives way to t2 (a one-point span keeps
+    t1 and t2)."""
+    pts = np.unique(np.concatenate([[t1, t2], points]))
+    pts = pts[(pts >= t1) & (pts <= t2)].tolist()
+    merged = [pts[0]]
+    for x in pts[1:]:
+        if x - merged[-1] > 1e-12:
+            merged.append(x)
+    merged[max(len(merged) - 1, 1):] = [t2]
+    return np.array(merged[:-1]), np.array(merged[1:])
+
+
+def ldl_flux(table, coords):
+    """tr(L^dag L rho) at every grid point, L^dag L of each row's "line"
+    operator by the complex stacked product, read right-continuously."""
+    ops = table.channels["line"]
+    ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(len(ops), -1)
+    ldl = table.per_point((ldl @ pf.core.coordinates(ops.shape[-1])[0]).real)
+    return np.einsum("ni,ni->n", ldl, coords)

@@ -260,6 +260,22 @@ class TestGenerators:
             assert np.array_equal(pf.sup_exp(g, tk).mat, e)
         assert np.array_equal(pf.sup_exp(gens[::-1], t[::-1])[::-1], stack)
 
+    def test_sup_exp_slice_ignores_a_stack_of_several_blocks(self):
+        # slices at every degree, at t = 0 and past theta_20 (squarings),
+        # across the boundaries of the _SLICES-slice blocks
+        rng = np.random.default_rng(11)
+        k = 2 * pf.core._SLICES + 76
+        gens = rng.normal(size=(k, 4, 4))
+        norms = rng.permutation(np.geomspace(1e-17, 50.0, k))
+        gens *= (norms / np.abs(gens).sum(axis=-2).max(axis=-1))[:, None, None]
+        t = np.where(np.arange(k) % 97 == 5, 0.0, 1.0)
+        stack = pf.sup_exp(gens, t)
+        assert norms.min() < pf.core._THETA[0] and (norms > pf.core._THETA[-1]).sum() > 50
+        assert stack.dtype == np.float64
+        for g, tk, e in zip(gens, t, stack):
+            assert np.array_equal(pf.sup_exp(g[None], tk[None])[0], e)
+        assert np.array_equal(pf.sup_exp(gens[::-1], t[::-1])[::-1], stack)
+
     def test_scenario_stacks_match_scipy_expm(self, monkeypatch):
         # every slice that a packet release, a beam-splitter job, a cascade
         # cell and an encode exponentiate, against scipy's Pade expm; the

@@ -432,6 +432,29 @@ class TestCompiler:
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def mismatched_splitter_run():
+    """A beam-splitter run whose "line" channel is the counting mode
+    i r L + c(t) of an amplitude- and phase-mismatched splitter: c(t) is
+    zero outside the pulse, so its entries are zero on some rows only."""
+    run = pf.simulate(pf.MirrorQubitParams(gamma=0.5),
+                      pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0),
+                      pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005)
+    table = run.pieces
+    c = -1j * 0.995 * table.alpha * (1.0 - 1.02 * np.exp(0.05j))
+    line = 1j * 0.995 * table.channels["line"] + c[:, None, None] * np.eye(2)
+    return replace(run, pieces=replace(table, channels={"line": line}))
+
+
+class TestFluxReadout:
+    @pytest.mark.parametrize("make", [lambda: TABLE_RUNS["release"](), mismatched_splitter_run])
+    def test_flux_matches_complex_ldl_route(self, make):
+        run = make()
+        got = pf.dynamics._flux(run.pieces, run.coords)
+        want = oracles.ldl_flux(run.pieces, run.coords)
+        assert got.shape == want.shape == run.times.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def _release_run():
     phase, rho0 = exponential_release()
     return pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),

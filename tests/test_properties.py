@@ -4,7 +4,8 @@ and the grid order of the counting moments and pair integrals.
 Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
 a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
 points are never within the piece table's 1e-12 merge tolerance of each
-other. Examples are derandomized, so every run checks the same cases.
+other, except in the merge test, whose cut points come in runs closer
+than that. Examples are derandomized, so every run checks the same cases.
 """
 
 import math
@@ -74,6 +75,35 @@ def pure_states(draw):
     phi = draw(st.floats(0.0, 2.0 * math.pi))
     ket = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
     return np.outer(ket, ket.conj())
+
+
+@st.composite
+def close_breakpoints(draw):
+    """A span [t1, t2] and cut points in runs about 0.6e-12 apart, each run
+    from t1, t2 or a point between, up or down, and maybe one point within
+    1e-12 below t2."""
+    t1 = draw(st.floats(0.0, 4.0))
+    t2 = t1 + draw(st.sampled_from([0.0, 4e-13, 1e-12, 3e-12, 1e-3, 1.0]))
+    pts = []
+    for _ in range(draw(st.integers(0, 6))):
+        x = draw(st.sampled_from([t1, t2])) if draw(st.booleans()) else draw(st.floats(t1, t2))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        for gap in draw(st.lists(st.floats(0.3e-12, 0.9e-12), max_size=8)):
+            pts.append(x)
+            x += sign * gap
+    if draw(st.booleans()):
+        pts.append(t2 - draw(st.floats(0.0, 1e-12)))
+    return t1, t2, pts
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(close_breakpoints())
+def test_merge_keeps_the_sequential_rule(span):
+    t1, t2, pts = span
+    table = pf.dynamics._piece_table(pf.MirrorQubitParams(), pf.DriveSchedule(()),
+                                     pf.PhaseSchedule.constant(0.0), t1, t2, pts)
+    t_a, t_b = oracles.merge_breakpoints(pts, t1, t2)
+    assert np.array_equal(table.t_a, t_a) and np.array_equal(table.t_b, t_b)
 
 
 @PROPERTY

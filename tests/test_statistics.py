@@ -11,7 +11,7 @@ import photonforge as pf
 from photonforge.dynamics import _BLOCK
 
 import oracles
-from test_dynamics import TABLE_RUNS
+from test_dynamics import TABLE_RUNS, mismatched_splitter_run
 
 PI = math.pi
 RNG = np.random.default_rng(425)
@@ -466,6 +466,30 @@ class TestJumpsAndGathers:
         assert min(map(abs, want)) > 0
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_jumps_zero_on_some_rows_match_kron_route(self):
+        run = mismatched_splitter_run()
+        ops = run.pieces.channels["line"]
+        diag = np.abs(ops[:, 0, 0]) > 0
+        assert diag.any() and not diag.all()
+        got, want = pf.statistics._jumps(run), oracles.kron_jumps(ops)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("parents", [None, [-1, 0, 0]])
+    def test_chain_steps_equal_jump_arrays_build_one_m(self, parents):
+        # levels with equal jumps in separate arrays, and in one shared
+        # array; the middle level pairs the shared jc with another jn
+        run = TABLE_RUNS["release"]()
+        table, jumps = run.pieces, pf.statistics._jumps(run)
+        rows = np.arange(len(table.slot) - 1)
+        e, h = table.step_mats[table.slot[rows]], table.h[rows]
+        jc, jn = jumps[rows], jumps[rows + 1]
+        other = 2.0 * jn
+        shared = pf.statistics._chain_steps(e, [jc] * 3, [jn, other, jn], h, parents)
+        apart = pf.statistics._chain_steps(e, [jc, jc.copy(), jc.copy()],
+                                           [jn.copy(), other.copy(), jn], h, parents)
+        assert len(rows) > 3
+        assert np.array_equal(shared, apart)
 
     def test_chain_gathers_each_jump_array_once(self, monkeypatch):
         seen = []
