@@ -17,6 +17,7 @@ invariant failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -353,7 +354,9 @@ def _cmd_list(as_json: bool) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="photonforge",
         description="single- and correlated-photon source simulations")
@@ -363,6 +366,11 @@ def main(argv=None) -> int:
     p_list = sub.add_parser("list", help="list scenarios and their defaults")
     p_list.add_argument("--json", action="store_true",
                         help="machine-readable registry dump")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args.config)

@@ -20,7 +20,8 @@ exponentials. A run is compiled once: every piece's generator is a
 weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
-distinct (phi, alpha, step) pieces are exponentiated in one stacked call.
+distinct (weights, step) pieces are exponentiated in one stacked call;
+several runs, such as a cascade sweep's cells, compile as one stack.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
@@ -393,6 +394,10 @@ class PieceTable:
         phase switch sees the new coupling), the end the last row."""
         return np.concatenate([np.repeat(values, self.n_steps, axis=0), values[-1:]])
 
+    def row_at(self, i) -> np.ndarray:
+        """The row `per_point` reads at grid index (or indices) i."""
+        return np.minimum(np.searchsorted(self.starts, i, side="right") - 1, len(self.slot) - 1)
+
     def spans(self, i0: int, i1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows with steps between grid points i0 and i1, and the
         first and last grid index of each row's part there."""
@@ -400,17 +405,13 @@ class PieceTable:
         return p, np.maximum(self.starts[p], i0), np.minimum(self.starts[p + 1], i1)
 
 
-def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
-                 phase: PhaseSchedule, t1: float, t2: float, extra=(),
-                 steps=None) -> PieceTable:
-    """The table of [t1, t2], cut at every breakpoint and every point of
-    `extra` inside it into maximal constant pieces; a span of one point
-    is one zero-length row, whose step matrix is the identity.
-
-    steps(t_a, t_b) gives each row's step count (one by default); the
-    distinct (phi, alpha, h) step matrices are exponentiated in one
-    stacked call.
-    """
+def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
+         extra=(), steps=None) -> tuple:
+    """The rows (t_a, t_b, n_steps, phi, alpha) of [t1, t2], cut at every
+    breakpoint and every point of `extra` inside it into maximal constant
+    pieces; a span of one point is one zero-length row, whose step matrix
+    is the identity. steps(t_a, t_b) gives each row's step count (one by
+    default)."""
     pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
     pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
     # keep a point over 1e-12 past the last kept one, a pass per point of a close run
@@ -424,26 +425,50 @@ def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
         keep[close] = settled
     merged = np.append(pts[keep][:max(keep.sum() - 1, 1)], t2)  # t2 ends the span
     t_a, t_b = merged[:-1], merged[1:]
-    phi, alpha = phase.phi_at(t_a), drive.amplitude_at(t_a)
     n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
-    h = (t_b - t_a) / n
-    # a slot per distinct sorted key, keyed by its first row (stable sort)
-    order = np.lexsort((h, alpha.imag, alpha.real, phi))
-    keys = np.stack([phi, alpha.real, alpha.imag, h])[:, order]
-    new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
-    slots = np.empty_like(order)
-    slots[order] = np.cumsum(new) - 1
-    first = order[new]
-    gens = _weights(params, phi[first], alpha[first]).real @ _basis(params.levels, True)
-    mats = sup_exp(gens.reshape((len(first),) + (params.levels ** 2,) * 2), h[first])
-    if params.levels == 2:
-        channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
-                                              lowering_op(2, 0, 1).mat)}
-    else:
-        channels = {k: np.broadcast_to(op.mat, (len(phi), 3, 3))
-                    for k, op in channel_couplings(params).items()}
-    return PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
-                      slot=slots, step_mats=mats, channels=channels)
+    return t_a, t_b, n, phase.phi_at(t_a), drive.amplitude_at(t_a)
+
+
+def _compile(cells) -> list:
+    """The piece tables of (params, `_cut` rows) cells of one level count,
+    compiled as one stack: each cell numbers a slot per distinct (phi,
+    alpha, h) of its rows, past the slots of the cells before it, and the
+    step matrices of all slots are exponentiated in one stacked call,
+    which all the tables share."""
+    levels = cells[0][0].levels
+    slots, weights, steps, count = [], [], [], 0
+    for params, (t_a, t_b, n, phi, alpha) in cells:
+        h = (t_b - t_a) / n
+        # a slot per distinct sorted key, keyed by its first row (stable sort)
+        order = np.lexsort((h, alpha.imag, alpha.real, phi))
+        keys = np.stack([phi, alpha.real, alpha.imag, h])[:, order]
+        new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
+        slots.append(np.empty_like(order))
+        slots[-1][order] = np.cumsum(new) + (count - 1)
+        first = order[new]
+        weights.append(_weights(params, phi[first], alpha[first]).real)
+        steps.append(h[first])
+        count += len(first)
+    gens = np.concatenate(weights) @ _basis(levels, True)
+    mats = sup_exp(gens.reshape((count,) + (levels ** 2,) * 2), np.concatenate(steps))
+    tables = []
+    for (params, (t_a, t_b, n, phi, alpha)), slot in zip(cells, slots):
+        if params.levels == 2:
+            channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
+                                                  lowering_op(2, 0, 1).mat)}
+        else:
+            channels = {k: np.broadcast_to(op.mat, (len(phi), 3, 3))
+                        for k, op in channel_couplings(params).items()}
+        tables.append(PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
+                                 slot=slot, step_mats=mats, channels=channels))
+    return tables
+
+
+def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
+                 phase: PhaseSchedule, t1: float, t2: float, extra=(),
+                 steps=None) -> PieceTable:
+    """The table of one run: `_compile` of its `_cut`."""
+    return _compile([(params, _cut(drive, phase, t1, t2, extra, steps))])[0]
 
 
 def _scan(e, states, i) -> None:
@@ -566,13 +591,13 @@ class ScenarioRun:
     times[i] are the grid instants, each row's np.linspace(t_a, t_b,
     n_steps + 1), so every breakpoint is a grid point exactly; coords,
     marched from `start` on first read, is the real (n, d^2) array whose
-    row i is the density matrix at times[i] in `core.coordinates`.
+    row i is the density matrix at times[i] in `core.coordinates`. Both
+    are derived from the table on first read.
     """
 
     params: MirrorQubitParams
     drive: DriveSchedule
     phase: PhaseSchedule
-    times: np.ndarray
     start: np.ndarray
     pieces: PieceTable
     drive_points: int = 10 ** 9
@@ -580,6 +605,15 @@ class ScenarioRun:
     @property
     def dim(self) -> int:
         return self.params.levels
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        # row p's grid points are t_a + j h for j < n_steps, as np.linspace
+        # places them, so each row starts exactly on its breakpoint
+        t = self.pieces
+        row = np.repeat(np.arange(len(t.n_steps)), t.n_steps)
+        j = np.arange(len(row)) - np.repeat(t.starts[:-1], t.n_steps)
+        return np.append(j * t.h[row] + t.t_a[row], t.t_b[-1])
 
     @functools.cached_property
     def coords(self) -> np.ndarray:
@@ -595,6 +629,27 @@ class ScenarioRun:
         return self.coords @ coordinates(self.dim)[0].T
 
 
+def _in_pulse(drive: DriveSchedule, t_a, t_b) -> list:
+    """Per drive segment, which rows [t_a, t_b] lie on it."""
+    return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
+
+
+def _grid_steps(drive: DriveSchedule, phase: PhaseSchedule, dt: float,
+                min_pulse_steps: int, t_a, t_b) -> np.ndarray:
+    """Steps of each row [t_a, t_b]: of at most dt, and on a drive pulse of
+    at most 1/min_pulse_steps of its width."""
+    local_dt = np.full(len(t_a), float(dt))
+    for rows, (s, e, _) in zip(_in_pulse(drive, t_a, t_b), drive.segments):
+        local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
+    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
+    if phase.ramp is not None:
+        # a sampled ramp defines its own integration grid: exactly one
+        # step per sampling interval, never re-subdivided
+        ramp = phase.ramp[0]
+        n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
+    return n
+
+
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
              phase: PhaseSchedule, t_end: float, *, t_start: float = 0.0,
              rho0=None, dt: Optional[float] = None,
@@ -605,47 +660,34 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     refined so each carries at least `min_pulse_steps` steps. One-step
     pieces are a chunked scan, a longer piece stacked matrix powers.
     """
-    if dt is None:
-        dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return _simulate([(params, drive)], phase, t_end, t_start, rho0, dt,
+                     min_pulse_steps)[0]
+
+
+def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
+              rho0=None, dt: Optional[float] = None, min_pulse_steps: int = 20) -> list:
+    """The runs of (params, drive) cells over one phase schedule and span,
+    `simulate`'s arguments otherwise: each cell cuts its own rows, and
+    `_compile` compiles them all as one stack."""
+    dts = [dt if dt is not None else 0.01 / p.gamma if p.gamma > 0 else 0.01
+           for p, _ in cells]
+    for step in dts:
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"dt must be positive and finite, got {step}")
     _check_count("min_pulse_steps", min_pulse_steps)
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    v0 = _initial_state(params, rho0)
-
-    def in_pulse(t_a, t_b):
-        return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
-
-    def steps(t_a, t_b):
-        local_dt = np.full(len(t_a), float(dt))
-        for rows, (s, e, _) in zip(in_pulse(t_a, t_b), drive.segments):
-            local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
-        n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
-        if phase.ramp is not None:
-            # a sampled ramp defines its own integration grid: exactly one
-            # step per sampling interval, never re-subdivided
-            ramp = phase.ramp[0]
-            n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
-        return n
-
-    table = _piece_table(params, drive, phase, t_start, t_end, steps=steps)
-    # piece p's grid points are t_a + j h for j < n_steps, as np.linspace
-    # places them, so each piece starts exactly on its breakpoint
-    row = np.repeat(np.arange(len(table.n_steps)), table.n_steps)
-    j = np.arange(len(row)) - np.repeat(table.starts[:-1], table.n_steps)
-    times = np.append(j * table.h[row] + table.t_a[row], t_end)
-    # the fewest grid points on a drive pulse, for resolution diagnostics
-    dp = min((int(table.n_steps[rows].sum()) + 1
-              for rows in in_pulse(table.t_a, table.t_b) if rows.any()), default=10 ** 9)
-    return ScenarioRun(
-        params=params,
-        drive=drive,
-        phase=phase,
-        times=times,
-        start=v0,
-        pieces=table,
-        drive_points=dp,
-    )
+    starts = [_initial_state(p, rho0) for p, _ in cells]
+    tables = _compile([(p, _cut(d, phase, t_start, t_end, steps=functools.partial(
+        _grid_steps, d, phase, step, min_pulse_steps))) for (p, d), step in zip(cells, dts)])
+    runs = []
+    for (params, drive), v0, table in zip(cells, starts, tables):
+        # the fewest grid points on a drive pulse, for resolution diagnostics
+        dp = min((int(table.n_steps[rows].sum()) + 1
+                  for rows in _in_pulse(drive, table.t_a, table.t_b) if rows.any()),
+                 default=10 ** 9)
+        runs.append(ScenarioRun(params=params, drive=drive, phase=phase, start=v0,
+                                pieces=table, drive_points=dp))
+    return runs

@@ -1,7 +1,9 @@
 """Named end-to-end experiments built from the dynamics and statistics layers.
 
-Each runner is a pure function from parameters to numbers; sweeps run
-their cells one after another and return rows in grid order.
+Each runner is a pure function from parameters to numbers; sweeps
+return rows in grid order. A cascade sweep checks every cell first and
+then compiles and chains its cells as one stack, so `run_cascade` is its
+one-cell case; the other sweeps run their cells one after another.
 
 The experiments:
 
@@ -42,6 +44,7 @@ from .dynamics import (
     _flux,
     _generators,
     _line_coupling,
+    _simulate,
     effective_coupling,
     pi_pulse_width,
     simulate,
@@ -49,8 +52,8 @@ from .dynamics import (
 from .statistics import (
     CrossPairResult,
     PhotonStatistics,
+    _pair_correlations,
     counting_statistics,
-    pair_correlations,
 )
 
 __all__ = [
@@ -399,17 +402,10 @@ def run_cascade(params: MirrorQubitParams, alpha_d: float,
     """Drive the 0-2 line with a pi pulse; integrate pair correlations.
 
     The pulse width ties to alpha_d through the effective (doubled) 0-2
-    rate; alpha_d = 0 means no drive and an empty output.
+    rate; alpha_d = 0 means no drive and an empty output. A drive needs
+    gamma02 > 0. This is the one-cell `sweep_cascade`.
     """
-    if params.levels != 3:
-        raise ValueError("the cascade source needs levels=3")
-    if not 0 <= alpha_d < math.inf:
-        raise ValueError(f"alpha_d must be finite and nonnegative, got {alpha_d}")
-    if alpha_d == 0:
-        return CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
-    drive = DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * params.gamma02)
-    return pair_correlations(simulate(params, drive, PhaseSchedule.constant(0.0),
-                                      t_end, dt=dt))
+    return _cascade(params, [(alpha_d, params.gamma02)], t_end, dt)[0]
 
 
 def sweep_cascade(params: MirrorQubitParams, alpha_d_values: Sequence[float],
@@ -418,10 +414,32 @@ def sweep_cascade(params: MirrorQubitParams, alpha_d_values: Sequence[float],
     """Pair quality over the (alpha_d, gamma02) grid.
 
     Returns rows (alpha_d, gamma02, CrossPairResult) in row-major grid
-    order.
+    order. Every cell is checked before any runs; the driven cells are
+    compiled and chained as one stack, each row bit for bit its
+    `run_cascade`.
     """
-    return [(a, g, run_cascade(params.with_(gamma02=g), a, t_end, dt))
-            for a in alpha_d_values for g in gamma02_values]
+    cells = [(a, g) for a in alpha_d_values for g in gamma02_values]
+    return [(a, g, res) for (a, g), res in zip(cells, _cascade(params, cells, t_end, dt))]
+
+
+def _cascade(params: MirrorQubitParams, cells, t_end: float, dt: float) -> list:
+    """CrossPairResults of (alpha_d, gamma02) cells, all checked first."""
+    if params.levels != 3:
+        raise ValueError("the cascade source needs levels=3")
+    driven = []
+    for alpha_d, gamma02 in cells:
+        if not 0 <= alpha_d < math.inf:
+            raise ValueError(f"alpha_d must be finite and nonnegative, got {alpha_d}")
+        p = params.with_(gamma02=gamma02)
+        if alpha_d > 0:
+            if gamma02 == 0:
+                raise ValueError("gamma02 must be positive to drive the 0-2 line at "
+                                 f"alpha_d = {alpha_d}, got {gamma02}")
+            driven.append((p, DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * gamma02)))
+    pairs = iter(_pair_correlations(_simulate(driven, PhaseSchedule.constant(0.0),
+                                              t_end, dt=dt)) if driven else ())
+    return [next(pairs) if alpha_d > 0 else CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
+            for alpha_d, _ in cells]
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ constant inside a table row except at the row's last step, whose later
 point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
 reduces each block of `_BLOCK` rows pairwise, applying w to the block's
-product. Levels hang under parent levels: a path for counting, a tree
-for the pair correlations of the three-level cascade (`pair_correlations`).
+product, for the rows of several runs at once. Levels hang under parent
+levels: a path for counting, a tree for the pair correlations of the
+three-level cascade (`pair_correlations`).
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -133,6 +134,11 @@ def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
     if ops is None:
         raise ValueError(f"unknown channel {channel!r}; this run has "
                          f"{', '.join(run.pieces.channels)}")
+    return _jump_stack(ops)
+
+
+def _jump_stack(ops) -> np.ndarray:
+    """`_jumps` of a (P, d, d) stack of collapse operators."""
     d = ops.shape[-1]
     a, b, form = _jump_form(d)
     m = np.moveaxis(np.array([ops.real, ops.imag]), 1, -1).reshape(2 * d * d, -1)
@@ -181,37 +187,64 @@ def _product(mats) -> np.ndarray:
     return mats[0]
 
 
-def _chain(run: ScenarioRun, i0: int, i1: int, jumps, parents=None) -> np.ndarray:
-    """Backward trapezoid functional w = [1, u_1 .. u_L] at grid point i0.
+def _side_by_side(xs, size: int, fill) -> np.ndarray:
+    """The row arrays xs as one (size, len(xs), ...) array, each shorter
+    one ending in rows of `fill`."""
+    if len(xs) == 1:  # a lone array is the longest
+        return xs[0][:, None]
+    return np.stack([np.concatenate([x, np.broadcast_to(fill, (size - len(x),) + np.shape(fill))])
+                     for x in xs], axis=1)
+
+
+def _chain(runs, windows, jumps, parents=None) -> np.ndarray:
+    """Backward trapezoid functionals w = [1, u_1 .. u_L] of several runs,
+    each at the start i0 of its window (i0, i1) of grid points, (runs, 1 + L d^2).
 
     u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_p(s) J_k(s)
     E(s, t_i) ds, u_p its parent (`_chain_steps`) and T = times[i1];
-    jumps[k-1][q] is J_k on table row q. Because the states obey
-    rho(t_{i+1}) = E rho(t_i) on the grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of
-    u_p J_k rho over [t_i0, T]. A row is the M of its last step, whose
-    later point takes the jumps of the row starting there, times a power
-    of its interior M; w = w M takes the rows backward, one `_product` per
-    block of _BLOCK rows.
+    jumps[k-1] is J_k on every row of the runs' tables, stacked in run
+    order. Because the states obey rho(t_{i+1}) = E rho(t_i) on the grid,
+    u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
+    [t_i0, T]. A row is the M of its last step, whose later point takes
+    the jumps of the row starting there, times a `matrix_power` of its
+    interior M. Each run takes its rows backward, and one `_product`
+    reduces the same block of _BLOCK rows of every run at once, the
+    shorter runs padded at their ends with zero-length rows (E = 1,
+    h = 0), whose M is the identity exactly; x * 1 and x + 0 are exact,
+    so a run's w is bit for bit its chain alone. The runs go in groups
+    whose blocks hold _BLOCK rows at most.
     """
-    table = run.pieces
-    ps, lo, hi = table.spans(i0, i1)
-    nxt = np.minimum(np.searchsorted(table.starts, hi, side="right") - 1, len(table.slot) - 1)
-    w = np.eye(1 + len(jumps) * jumps[0].shape[-1])[0]
+    parts, off = [], 0  # per run, latest row first: E, h, steps, row, next row
+    for run, (i0, i1) in zip(runs, windows):
+        t = run.pieces
+        ps, lo, hi = t.spans(i0, i1)
+        ps, hi = ps[::-1], hi[::-1]
+        parts.append((t.step_mats[t.slot[ps]], t.h[ps], hi - lo[::-1], ps + off,
+                      t.row_at(hi) + off))
+        off += len(t.slot)
+    pad = (np.eye(parts[0][0].shape[-1]), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
+    d = 1 + len(jumps) * jumps[0].shape[-1]
+    w = np.zeros((len(runs), d))
+    w[:, 0] = 1.0
     distinct = {id(j): j for j in jumps}
-    # _BLOCK rows' matrices at a time, which bounds memory on long ramps
-    for stop in range(len(ps), 0, -_BLOCK):
-        c = np.arange(max(stop - _BLOCK, 0), stop)[::-1]
-        e, h, k = table.step_mats[table.slot[ps[c]]], table.h[ps[c]], hi[c] - lo[c]
-        r = np.flatnonzero(k > 1)
-        # each distinct jump array gathered once: at rows, next rows, long rows
-        got = {i: (j[ps[c]], j[nxt[c]], j[ps[c[r]]]) for i, j in distinct.items()}
-        jc, jn, inner = zip(*(got[id(j)] for j in jumps))
-        m = _chain_steps(e, jc, jn, h, parents)
-        if len(r):
-            for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
-                               (k[r] - 1).tolist()):
-                m[x] = m[x] @ np.linalg.matrix_power(a, n)
-        w = w @ _product(m)
+    sizes = [len(p[1]) for p in parts]
+    group = _BLOCK // min(max(sizes), _BLOCK)
+    for g in range(0, len(runs), group):
+        size = max(sizes[g:g + group])
+        rows = [_side_by_side(xs, size, f) for xs, f in zip(zip(*parts[g:g + group]), pad)]
+        sel = slice(g, g + rows[0].shape[1])
+        for b in range(0, size, _BLOCK):
+            e, h, k, cur, nxt = (x[b:b + _BLOCK].reshape((-1,) + x.shape[2:]) for x in rows)
+            r = np.flatnonzero(k > 1)
+            # each distinct jump array gathered once: at rows, next rows, long rows
+            got = {i: (j[cur], j[nxt], j[cur[r]]) for i, j in distinct.items()}
+            jc, jn, inner = zip(*(got[id(j)] for j in jumps))
+            m = _chain_steps(e, jc, jn, h, parents)
+            if len(r):
+                for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
+                                   (k[r] - 1).tolist()):
+                    m[x] = m[x] @ np.linalg.matrix_power(a, n)
+            w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
     return w
 
 
@@ -225,14 +258,17 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     The chain is generic in its level count: any cutoff of at least 1 runs.
     """
     _check_count("cutoff", cutoff)
-    i0, i1 = _window_indices(run, window)
-    jumps = _jumps(run)
+    return _moments(run, cutoff, _window_indices(run, window))
+
+
+def _moments(run: ScenarioRun, cutoff: int, window: Tuple[int, int]) -> list:
+    """`photon_mtiples` over a window of grid indices."""
     if run.drive_points < 20:
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
-            "before trusting these moments", stacklevel=2)
-    w = _chain(run, i0, i1, [jumps] * cutoff)
-    return (w[1:].reshape(cutoff, -1) @ run.coords_at(i0)).tolist()
+            "before trusting these moments", stacklevel=3)
+    w = _chain([run], [window], [_jumps(run)] * cutoff)[0]
+    return (w[1:].reshape(cutoff, -1) @ run.coords_at(window[0])).tolist()
 
 
 def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
@@ -277,9 +313,10 @@ def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
 def counting_statistics(run: ScenarioRun, cutoff: int = 3,
                         window: Optional[Tuple[float, float]] = None) -> PhotonStatistics:
     """Moments and probabilities of a run's output field in one call."""
-    nm = photon_mtiples(run, cutoff=cutoff, window=window)
-    probs = invert_to_probabilities(nm)
+    _check_count("cutoff", cutoff)
     i0, i1 = _window_indices(run, window)
+    nm = _moments(run, cutoff, (i0, i1))
+    probs = invert_to_probabilities(nm)
     return PhotonStatistics(
         n_tiples=tuple(nm),
         probabilities=tuple(probs),
@@ -301,16 +338,16 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
         raise ValueError("times must be nondecreasing")
     idx = [_grid_index(run, t, "time") for t in ts]
     table = run.pieces
-    jumps = table.per_point(_jumps(run))
-    v = jumps[idx[0]] @ run.coords_at(idx[0])
-    for i_prev, i_next in zip(idx, idx[1:]):
+    jumps = _jumps(run)[table.row_at(idx)]
+    v = jumps[0] @ run.coords_at(idx[0])
+    for i_prev, i_next, jump in zip(idx, idx[1:], jumps[1:]):
         ps, lo, hi = table.spans(i_prev, i_next)
         if len(ps):
             e = table.step_mats[table.slot[ps]]
             for x in np.flatnonzero(hi - lo > 1).tolist():
                 e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
             v = _product(e[::-1]) @ v
-        v = jumps[i_next] @ v
+        v = jump @ v
     val = float(v[:run.dim].sum())
     if val < -1e-9:
         raise RuntimeError(f"correlator came out negative: {val}")
@@ -330,7 +367,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     if run.params.levels != 3:
         raise ValueError("pair correlations require a three-level run")
     ja, jb = _jumps(run, first), _jumps(run, second)
-    w = _chain(run, 0, len(run.times) - 1, [jb, ja])
+    w = _chain([run], [(0, run.pieces.starts[-1])], [jb, ja])[0]
     return float(w[1 + run.dim ** 2:] @ run.coords_at(0))
 
 
@@ -350,12 +387,23 @@ def pair_correlations(run: ScenarioRun) -> CrossPairResult:
     """The three `cross_pair_integral`s of a three-level run from one chain
     whose roots carry the late idler and signal jumps, each with the early
     idler and signal jumps as children: `ordered_pair_count`s A_ii .. A_ss."""
-    if run.params.levels != 3:
+    return _pair_correlations([run])[0]
+
+
+def _pair_correlations(runs) -> list:
+    """`pair_correlations` of several runs: each channel's jumps on all
+    their rows from one `_jump_stack`, and one `_chain`."""
+    if any(run.params.levels != 3 for run in runs):
         raise ValueError("pair correlations require a three-level run")
-    ji, js = _jumps(run, "idler"), _jumps(run, "signal")
-    w = _chain(run, 0, len(run.times) - 1, [ji, js] * 3, [-1, -1, 0, 0, 1, 1])
-    a_ii, a_si, a_is, a_ss = (w[1:].reshape(6, -1)[2:] @ run.coords_at(0)).tolist()
-    return CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si)
+    ji, js = (_jump_stack(np.concatenate([run.pieces.channels[c] for run in runs]))
+              for c in ("idler", "signal"))
+    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], [ji, js] * 3,
+               [-1, -1, 0, 0, 1, 1])
+    out = []
+    for run, wr in zip(runs, w):
+        a_ii, a_si, a_is, a_ss = (wr[1:].reshape(6, -1)[2:] @ run.coords_at(0)).tolist()
+        out.append(CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si))
+    return out
 
 
 def csi_metric(g_ii: float, g_ss: float, g_is: float) -> float:

@@ -283,6 +283,24 @@ def chain_walk(run, i0, i1, jumps, parents=None):
     return w
 
 
+def per_point_correlator(run, idx):
+    """`correlator_gm` at grid indices idx as it read its jumps before the
+    row lookup: the jump stack expanded to every grid point by
+    `PieceTable.per_point`, each time's jump read at its own point."""
+    table = run.pieces
+    jumps = table.per_point(pf.statistics._jumps(run))
+    v = jumps[idx[0]] @ run.coords_at(idx[0])
+    for i_prev, i_next in zip(idx, idx[1:]):
+        ps, lo, hi = table.spans(i_prev, i_next)
+        if len(ps):
+            e = table.step_mats[table.slot[ps]]
+            for x in np.flatnonzero(hi - lo > 1).tolist():
+                e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
+            v = pf.statistics._product(e[::-1]) @ v
+        v = jumps[i_next] @ v
+    return float(v[:run.dim].sum())
+
+
 def forward_binomial_moments(probs, mmax):
     """N_m = sum_n C(n, m) P_n, the exact moment map of a finite P vector."""
     return [

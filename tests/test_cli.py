@@ -202,13 +202,16 @@ class TestRunCommand:
         assert not (outdir / "result.csv").exists()
 
     def test_undecoupled_cascade_names_the_pulse_inputs(self, tmp_path, capsys):
-        # gamma02 = 0 leaves the 0-2 line no rate for the pi pulse
+        # gamma02 = 0 leaves the 0-2 line no rate for the pi pulse; the
+        # error names gamma02, not pi_pulse_width's alpha0 and gamma_eff
         outdir = tmp_path / "out"
         cfg = write_config(
             tmp_path,
             f"scenario = cascade_sweep\nalpha_d = 5\ngamma02 = 0\noutdir = {outdir}\n")
         assert main(["run", cfg]) == 1
-        assert "alpha0=5.0, gamma_eff=0.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: gamma02 must be positive to drive the 0-2 "
+                       "line at alpha_d = 5.0, got 0.0\n")
         assert not (outdir / "result.csv").exists()
 
     def test_unusable_outdir_exits_two_before_running(self, tmp_path, capsys):
@@ -328,6 +331,27 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_commands_in_one_process_match_fresh_interpreters(self, tmp_path, capfd):
+        # the parser is built once per process; list, run and a bad command
+        # called one after another print and exit as in a fresh interpreter
+        cfg = write_config(tmp_path, f"scenario = cancel_budget\noutdir = {tmp_path / 'out'}\n")
+        commands = [["list"], ["run", cfg], ["frobnicate"], ["list", "--json"], []]
+        src = str(Path(photonforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = [subprocess.run([sys.executable, "-m", "photonforge.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=120)
+                 for argv in commands]
+        capfd.readouterr()
+        for argv, want in zip(commands, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out, err = capfd.readouterr()
+            assert (code, out, err) == (want.returncode, want.stdout, want.stderr), argv
+        assert [p.returncode for p in fresh] == [0, 0, 2, 0, 2]
 
 
 class TestScenarioSchemas:

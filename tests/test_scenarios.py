@@ -479,6 +479,51 @@ class TestCascade:
             assert res == pf.run_cascade(ladder().with_(gamma02=g), a,
                                          t_end=6.0, dt=0.05)
 
+    def test_sweep_cells_of_one_and_two_rows(self):
+        # alpha_d = 0.4 at gamma02 = 0.05 is a pulse 12.4 long, past
+        # t_end = 6, so that cell's table is one row beside two-row cells
+        alphas, gammas = (0.4, 4.0), (0.05, 0.3)
+        rows = {}
+        for a in alphas:
+            for g in gammas:
+                drive = pf.DriveSchedule.square_pi_pulse(a, 0.0, 2.0 * g)
+                run = pf.simulate(ladder().with_(gamma02=g), drive,
+                                  pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
+                rows[a, g] = len(run.pieces.slot)
+        assert rows == {(0.4, 0.05): 1, (0.4, 0.3): 2, (4.0, 0.05): 2, (4.0, 0.3): 2}
+        with mock.patch.object(pf.scenarios, "_simulate",
+                               wraps=pf.scenarios._simulate) as stack:
+            out = pf.sweep_cascade(ladder(), alphas, gammas, t_end=6.0, dt=0.05)
+        assert stack.call_count == 1  # every cell compiled in one stack
+        for a, g, res in out:
+            assert res == pf.run_cascade(ladder().with_(gamma02=g), a, t_end=6.0, dt=0.05)
+            assert res.g_ii > 0
+
+    def test_sweep_undriven_cell_among_driven_ones(self):
+        out = pf.sweep_cascade(ladder(), (5.0, 0.0, 4.0), (0.1, 0.3), t_end=6.0, dt=0.05)
+        for a, g, res in out:
+            assert res == pf.run_cascade(ladder().with_(gamma02=g), a, t_end=6.0, dt=0.05)
+            assert (res == pf.CrossPairResult(0.0, 0.0, 0.0)) == (a == 0.0)
+
+    def test_zero_gamma02_rejects_a_drive(self):
+        # it used to fail inside pi_pulse_width on alpha0 and gamma_eff
+        with pytest.raises(ValueError, match=r"^gamma02 must be positive to drive the "
+                                             r"0-2 line at alpha_d = 5.0, got 0.0$"):
+            pf.run_cascade(ladder().with_(gamma02=0.0), 5.0)
+        res = pf.run_cascade(ladder().with_(gamma02=0.0), 0.0)
+        assert res == pf.CrossPairResult(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alphas, gammas, message", [
+        ((4.0, 5.0), (0.1, 0.0), "gamma02 must be positive"),
+        ((4.0, -1.0), (0.1,), "alpha_d must be finite and nonnegative"),
+        ((4.0, 5.0), (0.1, math.nan), "gamma02 must be finite and nonnegative"),
+    ], ids=["zero_gamma02", "negative_alpha_d", "nan_gamma02"])
+    def test_sweep_checks_every_cell_before_any_runs(self, alphas, gammas, message):
+        with mock.patch.object(pf.scenarios, "_simulate") as run:
+            with pytest.raises(ValueError, match=message):
+                pf.sweep_cascade(ladder(), alphas, gammas, t_end=6.0, dt=0.05)
+        run.assert_not_called()
+
 
 class TestMarchOnRead:
     """A scenario marches the grid states only when it reads them: counting
@@ -486,11 +531,12 @@ class TestMarchOnRead:
 
     @pytest.mark.parametrize("scenario, marches", [
         (lambda: pf.run_cascade(ladder(), 8.0), 0),
+        (lambda: pf.sweep_cascade(ladder(), (0.0, 5.0, 8.0), (0.1, 0.35)), 0),
         (lambda: pf.run_beam_splitter(qubit_half(), pf.BeamSplitterConfig(alpha0=5.0)), 0),
         (lambda: pf.run_shaped_release(qubit_unit(), alpha0=5.0), 1),
         (lambda: pf.run_shaped_release(qubit_unit(), alpha0=10.0,
                                        release=pf.WavePacket.exponential(1.0, 8.0)), 1),
-    ], ids=["cascade", "beam_splitter", "release", "packet_release"])
+    ], ids=["cascade", "cascade_sweep", "beam_splitter", "release", "packet_release"])
     def test_march_count(self, scenario, marches):
         with mock.patch.object(pf.dynamics, "_march_table",
                                wraps=pf.dynamics._march_table) as march:

@@ -362,6 +362,20 @@ class TestMultiTimeCorrelator:
             assert want > 0
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_row_lookup_reads_the_per_point_jumps(self, switched_run):
+        # each time reads its row's jump as the per-point expansion did:
+        # right-continuous at a row boundary, the last row at the end point
+        run = switched_run
+        edges = run.pieces.starts.tolist()
+        end = len(run.times) - 1
+        assert edges[-1] == end
+        for idx in ([[i] for i in edges] + [[i, i] for i in edges]
+                    + [[i - 1, i] for i in edges[1:]] + [[0, end], [end, end, end]]
+                    + [[edges[1], edges[3], end], [1, edges[2] - 1, edges[2]]]):
+            got = pf.correlator_gm(run, run.times[idx])
+            want = oracles.per_point_correlator(run, idx)
+            assert got == want, idx
+
 
 class TestChainAgainstRowWalk:
     """The block-wise tree product of `_chain` against the backward walk
@@ -379,7 +393,7 @@ class TestChainAgainstRowWalk:
         n = len(run.times) - 1
         for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
             want = oracles.chain_walk(run, i0, i1, jumps)
-            got = pf.statistics._chain(run, i0, i1, jumps)
+            got = pf.statistics._chain([run], [(i0, i1)], jumps)[0]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_tree_matches_row_walk(self):
@@ -392,9 +406,41 @@ class TestChainAgainstRowWalk:
         n = len(run.times) - 1
         for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
             want = oracles.chain_walk(run, i0, i1, jumps, parents)
-            got = pf.statistics._chain(run, i0, i1, jumps, parents)
+            got = pf.statistics._chain([run], [(i0, i1)], jumps, parents)[0]
             assert len(got) == 1 + 6 * 9
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_runs_in_one_chain_equal_their_own_chains(self):
+        # counting levels over runs of 2,400 one-step rows, of long rows and
+        # of short ones: every block but the first pads the shorter runs
+        runs = [TABLE_RUNS[k]() for k in ("ramp", "pulse", "short_rows", "release")]
+        windows = [(0, len(r.times) - 1) for r in runs]
+        windows[0] = (1, len(runs[0].times) - 2)
+        jumps = [pf.statistics._jumps(r) for r in runs]
+        got = pf.statistics._chain(runs, windows, [np.concatenate(jumps)] * 3)
+        assert got.shape == (4, 1 + 3 * 4)
+        for run, window, j, w in zip(runs, windows, jumps, got):
+            assert np.array_equal(w, pf.statistics._chain([run], [window], [j] * 3)[0])
+
+    def test_cascade_runs_in_one_tree_equal_their_own_trees(self):
+        # 70 cascade cells of one to four rows: more rows than one block
+        # holds, so the runs go in groups of 32, the shorter padded
+        params = pf.MirrorQubitParams(levels=3)
+        drives = [pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 4.0, 5.0))),
+                  pf.DriveSchedule(((0.0, 9.0, 0.3),)),
+                  pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 9.0, 0.3)))]
+        drives += [pf.DriveSchedule(((0.0, 0.4 + 0.01 * k, 4.0),)) for k in range(67)]
+        cells = [(params.with_(gamma02=0.05 + 0.005 * k), d) for k, d in enumerate(drives)]
+        runs = pf.dynamics._simulate(cells, pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
+        assert [len(r.pieces.slot) for r in runs[:4]] == [4, 1, 3, 2]
+        assert sum(len(r.pieces.slot) for r in runs) > _BLOCK
+        parents = [-1, -1, 0, 0, 1, 1]
+        own = [[pf.statistics._jumps(r, c) for c in ("idler", "signal")] for r in runs]
+        jumps = [np.concatenate(j) for j in zip(*own)] * 3
+        windows = [(0, len(r.times) - 1) for r in runs]
+        got = pf.statistics._chain(runs, windows, jumps, parents)
+        for run, window, j, w in zip(runs, windows, own, got):
+            assert np.array_equal(w, pf.statistics._chain([run], [window], j * 3, parents)[0])
 
     def test_windows_reach_the_block_cases(self):
         # the ramp's (0, n - 1) window is 2,399 one-step rows, so its last
