@@ -21,7 +21,8 @@ weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
 distinct (weights, step) pieces are exponentiated in one stacked call;
-several runs, such as a cascade sweep's cells, compile as one stack.
+several runs, such as a cascade sweep's cells, compile as one stack
+that shares one dt and one read-only start state.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
@@ -406,12 +407,11 @@ class PieceTable:
 
 
 def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
-         extra=(), steps=None) -> tuple:
-    """The rows (t_a, t_b, n_steps, phi, alpha) of [t1, t2], cut at every
-    breakpoint and every point of `extra` inside it into maximal constant
-    pieces; a span of one point is one zero-length row, whose step matrix
-    is the identity. steps(t_a, t_b) gives each row's step count (one by
-    default)."""
+         extra=()) -> tuple:
+    """The one-step rows (t_a, t_b, n_steps, phi, alpha) of [t1, t2], cut
+    at every breakpoint and every point of `extra` inside it into maximal
+    constant pieces; a span of one point is one zero-length row, whose
+    step matrix is the identity."""
     pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
     pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
     # keep a point over 1e-12 past the last kept one, a pass per point of a close run
@@ -425,8 +425,7 @@ def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
         keep[close] = settled
     merged = np.append(pts[keep][:max(keep.sum() - 1, 1)], t2)  # t2 ends the span
     t_a, t_b = merged[:-1], merged[1:]
-    n = np.ones(len(t_a), dtype=int) if steps is None else steps(t_a, t_b)
-    return t_a, t_b, n, phase.phi_at(t_a), drive.amplitude_at(t_a)
+    return t_a, t_b, np.ones(len(t_a), dtype=int), phase.phi_at(t_a), drive.amplitude_at(t_a)
 
 
 def _compile(cells) -> list:
@@ -465,10 +464,9 @@ def _compile(cells) -> list:
 
 
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
-                 phase: PhaseSchedule, t1: float, t2: float, extra=(),
-                 steps=None) -> PieceTable:
+                 phase: PhaseSchedule, t1: float, t2: float, extra=()) -> PieceTable:
     """The table of one run: `_compile` of its `_cut`."""
-    return _compile([(params, _cut(drive, phase, t1, t2, extra, steps))])[0]
+    return _compile([(params, _cut(drive, phase, t1, t2, extra))])[0]
 
 
 def _scan(e, states, i) -> None:
@@ -634,22 +632,6 @@ def _in_pulse(drive: DriveSchedule, t_a, t_b) -> list:
     return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
 
 
-def _grid_steps(drive: DriveSchedule, phase: PhaseSchedule, dt: float,
-                min_pulse_steps: int, t_a, t_b) -> np.ndarray:
-    """Steps of each row [t_a, t_b]: of at most dt, and on a drive pulse of
-    at most 1/min_pulse_steps of its width."""
-    local_dt = np.full(len(t_a), float(dt))
-    for rows, (s, e, _) in zip(_in_pulse(drive, t_a, t_b), drive.segments):
-        local_dt[rows] = min(dt, (e - s) / min_pulse_steps)
-    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
-    if phase.ramp is not None:
-        # a sampled ramp defines its own integration grid: exactly one
-        # step per sampling interval, never re-subdivided
-        ramp = phase.ramp[0]
-        n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
-    return n
-
-
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
              phase: PhaseSchedule, t_end: float, *, t_start: float = 0.0,
              rho0=None, dt: Optional[float] = None,
@@ -666,28 +648,38 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
 
 def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
               rho0=None, dt: Optional[float] = None, min_pulse_steps: int = 20) -> list:
-    """The runs of (params, drive) cells over one phase schedule and span,
-    `simulate`'s arguments otherwise: each cell cuts its own rows, and
-    `_compile` compiles them all as one stack."""
-    dts = [dt if dt is not None else 0.01 / p.gamma if p.gamma > 0 else 0.01
-           for p, _ in cells]
-    for step in dts:
-        if not (math.isfinite(step) and step > 0):
-            raise ValueError(f"dt must be positive and finite, got {step}")
+    """The runs of (params, drive) cells of one level count over one phase
+    schedule and span, `simulate`'s arguments otherwise (the default dt
+    is the first cell's). The runs share one read-only start state; each
+    cell cuts its own rows, and `_compile` compiles them all as one stack."""
+    gamma = cells[0][0].gamma
+    dt = dt if dt is not None else 0.01 / gamma if gamma > 0 else 0.01
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     _check_count("min_pulse_steps", min_pulse_steps)
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    starts = [_initial_state(p, rho0) for p, _ in cells]
-    tables = _compile([(p, _cut(d, phase, t_start, t_end, steps=functools.partial(
-        _grid_steps, d, phase, step, min_pulse_steps))) for (p, d), step in zip(cells, dts)])
-    runs = []
-    for (params, drive), v0, table in zip(cells, starts, tables):
+    start = _initial_state(cells[0][0], rho0)
+    start.setflags(write=False)
+    rows, points = [], []
+    for params, drive in cells:
+        t_a, t_b, _, phi, alpha = _cut(drive, phase, t_start, t_end)
+        # steps of at most dt, and on a drive pulse of at most 1/min_pulse_steps of its width
+        pulse = _in_pulse(drive, t_a, t_b)
+        local_dt = np.full(len(t_a), float(dt))
+        for on, (s, e, _) in zip(pulse, drive.segments):
+            local_dt[on] = min(dt, (e - s) / min_pulse_steps)
+        n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
+        if phase.ramp is not None:
+            # a sampled ramp defines its own integration grid: exactly one
+            # step per sampling interval, never re-subdivided
+            ramp = phase.ramp[0]
+            n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
+        rows.append((params, (t_a, t_b, n, phi, alpha)))
         # the fewest grid points on a drive pulse, for resolution diagnostics
-        dp = min((int(table.n_steps[rows].sum()) + 1
-                  for rows in _in_pulse(drive, table.t_a, table.t_b) if rows.any()),
-                 default=10 ** 9)
-        runs.append(ScenarioRun(params=params, drive=drive, phase=phase, start=v0,
-                                pieces=table, drive_points=dp))
-    return runs
+        points.append(min((int(n[on].sum()) + 1 for on in pulse if on.any()), default=10 ** 9))
+    return [ScenarioRun(params=params, drive=drive, phase=phase, start=start, pieces=table,
+                        drive_points=dp)
+            for (params, drive), table, dp in zip(cells, _compile(rows), points)]

@@ -21,9 +21,11 @@ so the probabilities follow from the moments by back substitution.
 
 Every statistic reads the run's piece table (`dynamics.PieceTable`),
 whose output channels give each row's collapse operator M; `_jumps`
-turns a channel into the rows' jump superoperators conj(M) kron M. These,
-the chain and w are real in `core.coordinates`, where the trace sums the populations.
-Counting uses the two-level "line" channel. The chain's step is
+turns a channel of several runs into their rows' jump superoperators
+conj(M) kron M. These, the chain and w are real in `core.coordinates`,
+where the trace sums the populations. Counting uses the two-level
+"line" channel. A chain names one channel per level and builds each
+named channel's jumps once. Its step is
 constant inside a table row except at the row's last step, whose later
 point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
@@ -127,18 +129,15 @@ def _jump_form(d: int):
     return a, b, k[a, b] + (a < b)[:, None] * k[b, a]
 
 
-def _jumps(run: ScenarioRun, channel: str = "line") -> np.ndarray:
+def _jumps(runs, channel: str) -> np.ndarray:
     """Jump superoperators conj(M) kron M, in coordinates, of a channel's
-    collapse operator M on every table row, shape (P, d^2, d^2)."""
-    ops = run.pieces.channels.get(channel)
-    if ops is None:
-        raise ValueError(f"unknown channel {channel!r}; this run has "
-                         f"{', '.join(run.pieces.channels)}")
-    return _jump_stack(ops)
-
-
-def _jump_stack(ops) -> np.ndarray:
-    """`_jumps` of a (P, d, d) stack of collapse operators."""
+    collapse operator M on every table row of the runs, in run order,
+    shape (P, d^2, d^2)."""
+    for run in runs:
+        if channel not in run.pieces.channels:
+            raise ValueError(f"unknown channel {channel!r}; this run has "
+                             f"{', '.join(run.pieces.channels)}")
+    ops = np.concatenate([run.pieces.channels[channel] for run in runs])
     d = ops.shape[-1]
     a, b, form = _jump_form(d)
     m = np.moveaxis(np.array([ops.real, ops.imag]), 1, -1).reshape(2 * d * d, -1)
@@ -196,15 +195,15 @@ def _side_by_side(xs, size: int, fill) -> np.ndarray:
                      for x in xs], axis=1)
 
 
-def _chain(runs, windows, jumps, parents=None) -> np.ndarray:
+def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     """Backward trapezoid functionals w = [1, u_1 .. u_L] of several runs,
     each at the start i0 of its window (i0, i1) of grid points, (runs, 1 + L d^2).
 
     u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_p(s) J_k(s)
     E(s, t_i) ds, u_p its parent (`_chain_steps`) and T = times[i1];
-    jumps[k-1] is J_k on every row of the runs' tables, stacked in run
-    order. Because the states obey rho(t_{i+1}) = E rho(t_i) on the grid,
-    u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
+    J_k is the jump of channel channels[k-1], built once for all runs by
+    `_jumps`. Because the states obey rho(t_{i+1}) = E rho(t_i) on the
+    grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
     [t_i0, T]. A row is the M of its last step, whose later point takes
     the jumps of the row starting there, times a `matrix_power` of its
     interior M. Each run takes its rows backward, and one `_product`
@@ -223,10 +222,10 @@ def _chain(runs, windows, jumps, parents=None) -> np.ndarray:
                       t.row_at(hi) + off))
         off += len(t.slot)
     pad = (np.eye(parts[0][0].shape[-1]), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
-    d = 1 + len(jumps) * jumps[0].shape[-1]
+    jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
+    d = 1 + len(channels) * jumps[channels[0]].shape[-1]
     w = np.zeros((len(runs), d))
     w[:, 0] = 1.0
-    distinct = {id(j): j for j in jumps}
     sizes = [len(p[1]) for p in parts]
     group = _BLOCK // min(max(sizes), _BLOCK)
     for g in range(0, len(runs), group):
@@ -236,9 +235,9 @@ def _chain(runs, windows, jumps, parents=None) -> np.ndarray:
         for b in range(0, size, _BLOCK):
             e, h, k, cur, nxt = (x[b:b + _BLOCK].reshape((-1,) + x.shape[2:]) for x in rows)
             r = np.flatnonzero(k > 1)
-            # each distinct jump array gathered once: at rows, next rows, long rows
-            got = {i: (j[cur], j[nxt], j[cur[r]]) for i, j in distinct.items()}
-            jc, jn, inner = zip(*(got[id(j)] for j in jumps))
+            # each channel's jumps gathered once: at rows, next rows, long rows
+            got = {c: (j[cur], j[nxt], j[cur[r]]) for c, j in jumps.items()}
+            jc, jn, inner = zip(*(got[c] for c in channels))
             m = _chain_steps(e, jc, jn, h, parents)
             if len(r):
                 for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
@@ -267,7 +266,7 @@ def _moments(run: ScenarioRun, cutoff: int, window: Tuple[int, int]) -> list:
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=3)
-    w = _chain([run], [window], [_jumps(run)] * cutoff)[0]
+    w = _chain([run], [window], ["line"] * cutoff)[0]
     return (w[1:].reshape(cutoff, -1) @ run.coords_at(window[0])).tolist()
 
 
@@ -338,7 +337,7 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
         raise ValueError("times must be nondecreasing")
     idx = [_grid_index(run, t, "time") for t in ts]
     table = run.pieces
-    jumps = _jumps(run)[table.row_at(idx)]
+    jumps = _jumps([run], "line")[table.row_at(idx)]
     v = jumps[0] @ run.coords_at(idx[0])
     for i_prev, i_next, jump in zip(idx, idx[1:], jumps[1:]):
         ps, lo, hi = table.spans(i_prev, i_next)
@@ -366,8 +365,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     """
     if run.params.levels != 3:
         raise ValueError("pair correlations require a three-level run")
-    ja, jb = _jumps(run, first), _jumps(run, second)
-    w = _chain([run], [(0, run.pieces.starts[-1])], [jb, ja])[0]
+    w = _chain([run], [(0, run.pieces.starts[-1])], [second, first])[0]
     return float(w[1 + run.dim ** 2:] @ run.coords_at(0))
 
 
@@ -391,13 +389,10 @@ def pair_correlations(run: ScenarioRun) -> CrossPairResult:
 
 
 def _pair_correlations(runs) -> list:
-    """`pair_correlations` of several runs: each channel's jumps on all
-    their rows from one `_jump_stack`, and one `_chain`."""
+    """`pair_correlations` of several runs from one `_chain`."""
     if any(run.params.levels != 3 for run in runs):
         raise ValueError("pair correlations require a three-level run")
-    ji, js = (_jump_stack(np.concatenate([run.pieces.channels[c] for run in runs]))
-              for c in ("idler", "signal"))
-    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], [ji, js] * 3,
+    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], ["idler", "signal"] * 3,
                [-1, -1, 0, 0, 1, 1])
     out = []
     for run, wr in zip(runs, w):

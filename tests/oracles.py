@@ -288,7 +288,7 @@ def per_point_correlator(run, idx):
     row lookup: the jump stack expanded to every grid point by
     `PieceTable.per_point`, each time's jump read at its own point."""
     table = run.pieces
-    jumps = table.per_point(pf.statistics._jumps(run))
+    jumps = table.per_point(pf.statistics._jumps([run], "line"))
     v = jumps[idx[0]] @ run.coords_at(idx[0])
     for i_prev, i_next in zip(idx, idx[1:]):
         ps, lo, hi = table.spans(i_prev, i_next)

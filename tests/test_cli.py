@@ -13,6 +13,38 @@ import photonforge
 from photonforge.cli import SCENARIOS, ConfigError, main, parse_config
 
 
+# result.csv rows of every scenario at its registry defaults
+DEFAULT_ROWS = {
+    "beam_splitter": [
+        [5, 0.0119119492291, 0.953139864408, 0.0347658332816, 0.000182353080974],
+        [10, 0.0103843056536, 0.971280812331, 0.018286623771, 4.82582439231e-05]],
+    "cancel_budget": [[0.0399973333867, -27.9593792405]],
+    "cascade_sweep": [
+        [5, 0.05, 0.915978020244], [5, 0.1, 0.908554115696], [5, 0.2, 0.840927736502],
+        [5, 0.35, 0.74286899317], [5, 0.5, 0.660160146333],
+        [6, 0.05, 0.942139069866], [6, 0.1, 0.918753252387], [6, 0.2, 0.844288602348],
+        [6, 0.35, 0.744139824367], [6, 0.5, 0.660754767656],
+        [7, 0.05, 0.955933794906], [7, 0.1, 0.923053091783], [7, 0.2, 0.845074358363],
+        [7, 0.35, 0.743970998713], [7, 0.5, 0.660278032548],
+        [8, 0.05, 0.963215210068], [8, 0.1, 0.9246067996], [8, 0.2, 0.844790958036],
+        [8, 0.35, 0.743245810144], [8, 0.5, 0.659406110485],
+        [10, 0.05, 0.968706885196], [10, 0.1, 0.924447335679], [10, 0.2, 0.843190602434],
+        [10, 0.35, 0.741368061257], [10, 0.5, 0.65741837308]],
+    "encode": [[0.15450889287, -1.564343777, 9.87688354428, 0.355637879197,
+                0.999015376327]],
+    "nr_sweep": [
+        [0, 0.0103843056536, 0.971280812331], [0.1, 0.0987851106478, 0.884618254804],
+        [0.2, 0.172475447286, 0.81237612791], [0.5, 0.334702818367, 0.653333250018],
+        [1, 0.497194027859, 0.494022679389]],
+    "shaped_release": [[5, 0.0303612547946, 0.969638745205, 0, 0],
+                       [10, 0.0141281685498, 0.98587183145, 0, 0]],
+    "wait_sweep": [
+        [0, 0.127120821812, 0.872879178188], [0.5, 0.169691641674, 0.830308358326],
+        [1, 0.210186258151, 0.789813741849], [2, 0.285346973096, 0.714653026904],
+        [3, 0.353355200345, 0.646644799655], [5, 0.470572016204, 0.529427983796]],
+}
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -150,6 +182,21 @@ class TestRunCommand:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_every_scenario_reruns_byte_identical(self, tmp_path, scenario):
         self._assert_rerun_is_byte_identical(tmp_path, scenario)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_registry_defaults_match_the_stored_rows(self, tmp_path, scenario):
+        # encode's drive digits beyond about 1e-6 are optimizer noise (README)
+        cfg = write_config(tmp_path, f"scenario = {scenario}\noutdir = {tmp_path}\n")
+        assert main(["run", cfg]) == 0
+        lines = (tmp_path / "result.csv").read_text().splitlines()[2:]
+        got = [[float(x) for x in line.split(",")] for line in lines]
+        want = DEFAULT_ROWS[scenario]
+        assert len(got) == len(want)
+        rel = [1e-6] * 4 + [1e-10] if scenario == "encode" else [1e-10] * len(want[0])
+        for row, ref in zip(got, want):
+            assert len(row) == len(ref)
+            for x, y, tol in zip(row, ref, rel):
+                assert abs(x - y) <= tol * abs(y), (scenario, row, ref)
 
     def test_beam_splitter_known_row(self, tmp_path):
         outdir = tmp_path / "out"

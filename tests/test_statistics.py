@@ -386,14 +386,12 @@ class TestChainAgainstRowWalk:
         return TABLE_RUNS[request.param]()
 
     def test_matches_row_walk(self, run):
-        if run.dim == 2:
-            jumps = [pf.statistics._jumps(run)] * 3
-        else:
-            jumps = [pf.statistics._jumps(run, "idler"), pf.statistics._jumps(run, "signal")]
+        channels = ["line"] * 3 if run.dim == 2 else ["idler", "signal"]
+        jumps = [pf.statistics._jumps([run], c) for c in channels]
         n = len(run.times) - 1
         for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
             want = oracles.chain_walk(run, i0, i1, jumps)
-            got = pf.statistics._chain([run], [(i0, i1)], jumps)[0]
+            got = pf.statistics._chain([run], [(i0, i1)], channels)[0]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_tree_matches_row_walk(self):
@@ -401,12 +399,12 @@ class TestChainAgainstRowWalk:
         # two-segment drive leaves several rows with interior powers
         run = TABLE_RUNS["three_level"]()
         assert len(run.pieces.n_steps) > 3 and (run.pieces.n_steps > 1).sum() > 2
-        ji, js = pf.statistics._jumps(run, "idler"), pf.statistics._jumps(run, "signal")
-        jumps, parents = [ji, js] * 3, [-1, -1, 0, 0, 1, 1]
+        channels, parents = ["idler", "signal"] * 3, [-1, -1, 0, 0, 1, 1]
+        jumps = [pf.statistics._jumps([run], c) for c in channels]
         n = len(run.times) - 1
         for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
             want = oracles.chain_walk(run, i0, i1, jumps, parents)
-            got = pf.statistics._chain([run], [(i0, i1)], jumps, parents)[0]
+            got = pf.statistics._chain([run], [(i0, i1)], channels, parents)[0]
             assert len(got) == 1 + 6 * 9
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -416,11 +414,10 @@ class TestChainAgainstRowWalk:
         runs = [TABLE_RUNS[k]() for k in ("ramp", "pulse", "short_rows", "release")]
         windows = [(0, len(r.times) - 1) for r in runs]
         windows[0] = (1, len(runs[0].times) - 2)
-        jumps = [pf.statistics._jumps(r) for r in runs]
-        got = pf.statistics._chain(runs, windows, [np.concatenate(jumps)] * 3)
+        got = pf.statistics._chain(runs, windows, ["line"] * 3)
         assert got.shape == (4, 1 + 3 * 4)
-        for run, window, j, w in zip(runs, windows, jumps, got):
-            assert np.array_equal(w, pf.statistics._chain([run], [window], [j] * 3)[0])
+        for run, window, w in zip(runs, windows, got):
+            assert np.array_equal(w, pf.statistics._chain([run], [window], ["line"] * 3)[0])
 
     def test_cascade_runs_in_one_tree_equal_their_own_trees(self):
         # 70 cascade cells of one to four rows: more rows than one block
@@ -434,13 +431,17 @@ class TestChainAgainstRowWalk:
         runs = pf.dynamics._simulate(cells, pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
         assert [len(r.pieces.slot) for r in runs[:4]] == [4, 1, 3, 2]
         assert sum(len(r.pieces.slot) for r in runs) > _BLOCK
-        parents = [-1, -1, 0, 0, 1, 1]
-        own = [[pf.statistics._jumps(r, c) for c in ("idler", "signal")] for r in runs]
-        jumps = [np.concatenate(j) for j in zip(*own)] * 3
+        channels, parents = ["idler", "signal"] * 3, [-1, -1, 0, 0, 1, 1]
         windows = [(0, len(r.times) - 1) for r in runs]
-        got = pf.statistics._chain(runs, windows, jumps, parents)
-        for run, window, j, w in zip(runs, windows, own, got):
-            assert np.array_equal(w, pf.statistics._chain([run], [window], j * 3, parents)[0])
+        got = pf.statistics._chain(runs, windows, channels, parents)
+        for run, window, w in zip(runs, windows, got):
+            assert np.array_equal(w, pf.statistics._chain([run], [window], channels, parents)[0])
+
+    def test_a_run_without_the_channel_is_rejected(self):
+        runs = [TABLE_RUNS["three_level"](), TABLE_RUNS["pulse"]()]
+        windows = [(0, len(r.times) - 1) for r in runs]
+        with pytest.raises(ValueError, match="unknown channel 'idler'; this run has line"):
+            pf.statistics._chain(runs, windows, ["idler", "signal"])
 
     def test_windows_reach_the_block_cases(self):
         # the ramp's (0, n - 1) window is 2,399 one-step rows, so its last
@@ -484,7 +485,7 @@ class TestJumpsAndGathers:
     def test_jumps_match_kron_route(self, name):
         run = TABLE_RUNS[name]()
         for channel, ops in run.pieces.channels.items():
-            got = pf.statistics._jumps(run, channel)
+            got = pf.statistics._jumps([run], channel)
             want = oracles.kron_jumps(ops)
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -494,7 +495,7 @@ class TestJumpsAndGathers:
             ops = RNG.normal(size=(40, d, d)) + 1j * RNG.normal(size=(40, d, d))
             run = TABLE_RUNS["pulse"]() if d == 2 else TABLE_RUNS["three_level"]()
             run.pieces = replace(run.pieces, channels={"m": ops})
-            got, want = pf.statistics._jumps(run, "m"), oracles.kron_jumps(ops)
+            got, want = pf.statistics._jumps([run], "m"), oracles.kron_jumps(ops)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_moments_match_kron_route(self, monkeypatch):
@@ -506,8 +507,8 @@ class TestJumpsAndGathers:
                     + list(bs.n_tiples) + [pair.g_ii, pair.g_ss, pair.g_is])
 
         got = results()
-        monkeypatch.setattr(pf.statistics, "_jumps", lambda run, channel="line":
-                            oracles.kron_jumps(run.pieces.channels[channel]))
+        monkeypatch.setattr(pf.statistics, "_jumps", lambda runs, channel: oracles.kron_jumps(
+            np.concatenate([run.pieces.channels[channel] for run in runs])))
         want = results()
         assert min(map(abs, want)) > 0
         for g, w in zip(got, want):
@@ -518,7 +519,7 @@ class TestJumpsAndGathers:
         ops = run.pieces.channels["line"]
         diag = np.abs(ops[:, 0, 0]) > 0
         assert diag.any() and not diag.all()
-        got, want = pf.statistics._jumps(run), oracles.kron_jumps(ops)
+        got, want = pf.statistics._jumps([run], "line"), oracles.kron_jumps(ops)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("parents", [None, [-1, 0, 0]])
@@ -526,7 +527,7 @@ class TestJumpsAndGathers:
         # levels with equal jumps in separate arrays, and in one shared
         # array; the middle level pairs the shared jc with another jn
         run = TABLE_RUNS["release"]()
-        table, jumps = run.pieces, pf.statistics._jumps(run)
+        table, jumps = run.pieces, pf.statistics._jumps([run], "line")
         rows = np.arange(len(table.slot) - 1)
         e, h = table.step_mats[table.slot[rows]], table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
@@ -538,23 +539,26 @@ class TestJumpsAndGathers:
         assert np.array_equal(shared, apart)
 
     def test_chain_gathers_each_jump_array_once(self, monkeypatch):
+        # a channel named on several levels is built once for all its runs
         seen = []
-        real = pf.statistics._chain_steps
+        real = pf.statistics._jumps
 
-        def recording(e, jc, jn, h, parents=None):
-            seen.append(([id(j) for j in jc], [id(j) for j in jn]))
-            return real(e, jc, jn, h, parents)
+        def recording(runs, channel):
+            seen.append((len(runs), channel))
+            return real(runs, channel)
 
-        monkeypatch.setattr(pf.statistics, "_chain_steps", recording)
+        monkeypatch.setattr(pf.statistics, "_jumps", recording)
         pf.photon_mtiples(TABLE_RUNS["pulse"](), cutoff=3)
-        assert seen and all(len(set(ids)) == 1 for both in seen for ids in both)
+        assert seen == [(1, "line")]
         seen.clear()
         pf.pair_correlations(TABLE_RUNS["three_level"]())
-        assert seen
-        for both in seen:
-            for ids in both:
-                assert len(set(ids[0::2])) == len(set(ids[1::2])) == 1
-                assert ids[0] != ids[1]
+        assert seen == [(1, "idler"), (1, "signal")]
+        seen.clear()
+        pf.cross_pair_integral(TABLE_RUNS["three_level"](), "idler", "idler")
+        assert seen == [(1, "idler")]
+        seen.clear()
+        pf.sweep_cascade(pf.MirrorQubitParams(levels=3), [5.0, 0.0, 6.0], [0.1], 4.0, 0.05)
+        assert seen == [(2, "idler"), (2, "signal")]
 
 
 class TestPairIntegrals:
