@@ -278,11 +278,19 @@ def channel_couplings(params: MirrorQubitParams) -> dict:
     """
     if params.levels != 3:
         raise ValueError("channel_couplings requires levels=3")
-    return {
-        "signal": Operator(np.sqrt(2.0 * params.gamma01) * _as_matrix(lowering_op(3, 0, 1))),
-        "idler": Operator(np.sqrt(2.0 * params.gamma12) * _as_matrix(lowering_op(3, 1, 2))),
-        "pump": Operator(np.sqrt(2.0 * params.gamma02) * _as_matrix(lowering_op(3, 0, 2))),
-    }
+    return {k: Operator(m) for k, m in _ladder_channels(params).items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder() -> dict:
+    """Each ladder channel's rate name and plain lowering matrix."""
+    return {k: (rate, lowering_op(3, a, b).mat) for k, rate, a, b in
+            (("signal", "gamma01", 0, 1), ("idler", "gamma12", 1, 2), ("pump", "gamma02", 0, 2))}
+
+
+def _ladder_channels(params: MirrorQubitParams) -> dict:
+    """The `channel_couplings` matrices: each lowering matrix times sqrt(2 Gamma_ab)."""
+    return {k: np.sqrt(2.0 * getattr(params, rate)) * m for k, (rate, m) in _ladder().items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,8 +464,8 @@ def _compile(cells) -> list:
             channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
                                                   lowering_op(2, 0, 1).mat)}
         else:
-            channels = {k: np.broadcast_to(op.mat, (len(phi), 3, 3))
-                        for k, op in channel_couplings(params).items()}
+            channels = {k: np.broadcast_to(m, (len(phi), 3, 3))
+                        for k, m in _ladder_channels(params).items()}
         tables.append(PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
                                  slot=slot, step_mats=mats, channels=channels))
     return tables

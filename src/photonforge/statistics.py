@@ -32,7 +32,10 @@ its last step's M times a power of its interior M, and the chain
 reduces each block of `_BLOCK` rows pairwise, applying w to the block's
 product, for the rows of several runs at once. Levels hang under parent
 levels: a path for counting, a tree for the pair correlations of the
-three-level cascade (`pair_correlations`).
+three-level cascade (`pair_correlations`). A chain runs on the
+coordinates its trace row can reach (`_reach`): the populations, closed
+under the nonzero pattern of the window's step matrices and the jumps.
+The others stay exactly 0, so w is scattered back to its full length.
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -146,12 +149,13 @@ def _jumps(runs, channel: str) -> np.ndarray:
     return ((m[a[pair]] * m[b[pair]]).T @ form[pair]).reshape(-1, d * d, d * d)
 
 
-def _chain_steps(e, jc, jn, h, parents=None):
+def _chain_steps(e, jc, jn, h, tr, parents=None):
     """Stacked grid trapezoid steps M of the chain w = [1, u_1 .. u_L].
 
     Level k's jump is jc[k-1] at a step's earlier point and jn[k-1] at
     its later one; it hangs under u_p, p = parents[k-1] + 1 < k (k - 1
-    by default; -1 is a root under u_0, the trace). With X_k = (h/2) Jc_k,
+    by default; -1 is a root under u_0, the trace, whose row in the
+    coordinates of e and the jumps is tr). With X_k = (h/2) Jc_k,
     Q_k = (h/2)(E Jc_k + Jn_k E) and c_k = (h/2)(tr Jc_k + tr Jn_k E), the
     blocks are M[u_a, u_a] = E, M[u_a, u_b] = Q_c X .. X_b down the tree
     path a <- c <- .. <- b and M[1, u_b] = c_r X .. X_b from b's root r,
@@ -159,7 +163,6 @@ def _chain_steps(e, jc, jn, h, parents=None):
     """
     r, d2 = e.shape[:2]
     hh = (h / 2.0)[:, None, None]
-    tr = (np.arange(d2) < math.isqrt(d2)).astype(float)  # the populations' sum
     m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2))
     m[:, 0, 0] = 1.0
     blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
@@ -191,8 +194,31 @@ def _side_by_side(xs, size: int, fill) -> np.ndarray:
     one ending in rows of `fill`."""
     if len(xs) == 1:  # a lone array is the longest
         return xs[0][:, None]
-    return np.stack([np.concatenate([x, np.broadcast_to(fill, (size - len(x),) + np.shape(fill))])
-                     for x in xs], axis=1)
+    out = np.empty((size, len(xs)) + xs[0].shape[1:], xs[0].dtype)
+    out[:] = fill
+    for i, x in enumerate(xs):
+        out[:len(x), i] = x
+    return out
+
+
+def _reach(mats, d: int) -> np.ndarray:
+    """The coordinates a chain's vectors u_k can reach: the populations of
+    d levels, which the trace row sums, closed under the union nonzero
+    pattern of the stacks `mats`."""
+    return _closure(functools.reduce(np.logical_or, [m.any(axis=0) for m in mats]).tobytes(), d)
+
+
+@functools.lru_cache(maxsize=64)
+def _closure(pattern: bytes, d: int) -> np.ndarray:
+    """The populations closed under a (d^2, d^2) boolean pattern, as bytes:
+    u A is nonzero only at columns j with A[i, j] != 0 for a nonzero u_i."""
+    p = np.frombuffer(pattern, bool).reshape(d * d, d * d)
+    reach = np.arange(d * d) < d
+    while (more := reach @ p & ~reach).any():
+        reach |= more
+    idx = np.flatnonzero(reach)
+    idx.flags.writeable = False
+    return idx
 
 
 def _chain(runs, windows, channels, parents=None) -> np.ndarray:
@@ -204,7 +230,10 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     J_k is the jump of channel channels[k-1], built once for all runs by
     `_jumps`. Because the states obey rho(t_{i+1}) = E rho(t_i) on the
     grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
-    [t_i0, T]. A row is the M of its last step, whose later point takes
+    [t_i0, T]. The chain runs on the coordinates its trace row reaches
+    through the window rows' E and the jumps (`_reach`), the others
+    exactly 0, and scatters w back: a dropped term is 0 times a finite
+    entry. A row is the M of its last step, whose later point takes
     the jumps of the row starting there, times a `matrix_power` of its
     interior M. Each run takes its rows backward, and one `_product`
     reduces the same block of _BLOCK rows of every run at once, the
@@ -221,9 +250,14 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
         parts.append((t.step_mats[t.slot[ps]], t.h[ps], hi - lo[::-1], ps + off,
                       t.row_at(hi) + off))
         off += len(t.slot)
-    pad = (np.eye(parts[0][0].shape[-1]), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
     jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
-    d = 1 + len(channels) * jumps[channels[0]].shape[-1]
+    d2 = jumps[channels[0]].shape[-1]
+    idx = _reach([p[0] for p in parts] + list(jumps.values()), math.isqrt(d2))
+    sub = (..., idx[:, None], idx)
+    jumps = {c: j[sub] for c, j in jumps.items()}
+    tr = (idx < math.isqrt(d2)).astype(float)  # the populations' sum
+    pad = (np.eye(d2), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
+    d = 1 + len(channels) * len(idx)
     w = np.zeros((len(runs), d))
     w[:, 0] = 1.0
     sizes = [len(p[1]) for p in parts]
@@ -231,6 +265,7 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     for g in range(0, len(runs), group):
         size = max(sizes[g:g + group])
         rows = [_side_by_side(xs, size, f) for xs, f in zip(zip(*parts[g:g + group]), pad)]
+        rows[0] = rows[0][sub]
         sel = slice(g, g + rows[0].shape[1])
         for b in range(0, size, _BLOCK):
             e, h, k, cur, nxt = (x[b:b + _BLOCK].reshape((-1,) + x.shape[2:]) for x in rows)
@@ -238,13 +273,15 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
             # each channel's jumps gathered once: at rows, next rows, long rows
             got = {c: (j[cur], j[nxt], j[cur[r]]) for c, j in jumps.items()}
             jc, jn, inner = zip(*(got[c] for c in channels))
-            m = _chain_steps(e, jc, jn, h, parents)
+            m = _chain_steps(e, jc, jn, h, tr, parents)
             if len(r):
-                for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], parents),
+                for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], tr, parents),
                                    (k[r] - 1).tolist()):
                     m[x] = m[x] @ np.linalg.matrix_power(a, n)
             w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
-    return w
+    full = np.zeros((len(runs), len(channels), d2))
+    full[..., idx] = w[:, 1:].reshape(len(runs), len(channels), -1)
+    return np.concatenate([w[:, :1], full.reshape(len(runs), -1)], axis=1)
 
 
 def photon_mtiples(run: ScenarioRun, cutoff: int = 3,

@@ -1,5 +1,6 @@
 """Properties of propagation and counting over random two-level schedules,
-and the grid order of the counting moments and pair integrals.
+of the backward chain on tables with planted zeros, and the grid order
+of the counting moments and pair integrals.
 
 Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
 a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
@@ -189,6 +190,56 @@ def test_chunked_scan_is_the_step_by_step_march(p, alpha, rho0, layout, seed):
         got = pf.dynamics._march_table(table, v0)
     run = SimpleNamespace(pieces=table, coords=v0[None], dim=2)
     assert np.max(np.abs(got - oracles.march_states(run, coords=True))) < 1e-13
+
+
+@st.composite
+def planted_tables(draw):
+    """A d-level piece table of random rows with planted zeros: step
+    matrices block-diagonal over a random grouping of the coordinates,
+    and per channel rank-1 collapse operators x y^dag, x and y each on a
+    random subset of the levels; levels, parents and a window to chain."""
+    d = draw(st.sampled_from([2, 3]))
+    group = np.array(draw(st.lists(st.integers(0, 2), min_size=d * d, max_size=d * d)))
+    counts = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = len(counts)
+    e = (group[:, None] == group) * rng.uniform(-1.0, 1.0, (rows, d * d, d * d)) / (d * d)
+    subsets = st.lists(st.booleans(), min_size=d, max_size=d).filter(any)
+    channels = {}
+    for name in ("a", "b"):
+        x, y = (np.array(draw(subsets)) * (rng.normal(size=(rows, d))
+                                          + 1j * rng.normal(size=(rows, d))) for _ in "xy")
+        channels[name] = x[:, :, None] * y.conj()[:, None, :]
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
+    table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
+                          phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
+                          slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
+                          channels=channels)
+    levels, parents = draw(st.sampled_from([(["a", "b"], None), (["b", "a", "a"], None),
+                                            (["a", "b", "b", "a"], [-1, -1, 0, 1])]))
+    n = int(counts.sum())
+    i0 = draw(st.integers(0, n - 1))
+    return table, levels, parents, (i0, draw(st.integers(i0 + 1, n)))
+
+
+@PROPERTY
+@given(planted_tables())
+def test_chain_on_its_reach_is_the_full_walk(case):
+    # the chain runs on the reached coordinates only, the walk on all of
+    # them; the walk's entries outside the reach must be exact zeros
+    table, levels, parents, (i0, i1) = case
+    run = SimpleNamespace(pieces=table)
+    jumps = {c: pf.statistics._jumps([run], c) for c in set(levels)}
+    d2 = table.step_mats.shape[-1]
+    ps = table.spans(i0, i1)[0]
+    reach = pf.statistics._reach([table.step_mats[ps], *jumps.values()], math.isqrt(d2))
+    got = pf.statistics._chain([run], [(i0, i1)], levels, parents)[0]
+    want = oracles.chain_walk(run, i0, i1, [jumps[c] for c in levels], parents)
+    outside = np.ones((len(levels), d2), dtype=bool)
+    outside[:, reach] = False
+    outside = np.append(False, outside.ravel())
+    assert np.all(want[outside] == 0.0) and np.all(got[outside] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # The moments and pair integrals are grid trapezoids, so halving dt

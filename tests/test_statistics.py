@@ -456,6 +456,42 @@ class TestChainAgainstRowWalk:
         assert "block_edges" in TABLE_RUNS
 
 
+class TestReach:
+    """The coordinates each chain runs on (`_reach`): the populations and
+    what the window's step matrices and the jumps carry them to."""
+
+    @pytest.fixture
+    def reaches(self, monkeypatch):
+        seen = []
+        real = pf.statistics._reach
+
+        def recording(mats, d):
+            seen.append(real(mats, d))
+            return seen[-1]
+
+        monkeypatch.setattr(pf.statistics, "_reach", recording)
+        return seen
+
+    def test_packet_release_window(self, reaches):
+        # no drive in the window: the release stays on the populations
+        packet = pf.WavePacket.exponential(1.0, 8.0)
+        pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5), release=packet)
+        assert [r.tolist() for r in reaches] == [[0, 1]]
+
+    @pytest.mark.parametrize("phase_error, reach", [(0.0, [0, 1, 2]), (0.05, [0, 1, 2, 3])])
+    def test_beam_splitter(self, reaches, phase_error, reach):
+        # a real drive reaches Re rho_01; a phase error gives the counting
+        # mode a complex residual, which reaches Im rho_01 too
+        config = pf.BeamSplitterConfig(alpha0=5.0, phase_error=phase_error)
+        pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), config)
+        assert [r.tolist() for r in reaches] == [reach]
+
+    def test_cascade_cell(self, reaches):
+        # the 0-2 drive reaches Re rho_02 (coordinate 5); decays stay on populations
+        pf.run_cascade(pf.MirrorQubitParams(levels=3), 5.0, t_end=4.0, dt=0.01)
+        assert [r.tolist() for r in reaches] == [[0, 1, 2, 5]]
+
+
 ORDERINGS =[("signal", "idler"), ("idler", "signal"),
              ("signal", "signal"), ("idler", "idler")]
 
@@ -531,10 +567,10 @@ class TestJumpsAndGathers:
         rows = np.arange(len(table.slot) - 1)
         e, h = table.step_mats[table.slot[rows]], table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
-        other = 2.0 * jn
-        shared = pf.statistics._chain_steps(e, [jc] * 3, [jn, other, jn], h, parents)
+        other, tr = 2.0 * jn, np.array([1.0, 1.0, 0.0, 0.0])
+        shared = pf.statistics._chain_steps(e, [jc] * 3, [jn, other, jn], h, tr, parents)
         apart = pf.statistics._chain_steps(e, [jc, jc.copy(), jc.copy()],
-                                           [jn.copy(), other.copy(), jn], h, parents)
+                                           [jn.copy(), other.copy(), jn], h, tr, parents)
         assert len(rows) > 3
         assert np.array_equal(shared, apart)
 
