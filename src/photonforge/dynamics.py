@@ -319,21 +319,22 @@ def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
     return np.tensordot(_weights(params, phi, alpha), _basis(params.levels), axes=1)
 
 
-def _weights(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
+def _weights(params: MirrorQubitParams, phi, alpha, c=None) -> np.ndarray:
     """The pieces' real-valued weights of the `_basis` superoperators.
 
-    With L = c sigma_minus, c = sqrt(Gamma_eff) e^{i phi/2}, the phase
-    cancels inside D[L]: its weight is conj(c) c, plus Gamma_nr. The
-    drive -i(beta X - h.c.) enters through the real and imaginary parts
-    of beta = alpha e^{i phi} conj(c). Each weight is rounded as the
-    operator entry it stands for (alpha e^{i phi} as a scalar product,
-    in real arithmetic), so a `_generators` slice matches
-    `core.liouvillian` of the same H and L to the bit, at any stack size.
+    With L = c sigma_minus, c = sqrt(Gamma_eff) e^{i phi/2} (the
+    `_line_coupling` at phi unless given), the phase cancels inside D[L]:
+    its weight is conj(c) c, plus Gamma_nr. The drive -i(beta X - h.c.)
+    enters through the real and imaginary parts of beta = alpha e^{i phi}
+    conj(c). Each weight is rounded as the operator entry it stands for
+    (alpha e^{i phi} as a scalar product, in real arithmetic), so a
+    `_generators` slice matches `core.liouvillian` of the same H and L to
+    the bit, at any stack size.
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     if params.levels == 2:
-        c = _line_coupling(params.gamma, phi)
+        c = _line_coupling(params.gamma, phi) if c is None else c
         e = np.exp(1j * phi)
         beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
         rnr = math.sqrt(params.gamma_nr)
@@ -364,7 +365,7 @@ def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoper
 # ---------------------------------------------------------------------------
 # piece tables: one row per constant piece, marched once
 
-_BLOCK = 128  # powers of one step matrix, or rows' chain steps, held at once
+_BLOCK = 128  # powers of one step matrix held at once
 _CHUNK = 48  # one-step rows per chunk of the forward scan
 
 
@@ -441,9 +442,10 @@ def _compile(cells) -> list:
     compiled as one stack: each cell numbers a slot per distinct (phi,
     alpha, h) of its rows, past the slots of the cells before it, and the
     step matrices of all slots are exponentiated in one stacked call,
-    which all the tables share."""
+    which all the tables share. A two-level cell's line coupling c(phi)
+    is computed once for its rows, its slots' weights read from it."""
     levels = cells[0][0].levels
-    slots, weights, steps, count = [], [], [], 0
+    slots, weights, steps, channels, count = [], [], [], [], 0
     for params, (t_a, t_b, n, phi, alpha) in cells:
         h = (t_b - t_a) / n
         # a slot per distinct sorted key, keyed by its first row (stable sort)
@@ -453,22 +455,21 @@ def _compile(cells) -> list:
         slots.append(np.empty_like(order))
         slots[-1][order] = np.cumsum(new) + (count - 1)
         first = order[new]
-        weights.append(_weights(params, phi[first], alpha[first]).real)
+        if levels == 2:
+            c = _line_coupling(params.gamma, phi)
+            channels.append({"line": np.multiply.outer(c, lowering_op(2, 0, 1).mat)})
+            weights.append(_weights(params, phi[first], alpha[first], c[first]).real)
+        else:
+            channels.append({k: np.broadcast_to(m, (len(phi), 3, 3))
+                             for k, m in _ladder_channels(params).items()})
+            weights.append(_weights(params, phi[first], alpha[first]).real)
         steps.append(h[first])
         count += len(first)
     gens = np.concatenate(weights) @ _basis(levels, True)
     mats = sup_exp(gens.reshape((count,) + (levels ** 2,) * 2), np.concatenate(steps))
-    tables = []
-    for (params, (t_a, t_b, n, phi, alpha)), slot in zip(cells, slots):
-        if params.levels == 2:
-            channels = {"line": np.multiply.outer(_line_coupling(params.gamma, phi),
-                                                  lowering_op(2, 0, 1).mat)}
-        else:
-            channels = {k: np.broadcast_to(m, (len(phi), 3, 3))
-                        for k, m in _ladder_channels(params).items()}
-        tables.append(PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha,
-                                 slot=slot, step_mats=mats, channels=channels))
-    return tables
+    return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
+                       step_mats=mats, channels=chans)
+            for (_, (t_a, t_b, n, phi, alpha)), slot, chans in zip(cells, slots, channels)]
 
 
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,

@@ -29,13 +29,17 @@ named channel's jumps once. Its step is
 constant inside a table row except at the row's last step, whose later
 point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
-reduces each block of `_BLOCK` rows pairwise, applying w to the block's
-product, for the rows of several runs at once. Levels hang under parent
-levels: a path for counting, a tree for the pair correlations of the
-three-level cascade (`pair_correlations`). A chain runs on the
+reduces a block of rows pairwise, applying w to the block's product,
+for the rows of several runs at once; a block holds up to `_FLOATS`
+floats of steps, so a window is usually one block. Levels hang under
+parent levels: a path for counting, a tree for the pair correlations of
+the three-level cascade (`pair_correlations`). A chain runs on the
 coordinates its trace row can reach (`_reach`): the populations, closed
 under the nonzero pattern of the window's step matrices and the jumps.
-The others stay exactly 0, so w is scattered back to its full length.
+It runs only on its live levels too: a level whose parent's set its
+jumps take nowhere, closed under the step matrices, is exactly 0, as is
+N_2 of a window without drive, which holds one excitation at most. The
+rest stays exactly 0, so w is scattered back to its full length.
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -53,7 +57,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import _check_count, to_coordinates
-from .dynamics import _BLOCK, ScenarioRun
+from .dynamics import ScenarioRun
 
 __all__ = [
     "photon_mtiples",
@@ -69,6 +73,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_FLOATS = 1 << 20  # floats of one block's chain steps, rows x runs x width^2 (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -201,24 +207,43 @@ def _side_by_side(xs, size: int, fill) -> np.ndarray:
     return out
 
 
-def _reach(mats, d: int) -> np.ndarray:
-    """The coordinates a chain's vectors u_k can reach: the populations of
-    d levels, which the trace row sums, closed under the union nonzero
-    pattern of the stacks `mats`."""
-    return _closure(functools.reduce(np.logical_or, [m.any(axis=0) for m in mats]).tobytes(), d)
+def _reach(steps, jumps: dict, channels, parents, d: int):
+    """The coordinates a chain's vectors u_k can reach, its live levels and
+    their columns in w (`_closure`), from one nonzero pattern per stack:
+    the union over the step stacks `steps`, and one per channel of `jumps`."""
+    e = functools.reduce(np.logical_or, [m.any(axis=0) for m in steps])
+    return _closure(e.tobytes(), tuple((c, j.any(axis=0).tobytes()) for c, j in jumps.items()),
+                    tuple(zip(channels, parents)), d)
 
 
 @functools.lru_cache(maxsize=64)
-def _closure(pattern: bytes, d: int) -> np.ndarray:
-    """The populations closed under a (d^2, d^2) boolean pattern, as bytes:
-    u A is nonzero only at columns j with A[i, j] != 0 for a nonzero u_i."""
-    p = np.frombuffer(pattern, bool).reshape(d * d, d * d)
-    reach = np.arange(d * d) < d
-    while (more := reach @ p & ~reach).any():
-        reach |= more
-    idx = np.flatnonzero(reach)
-    idx.flags.writeable = False
-    return idx
+def _closure(steps: bytes, jumps: tuple, levels: tuple, d: int):
+    """The reach, the indices of the live levels and the columns of w they
+    fill on the reach, from (d^2, d^2) boolean patterns, as bytes, of the
+    step matrices and of each (channel, jumps); u A is nonzero only at
+    columns j with A[i, j] != 0 for a nonzero u_i. The reach is the
+    populations of d levels, which the trace row sums, closed under the
+    union of all patterns. Level (c, p), of channel c under level p (-1
+    the trace), is live when the step matrices' closure of what c's jumps
+    take p's set to (the populations for the trace) is not empty."""
+    e = np.frombuffer(steps, bool).reshape(d * d, d * d)
+    j = {c: np.frombuffer(p, bool).reshape(d * d, d * d) for c, p in jumps}
+
+    def close(s, p):
+        while (more := s @ p & ~s).any():
+            s |= more
+        return s
+
+    pops = np.arange(d * d) < d
+    idx = np.flatnonzero(close(pops.copy(), functools.reduce(np.logical_or, j.values(), e)))
+    sets = []
+    for c, p in levels:
+        sets.append(close((pops if p < 0 else sets[p]) @ j[c], e))
+    live = np.flatnonzero([s.any() for s in sets])
+    cols = 1 + (live[:, None] * d * d + idx).ravel()
+    for a in (idx, live, cols):
+        a.flags.writeable = False
+    return idx, live, cols
 
 
 def _chain(runs, windows, channels, parents=None) -> np.ndarray:
@@ -231,16 +256,19 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     `_jumps`. Because the states obey rho(t_{i+1}) = E rho(t_i) on the
     grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
     [t_i0, T]. The chain runs on the coordinates its trace row reaches
-    through the window rows' E and the jumps (`_reach`), the others
-    exactly 0, and scatters w back: a dropped term is 0 times a finite
-    entry. A row is the M of its last step, whose later point takes
-    the jumps of the row starting there, times a `matrix_power` of its
-    interior M. Each run takes its rows backward, and one `_product`
-    reduces the same block of _BLOCK rows of every run at once, the
-    shorter runs padded at their ends with zero-length rows (E = 1,
-    h = 0), whose M is the identity exactly; x * 1 and x + 0 are exact,
-    so a run's w is bit for bit its chain alone. The runs go in groups
-    whose blocks hold _BLOCK rows at most.
+    through the window rows' E and the jumps, and on its live levels
+    (`_reach`): a level whose jumps carry nothing its parent reaches, such
+    as N_2 of a window without drive, which holds one excitation at most,
+    is exactly 0, and so is every level under it. The rest of w is +0.0: a dropped
+    term is 0 times a finite entry. A row is the M of its last step,
+    whose later point takes the jumps of the row starting there, times a
+    `matrix_power` of its interior M. Each run takes its rows backward,
+    and one `_product` reduces the same block of rows of every run at
+    once, the shorter runs padded at their ends with zero-length rows
+    (E = 1, h = 0), whose M is the identity exactly; x * 1 and x + 0 are
+    exact, so the padding changes no run's w. A block's step stack holds
+    _FLOATS floats at most, and the runs go in groups whose rows fill one
+    block.
     """
     parts, off = [], 0  # per run, latest row first: E, h, steps, row, next row
     for run, (i0, i1) in zip(runs, windows):
@@ -252,23 +280,32 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
         off += len(t.slot)
     jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
     d2 = jumps[channels[0]].shape[-1]
-    idx = _reach([p[0] for p in parts] + list(jumps.values()), math.isqrt(d2))
+    parents = range(-1, len(channels) - 1) if parents is None else parents
+    idx, live, cols = _reach([p[0] for p in parts], jumps, channels, parents, math.isqrt(d2))
+    out = np.zeros((len(runs), 1 + len(channels) * d2))  # dead levels, the unreached: +0.0
+    out[:, 0] = 1.0
+    if not len(live):
+        return out
+    if len(live) < len(channels):  # the live levels, each parent by its place among them
+        at = {k: i for i, k in enumerate(live.tolist())}
+        channels, parents = [channels[k] for k in at], [at.get(parents[k], -1) for k in at]
     sub = (..., idx[:, None], idx)
-    jumps = {c: j[sub] for c, j in jumps.items()}
+    jumps = {c: jumps[c][sub] for c in dict.fromkeys(channels)}
     tr = (idx < math.isqrt(d2)).astype(float)  # the populations' sum
     pad = (np.eye(d2), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
     d = 1 + len(channels) * len(idx)
     w = np.zeros((len(runs), d))
     w[:, 0] = 1.0
     sizes = [len(p[1]) for p in parts]
-    group = _BLOCK // min(max(sizes), _BLOCK)
+    block = max(1, _FLOATS // (d * d))  # rows of one block, over all its runs
+    group = block // min(max(sizes), block)
     for g in range(0, len(runs), group):
         size = max(sizes[g:g + group])
         rows = [_side_by_side(xs, size, f) for xs, f in zip(zip(*parts[g:g + group]), pad)]
         rows[0] = rows[0][sub]
         sel = slice(g, g + rows[0].shape[1])
-        for b in range(0, size, _BLOCK):
-            e, h, k, cur, nxt = (x[b:b + _BLOCK].reshape((-1,) + x.shape[2:]) for x in rows)
+        for b in range(0, size, block):
+            e, h, k, cur, nxt = (x[b:b + block].reshape((-1,) + x.shape[2:]) for x in rows)
             r = np.flatnonzero(k > 1)
             # each channel's jumps gathered once: at rows, next rows, long rows
             got = {c: (j[cur], j[nxt], j[cur[r]]) for c, j in jumps.items()}
@@ -279,9 +316,8 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
                                    (k[r] - 1).tolist()):
                     m[x] = m[x] @ np.linalg.matrix_power(a, n)
             w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
-    full = np.zeros((len(runs), len(channels), d2))
-    full[..., idx] = w[:, 1:].reshape(len(runs), len(channels), -1)
-    return np.concatenate([w[:, :1], full.reshape(len(runs), -1)], axis=1)
+    out[:, cols] = w[:, 1:]
+    return out
 
 
 def photon_mtiples(run: ScenarioRun, cutoff: int = 3,

@@ -546,6 +546,18 @@ class TestPieceTable:
         assert table.step_mats.dtype == np.float64
         assert np.max(np.abs(table.step_mats[table.slot] - got.real)) < 1e-13
 
+    @pytest.mark.parametrize("name", sorted(set(TABLE_RUNS) - {"three_level"}))
+    def test_line_coupling_of_all_rows_holds_the_slots(self, name):
+        # `_compile` evaluates c(phi) once over a cell's rows and its slots'
+        # weights read c at their first rows: the bits of c at those rows alone
+        run = TABLE_RUNS[name]()
+        table, params = run.pieces, run.params
+        c = pf.dynamics._line_coupling(params.gamma, table.phi)
+        assert np.array_equal(table.channels["line"][:, 0, 1], c)
+        for rows in (np.unique(table.slot, return_index=True)[1], np.arange(len(c))[1::3]):
+            alone = pf.dynamics._line_coupling(params.gamma, table.phi[rows])
+            assert np.array_equal(c[rows], alone)
+
     def test_states_derive_from_coords(self, table_run):
         v = pf.core.coordinates(table_run.dim)[0]
         assert table_run.coords.dtype == np.float64

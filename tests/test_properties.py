@@ -228,17 +228,79 @@ def test_chain_on_its_reach_is_the_full_walk(case):
     # the chain runs on the reached coordinates only, the walk on all of
     # them; the walk's entries outside the reach must be exact zeros
     table, levels, parents, (i0, i1) = case
-    run = SimpleNamespace(pieces=table)
-    jumps = {c: pf.statistics._jumps([run], c) for c in set(levels)}
-    d2 = table.step_mats.shape[-1]
-    ps = table.spans(i0, i1)[0]
-    reach = pf.statistics._reach([table.step_mats[ps], *jumps.values()], math.isqrt(d2))
-    got = pf.statistics._chain([run], [(i0, i1)], levels, parents)[0]
-    want = oracles.chain_walk(run, i0, i1, [jumps[c] for c in levels], parents)
-    outside = np.ones((len(levels), d2), dtype=bool)
-    outside[:, reach] = False
-    outside = np.append(False, outside.ravel())
+    got, want, outside = chain_and_walk(table, levels, parents, (i0, i1))
     assert np.all(want[outside] == 0.0) and np.all(got[outside] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def chain_and_walk(table, levels, parents, window):
+    """`_chain` and `oracles.chain_walk` of a table's window, and the mask
+    of w's entries outside the reach or on a dead level (`_reach`)."""
+    run = SimpleNamespace(pieces=table)
+    jumps = {c: pf.statistics._jumps([run], c) for c in dict.fromkeys(levels)}
+    d2 = table.step_mats.shape[-1]
+    ps = table.spans(*window)[0]
+    tree = range(-1, len(levels) - 1) if parents is None else parents
+    reach, live, _ = pf.statistics._reach([table.step_mats[table.slot[ps]]], jumps, levels,
+                                          tree, math.isqrt(d2))
+    got = pf.statistics._chain([run], [window], levels, parents)[0]
+    want = oracles.chain_walk(run, *window, [jumps[c] for c in levels], parents)
+    outside = np.ones((len(levels), d2), dtype=bool)
+    outside[np.ix_(live, reach)] = False
+    return got, want, np.append(False, outside.ravel())
+
+
+@st.composite
+def lowering_tables(draw):
+    """A d-level piece table whose jumps lower the level index: collapse
+    operators strictly upper triangular, entries planted to zero at
+    random, so M^d = 0; step matrices that never carry the coordinates of
+    the levels from l up (rho_jj and rho_jk, j, k >= l) out of that set.
+    A chain level at depth l is then supported on the levels from l up,
+    so it is exactly 0 from depth d on."""
+    d = draw(st.sampled_from([2, 3]))
+    counts = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = len(counts)
+    # each coordinate's lowest level: the populations', then each coherence's twice
+    low = np.concatenate([np.arange(d), np.repeat(np.triu_indices(d, 1)[0], 2)])
+    e = (low[:, None] <= low) * rng.uniform(-1.0, 1.0, (rows, d * d, d * d)) / (d * d)
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    channels = {}
+    for name in ("a", "b"):
+        keep = upper & np.array(draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
+                                ).reshape(d, d)
+        m = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+        channels[name] = keep * m
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
+    table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
+                          phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
+                          slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
+                          channels=channels)
+    levels, parents = draw(st.sampled_from([
+        (["a", "a", "a"], None), (["b", "a", "a", "b"], None),
+        (["a", "b", "a", "b", "a"], [-1, -1, 0, 1, 2]),
+        (["a", "b"] * 3, [-1, -1, 0, 1, 2, 3])]))
+    n = int(counts.sum())
+    i0 = draw(st.integers(0, n - 1))
+    return d, table, levels, parents, (i0, draw(st.integers(i0 + 1, n)))
+
+
+@PROPERTY
+@given(lowering_tables())
+def test_chain_on_its_live_levels_is_the_full_walk(case):
+    # the chain drops its dead levels, the walk keeps them; a level at
+    # depth d or more must be dead, and a dead level exactly +0.0
+    d, table, levels, parents, window = case
+    got, want, outside = chain_and_walk(table, levels, parents, window)
+    tree = list(range(-1, len(levels) - 1)) if parents is None else parents
+    depth = []
+    for p in tree:
+        depth.append(1 if p < 0 else depth[p] + 1)
+    deep = np.append(False, np.repeat(np.array(depth) >= d, d * d))
+    assert deep.any() and np.all(outside[deep])
+    assert np.all(want[outside] == 0.0) and np.all(got[outside] == 0.0)
+    assert not np.signbit(got[outside]).any()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import photonforge as pf
-from photonforge.dynamics import _BLOCK
 
 import oracles
 from test_dynamics import TABLE_RUNS, mismatched_splitter_run
@@ -22,6 +21,27 @@ def pulsed_run(dt=0.05, t_end=12.0):
     drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
     return pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), t_end,
                        dt=dt)
+
+
+# a chain block's float budget in the block tests: 128 rows of a packet
+# release's one-level chain on two coordinates, width 3
+SMALL_FLOATS = 128 * 3 ** 2
+
+
+@pytest.fixture
+def chain_blocks(monkeypatch):
+    """Chain blocks of SMALL_FLOATS floats; records the (rows, runs) of
+    each block that `_chain` reduces."""
+    monkeypatch.setattr(pf.statistics, "_FLOATS", SMALL_FLOATS)
+    seen = []
+    real = pf.statistics._product
+
+    def recording(mats):
+        seen.append(mats.shape[:2])
+        return real(mats)
+
+    monkeypatch.setattr(pf.statistics, "_product", recording)
+    return seen
 
 
 def cascade_run(alpha_d=5.0, t_end=8.0, dt=0.01):
@@ -72,10 +92,10 @@ class TestMomentsAgainstNestedQuadrature:
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
 
-    def test_second_moment_over_more_rows_than_a_block(self):
-        # the chain builds its rows' last-step matrices _BLOCK rows at a
-        # time; one-step ramp rows span several such blocks here
-        n = 2 * _BLOCK + 10
+    def test_second_moment_over_more_rows_than_a_block(self, chain_blocks):
+        # the chain builds its rows' last-step matrices a float budget of
+        # rows at a time; one-step ramp rows span several such blocks here
+        n = 266
         ramp = (np.linspace(0.5, 0.5 + 0.02 * n, n + 1),
                 np.random.default_rng(8).uniform(0.0, 2.0 * PI, n + 1))
         end = 1.0 + 0.02 * n
@@ -87,6 +107,7 @@ class TestMomentsAgainstNestedQuadrature:
         want = oracles.naive_counting_moments(run.times, oracles.grid_steps(run),
                                               oracles.grid_ops(run), run.states,
                                               mmax=2)
+        assert len(chain_blocks) > 2
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-10
 
@@ -350,13 +371,13 @@ class TestMultiTimeCorrelator:
 
     def test_times_across_ramp_blocks(self):
         # a driven 600-row ramp of one-step rows; each tuple's times span
-        # more than 2 _BLOCK rows
+        # hundreds of rows
         phase = pf.PhaseSchedule(ramp=(np.linspace(0.0, 3.0, 601),
                                        np.random.default_rng(17).uniform(0.0, 2.0 * PI, 601)))
         run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
                           pf.DriveSchedule(((0.0, 3.0, 1.5 - 0.5j),)), phase, 3.0, dt=0.05)
         assert run.pieces.n_steps.tolist() == [1] * 600
-        for idx in ([3, 290, 597], [40, 600], [10, 150, 2 * _BLOCK + 20]):
+        for idx in ([3, 290, 597], [40, 600], [10, 150, 276]):
             got = pf.correlator_gm(run, run.times[idx])
             want = explicit_correlator(run, idx)
             assert want > 0
@@ -385,14 +406,17 @@ class TestChainAgainstRowWalk:
     def run(self, request):
         return TABLE_RUNS[request.param]()
 
-    def test_matches_row_walk(self, run):
+    def test_matches_row_walk(self, run, monkeypatch):
+        # in one block, and in blocks of SMALL_FLOATS floats
         channels = ["line"] * 3 if run.dim == 2 else ["idler", "signal"]
         jumps = [pf.statistics._jumps([run], c) for c in channels]
         n = len(run.times) - 1
         for i0, i1 in [(0, n), (1, n - 1), (0, n - 1)]:
             want = oracles.chain_walk(run, i0, i1, jumps)
-            got = pf.statistics._chain([run], [(i0, i1)], channels)[0]
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for floats in (pf.statistics._FLOATS, SMALL_FLOATS):
+                monkeypatch.setattr(pf.statistics, "_FLOATS", floats)
+                got = pf.statistics._chain([run], [(i0, i1)], channels)[0]
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_tree_matches_row_walk(self):
         # the pair layout: two roots, each with two children; the
@@ -410,7 +434,7 @@ class TestChainAgainstRowWalk:
 
     def test_runs_in_one_chain_equal_their_own_chains(self):
         # counting levels over runs of 2,400 one-step rows, of long rows and
-        # of short ones: every block but the first pads the shorter runs
+        # of short ones: their one block pads the shorter runs
         runs = [TABLE_RUNS[k]() for k in ("ramp", "pulse", "short_rows", "release")]
         windows = [(0, len(r.times) - 1) for r in runs]
         windows[0] = (1, len(runs[0].times) - 2)
@@ -419,9 +443,10 @@ class TestChainAgainstRowWalk:
         for run, window, w in zip(runs, windows, got):
             assert np.array_equal(w, pf.statistics._chain([run], [window], ["line"] * 3)[0])
 
-    def test_cascade_runs_in_one_tree_equal_their_own_trees(self):
-        # 70 cascade cells of one to four rows: more rows than one block
-        # holds, so the runs go in groups of 32, the shorter padded
+    def test_cascade_runs_in_one_tree_equal_their_own_trees(self, chain_blocks, monkeypatch):
+        # 70 cascade cells of one to four rows: more rows than one block of
+        # 128 rows of width 25 holds, so the runs go in groups of 32, the
+        # shorter padded
         params = pf.MirrorQubitParams(levels=3)
         drives = [pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 4.0, 5.0))),
                   pf.DriveSchedule(((0.0, 9.0, 0.3),)),
@@ -430,10 +455,11 @@ class TestChainAgainstRowWalk:
         cells = [(params.with_(gamma02=0.05 + 0.005 * k), d) for k, d in enumerate(drives)]
         runs = pf.dynamics._simulate(cells, pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
         assert [len(r.pieces.slot) for r in runs[:4]] == [4, 1, 3, 2]
-        assert sum(len(r.pieces.slot) for r in runs) > _BLOCK
         channels, parents = ["idler", "signal"] * 3, [-1, -1, 0, 0, 1, 1]
         windows = [(0, len(r.times) - 1) for r in runs]
+        monkeypatch.setattr(pf.statistics, "_FLOATS", 128 * 25 ** 2)
         got = pf.statistics._chain(runs, windows, channels, parents)
+        assert chain_blocks == [(4, 32), (2, 32), (2, 6)]
         for run, window, w in zip(runs, windows, got):
             assert np.array_equal(w, pf.statistics._chain([run], [window], channels, parents)[0])
 
@@ -443,40 +469,49 @@ class TestChainAgainstRowWalk:
         with pytest.raises(ValueError, match="unknown channel 'idler'; this run has line"):
             pf.statistics._chain(runs, windows, ["idler", "signal"])
 
-    def test_windows_reach_the_block_cases(self):
-        # the ramp's (0, n - 1) window is 2,399 one-step rows, so its last
-        # block holds an odd 95 rows; the pulse's (1, n - 1) window starts
-        # and ends inside a row; block_edges is in TABLE_RUNS
+    def test_windows_reach_the_block_cases(self, chain_blocks):
+        # the ramp's (0, n - 1) window is 2,399 one-step rows, so in blocks
+        # of SMALL_FLOATS floats its last block holds an odd 95 rows; the
+        # pulse's (1, n - 1) window starts and ends inside a row;
+        # block_edges is in TABLE_RUNS
         ramp = TABLE_RUNS["ramp"]()
         rows = ramp.pieces.spans(0, len(ramp.times) - 2)[0]
         assert (ramp.pieces.n_steps[rows] == 1).all()
-        assert len(rows) > 2 * _BLOCK and len(rows) % _BLOCK % 2 == 1
+        pf.statistics._chain([ramp], [(0, len(ramp.times) - 2)], ["line"] * 3)
+        assert chain_blocks == [(128, 1)] * 18 + [(95, 1)]
         pulse = TABLE_RUNS["pulse"]()
         assert not {1, len(pulse.times) - 2} & set(pulse.pieces.starts.tolist())
         assert "block_edges" in TABLE_RUNS
 
 
 class TestReach:
-    """The coordinates each chain runs on (`_reach`): the populations and
-    what the window's step matrices and the jumps carry them to."""
+    """The coordinates each chain runs on and its live levels (`_reach`):
+    the populations and what the window's step matrices and the jumps
+    carry them to; a level is live when its parent's set reaches anything."""
 
     @pytest.fixture
     def reaches(self, monkeypatch):
         seen = []
         real = pf.statistics._reach
 
-        def recording(mats, d):
-            seen.append(real(mats, d))
-            return seen[-1]
+        def recording(*args):
+            idx, live, cols = real(*args)
+            seen.append((idx.tolist(), live.tolist()))
+            return idx, live, cols
 
         monkeypatch.setattr(pf.statistics, "_reach", recording)
         return seen
 
     def test_packet_release_window(self, reaches):
-        # no drive in the window: the release stays on the populations
+        # no drive in the window: the release stays on the populations and
+        # holds one excitation at most, so only N_1's level is live
         packet = pf.WavePacket.exponential(1.0, 8.0)
         pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5), release=packet)
-        assert [r.tolist() for r in reaches] == [[0, 1]]
+        assert reaches == [([0, 1], [0])]
+
+    def test_constant_release_window(self, reaches):
+        pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5), release=0.3 * PI)
+        assert reaches == [([0, 1], [0])]
 
     @pytest.mark.parametrize("phase_error, reach", [(0.0, [0, 1, 2]), (0.05, [0, 1, 2, 3])])
     def test_beam_splitter(self, reaches, phase_error, reach):
@@ -484,12 +519,27 @@ class TestReach:
         # mode a complex residual, which reaches Im rho_01 too
         config = pf.BeamSplitterConfig(alpha0=5.0, phase_error=phase_error)
         pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), config)
-        assert [r.tolist() for r in reaches] == [reach]
+        assert reaches == [(reach, [0, 1, 2])]
 
     def test_cascade_cell(self, reaches):
         # the 0-2 drive reaches Re rho_02 (coordinate 5); decays stay on populations
         pf.run_cascade(pf.MirrorQubitParams(levels=3), 5.0, t_end=4.0, dt=0.01)
-        assert [r.tolist() for r in reaches] == [[0, 1, 2, 5]]
+        assert reaches == [([0, 1, 2, 5], list(range(6)))]
+
+    def test_dead_levels_are_positive_zeros(self):
+        # a released excitation: N_2 and N_3 are +0.0, N_1 as a one-level chain
+        run = TABLE_RUNS["ramp"]()
+        window = (0, len(run.times) - 1)
+        w = pf.statistics._chain([run], [window], ["line"] * 3)[0]
+        assert np.array_equal(w[:5], pf.statistics._chain([run], [window], ["line"])[0])
+        assert w[1:3].any() and not w[5:].any() and not np.signbit(w[5:]).any()
+
+    def test_a_chain_with_no_live_level(self):
+        # a decoupled emitter (gamma = 0) never jumps: every level is dead
+        run = pf.simulate(pf.MirrorQubitParams(gamma=0.0), pf.DriveSchedule(),
+                          pf.PhaseSchedule.constant(0.0), 2.0, dt=0.01)
+        w = pf.statistics._chain([run], [(0, len(run.times) - 1)], ["line"] * 2)[0]
+        assert w.tolist() == [1.0] + [0.0] * 8 and not np.signbit(w).any()
 
 
 ORDERINGS =[("signal", "idler"), ("idler", "signal"),
