@@ -316,25 +316,26 @@ def _basis(levels: int, coords: bool = False) -> np.ndarray:
 
 def _generators(params: MirrorQubitParams, phi, alpha) -> np.ndarray:
     """Stacked vec-basis generators at the pieces' (phi, alpha), (P, d^2, d^2)."""
-    return np.tensordot(_weights(params, phi, alpha), _basis(params.levels), axes=1)
+    phi = np.asarray(phi, dtype=float)
+    return np.tensordot(_weights(params, phi, alpha, _line_coupling(params.gamma, phi)),
+                        _basis(params.levels), axes=1)
 
 
-def _weights(params: MirrorQubitParams, phi, alpha, c=None) -> np.ndarray:
+def _weights(params: MirrorQubitParams, phi, alpha, c) -> np.ndarray:
     """The pieces' real-valued weights of the `_basis` superoperators.
 
-    With L = c sigma_minus, c = sqrt(Gamma_eff) e^{i phi/2} (the
-    `_line_coupling` at phi unless given), the phase cancels inside D[L]:
-    its weight is conj(c) c, plus Gamma_nr. The drive -i(beta X - h.c.)
-    enters through the real and imaginary parts of beta = alpha e^{i phi}
-    conj(c). Each weight is rounded as the operator entry it stands for
-    (alpha e^{i phi} as a scalar product, in real arithmetic), so a
-    `_generators` slice matches `core.liouvillian` of the same H and L to
-    the bit, at any stack size.
+    With L = c sigma_minus, where c = sqrt(Gamma_eff) e^{i phi/2} is the
+    `_line_coupling` at phi (read by two levels only, so three may pass
+    None), the phase cancels inside D[L]: its weight is conj(c) c, plus
+    Gamma_nr. The drive -i(beta X - h.c.) enters through the real and
+    imaginary parts of beta = alpha e^{i phi} conj(c). Each weight is
+    rounded as the operator entry it stands for (alpha e^{i phi} as a
+    scalar product, in real arithmetic), so a `_generators` slice matches
+    `core.liouvillian` of the same H and L to the bit, at any stack size.
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     if params.levels == 2:
-        c = _line_coupling(params.gamma, phi) if c is None else c
         e = np.exp(1j * phi)
         beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
         rnr = math.sqrt(params.gamma_nr)
@@ -443,7 +444,8 @@ def _compile(cells) -> list:
     alpha, h) of its rows, past the slots of the cells before it, and the
     step matrices of all slots are exponentiated in one stacked call,
     which all the tables share. A two-level cell's line coupling c(phi)
-    is computed once for its rows, its slots' weights read from it."""
+    is computed once for its rows: its "line" channel and its slots'
+    weights read it."""
     levels = cells[0][0].levels
     slots, weights, steps, channels, count = [], [], [], [], 0
     for params, (t_a, t_b, n, phi, alpha) in cells:
@@ -458,11 +460,12 @@ def _compile(cells) -> list:
         if levels == 2:
             c = _line_coupling(params.gamma, phi)
             channels.append({"line": np.multiply.outer(c, lowering_op(2, 0, 1).mat)})
-            weights.append(_weights(params, phi[first], alpha[first], c[first]).real)
+            c = c[first]
         else:
+            c = None
             channels.append({k: np.broadcast_to(m, (len(phi), 3, 3))
                              for k, m in _ladder_channels(params).items()})
-            weights.append(_weights(params, phi[first], alpha[first]).real)
+        weights.append(_weights(params, phi[first], alpha[first], c).real)
         steps.append(h[first])
         count += len(first)
     gens = np.concatenate(weights) @ _basis(levels, True)

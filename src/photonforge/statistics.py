@@ -31,9 +31,11 @@ point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
 reduces a block of rows pairwise, applying w to the block's product,
 for the rows of several runs at once; a block holds up to `_FLOATS`
-floats of steps, so a window is usually one block. Levels hang under
-parent levels: a path for counting, a tree for the pair correlations of
-the three-level cascade (`pair_correlations`). A chain runs on the
+floats of steps, so a narrow chain's window (a release's, 3 wide) is
+one block and a wide chain's blocks hold some hundred rows, which
+multiply faster than one long stack. Levels hang under parent levels:
+a path for counting, a tree for the pair correlations of the
+three-level cascade (`pair_correlations`). A chain runs on the
 coordinates its trace row can reach (`_reach`): the populations, closed
 under the nonzero pattern of the window's step matrices and the jumps.
 It runs only on its live levels too: a level whose parent's set its
@@ -74,7 +76,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FLOATS = 1 << 20  # floats of one block's chain steps, rows x runs x width^2 (8 MiB)
+_FLOATS = 1 << 16  # floats of one block's chain steps, rows x runs x width^2 (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -218,14 +220,15 @@ def _reach(steps, jumps: dict, channels, parents, d: int):
 
 @functools.lru_cache(maxsize=64)
 def _closure(steps: bytes, jumps: tuple, levels: tuple, d: int):
-    """The reach, the indices of the live levels and the columns of w they
-    fill on the reach, from (d^2, d^2) boolean patterns, as bytes, of the
-    step matrices and of each (channel, jumps); u A is nonzero only at
-    columns j with A[i, j] != 0 for a nonzero u_i. The reach is the
-    populations of d levels, which the trace row sums, closed under the
-    union of all patterns. Level (c, p), of channel c under level p (-1
-    the trace), is live when the step matrices' closure of what c's jumps
-    take p's set to (the populations for the trace) is not empty."""
+    """The reach, the live levels and the columns of w they fill on the
+    reach, from (d^2, d^2) boolean patterns, as bytes, of the step
+    matrices and of each (channel, jumps); u A is nonzero only at columns
+    j with A[i, j] != 0 for a nonzero u_i. The reach is the populations
+    of d levels, which the trace row sums, closed under the union of all
+    patterns. Level (c, p), of channel c under level p (-1 the trace), is
+    live when the step matrices' closure of what c's jumps take p's set
+    to (the populations for the trace) is not empty. Each live level
+    comes as (its index, c, its parent's place among the live levels)."""
     e = np.frombuffer(steps, bool).reshape(d * d, d * d)
     j = {c: np.frombuffer(p, bool).reshape(d * d, d * d) for c, p in jumps}
 
@@ -241,9 +244,10 @@ def _closure(steps: bytes, jumps: tuple, levels: tuple, d: int):
         sets.append(close((pops if p < 0 else sets[p]) @ j[c], e))
     live = np.flatnonzero([s.any() for s in sets])
     cols = 1 + (live[:, None] * d * d + idx).ravel()
-    for a in (idx, live, cols):
+    at = {k: i for i, k in enumerate(live.tolist())}
+    for a in (idx, cols):
         a.flags.writeable = False
-    return idx, live, cols
+    return idx, tuple((k, levels[k][0], at.get(levels[k][1], -1)) for k in at), cols
 
 
 def _chain(runs, windows, channels, parents=None) -> np.ndarray:
@@ -284,11 +288,9 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     idx, live, cols = _reach([p[0] for p in parts], jumps, channels, parents, math.isqrt(d2))
     out = np.zeros((len(runs), 1 + len(channels) * d2))  # dead levels, the unreached: +0.0
     out[:, 0] = 1.0
-    if not len(live):
+    if not live:
         return out
-    if len(live) < len(channels):  # the live levels, each parent by its place among them
-        at = {k: i for i, k in enumerate(live.tolist())}
-        channels, parents = [channels[k] for k in at], [at.get(parents[k], -1) for k in at]
+    _, channels, parents = zip(*live)
     sub = (..., idx[:, None], idx)
     jumps = {c: jumps[c][sub] for c in dict.fromkeys(channels)}
     tr = (idx < math.isqrt(d2)).astype(float)  # the populations' sum

@@ -243,6 +243,7 @@ def chain_and_walk(table, levels, parents, window):
     tree = range(-1, len(levels) - 1) if parents is None else parents
     reach, live, _ = pf.statistics._reach([table.step_mats[table.slot[ps]]], jumps, levels,
                                           tree, math.isqrt(d2))
+    live = [k for k, _, _ in live]
     got = pf.statistics._chain([run], [window], levels, parents)[0]
     want = oracles.chain_walk(run, *window, [jumps[c] for c in levels], parents)
     outside = np.ones((len(levels), d2), dtype=bool)

@@ -432,14 +432,17 @@ class TestChainAgainstRowWalk:
             assert len(got) == 1 + 6 * 9
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_runs_in_one_chain_equal_their_own_chains(self):
+    def test_runs_in_one_chain_equal_their_own_chains(self, chain_blocks, monkeypatch):
         # counting levels over runs of 2,400 one-step rows, of long rows and
-        # of short ones: their one block pads the shorter runs
+        # of short ones, 13 wide: a budget of one block for all four pads
+        # the shorter runs
         runs = [TABLE_RUNS[k]() for k in ("ramp", "pulse", "short_rows", "release")]
         windows = [(0, len(r.times) - 1) for r in runs]
         windows[0] = (1, len(runs[0].times) - 2)
+        monkeypatch.setattr(pf.statistics, "_FLOATS", 4 * 2400 * 13 ** 2)
         got = pf.statistics._chain(runs, windows, ["line"] * 3)
         assert got.shape == (4, 1 + 3 * 4)
+        assert chain_blocks == [(2398, 4)]
         for run, window, w in zip(runs, windows, got):
             assert np.array_equal(w, pf.statistics._chain([run], [window], ["line"] * 3)[0])
 
@@ -496,7 +499,7 @@ class TestReach:
 
         def recording(*args):
             idx, live, cols = real(*args)
-            seen.append((idx.tolist(), live.tolist()))
+            seen.append((idx.tolist(), [k for k, _, _ in live]))
             return idx, live, cols
 
         monkeypatch.setattr(pf.statistics, "_reach", recording)
