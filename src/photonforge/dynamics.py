@@ -77,6 +77,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_ORDER_TOL = 1e-15  # a segment may start this far before the previous one ends
+_CUT_TOL = 1e-12  # cut points merge, a row lies on a pulse or ramp, a flux point on a row end
+_GRID_TOL = 1e-9  # a caller's time (a window end, a correlator time) lies on the grid
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ class DriveSchedule:
             t0, t1, a = seg
             if not (t1 > t0):
                 raise ValueError(f"segment {seg} has nonpositive duration")
-            if t0 < prev_end - 1e-15:
+            if t0 < prev_end - _ORDER_TOL:
                 raise ValueError("drive segments overlap or are unordered")
             if not np.isfinite([t0, t1]).all() or not np.isfinite(complex(a)):
                 raise ValueError("drive segment values must be finite")
@@ -192,7 +195,7 @@ class PhaseSchedule:
         for t0, t1, phi in self.segments:
             if not (t1 > t0):
                 raise ValueError("phase segment has nonpositive duration")
-            if t0 < prev - 1e-15:
+            if t0 < prev - _ORDER_TOL:
                 raise ValueError("phase segments overlap or are unordered")
             if not (0.0 <= phi < TWO_PI):
                 raise ValueError(f"phi = {phi} outside [0, 2 pi)")
@@ -256,7 +259,7 @@ class PhaseSchedule:
 def _step_lookup(starts, ends, values, t, fill):
     """At a time or an array of times t, values[i] of the first step
     [starts[i], ends[i]) holding it, or fill (broadcast against t) where
-    none does. The ends are searched: segments longer than their 1e-15
+    none does. The ends are searched: segments longer than their _ORDER_TOL
     overlap allowance have nondecreasing ends, so the first end past t is
     the first step that can hold it, and where steps overlap it wins."""
     i = np.searchsorted(ends, t, side="right")
@@ -409,6 +412,22 @@ class PieceTable:
         """The row `per_point` reads at grid index (or indices) i."""
         return np.minimum(np.searchsorted(self.starts, i, side="right") - 1, len(self.slot) - 1)
 
+    def time(self, i: int) -> float:
+        """Grid time i as `ScenarioRun.times` holds it: t_a + j h on its row, t_b at the end."""
+        p = self.row_at(i)
+        j = i - self.starts[p]
+        return float(self.t_b[p] if j == self.n_steps[p] else j * self.h[p] + self.t_a[p])
+
+    def index(self, t: float, what: str = "time") -> int:
+        """The grid index of time t, the nearest point of the row holding t, within _GRID_TOL."""
+        p = max(int(np.searchsorted(self.t_a, t, side="right")) - 1, 0)
+        j = np.rint((t - self.t_a[p]) / self.h[p])  # NaN for a NaN t, which min and max keep
+        i = self.starts[p] + min(max(j, 0.0), self.n_steps[p])
+        if not abs(self.time(i) - t) <= _GRID_TOL:  # so a NaN t fails too
+            raise ValueError(f"{what} {t} does not lie on the simulation grid; a "
+                             "time outside the simulation grid is not snapped")
+        return int(i)
+
     def spans(self, i0: int, i1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows with steps between grid points i0 and i1, and the
         first and last grid index of each row's part there."""
@@ -424,12 +443,12 @@ def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
     step matrix is the identity."""
     pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
     pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
-    # keep a point over 1e-12 past the last kept one, a pass per point of a close run
-    keep = np.append(True, np.diff(pts) > 1e-12)
+    # keep a point over _CUT_TOL past the last kept one, a pass per point of a close run
+    keep = np.append(True, np.diff(pts) > _CUT_TOL)
     close = np.flatnonzero(~keep)
     while len(close):
         last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[close - 1]
-        settled = pts[close] - pts[last] > 1e-12
+        settled = pts[close] - pts[last] > _CUT_TOL
         if (settled == keep[close]).all():
             break
         keep[close] = settled
@@ -586,7 +605,7 @@ def flux_series(params: MirrorQubitParams, drive: DriveSchedule,
                          *(grid[[0, -1]] if len(grid) else (0.0, 0.0)), grid)
     states = _march_table(table, v0)
     # a grid point reads the state after every piece ending at or before it
-    return _flux(table, states, np.searchsorted(table.t_b, grid + 1e-12, side="right"))
+    return _flux(table, states, np.searchsorted(table.t_b, grid + _CUT_TOL, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +618,11 @@ class ScenarioRun:
 
     `pieces` is the run's piece table, output channels included.
     times[i] are the grid instants, each row's np.linspace(t_a, t_b,
-    n_steps + 1), so every breakpoint is a grid point exactly; coords,
-    marched from `start` on first read, is the real (n, d^2) array whose
-    row i is the density matrix at times[i] in `core.coordinates`. Both
-    are derived from the table on first read.
+    n_steps + 1), so every breakpoint is a grid point exactly (the table's
+    `time` and `index` map one point); coords, marched from `start` on
+    first read, is the real (n, d^2) array whose row i is the density
+    matrix at times[i] in `core.coordinates`. Both are derived from the
+    table on first read.
     """
 
     params: MirrorQubitParams
@@ -639,9 +659,9 @@ class ScenarioRun:
         return self.coords @ coordinates(self.dim)[0].T
 
 
-def _in_pulse(drive: DriveSchedule, t_a, t_b) -> list:
-    """Per drive segment, which rows [t_a, t_b] lie on it."""
-    return [(t_a >= s - 1e-12) & (t_b <= e + 1e-12) for s, e, _ in drive.segments]
+def _on_span(t_a, t_b, s: float, e: float) -> np.ndarray:
+    """Which rows [t_a, t_b] lie on the span [s, e], to _CUT_TOL."""
+    return (t_a >= s - _CUT_TOL) & (t_b <= e + _CUT_TOL)
 
 
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
@@ -679,7 +699,7 @@ def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
     for params, drive in cells:
         t_a, t_b, _, phi, alpha = _cut(drive, phase, t_start, t_end)
         # steps of at most dt, and on a drive pulse of at most 1/min_pulse_steps of its width
-        pulse = _in_pulse(drive, t_a, t_b)
+        pulse = [_on_span(t_a, t_b, s, e) for s, e, _ in drive.segments]
         local_dt = np.full(len(t_a), float(dt))
         for on, (s, e, _) in zip(pulse, drive.segments):
             local_dt[on] = min(dt, (e - s) / min_pulse_steps)
@@ -687,8 +707,7 @@ def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
         if phase.ramp is not None:
             # a sampled ramp defines its own integration grid: exactly one
             # step per sampling interval, never re-subdivided
-            ramp = phase.ramp[0]
-            n[(t_a >= ramp[0] - 1e-12) & (t_b <= ramp[-1] + 1e-12)] = 1
+            n[_on_span(t_a, t_b, phase.ramp[0][0], phase.ramp[0][-1])] = 1
         rows.append((params, (t_a, t_b, n, phi, alpha)))
         # the fewest grid points on a drive pulse, for resolution diagnostics
         points.append(min((int(n[on].sum()) + 1 for on in pulse if on.any()), default=10 ** 9))

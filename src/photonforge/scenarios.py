@@ -40,6 +40,7 @@ from .dynamics import (
     DriveSchedule,
     MirrorQubitParams,
     PhaseSchedule,
+    _GRID_TOL,
     _basis,
     _flux,
     _generators,
@@ -340,11 +341,11 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     if packet is None:
         sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
     else:
-        if abs(packet.start - t_r) > 1e-9:
+        if abs(packet.start - t_r) > _GRID_TOL:
             raise ValueError(
                 f"packet starts at {packet.start}, not at the release "
                 f"time {t_r}; rebuild it on the release window")
-        if packet.end > t_end + 1e-9:
+        if packet.end > t_end + _GRID_TOL:
             warnings.warn(
                 "release window ends before the packet support; the tail "
                 "will be clipped", stacklevel=2)
@@ -369,7 +370,7 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
 
     # the window starts at the grid point of t_r, a phase breakpoint; the
     # emitted fraction is the window's first counting moment
-    i0, i1 = np.searchsorted(run.times, stats.window)
+    i0, i1 = (table.index(t, "window") for t in stats.window)
     emitted = stats.n_tiples[0]
 
     l2 = None

@@ -112,19 +112,11 @@ class CrossPairResult:
         return csi_metric(self.g_ii, self.g_ss, self.g_is)
 
 
-def _grid_index(run: ScenarioRun, t: float, what: str) -> int:
-    """Index of the grid time t, which must lie on the grid to 1e-9."""
-    i = int(np.argmin(np.abs(run.times - t)))
-    if abs(run.times[i] - t) > 1e-9:
-        raise ValueError(f"{what} {t} does not lie on the simulation grid; a "
-                         "time outside the simulation grid is not snapped")
-    return i
-
-
 def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
-    t_r, t_end = (run.times[0], run.times[-1]) if window is None else window
-    i0 = _grid_index(run, t_r, "window start")
-    i1 = _grid_index(run, t_end, "window end")
+    """The grid indices of a window's ends (`PieceTable.index`); None is the whole run."""
+    if window is None:
+        return 0, int(run.pieces.starts[-1])
+    i0, i1 = (run.pieces.index(t, f"window {end}") for t, end in zip(window, ("start", "end")))
     if i1 <= i0:
         raise ValueError("empty counting window")
     return i0, i1
@@ -157,13 +149,13 @@ def _jumps(runs, channel: str) -> np.ndarray:
     return ((m[a[pair]] * m[b[pair]]).T @ form[pair]).reshape(-1, d * d, d * d)
 
 
-def _chain_steps(e, jc, jn, h, tr, parents=None):
+def _chain_steps(e, jc, jn, h, tr, channels, parents=None):
     """Stacked grid trapezoid steps M of the chain w = [1, u_1 .. u_L].
 
-    Level k's jump is jc[k-1] at a step's earlier point and jn[k-1] at
-    its later one; it hangs under u_p, p = parents[k-1] + 1 < k (k - 1
-    by default; -1 is a root under u_0, the trace, whose row in the
-    coordinates of e and the jumps is tr). With X_k = (h/2) Jc_k,
+    Level k's jump is jc[c] at a step's earlier point and jn[c] at its
+    later one, c = channels[k-1]; it hangs under u_p, p = parents[k-1] + 1
+    < k (k - 1 by default; -1 is a root under u_0, the trace, whose row in
+    the coordinates of e and the jumps is tr). With X_k = (h/2) Jc_k,
     Q_k = (h/2)(E Jc_k + Jn_k E) and c_k = (h/2)(tr Jc_k + tr Jn_k E), the
     blocks are M[u_a, u_a] = E, M[u_a, u_b] = Q_c X .. X_b down the tree
     path a <- c <- .. <- b and M[1, u_b] = c_r X .. X_b from b's root r,
@@ -171,14 +163,14 @@ def _chain_steps(e, jc, jn, h, tr, parents=None):
     """
     r, d2 = e.shape[:2]
     hh = (h / 2.0)[:, None, None]
-    m = np.zeros((r, 1 + len(jc) * d2, 1 + len(jc) * d2))
+    m = np.zeros((r, 1 + len(channels) * d2, 1 + len(channels) * d2))
     m[:, 0, 0] = 1.0
-    blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(jc))]
-    forms = {}  # c, or X and Q, of each distinct (jc, jn) pair of arrays
-    for k, p in enumerate(range(-1, len(jc) - 1) if parents is None else parents):
-        if (key := (p < 0, id(jc[k]), id(jn[k]))) not in forms:
-            forms[key] = (hh * ((tr @ jc[k])[:, None] + (tr @ jn[k])[:, None] @ e) if p < 0
-                          else (hh * jc[k], hh * (e @ jc[k] + jn[k] @ e)))
+    blk = [slice(1 + k * d2, 1 + (k + 1) * d2) for k in range(len(channels))]
+    forms = {}  # per (root, channel): a root level's c, another level's X and Q
+    for k, p in enumerate(range(-1, len(channels) - 1) if parents is None else parents):
+        if (key := (p < 0, c := channels[k])) not in forms:
+            forms[key] = (hh * ((tr @ jc[c])[:, None] + (tr @ jn[c])[:, None] @ e) if p < 0
+                          else (hh * jc[c], hh * (e @ jc[c] + jn[c] @ e)))
         m[:, blk[k], blk[k]] = e
         if p < 0:  # a root hangs under the scalar row
             m[:, :1, blk[k]] = forms[key]
@@ -310,13 +302,13 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
             e, h, k, cur, nxt = (x[b:b + block].reshape((-1,) + x.shape[2:]) for x in rows)
             r = np.flatnonzero(k > 1)
             # each channel's jumps gathered once: at rows, next rows, long rows
-            got = {c: (j[cur], j[nxt], j[cur[r]]) for c, j in jumps.items()}
-            jc, jn, inner = zip(*(got[c] for c in channels))
-            m = _chain_steps(e, jc, jn, h, tr, parents)
+            jc, jn = ({c: j[at] for c, j in jumps.items()} for at in (cur, nxt))
+            m = _chain_steps(e, jc, jn, h, tr, channels, parents)
             if len(r):
-                for x, a, n in zip(r.tolist(), _chain_steps(e[r], inner, inner, h[r], tr, parents),
-                                   (k[r] - 1).tolist()):
-                    m[x] = m[x] @ np.linalg.matrix_power(a, n)
+                inner = {c: j[r] for c, j in jc.items()}
+                a = _chain_steps(e[r], inner, inner, h[r], tr, channels, parents)
+                for x, ax, n in zip(r.tolist(), a, (k[r] - 1).tolist()):
+                    m[x] = m[x] @ np.linalg.matrix_power(ax, n)
             w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
     out[:, cols] = w[:, 1:]
     return out
@@ -390,18 +382,14 @@ def counting_statistics(run: ScenarioRun, cutoff: int = 3,
     _check_count("cutoff", cutoff)
     i0, i1 = _window_indices(run, window)
     nm = _moments(run, cutoff, (i0, i1))
-    probs = invert_to_probabilities(nm)
-    return PhotonStatistics(
-        n_tiples=tuple(nm),
-        probabilities=tuple(probs),
-        window=(float(run.times[i0]), float(run.times[i1])),
-    )
+    return PhotonStatistics(n_tiples=tuple(nm), probabilities=tuple(invert_to_probabilities(nm)),
+                            window=(run.pieces.time(i0), run.pieces.time(i1)))
 
 
 def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     """m-point intensity correlator G^(m)(t_1..t_m) at grid times.
 
-    Each time must lie on the simulation grid to 1e-9. The quantum
+    Each time must lie on the simulation grid (`PieceTable.index`). The quantum
     regression chain: jump of the "line" channel at t_1, propagate by one
     `_product` of the rows' step-matrix powers, jump at t_2, and so on.
     """
@@ -410,7 +398,7 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
         raise ValueError("need at least one time")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be nondecreasing")
-    idx = [_grid_index(run, t, "time") for t in ts]
+    idx = [run.pieces.index(t) for t in ts]
     table = run.pieces
     jumps = _jumps([run], "line")[table.row_at(idx)]
     v = jumps[0] @ run.coords_at(idx[0])
@@ -438,10 +426,7 @@ def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
     (J_b, J_a): u_1 carries the late jump of channel b, u_2 the early
     jump of channel a. The channels are "signal", "idler" and "pump".
     """
-    if run.params.levels != 3:
-        raise ValueError("pair correlations require a three-level run")
-    w = _chain([run], [(0, run.pieces.starts[-1])], [second, first])[0]
-    return float(w[1 + run.dim ** 2:] @ run.coords_at(0))
+    return _pair_counts([run], [(first, second)])[0][0]
 
 
 def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
@@ -450,10 +435,9 @@ def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
     G_ab = A_ab + A_ba for distinct channels and 2 A_aa for a single
     channel, so both time orderings of the pair are counted.
     """
-    if chan_a == chan_b:
-        return 2.0 * ordered_pair_count(run, chan_a, chan_a)
-    return ordered_pair_count(run, chan_a, chan_b) + \
-        ordered_pair_count(run, chan_b, chan_a)
+    a, b = sorted((chan_a, chan_b), key=str)  # both orders take one chain layout
+    counts = _pair_counts([run], [(a, b), (b, a)] if a != b else [(a, a)])[0]
+    return sum(counts) if a != b else 2.0 * counts[0]
 
 
 def pair_correlations(run: ScenarioRun) -> CrossPairResult:
@@ -465,15 +449,21 @@ def pair_correlations(run: ScenarioRun) -> CrossPairResult:
 
 def _pair_correlations(runs) -> list:
     """`pair_correlations` of several runs from one `_chain`."""
+    pairs = [(a, b) for b in ("idler", "signal") for a in ("idler", "signal")]
+    return [CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si)
+            for a_ii, a_si, a_is, a_ss in _pair_counts(runs, pairs)]
+
+
+def _pair_counts(runs, pairs) -> list:
+    """Per run, the `ordered_pair_count` of each (first, second) pair from one whole-run
+    `_chain`: a root level per distinct later channel, under it each pair's earlier jump."""
     if any(run.params.levels != 3 for run in runs):
         raise ValueError("pair correlations require a three-level run")
-    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], ["idler", "signal"] * 3,
-               [-1, -1, 0, 0, 1, 1])
-    out = []
-    for run, wr in zip(runs, w):
-        a_ii, a_si, a_is, a_ss = (wr[1:].reshape(6, -1)[2:] @ run.coords_at(0)).tolist()
-        out.append(CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si))
-    return out
+    roots = list(dict.fromkeys(second for _, second in pairs))
+    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], roots + [a for a, _ in pairs],
+               [-1] * len(roots) + [roots.index(b) for _, b in pairs])
+    return [(wr[1:].reshape(len(roots) + len(pairs), -1)[len(roots):]
+             @ run.coords_at(0)).tolist() for run, wr in zip(runs, w)]
 
 
 def csi_metric(g_ii: float, g_ss: float, g_is: float) -> float:

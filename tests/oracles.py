@@ -267,21 +267,23 @@ def chain_walk(run, i0, i1, jumps, parents=None):
     interior step. The package reduces the same row matrices as a tree.
     `parents` are the levels' parents as `_chain_steps` takes them; the
     default is the linear path. The walk keeps every coordinate, its trace
-    row the sum of all the populations."""
+    row the sum of all the populations. Each level is its own channel,
+    named by its index, so no level shares another's forms."""
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.slot)))[hi]
     d2 = jumps[0].shape[-1]
     tr = (np.arange(d2) < math.isqrt(d2)).astype(float)
+    levels = range(len(jumps))
     w = np.zeros(1 + len(jumps) * d2)
     w[0] = 1.0
     for p, n, q in zip(ps[::-1], (hi - lo)[::-1], nxt[::-1]):
         e, h = table.step_mats[table.slot[p:p + 1]], table.h[p:p + 1]
-        jc = [j[p:p + 1] for j in jumps]
-        steps = pf.statistics._chain_steps(e, jc, [j[q:q + 1] for j in jumps], h, tr, parents)
-        w = w @ steps[0]
+        jc = {k: j[p:p + 1] for k, j in enumerate(jumps)}
+        jn = {k: j[q:q + 1] for k, j in enumerate(jumps)}
+        w = w @ pf.statistics._chain_steps(e, jc, jn, h, tr, levels, parents)[0]
         if n > 1:
-            interior = pf.statistics._chain_steps(e, jc, jc, h, tr, parents)[0]
+            interior = pf.statistics._chain_steps(e, jc, jc, h, tr, levels, parents)[0]
             w = w @ np.linalg.matrix_power(interior, n - 1)
     return w
 

@@ -38,11 +38,19 @@ DEFAULT_ROWS = {
         [1, 0.497194027859, 0.494022679389]],
     "shaped_release": [[5, 0.0303612547946, 0.969638745205, 0, 0],
                        [10, 0.0141281685498, 0.98587183145, 0, 0]],
+    "shaped_release_gaussian": [[5, 0.0289788245804, 0.97102117542, 0, 0],
+                                [10, 0.0127225945524, 0.987277405448, 0, 0]],
+    "shaped_release_exponential": [[5, 0.0303566116781, 0.969643388322, 0, 0],
+                                   [10, 0.0141234477011, 0.985876552299, 0, 0]],
     "wait_sweep": [
         [0, 0.127120821812, 0.872879178188], [0.5, 0.169691641674, 0.830308358326],
         [1, 0.210186258151, 0.789813741849], [2, 0.285346973096, 0.714653026904],
         [3, 0.353355200345, 0.646644799655], [5, 0.470572016204, 0.529427983796]],
 }
+
+# stored cases beyond one per scenario: (scenario, config lines past the defaults)
+PACKET_CASES = {f"shaped_release_{p}": ("shaped_release", f"packet = {p}\n")
+                for p in ("gaussian", "exponential")}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -183,14 +191,15 @@ class TestRunCommand:
     def test_every_scenario_reruns_byte_identical(self, tmp_path, scenario):
         self._assert_rerun_is_byte_identical(tmp_path, scenario)
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_registry_defaults_match_the_stored_rows(self, tmp_path, scenario):
+    @pytest.mark.parametrize("case", sorted(SCENARIOS) + sorted(PACKET_CASES))
+    def test_registry_defaults_match_the_stored_rows(self, tmp_path, case):
         # encode's drive digits beyond about 1e-6 are optimizer noise (README)
-        cfg = write_config(tmp_path, f"scenario = {scenario}\noutdir = {tmp_path}\n")
+        scenario, extra = PACKET_CASES.get(case, (case, ""))
+        cfg = write_config(tmp_path, f"scenario = {scenario}\n{extra}outdir = {tmp_path}\n")
         assert main(["run", cfg]) == 0
         lines = (tmp_path / "result.csv").read_text().splitlines()[2:]
         got = [[float(x) for x in line.split(",")] for line in lines]
-        want = DEFAULT_ROWS[scenario]
+        want = DEFAULT_ROWS[case]
         assert len(got) == len(want)
         rel = [1e-6] * 4 + [1e-10] if scenario == "encode" else [1e-10] * len(want[0])
         for row, ref in zip(got, want):

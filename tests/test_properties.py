@@ -1,6 +1,6 @@
 """Properties of propagation and counting over random two-level schedules,
-of the backward chain on tables with planted zeros, and the grid order
-of the counting moments and pair integrals.
+of the grid-time lookup and the backward chain on random tables, and the
+grid order of the counting moments and pair integrals.
 
 Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
 a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
@@ -190,6 +190,40 @@ def test_chunked_scan_is_the_step_by_step_march(p, alpha, rho0, layout, seed):
         got = pf.dynamics._march_table(table, v0)
     run = SimpleNamespace(pieces=table, coords=v0[None], dim=2)
     assert np.max(np.abs(got - oracles.march_states(run, coords=True))) < 1e-13
+
+
+@st.composite
+def grid_runs(draw):
+    """A run over a random piece table: 1-6 rows from t0 in [-50, 50], each
+    of 1-40 steps of a length from 2e-8 to 0.5, so steps are longer than
+    1e-8 and two grid points are never within 2e-9 of each other."""
+    counts = np.array(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6)))
+    h = np.array(draw(st.lists(st.floats(2e-8, 0.5), min_size=len(counts),
+                               max_size=len(counts))))
+    edges = draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0], np.cumsum(counts * h)])
+    rows = len(counts)
+    table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
+                          phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
+                          slot=np.zeros(rows, dtype=int), step_mats=np.eye(4)[None],
+                          channels={})
+    return pf.ScenarioRun(params=pf.MirrorQubitParams(), drive=pf.DriveSchedule(),
+                          phase=pf.PhaseSchedule(), start=np.eye(4)[0], pieces=table)
+
+
+@PROPERTY
+@given(grid_runs())
+def test_grid_lookup_inverts_the_times(run):
+    # every grid time maps to its index and back to the same float; a time
+    # 0.5e-9 off snaps to it, one 2e-9 off (or NaN) lies on no grid point
+    table = run.pieces
+    for i, t in enumerate(run.times.tolist()):
+        assert table.index(t) == i and table.time(i) == t
+        assert table.index(t + 0.5e-9) == i and table.index(t - 0.5e-9) == i
+        for off in (2e-9, -2e-9):
+            with pytest.raises(ValueError, match="does not lie on the simulation grid"):
+                table.index(t + off)
+    with pytest.raises(ValueError, match="^time nan does not lie on the simulation grid"):
+        table.index(math.nan)
 
 
 @st.composite

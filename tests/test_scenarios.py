@@ -527,7 +527,8 @@ class TestCascade:
 
 class TestMarchOnRead:
     """A scenario marches the grid states only when it reads them: counting
-    from the run's start and the pair chain read its first state alone."""
+    from the run's start and the pair chain read its first state alone.
+    Nor does it build the grid times to resolve a window or a time."""
 
     @pytest.mark.parametrize("scenario, marches", [
         (lambda: pf.run_cascade(ladder(), 8.0), 0),
@@ -542,6 +543,24 @@ class TestMarchOnRead:
                                wraps=pf.dynamics._march_table) as march:
             scenario()
         assert march.call_count == marches
+
+    @pytest.mark.parametrize("read, builds", [
+        (lambda run: run.times, 1),
+        (lambda run: pf.counting_statistics(run), 0),
+        (lambda run: pf.counting_statistics(run, window=(run.drive.segments[0][1], 6.0)), 0),
+        (lambda run: pf.correlator_gm(run, (run.drive.segments[0][1], 6.0)), 0),
+        (lambda run: pf.run_beam_splitter(qubit_half(), pf.BeamSplitterConfig(alpha0=5.0)), 0),
+    ], ids=["times", "counting", "counting_window", "correlator", "beam_splitter"])
+    def test_times_count(self, read, builds, monkeypatch):
+        # windows and correlator times resolve on the piece table, which
+        # never builds the grid `ScenarioRun.times`
+        run = pf.simulate(qubit_half(), pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0),
+                          pf.PhaseSchedule.constant(0.0), 6.0)
+        real, built = pf.ScenarioRun.times, []
+        monkeypatch.setattr(pf.ScenarioRun, "times",
+                            property(lambda r: built.append(r) or real.func(r)))
+        read(run)
+        assert len(built) == builds
 
 
 class TestLossAndWaitSweeps:

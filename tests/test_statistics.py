@@ -149,6 +149,17 @@ class TestMomentsAgainstNestedQuadrature:
         with pytest.raises(ValueError, match="empty counting window"):
             pf.photon_mtiples(run, window=(2.0, 2.0))
 
+    @pytest.mark.parametrize("window, end", [((math.nan, 2.0), "start"),
+                                             ((0.0, math.nan), "end")])
+    def test_nan_window_rejected(self, window, end):
+        # a NaN start used to count the whole run, a NaN end to read as empty
+        run = pulsed_run(t_end=2.0)
+        for count in (pf.photon_mtiples, pf.counting_statistics):
+            with pytest.raises(ValueError, match=f"^window {end} nan does not lie on the "
+                                                 "simulation grid; a time outside the "
+                                                 "simulation grid is not snapped$"):
+                count(run, window=window)
+
     def test_windowed_moments_equal_fresh_run(self):
         params = pf.MirrorQubitParams(gamma=0.5)
         tw = pf.pi_pulse_width(5.0, 1.0)
@@ -323,6 +334,12 @@ class TestSingleStoredExcitation:
         t = run.times[400] + 0.4 * (run.times[401] - run.times[400])
         with pytest.raises(ValueError, match="outside the simulation grid"):
             pf.correlator_gm(run, (run.times[100], t))
+
+    @pytest.mark.parametrize("times", [(math.nan,), (1.0, math.nan), (math.nan, 1.0)])
+    def test_nan_time_rejected(self, stored_excitation_run, times):
+        # a NaN time used to give 0.0
+        with pytest.raises(ValueError, match="^time nan does not lie on the simulation grid"):
+            pf.correlator_gm(stored_excitation_run, times)
 
 
 def explicit_correlator(run, idx):
@@ -613,17 +630,20 @@ class TestJumpsAndGathers:
 
     @pytest.mark.parametrize("parents", [None, [-1, 0, 0]])
     def test_chain_steps_equal_jump_arrays_build_one_m(self, parents):
-        # levels with equal jumps in separate arrays, and in one shared
-        # array; the middle level pairs the shared jc with another jn
+        # the two levels of channel b under a root share b's forms; with
+        # a third channel c of equal jumps in separate arrays, each level
+        # builds its own. Channel b pairs a's jc with another jn
         run = TABLE_RUNS["release"]()
         table, jumps = run.pieces, pf.statistics._jumps([run], "line")
         rows = np.arange(len(table.slot) - 1)
         e, h = table.step_mats[table.slot[rows]], table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
         other, tr = 2.0 * jn, np.array([1.0, 1.0, 0.0, 0.0])
-        shared = pf.statistics._chain_steps(e, [jc] * 3, [jn, other, jn], h, tr, parents)
-        apart = pf.statistics._chain_steps(e, [jc, jc.copy(), jc.copy()],
-                                           [jn.copy(), other.copy(), jn], h, tr, parents)
+        shared = pf.statistics._chain_steps(e, {"a": jc, "b": jc}, {"a": jn, "b": other},
+                                            h, tr, ["a", "b", "b"], parents)
+        apart = pf.statistics._chain_steps(e, {"a": jc, "b": jc.copy(), "c": jc.copy()},
+                                           {"a": jn.copy(), "b": other, "c": other.copy()},
+                                           h, tr, ["a", "b", "c"], parents)
         assert len(rows) > 3
         assert np.array_equal(shared, apart)
 
