@@ -32,10 +32,10 @@ from .scenarios import (
     CancellationInputs,
     FlyingQubitTarget,
     WavePacket,
+    _beam_splitter,
+    _release,
     cancellation_budget,
     encode_flying_qubit,
-    run_beam_splitter,
-    run_shaped_release,
     sweep_cascade,
     sweep_nonradiative,
     sweep_wait_time,
@@ -76,10 +76,10 @@ def _run_beam_splitter(v):
                                gamma_nr=v["gamma_nr"])
     config = dict(r=v["r"], t0=v["t0"], t_end=v["t_end"], dt=v["dt"],
                   amp_error=v["amp_error"], phase_error=v["phase_error"])
+    cells = [(params, BeamSplitterConfig(alpha0=a0, **config)) for a0 in v["alpha0"]]
     return _probability_columns(v), [
-        (a0,) + run_beam_splitter(params, BeamSplitterConfig(alpha0=a0, **config),
-                                  cutoff=v["cutoff"]).probabilities
-        for a0 in v["alpha0"]]
+        (a0,) + stats.probabilities
+        for a0, stats in zip(v["alpha0"], _beam_splitter(cells, v["cutoff"]))]
 
 
 def _run_shaped_release(v):
@@ -96,10 +96,11 @@ def _run_shaped_release(v):
     else:
         raise ConfigError(
             f"packet must be none, gaussian, or exponential, not {v['packet']!r}")
-    return _probability_columns(v), [(a0,) + run_shaped_release(
-        params, alpha0=a0, phi_i=v["phi_i"], t0=v["t0"], t_r=v["t_r"],
-        t_end=v["t_end"], release=release, cutoff=v["cutoff"], dt=v["dt"],
-        clip_budget=v["clip_budget"]).stats.probabilities for a0 in v["alpha0"]]
+    rows = _release(params, [(a0, v["t_r"], v["t_end"]) for a0 in v["alpha0"]],
+                    phi_i=v["phi_i"], t0=v["t0"], release=release, cutoff=v["cutoff"],
+                    dt=v["dt"], clip_budget=v["clip_budget"])
+    return _probability_columns(v), [
+        (a0,) + res.stats.probabilities for a0, res in zip(v["alpha0"], rows)]
 
 
 def _run_cascade_sweep(v):

@@ -21,8 +21,8 @@ weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 (Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
 distinct (weights, step) pieces are exponentiated in one stacked call;
-several runs, such as a cascade sweep's cells, compile as one stack
-that shares one dt and one read-only start state.
+several runs, such as a sweep's cells, each with its own schedules, span
+and dt, compile as one stack that shares one read-only start state.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
@@ -674,29 +674,27 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     refined so each carries at least `min_pulse_steps` steps. One-step
     pieces are a chunked scan, a longer piece stacked matrix powers.
     """
-    return _simulate([(params, drive)], phase, t_end, t_start, rho0, dt,
-                     min_pulse_steps)[0]
+    if dt is None:
+        dt = 0.01 / params.gamma if params.gamma > 0 else 0.01
+    return _simulate([(params, drive, phase, t_start, t_end, dt)], rho0, min_pulse_steps)[0]
 
 
-def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
-              rho0=None, dt: Optional[float] = None, min_pulse_steps: int = 20) -> list:
-    """The runs of (params, drive) cells of one level count over one phase
-    schedule and span, `simulate`'s arguments otherwise (the default dt
-    is the first cell's). The runs share one read-only start state; each
-    cell cuts its own rows, and `_compile` compiles them all as one stack."""
-    gamma = cells[0][0].gamma
-    dt = dt if dt is not None else 0.01 / gamma if gamma > 0 else 0.01
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    _check_count("min_pulse_steps", min_pulse_steps)
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
-        raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
+def _simulate(cells, rho0=None, min_pulse_steps: int = 20) -> list:
+    """The runs of (params, drive, phase, t_start, t_end, dt) cells of one level
+    count, each checked as `simulate` checks it before any is cut; they share one
+    read-only start state, and `_compile` compiles all their rows as one stack."""
+    for *_, t_start, t_end, dt in cells:
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        _check_count("min_pulse_steps", min_pulse_steps)
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise ValueError(f"t_start and t_end must be finite, got {t_start}, {t_end}")
+        if t_end <= t_start:
+            raise ValueError("t_end must exceed t_start")
     start = _initial_state(cells[0][0], rho0)
     start.setflags(write=False)
     rows, points = [], []
-    for params, drive in cells:
+    for params, drive, phase, t_start, t_end, dt in cells:
         t_a, t_b, _, phi, alpha = _cut(drive, phase, t_start, t_end)
         # steps of at most dt, and on a drive pulse of at most 1/min_pulse_steps of its width
         pulse = [_on_span(t_a, t_b, s, e) for s, e, _ in drive.segments]
@@ -713,4 +711,4 @@ def _simulate(cells, phase: PhaseSchedule, t_end: float, t_start: float = 0.0,
         points.append(min((int(n[on].sum()) + 1 for on in pulse if on.any()), default=10 ** 9))
     return [ScenarioRun(params=params, drive=drive, phase=phase, start=start, pieces=table,
                         drive_points=dp)
-            for (params, drive), table, dp in zip(cells, _compile(rows), points)]
+            for (params, drive, phase, *_), table, dp in zip(cells, _compile(rows), points)]

@@ -1,9 +1,10 @@
 """Named end-to-end experiments built from the dynamics and statistics layers.
 
 Each runner is a pure function from parameters to numbers; sweeps
-return rows in grid order. A cascade sweep checks every cell first and
-then compiles and chains its cells as one stack, so `run_cascade` is its
-one-cell case; the other sweeps run their cells one after another.
+return rows in grid order. Every scenario checks all its cells first,
+then compiles them in one `_simulate` and counts or correlates them in
+one chain; `run_beam_splitter`, `run_shaped_release` and `run_cascade`
+are one-cell stacks, sweeps and the command line's lists longer ones.
 
 The experiments:
 
@@ -48,13 +49,13 @@ from .dynamics import (
     _simulate,
     effective_coupling,
     pi_pulse_width,
-    simulate,
 )
 from .statistics import (
     CrossPairResult,
     PhotonStatistics,
     _pair_correlations,
-    counting_statistics,
+    _statistics,
+    _windows,
 )
 
 __all__ = [
@@ -279,21 +280,30 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
     c(t) = -i r alpha_in(t) (1 - (1 + eps) e^{i delta}), read per piece
     of the run like L, so both switch together at the pulse end; with
     perfect matching c vanishes and the statistics are the bare emission
-    scaled by r^2 per photon order.
+    scaled by r^2 per photon order. This is the one-cell `_beam_splitter`.
     """
-    if params.levels != 2:
-        raise ValueError("the beam-splitter source is a two-level scenario")
-    geff = effective_coupling(params.gamma, 0.0)
-    drive = DriveSchedule.square_pi_pulse(config.alpha0, config.t0, geff)
-    phase = PhaseSchedule.constant(0.0)
-    run = simulate(params, drive, phase, config.t_end, t_start=config.t0,
-                   dt=config.dt)
-    mismatch = 1.0 - (1.0 + config.amp_error) * np.exp(1j * config.phase_error)
-    table = run.pieces
-    c = -1j * config.r * table.alpha * mismatch
-    line = 1j * config.r * table.channels["line"] + c[:, None, None] * np.eye(2)
-    return counting_statistics(
-        replace(run, pieces=replace(table, channels={"line": line})), cutoff=cutoff)
+    return _beam_splitter([(params, config)], cutoff)[0]
+
+
+def _beam_splitter(cells, cutoff: int) -> list:
+    """`run_beam_splitter` of (params, config) cells, all checked first,
+    then simulated as one stack and counted with one chain."""
+    if not cells:
+        return []
+    stack, phase = [], PhaseSchedule.constant(0.0)
+    for params, config in cells:
+        if params.levels != 2:
+            raise ValueError("the beam-splitter source is a two-level scenario")
+        geff = effective_coupling(params.gamma, 0.0)
+        drive = DriveSchedule.square_pi_pulse(config.alpha0, config.t0, geff)
+        stack.append((params, drive, phase, config.t0, config.t_end, config.dt))
+    runs = []
+    for run, (_, config) in zip(_simulate(stack), cells):
+        mismatch = 1.0 - (1.0 + config.amp_error) * np.exp(1j * config.phase_error)
+        c = -1j * config.r * run.pieces.alpha * mismatch
+        line = 1j * config.r * run.pieces.channels["line"] + c[:, None, None] * np.eye(2)
+        runs.append(replace(run, pieces=replace(run.pieces, channels={"line": line})))
+    return _statistics(runs, _windows(runs, [None] * len(runs), cutoff), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -326,72 +336,73 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     `release` is one of two kinds: a constant phase, or a target
     WavePacket (converted to a phase ramp); `simulate` and
     `counting_statistics` run any other phase schedule. Counting covers
-    [t_r, t_end], or the packet support for packet releases.
+    [t_r, t_end], or a packet's support. This is the one-cell `_release`.
     """
+    return _release(params, [(alpha0, t_r, t_end)], phi_i=phi_i, t0=t0, release=release,
+                    cutoff=cutoff, dt=dt, clip_budget=clip_budget)[0]
+
+
+def _release(params: MirrorQubitParams, cells, *, phi_i: float, t0: float, release,
+             cutoff: int, dt: float, clip_budget: float) -> list:
+    """`run_shaped_release` of (alpha0, t_r, t_end) cells, all checked
+    first, then simulated as one stack and counted with one chain. A
+    packet is shaped once, after the first cell's packet checks."""
+    if not cells:
+        return []
     if params.levels != 2:
         raise ValueError("shaped release is a two-level scenario")
     _check_finite(t0=t0)
-    if not t_r < t_end:
-        raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
-    drive = DriveSchedule.square_pi_pulse(alpha0, t0,
-                                          effective_coupling(params.gamma, phi_i))
-    t_store = drive.segments[0][1]
-
     packet = release if isinstance(release, WavePacket) else None
-    if packet is None:
-        sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
-    else:
-        if abs(packet.start - t_r) > _GRID_TOL:
-            raise ValueError(
-                f"packet starts at {packet.start}, not at the release "
-                f"time {t_r}; rebuild it on the release window")
-        if packet.end > t_end + _GRID_TOL:
-            warnings.warn(
-                "release window ends before the packet support; the tail "
-                "will be clipped", stacklevel=2)
-        shaped = shape_to_schedule(packet, params.gamma, clip_budget)
-        # the last ramp phase holds from t_r on, outside the ramp's span
-        sched = replace(PhaseSchedule.storage_release(phi_i, t_store, t_r,
-                                                      float(shaped.ramp[1][-1])),
-                        ramp=shaped.ramp, clip_fraction=shaped.clip_fraction)
-
-    run = simulate(params, drive, sched, t_end, dt=dt)
-    # packet releases count over the packet support only
-    stats_end = t_end if packet is None else min(t_end, packet.end)
-    stats = counting_statistics(run, cutoff=cutoff,
-                                window=(t_r, stats_end))
-
-    # p_exc = rho_11 (coordinate 1, the second population); the flux
-    # reads each point's line channel as counting does
-    table = run.pieces
-    phase_vals = table.per_point(table.phi)
-    p_exc = run.coords[:, 1]
-    flux = _flux(table, run.coords)
-
-    # the window starts at the grid point of t_r, a phase breakpoint; the
-    # emitted fraction is the window's first counting moment
-    i0, i1 = (table.index(t, "window") for t in stats.window)
-    emitted = stats.n_tiples[0]
-
-    l2 = None
-    if packet is not None:
-        wgrid = run.times[i0:i1 + 1]
-        target = np.interp(wgrid, packet.grid, packet.intensity())
-        fn = flux[i0:i1 + 1] / emitted
-        l2 = float(math.sqrt(np.trapezoid((fn - target) ** 2, wgrid) /
-                             np.trapezoid(target ** 2, wgrid)))
-
-    return ShapedReleaseResult(
-        stats=stats,
-        times=run.times,
-        flux=flux,
-        phase=phase_vals,
-        p_exc=p_exc,
-        p_exc_at_release=float(p_exc[i0]),
-        emitted_fraction=emitted,
-        clip_fraction=sched.clip_fraction,
-        flux_match_l2=l2,
-    )
+    stack, windows, shaped = [], [], None
+    for alpha0, t_r, t_end in cells:
+        if not t_r < t_end:
+            raise ValueError(f"t_end = {t_end} must exceed the release time t_r = {t_r}")
+        drive = DriveSchedule.square_pi_pulse(alpha0, t0,
+                                              effective_coupling(params.gamma, phi_i))
+        t_store = drive.segments[0][1]
+        if packet is None:
+            sched = PhaseSchedule.storage_release(phi_i, t_store, t_r, float(release))
+        else:
+            if abs(packet.start - t_r) > _GRID_TOL:
+                raise ValueError(
+                    f"packet starts at {packet.start}, not at the release "
+                    f"time {t_r}; rebuild it on the release window")
+            if packet.end > t_end + _GRID_TOL:
+                warnings.warn(
+                    "release window ends before the packet support; the tail "
+                    "will be clipped", stacklevel=3)
+            shaped = shaped or shape_to_schedule(packet, params.gamma, clip_budget)
+            # the last ramp phase holds from t_r on, outside the ramp's span
+            sched = replace(PhaseSchedule.storage_release(phi_i, t_store, t_r,
+                                                          float(shaped.ramp[1][-1])),
+                            ramp=shaped.ramp, clip_fraction=shaped.clip_fraction)
+        stack.append((params, drive, sched, 0.0, t_end, dt))
+        # packet releases count over the packet support only
+        windows.append((t_r, t_end if packet is None else min(t_end, packet.end)))
+    runs = _simulate(stack)
+    windows = _windows(runs, windows, cutoff)
+    out = []
+    for run, (i0, i1), stats in zip(runs, windows, _statistics(runs, windows, cutoff)):
+        # p_exc = rho_11 (coordinate 1, the second population); the flux
+        # reads each point's line channel as counting does
+        table = run.pieces
+        p_exc = run.coords[:, 1]
+        flux = _flux(table, run.coords)
+        # the window starts at the grid point of t_r, a phase breakpoint; the
+        # emitted fraction is the window's first counting moment
+        emitted = stats.n_tiples[0]
+        l2 = None
+        if packet is not None:
+            wgrid = run.times[i0:i1 + 1]
+            target = np.interp(wgrid, packet.grid, packet.intensity())
+            fn = flux[i0:i1 + 1] / emitted
+            l2 = float(math.sqrt(np.trapezoid((fn - target) ** 2, wgrid) /
+                                 np.trapezoid(target ** 2, wgrid)))
+        out.append(ShapedReleaseResult(
+            stats=stats, times=run.times, flux=flux, phase=table.per_point(table.phi),
+            p_exc=p_exc, p_exc_at_release=float(p_exc[i0]), emitted_fraction=emitted,
+            clip_fraction=run.phase.clip_fraction, flux_match_l2=l2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +438,7 @@ def _cascade(params: MirrorQubitParams, cells, t_end: float, dt: float) -> list:
     """CrossPairResults of (alpha_d, gamma02) cells, all checked first."""
     if params.levels != 3:
         raise ValueError("the cascade source needs levels=3")
-    driven = []
+    driven, phase = [], PhaseSchedule.constant(0.0)
     for alpha_d, gamma02 in cells:
         if not 0 <= alpha_d < math.inf:
             raise ValueError(f"alpha_d must be finite and nonnegative, got {alpha_d}")
@@ -436,9 +447,9 @@ def _cascade(params: MirrorQubitParams, cells, t_end: float, dt: float) -> list:
             if gamma02 == 0:
                 raise ValueError("gamma02 must be positive to drive the 0-2 line at "
                                  f"alpha_d = {alpha_d}, got {gamma02}")
-            driven.append((p, DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * gamma02)))
-    pairs = iter(_pair_correlations(_simulate(driven, PhaseSchedule.constant(0.0),
-                                              t_end, dt=dt)) if driven else ())
+            drive = DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * gamma02)
+            driven.append((p, drive, phase, 0.0, t_end, dt))
+    pairs = iter(_pair_correlations(_simulate(driven)) if driven else ())
     return [next(pairs) if alpha_d > 0 else CrossPairResult(g_ii=0.0, g_ss=0.0, g_is=0.0)
             for alpha_d, _ in cells]
 
@@ -453,9 +464,8 @@ def sweep_nonradiative(params: MirrorQubitParams, alpha0: complex, r: float,
                        dt: float = 0.005) -> list:
     """Beam-splitter source quality against the non-radiative rate."""
     config = BeamSplitterConfig(r=r, alpha0=alpha0, t0=t0, t_end=t_end, dt=dt)
-    return [(gnr, run_beam_splitter(params.with_(gamma_nr=gnr), config,
-                                    cutoff=cutoff))
-            for gnr in gamma_nr_values]
+    cells = [(params.with_(gamma_nr=gnr), config) for gnr in gamma_nr_values]
+    return list(zip(gamma_nr_values, _beam_splitter(cells, cutoff)))
 
 
 def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
@@ -472,11 +482,9 @@ def sweep_wait_time(params: MirrorQubitParams, alpha0: complex,
     p = params.with_(gamma_nr=gamma_nr)
     pulse = DriveSchedule.square_pi_pulse(alpha0, t0, effective_coupling(p.gamma, phi_i))
     t_store = pulse.segments[0][1]
-    return [(t_wait, run_shaped_release(p, alpha0=alpha0, phi_i=phi_i, t0=t0,
-                                        t_r=t_store + t_wait,
-                                        t_end=t_store + t_wait + window,
-                                        release=phi_r, cutoff=cutoff, dt=dt))
-            for t_wait in t_wait_values]
+    cells = [(alpha0, t_store + t_wait, t_store + t_wait + window) for t_wait in t_wait_values]
+    return list(zip(t_wait_values, _release(p, cells, phi_i=phi_i, t0=t0, release=phi_r,
+                                            cutoff=cutoff, dt=dt, clip_budget=0.01)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,16 +112,6 @@ class CrossPairResult:
         return csi_metric(self.g_ii, self.g_ss, self.g_is)
 
 
-def _window_indices(run: ScenarioRun, window) -> Tuple[int, int]:
-    """The grid indices of a window's ends (`PieceTable.index`); None is the whole run."""
-    if window is None:
-        return 0, int(run.pieces.starts[-1])
-    i0, i1 = (run.pieces.index(t, f"window {end}") for t, end in zip(window, ("start", "end")))
-    if i1 <= i0:
-        raise ValueError("empty counting window")
-    return i0, i1
-
-
 @functools.lru_cache(maxsize=None)
 def _jump_form(d: int):
     """Pairs a <= b and real K_ab with conj(M) kron M in coordinates sum_ab m_a m_b K_ab,
@@ -323,18 +313,32 @@ def photon_mtiples(run: ScenarioRun, cutoff: int = 3,
     level with each row's jump of the "line" channel, right-continuously.
     The chain is generic in its level count: any cutoff of at least 1 runs.
     """
+    return _moments([run], _windows([run], [window], cutoff), cutoff)[0]
+
+
+def _windows(runs, windows, cutoff) -> list:
+    """A count's checks before its chain, in order: the cutoff, then each run's window
+    (None the whole run) as grid indices (`PieceTable.index`). Warns, naming the
+    caller's caller, when a drive pulse of a run spans fewer than 20 grid points."""
     _check_count("cutoff", cutoff)
-    return _moments(run, cutoff, _window_indices(run, window))
-
-
-def _moments(run: ScenarioRun, cutoff: int, window: Tuple[int, int]) -> list:
-    """`photon_mtiples` over a window of grid indices."""
-    if run.drive_points < 20:
+    out = []
+    for run, window in zip(runs, windows):
+        i0, i1 = (0, int(run.pieces.starts[-1])) if window is None else (
+            run.pieces.index(t, f"window {end}") for t, end in zip(window, ("start", "end")))
+        if i1 <= i0:
+            raise ValueError("empty counting window")
+        out.append((i0, i1))
+    if any(run.drive_points < 20 for run in runs):
         warnings.warn(
             "a drive pulse spans fewer than 20 grid points; refine dt "
             "before trusting these moments", stacklevel=3)
-    w = _chain([run], [window], ["line"] * cutoff)[0]
-    return (w[1:].reshape(cutoff, -1) @ run.coords_at(window[0])).tolist()
+    return out
+
+
+def _moments(runs, windows, cutoff: int) -> list:
+    """`photon_mtiples` of several runs over windows of grid indices, from one `_chain`."""
+    return [(wr[1:].reshape(cutoff, -1) @ run.coords_at(i0)).tolist()
+            for run, (i0, _), wr in zip(runs, windows, _chain(runs, windows, ["line"] * cutoff))]
 
 
 def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
@@ -379,11 +383,14 @@ def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
 def counting_statistics(run: ScenarioRun, cutoff: int = 3,
                         window: Optional[Tuple[float, float]] = None) -> PhotonStatistics:
     """Moments and probabilities of a run's output field in one call."""
-    _check_count("cutoff", cutoff)
-    i0, i1 = _window_indices(run, window)
-    nm = _moments(run, cutoff, (i0, i1))
-    return PhotonStatistics(n_tiples=tuple(nm), probabilities=tuple(invert_to_probabilities(nm)),
-                            window=(run.pieces.time(i0), run.pieces.time(i1)))
+    return _statistics([run], _windows([run], [window], cutoff), cutoff)[0]
+
+
+def _statistics(runs, windows, cutoff: int) -> list:
+    """`counting_statistics` of several runs over windows of grid indices, from `_moments`."""
+    return [PhotonStatistics(n_tiples=tuple(nm), probabilities=tuple(invert_to_probabilities(nm)),
+                             window=(run.pieces.time(i0), run.pieces.time(i1)))
+            for run, (i0, i1), nm in zip(runs, windows, _moments(runs, windows, cutoff))]
 
 
 def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:

@@ -677,10 +677,10 @@ class TestSimulate:
     @pytest.mark.parametrize("rho0", [None, np.diag([0.25, 0.0, 0.75])])
     def test_a_stack_shares_one_read_only_start(self, rho0):
         params = pf.MirrorQubitParams(levels=3)
-        cells = [(params.with_(gamma02=g), pf.DriveSchedule(((0.0, 0.5, a),)))
-                 for g, a in ((0.05, 5.0), (0.2, 3.0), (0.5, 1.0))]
-        runs = pf.dynamics._simulate(cells, pf.PhaseSchedule.constant(0.0), 2.0,
-                                     rho0=rho0, dt=0.05)
+        phase = pf.PhaseSchedule.constant(0.0)
+        cells = [(params.with_(gamma02=g), pf.DriveSchedule(((0.0, 0.5, a),)), phase,
+                  0.0, 2.0, 0.05) for g, a in ((0.05, 5.0), (0.2, 3.0), (0.5, 1.0))]
+        runs = pf.dynamics._simulate(cells, rho0=rho0)
         want = pf.dynamics._initial_state(params, rho0)
         assert all(run.start is runs[0].start for run in runs)
         assert np.array_equal(runs[0].start, want)

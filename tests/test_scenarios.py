@@ -5,6 +5,7 @@ independent oracle scripts run at the production grid (dt = 0.005);
 tests assert the package reproduces them to 1e-9.
 """
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import photonforge as pf
+from photonforge import cli
 
 PI = math.pi
 
@@ -562,6 +564,17 @@ class TestMarchOnRead:
         read(run)
         assert len(built) == builds
 
+    @pytest.mark.parametrize("release", [PI / 2, pf.WavePacket.exponential(1.0, 8.0)],
+                             ids=["release", "packet_release"])
+    def test_release_resolves_its_window_once(self, release):
+        # one lookup per window end serves the chain, p_exc_at_release and
+        # the flux match
+        real = pf.dynamics.PieceTable.index
+        with mock.patch.object(pf.dynamics.PieceTable, "index", autospec=True,
+                               side_effect=real) as index:
+            pf.run_shaped_release(qubit_unit(), alpha0=10.0, release=release)
+        assert index.call_count == 2
+
 
 class TestLossAndWaitSweeps:
     def test_nonradiative_survival(self):
@@ -586,6 +599,113 @@ class TestLossAndWaitSweeps:
             assert abs(res.stats.prob(1) - want_p1) < 1e-9
             p1_values.append(res.stats.prob(1))
         assert all(a > b for a, b in zip(p1_values, p1_values[1:]))
+
+
+def same(a, b) -> bool:
+    """Every field of two results equal under np.array_equal, a nested
+    result field by field."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
+def in_one_stack(run):
+    """run()'s result, after checking that it compiled once and chained once."""
+    with mock.patch.object(pf.dynamics, "_compile", wraps=pf.dynamics._compile) as compiles, \
+            mock.patch.object(pf.statistics, "_chain", wraps=pf.statistics._chain) as chains:
+        out = run()
+    assert (compiles.call_count, chains.call_count) == (1, 1)
+    return out
+
+
+def raises_before_any_run(run, match):
+    with mock.patch.object(pf.scenarios, "_simulate") as simulate:
+        with pytest.raises(ValueError, match=match):
+            run()
+    simulate.assert_not_called()
+
+
+class TestScenarioStacks:
+    """Every sweep and command-line list runs its cells as one stack: one
+    compile and one chain, every cell checked before any runs, and each
+    row equal on every field to its one-cell run."""
+
+    def test_nonradiative_sweep(self):
+        values = (0.0, 0.1, 0.2, 0.5, 1.0)
+        rows = in_one_stack(lambda: pf.sweep_nonradiative(qubit_half(), 10.0, 0.995, values))
+        assert [g for g, _ in rows] == list(values)
+        for g, stats in rows:
+            config = pf.BeamSplitterConfig(alpha0=10.0, r=0.995)
+            assert same(stats, pf.run_beam_splitter(qubit_half().with_(gamma_nr=g), config))
+        raises_before_any_run(
+            lambda: pf.sweep_nonradiative(qubit_half(), 10.0, 0.995, values + (-1.0,)),
+            "gamma_nr must be finite and nonnegative")
+
+    def test_wait_sweep(self):
+        values = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0)
+        rows = in_one_stack(lambda: pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, values))
+        assert [t for t, _ in rows] == list(values)
+        geff = pf.effective_coupling(1.0, 0.9 * PI)
+        t_store = pf.DriveSchedule.square_pi_pulse(10.0, 1.0, geff).segments[0][1]
+        for t, res in rows:
+            assert same(res, pf.run_shaped_release(
+                qubit_unit().with_(gamma_nr=0.1), alpha0=10.0, t_r=t_store + t,
+                t_end=t_store + t + 20.0, release=PI / 2))
+        raises_before_any_run(
+            lambda: pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, values + (-1.0,)),
+            "falls after the release time")
+
+    @pytest.mark.parametrize("lines, one, message", [
+        (["scenario = beam_splitter", "amp_error = 0.02"],
+         lambda a: pf.run_beam_splitter(qubit_half(),
+                                        pf.BeamSplitterConfig(alpha0=a, amp_error=0.02)),
+         "alpha0 must be nonzero"),
+        (["scenario = shaped_release"],
+         lambda a: pf.run_shaped_release(qubit_unit(), alpha0=a),
+         "alpha0 and gamma_eff must be positive"),
+        (["scenario = shaped_release", "packet = gaussian"],
+         lambda a: pf.run_shaped_release(qubit_unit(), alpha0=a,
+                                         release=pf.WavePacket.gaussian(12.0, 1.5, t_start=8.0)),
+         "alpha0 and gamma_eff must be positive"),
+    ], ids=["beam_splitter", "release", "packet_release"])
+    def test_command_line_list(self, lines, one, message):
+        config = cli.parse_config("\n".join(lines + ["alpha0 = 5.0, 10.0"]))
+        runner = cli.SCENARIOS[config.scenario].runner
+        name = "_beam_splitter" if config.scenario == "beam_splitter" else "_release"
+        real, stacks = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            stacks.append(real(*args, **kwargs))
+            return stacks[-1]
+
+        with mock.patch.object(cli, name, spy):
+            _, rows = in_one_stack(lambda: runner(config.values))
+        results, = stacks
+        for a, row, res in zip((5.0, 10.0), rows, results):
+            assert same(res, one(a))
+            assert row == (a,) + getattr(res, "stats", res).probabilities
+        raises_before_any_run(lambda: runner(dict(config.values, alpha0=(5.0, 0.0))), message)
+
+    def test_empty_sweeps_stay_empty(self):
+        with mock.patch.object(pf.scenarios, "_simulate") as simulate:
+            assert pf.sweep_nonradiative(qubit_half(), 10.0, 0.995, []) == []
+            assert pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, []) == []
+        simulate.assert_not_called()
+
+    @pytest.mark.parametrize("alphas, warns", [((5.0, 0.5), 1), ((5.0, 10.0), 0)],
+                             ids=["one_coarse_cell", "no_coarse_cell"])
+    def test_a_coarse_cell_warns_for_its_stack(self, alphas, warns):
+        # at t_end = 2 the alpha0 = 0.5 pulse, 3.14 long, is cut to 13
+        # steps of 0.157, 14 grid points
+        cells = [(qubit_half(), pf.BeamSplitterConfig(alpha0=a, t_end=2.0, dt=0.2))
+                 for a in alphas]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            pf.scenarios._beam_splitter(cells, 3)
+        assert [(w.filename, str(w.message)) for w in seen] == [
+            (__file__, "a drive pulse spans fewer than 20 grid points; refine dt "
+                       "before trusting these moments")] * warns
 
 
 class TestFlyingQubitEncoding:

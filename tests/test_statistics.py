@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,18 @@ class TestMomentsAgainstNestedQuadrature:
         with pytest.warns(UserWarning, match="fewer than 20"):
             pf.photon_mtiples(run, cutoff=1)
 
+    @pytest.mark.parametrize("count", [pf.photon_mtiples, pf.counting_statistics])
+    def test_coarse_pulse_warning_names_the_caller(self, count):
+        # the alpha0 = 0.5 pulse, 3.14 long, is cut at t_end = 2 to 14 grid points
+        drive = pf.DriveSchedule.square_pi_pulse(0.5, 0.0, 1.0)
+        run = pf.simulate(pf.MirrorQubitParams(gamma=0.5), drive,
+                          pf.PhaseSchedule.constant(0.0), 2.0, dt=0.2)
+        assert run.drive_points == 14
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            count(run)
+        assert [w.filename for w in seen] == [__file__]
+
     def test_window_must_sit_on_grid(self):
         run = pulsed_run(t_end=2.0)
         with pytest.raises(ValueError, match="does not lie on the simulation grid"):
@@ -222,15 +235,15 @@ class TestFirstMomentAgainstDirectFlux:
                                       "exponential", "gaussian"])
     def test_scenario_first_moment(self, kind, monkeypatch):
         # the scenario's own run, with its counting operators, reaches the
-        # statistics layer through counting_statistics
+        # statistics layer through the stacked counting function
         seen = []
-        real = pf.scenarios.counting_statistics
+        real = pf.scenarios._statistics
 
-        def spy(run, cutoff=3, window=None):
-            seen.append(run)
-            return real(run, cutoff=cutoff, window=window)
+        def spy(runs, windows, cutoff):
+            seen.extend(runs)
+            return real(runs, windows, cutoff)
 
-        monkeypatch.setattr(pf.scenarios, "counting_statistics", spy)
+        monkeypatch.setattr(pf.scenarios, "_statistics", spy)
         stats = bench_job_stats(kind)
         run, = seen
         i0, i1 = np.searchsorted(run.times, stats.window)
@@ -472,8 +485,10 @@ class TestChainAgainstRowWalk:
                   pf.DriveSchedule(((0.0, 9.0, 0.3),)),
                   pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 9.0, 0.3)))]
         drives += [pf.DriveSchedule(((0.0, 0.4 + 0.01 * k, 4.0),)) for k in range(67)]
-        cells = [(params.with_(gamma02=0.05 + 0.005 * k), d) for k, d in enumerate(drives)]
-        runs = pf.dynamics._simulate(cells, pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
+        phase = pf.PhaseSchedule.constant(0.0)
+        cells = [(params.with_(gamma02=0.05 + 0.005 * k), d, phase, 0.0, 6.0, 0.05)
+                 for k, d in enumerate(drives)]
+        runs = pf.dynamics._simulate(cells)
         assert [len(r.pieces.slot) for r in runs[:4]] == [4, 1, 3, 2]
         channels, parents = ["idler", "signal"] * 3, [-1, -1, 0, 0, 1, 1]
         windows = [(0, len(r.times) - 1) for r in runs]
