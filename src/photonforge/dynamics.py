@@ -19,10 +19,10 @@ so propagation is an ordered product of constant-segment matrix
 exponentials. A run is compiled once: every piece's generator is a
 weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
-(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the
-distinct (weights, step) pieces are exponentiated in one stacked call;
-several runs, such as a sweep's cells, each with its own schedules, span
-and dt, compile as one stack that shares one read-only start state.
+(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the distinct (weights,
+step) pieces are exponentiated in closed form when two-level and drive-free (the terms
+commute), else in one stacked call; several runs, such as a sweep's cells, each with its
+own schedules, span and dt, compile as one stack that shares one read-only start state.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
@@ -350,7 +350,7 @@ def _weights(params: MirrorQubitParams, phi, alpha, c) -> np.ndarray:
         rates = [np.sqrt(2.0 * g) for g in (params.gamma01, params.gamma12, params.gamma02)]
         beta = alpha * rates[2]
         w = [np.full(phi.shape, r * r) for r in rates]
-    return np.stack(w + [beta.real, beta.imag], axis=-1)
+    return np.array(w + [beta.real, beta.imag]).T
 
 
 def build_liouvillian(params: MirrorQubitParams, phi: float, alpha) -> Superoperator:
@@ -378,10 +378,10 @@ class PieceTable:
     """The constant pieces of a run, one row per piece; the rows tile it.
 
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
-    h[p] at (phi[p], alpha[p]), with real step matrix step_mats[slot[p]]
-    in coordinates, shared by rows of equal (phi, alpha, h). channels
-    maps each output channel to its (P, d, d) stack of per-row collapse
-    operators: "line" on two levels, "signal", "idler" and "pump" on three.
+    h[p] at (phi[p], alpha[p]), with real step matrix step_mats[slot[p]] in
+    coordinates (closed-form without two-level drive), shared by rows of equal
+    (phi, alpha, h). channels maps each output channel to its (P, d, d) stack of
+    per-row collapse operators: "line" on two levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -459,26 +459,26 @@ def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
 
 def _compile(cells) -> list:
     """The piece tables of (params, `_cut` rows) cells of one level count,
-    compiled as one stack: each cell numbers a slot per distinct (phi,
-    alpha, h) of its rows, past the slots of the cells before it, and the
-    step matrices of all slots are exponentiated in one stacked call,
-    which all the tables share. A two-level cell's line coupling c(phi)
-    is computed once for its rows: its "line" channel and its slots'
-    weights read it."""
+    compiled as one stack: each cell numbers a slot per distinct (phi, alpha, h)
+    of its rows, past the slots of the cells before it. The tables share the
+    slots' step matrices: `_decay_steps` for two-level slots whose drive weights
+    are both 0 (no drive, or phi = pi), one stacked `sup_exp` call for the rest.
+    A two-level cell's line coupling c(phi) is computed once for its rows: its
+    "line" channel and its slots' weights read it."""
     levels = cells[0][0].levels
     slots, weights, steps, channels, count = [], [], [], [], 0
     for params, (t_a, t_b, n, phi, alpha) in cells:
         h = (t_b - t_a) / n
         # a slot per distinct sorted key, keyed by its first row (stable sort)
         order = np.lexsort((h, alpha.imag, alpha.real, phi))
-        keys = np.stack([phi, alpha.real, alpha.imag, h])[:, order]
-        new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
+        keys = np.array([phi, alpha.real, alpha.imag, h])[:, order]
+        new = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
         slots.append(np.empty_like(order))
         slots[-1][order] = np.cumsum(new) + (count - 1)
         first = order[new]
         if levels == 2:
             c = _line_coupling(params.gamma, phi)
-            channels.append({"line": np.multiply.outer(c, lowering_op(2, 0, 1).mat)})
+            channels.append({"line": np.multiply.outer(c, [[0.0, 1.0], [0.0, 0.0]])})
             c = c[first]
         else:
             c = None
@@ -487,11 +487,31 @@ def _compile(cells) -> list:
         weights.append(_weights(params, phi[first], alpha[first], c).real)
         steps.append(h[first])
         count += len(first)
-    gens = np.concatenate(weights) @ _basis(levels, True)
-    mats = sup_exp(gens.reshape((count,) + (levels ** 2,) * 2), np.concatenate(steps))
+    w, h = np.concatenate(weights), np.concatenate(steps)
+    gens = (w @ _basis(levels, True)).reshape((count,) + (levels ** 2,) * 2)
+    driven = np.logical_or(w[:, -2], w[:, -1])  # a drive weight is not 0
+    k = count if levels == 3 else np.count_nonzero(driven)
+    mats = sup_exp(gens, h) if k == count else _decay_steps(gens, h)
+    if 0 < k < count:  # the driven slots' closed forms, replaced by the series
+        mats[driven] = sup_exp(gens[driven], h[driven])
     return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
                        step_mats=mats, channels=chans)
             for (_, (t_a, t_b, n, phi, alpha)), slot, chans in zip(cells, slots, channels)]
+
+
+def _decay_steps(gens, h) -> np.ndarray:
+    """exp(G h) of drive-free two-level coordinate generators G = w0 D[sigma_minus] + w1 Z:
+    D and Z commute, so rho_11 decays as e^{-w0 h}, the coherence as e^{-w0 h/2} turning 2 w1 h."""
+    with np.errstate(all="ignore"):
+        x, a = gens[:, 1, 1] * h, gens[:, 2, 3] * h  # -w0 h, 2 w1 h
+        r, out = np.exp(0.5 * x), np.zeros(gens.shape)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), np.exp(x)
+        out[:, 2, 2] = out[:, 3, 3] = r * np.cos(a)
+        out[:, 3, 2] = 0.0 - r * np.sin(a)  # 0.0 - y is +0 where y is 0, as in sup_exp
+        out[:, 2, 3] = 0.0 - out[:, 3, 2]
+    if not np.isfinite(out).all():
+        raise FloatingPointError("matrix exponential is not finite")
+    return out
 
 
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,

@@ -277,17 +277,25 @@ class TestGenerators:
         assert np.array_equal(pf.sup_exp(gens[::-1], t[::-1])[::-1], stack)
 
     def test_scenario_stacks_match_scipy_expm(self, monkeypatch):
-        # every slice that a packet release, a beam-splitter job, a cascade
-        # cell and an encode exponentiate, against scipy's Pade expm; the
-        # encode Van Loan slices reach 1-norms of about 43, five squarings
+        # every step matrix that a packet release, a beam-splitter job and a
+        # cascade cell compile (closed-form and stacked slots alike), and
+        # every slice an encode exponentiates, against scipy's Pade expm;
+        # the encode Van Loan slices reach 1-norms of about 43, five squarings
         from scipy.linalg import expm
 
-        stacks = []
-        for module in (pf.dynamics, pf.scenarios):
-            def capture(lv, t, real=module.sup_exp):
-                stacks.append((np.asarray(getattr(lv, "mat", lv)), np.asarray(t, dtype=float)))
-                return real(lv, t)
-            monkeypatch.setattr(module, "sup_exp", capture)
+        stacks, tables = [], []
+
+        def capture(lv, t, real=pf.scenarios.sup_exp):
+            stacks.append((np.asarray(getattr(lv, "mat", lv)), np.asarray(t, dtype=float)))
+            return real(lv, t)
+
+        def compile_(cells, real=pf.dynamics._compile):
+            out = real(cells)
+            tables.extend((params, table) for (params, _), table in zip(cells, out))
+            return out
+
+        monkeypatch.setattr(pf.scenarios, "sup_exp", capture)
+        monkeypatch.setattr(pf.dynamics, "_compile", compile_)
         packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
         pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
         pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), pf.BeamSplitterConfig())
@@ -295,16 +303,21 @@ class TestGenerators:
         s = 1.0 / np.sqrt(2.0)
         pf.encode_flying_qubit(pf.FlyingQubitTarget(s, s), pf.MirrorQubitParams(), seeds=2)
         monkeypatch.undo()
-        worst = 0.0
+        pairs = []  # (coordinate or vec generator, duration, its exponential)
+        for params, table in tables:
+            _, rows = np.unique(table.slot, return_index=True)
+            gens = to_coordinates(pf.dynamics._generators(params, table.phi[rows],
+                                                          table.alpha[rows]))
+            pairs += zip(gens, table.h[rows], table.step_mats[table.slot[rows]])
         for gens, t in stacks:
             gens, t = gens.reshape((-1,) + gens.shape[-2:]), t.reshape(-1)
-            got = pf.sup_exp(gens, t)
-            for g, tk, e in zip(gens, t, got):
-                want = expm(g * tk)
-                worst = max(worst, np.max(np.abs(e - want)) / np.max(np.abs(want)))
-        assert sum(len(t.reshape(-1)) for _, t in stacks) > 2300
-        assert max(np.abs(g * t.reshape(-1, 1, 1)).sum(axis=-2).max()
-                   for g, t in stacks if g.ndim == 3) > 30
+            pairs += zip(gens, t, pf.sup_exp(gens, t))
+        worst = 0.0
+        for g, tk, e in pairs:
+            want = expm(g * tk)
+            worst = max(worst, np.max(np.abs(e - want)) / np.max(np.abs(want)))
+        assert len(pairs) > 2300
+        assert max(np.abs(g * tk).sum(axis=0).max() for g, tk, _ in pairs) > 30
         assert worst <= 1e-14
 
     def test_propagated_state_stays_physical(self):

@@ -303,6 +303,53 @@ def exponential_release(gamma=1.0):
     return pf.shape_to_schedule(packet, gamma), pf.DensityMatrix.excited(2)
 
 
+def drive_free_table(case):
+    """DRIVE_FREE[case]'s params, compiled table, and mask of its drive-free slots."""
+    params, drive, phase, t1, t2, extra = DRIVE_FREE[case]()
+    table = pf.dynamics._piece_table(params, drive, phase, t1, t2, extra)
+    _, rows = np.unique(table.slot, return_index=True)
+    return params, table, (table.alpha[rows] == 0) | (table.phi[rows] == PI)
+
+
+def table_generators(params, table):
+    """Each slot's coordinate generator, step and step matrix, in slot order."""
+    _, rows = np.unique(table.slot, return_index=True)
+    gens = pf.dynamics._generators(params, table.phi[rows], table.alpha[rows])
+    return pf.core.to_coordinates(gens), table.h[rows], table.step_mats
+
+
+def _random_drive_free(seed):
+    # a random ramp with a drive that switches off, a drive held at the
+    # dark point phi = pi, and a detuned, lossy emitter
+    rng = np.random.default_rng(seed)
+    params = pf.MirrorQubitParams(gamma=rng.uniform(0.3, 2.0), delta=rng.uniform(-2.0, 2.0),
+                                  gamma_nr=rng.uniform(0.05, 0.5))
+    times = np.linspace(0.2, 2.2, 41)
+    phi = rng.uniform(0.0, 2.0 * PI, 41)
+    phi[-5:] = PI
+    drive = pf.DriveSchedule(((0.5, 1.0, complex(*rng.uniform(-4.0, 4.0, 2))),
+                              (1.8, 2.4, complex(*rng.uniform(-4.0, 4.0, 2)))))
+    return params, drive, pf.PhaseSchedule(ramp=(times, phi)), 0.0, 2.5, np.arange(0.0, 2.5, 0.05)
+
+
+DRIVE_FREE = {
+    "random_1": lambda: _random_drive_free(1),
+    "random_2": lambda: _random_drive_free(2),
+    "random_3": lambda: _random_drive_free(3),
+    # a drive held at the dark point of a lossless emitter, whose decay weight is 0
+    "dark": lambda: (pf.MirrorQubitParams(gamma=0.8, delta=-0.4),
+                     pf.DriveSchedule(((0.2, 0.8, 3.0 - 1.0j),)),
+                     pf.PhaseSchedule(((-math.inf, 1.0, PI), (1.0, math.inf, 0.5))), 0.0, 1.6,
+                     np.arange(0.1, 1.6, 0.3)),
+    # a detuning of 2.2e-311 over rows of five lengths and over one row of length 4
+    "subnormal": lambda: (pf.MirrorQubitParams(delta=2.2e-311, gamma_nr=0.1), pf.DriveSchedule(()),
+                          pf.PhaseSchedule.constant(0.0), 0.0, 2.0,
+                          np.cumsum([0.1, 0.15, 0.2, 0.25, 0.3, 0.1, 0.2])),
+    "long_row": lambda: (pf.MirrorQubitParams(delta=2.2e-311), pf.DriveSchedule(()),
+                         pf.PhaseSchedule.constant(0.0), 0.0, 4.0, ()),
+}
+
+
 class TestCompiler:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_step_matrices_match_oracle_exponentials(self, seed):
@@ -430,6 +477,65 @@ class TestCompiler:
         got = pf.flux_series(params, drive, phase, run.times, rho0=rho0)
         assert len(run.times) == 2401
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(DRIVE_FREE))
+    def test_closed_form_steps_match_the_stacked_series(self, case):
+        # a drive-free slot's closed form against the series; a driven
+        # slot is the series' own slice, bit for bit
+        params, table, free = drive_free_table(case)
+        assert free.any() and free.all() == (case in ("dark", "long_row", "subnormal"))
+        for g, h, e, f in zip(*table_generators(params, table), free):
+            want = pf.sup_exp(g[None], h[None])[0]
+            assert np.max(np.abs(e - want)) <= 1e-15 if f else np.array_equal(e, want)
+
+    @pytest.mark.parametrize("case", sorted(DRIVE_FREE))
+    def test_closed_form_steps_keep_the_stacked_zeros(self, case):
+        # the same entries are zero, each +0, so the chain's reach and live
+        # levels read the same pattern
+        params, table, _ = drive_free_table(case)
+        for g, h, e in zip(*table_generators(params, table)):
+            want = pf.sup_exp(g[None], h[None])[0]
+            assert np.array_equal(e == 0, want == 0)
+            assert not np.signbit(e[e == 0]).any() and not np.signbit(want[want == 0]).any()
+
+    def test_zero_length_rows_are_the_identity(self):
+        phase = pf.PhaseSchedule.constant(2.0)  # a turning, decaying coherence
+        for params in (pf.MirrorQubitParams(gamma=0.7, delta=-1.3, gamma_nr=0.2),
+                       pf.MirrorQubitParams(delta=2.2e-311)):
+            table = pf.dynamics._piece_table(params, pf.DriveSchedule(()), phase, 1.5, 1.5)
+            assert table.h.tolist() == [0.0]
+            assert table.step_mats.tobytes() == np.eye(4)[None].tobytes()
+
+    def test_packet_release_stacks_only_its_driven_slot(self, monkeypatch):
+        slices, slots = [], []
+        real_exp, real_compile = pf.dynamics.sup_exp, pf.dynamics._compile
+
+        def counting(lv, t):
+            slices.append(len(t))
+            return real_exp(lv, t)
+
+        def compiling(cells):
+            tables = real_compile(cells)
+            slots.append(len(tables[0].step_mats))
+            return tables
+
+        monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
+        monkeypatch.setattr(pf.dynamics, "_compile", compiling)
+        packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
+        result = pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
+        assert (slices, slots) == ([1], [2268])
+        # no drive in the release window: P2 and P3 stay the literal 0
+        assert result.stats.probabilities[2:] == (0.0, 0.0)
+        slices.clear()
+        slots.clear()
+        pf.run_cascade(pf.MirrorQubitParams(levels=3, gamma02=0.35), 8.0)
+        assert slices == slots and len(slots) == 1
+
+    def test_non_finite_closed_form_raises(self):
+        # a turn of 2 w1 h = inf, where no step matrix exists
+        args = (pf.DriveSchedule(()), pf.PhaseSchedule.constant(0.0), 0.0, 4.0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            pf.propagator(pf.MirrorQubitParams(delta=1e308), *args)
 
 
 def mismatched_splitter_run():

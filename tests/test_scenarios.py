@@ -174,6 +174,14 @@ class TestBeamSplitterSource:
         with pytest.raises(ValueError, match="two-level"):
             pf.run_beam_splitter(ladder(), pf.BeamSplitterConfig())
 
+    def test_far_detuned_drive_leaves_the_emitter_dark(self):
+        # the drive-free steps are exact rotations at any finite detuning
+        # (the stacked series overflowed on them here); the pulse, this far
+        # off resonance, excites nothing
+        stats = pf.run_beam_splitter(qubit_half().with_(delta=1e308), pf.BeamSplitterConfig())
+        assert np.max(np.abs(np.subtract(stats.probabilities, (1.0, 0.0, 0.0, 0.0)))) <= 1e-12
+        assert np.max(np.abs(stats.n_tiples)) <= 1e-12
+
 
 class TestShapedRelease:
     @pytest.mark.parametrize("alpha0", [5.0, 10.0])
