@@ -26,10 +26,11 @@ own schedules, span and dt, compile as one stack that shares one read-only start
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
-a run of one-step rows (a sampled ramp) is one chunked scan of stacked
-prefix products, a longer row stacked powers of its step matrix. Step
-matrices and states are real `core.coordinates`; `ScenarioRun.states`
-and `propagator` are vec.
+a run of drive-free two-level rows is the cumulative products of its
+per-step decay and turn factors, a run of other one-step rows (a
+sampled ramp) is one chunked scan of stacked prefix products, a longer
+row stacked powers of its step matrix. Step matrices and states are
+real `core.coordinates`; `ScenarioRun.states` and `propagator` are vec.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -379,9 +380,11 @@ class PieceTable:
 
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
     h[p] at (phi[p], alpha[p]), with real step matrix step_mats[slot[p]] in
-    coordinates (closed-form without two-level drive), shared by rows of equal
-    (phi, alpha, h). channels maps each output channel to its (P, d, d) stack of
-    per-row collapse operators: "line" on two levels, "signal", "idler" and "pump" on three.
+    coordinates, shared by rows of equal (phi, alpha, h). free[slot[p]] says
+    the slot is a two-level decay without drive, whose step matrix is closed-form
+    and whose rows march by cumulative products. channels maps each output channel
+    to its (P, d, d) stack of per-row collapse operators: "line" on two levels,
+    "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -391,6 +394,7 @@ class PieceTable:
     alpha: np.ndarray
     slot: np.ndarray
     step_mats: np.ndarray
+    free: np.ndarray
     channels: dict
 
     @functools.cached_property
@@ -461,8 +465,9 @@ def _compile(cells) -> list:
     """The piece tables of (params, `_cut` rows) cells of one level count,
     compiled as one stack: each cell numbers a slot per distinct (phi, alpha, h)
     of its rows, past the slots of the cells before it. The tables share the
-    slots' step matrices: `_decay_steps` for two-level slots whose drive weights
-    are both 0 (no drive, or phi = pi), one stacked `sup_exp` call for the rest.
+    slots' step matrices and their `free` mask: `_decay_steps` for the free
+    slots, two-level with both drive weights 0 (no drive, or phi = pi), one
+    stacked `sup_exp` call for the rest.
     A two-level cell's line coupling c(phi) is computed once for its rows: its
     "line" channel and its slots' weights read it."""
     levels = cells[0][0].levels
@@ -489,13 +494,12 @@ def _compile(cells) -> list:
         count += len(first)
     w, h = np.concatenate(weights), np.concatenate(steps)
     gens = (w @ _basis(levels, True)).reshape((count,) + (levels ** 2,) * 2)
-    driven = np.logical_or(w[:, -2], w[:, -1])  # a drive weight is not 0
-    k = count if levels == 3 else np.count_nonzero(driven)
-    mats = sup_exp(gens, h) if k == count else _decay_steps(gens, h)
-    if 0 < k < count:  # the driven slots' closed forms, replaced by the series
-        mats[driven] = sup_exp(gens[driven], h[driven])
+    free = ~np.logical_or(w[:, -2], w[:, -1]) & (levels == 2)  # two-level, both drive weights 0
+    mats = _decay_steps(gens, h) if free.any() else sup_exp(gens, h)
+    if free.any() and not free.all():  # the driven slots' closed forms, replaced by the series
+        mats[~free] = sup_exp(gens[~free], h[~free])
     return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
-                       step_mats=mats, channels=chans)
+                       step_mats=mats, free=free, channels=chans)
             for (_, (t_a, t_b, n, phi, alpha)), slot, chans in zip(cells, slots, channels)]
 
 
@@ -541,17 +545,24 @@ def _scan(e, states, i) -> None:
 def _march_table(table: PieceTable, v0) -> np.ndarray:
     """v0, a coordinate state or matrix, carried to every grid point of a table.
 
-    A maximal run of one-step rows, such as a ramp, is one chunked scan
-    (`_scan`). A longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK),
+    A maximal run of drive-free rows (`PieceTable.free`) is one `_decay`. Of the
+    other rows, a maximal run of one-step rows, such as a ramp, is one chunked
+    scan (`_scan`), and a longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK),
     of its step matrix E by doubling into one (b n, n) matrix, so one
     product with its latest state fills up to b points."""
-    n_steps, starts = table.n_steps, table.starts
+    n_steps, starts, free = table.n_steps, table.starts, table.free[table.slot]
     states = np.empty((int(starts[-1]) + 1,) + v0.shape)
     states[0] = v0
-    # a maximal run of one-step rows is one segment, each longer row its own
-    cuts = np.flatnonzero((n_steps[1:] > 1) | (n_steps[:-1] > 1)) + 1
+    # a maximal run of free rows is one segment, and so is one of driven one-step
+    # rows; each longer driven row is its own
+    long = n_steps > 1
+    cuts = np.flatnonzero((free[1:] != free[:-1])
+                          | ~free[1:] & ~free[:-1] & (long[1:] | long[:-1])) + 1
     for rows in np.split(np.arange(len(n_steps)), cuts):
         i, k = int(starts[rows[0]]), int(n_steps[rows[0]])
+        if free[rows[0]]:
+            _decay(table.step_mats[table.slot[rows]], n_steps[rows], states, i)
+            continue
         if k == 1:
             _scan(table.step_mats[table.slot[rows]], states, i)
             continue
@@ -569,6 +580,20 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
             c = min(_BLOCK, i + k - lo)
             states[lo + 1:lo + c + 1] = (p[:c * len(e)] @ states[lo]).reshape((c,) + v0.shape)
     return states
+
+
+def _decay(e, n_steps, states, i) -> None:
+    """states[i] carried through drive-free two-level rows of `_decay_steps` matrices e,
+    row p for n_steps[p] steps, by cumulative products of their per-step factors:
+    rho_11 of E[1,1], the coherence z = x + i y of E[2,2] + i E[3,2], and rho_00
+    the start's trace less rho_11."""
+    p1 = np.cumprod(np.repeat(e[:, 1, 1], n_steps))
+    z = np.cumprod(np.repeat(e[:, 2, 2] + 1j * e[:, 3, 2], n_steps))
+    s, out = states[i], states[i + 1:i + 1 + len(p1)]
+    out[:, 1] = np.multiply.outer(p1, s[1])
+    z = np.multiply.outer(z, s[2] + 1j * s[3])
+    out[:, 2], out[:, 3] = z.real, z.imag
+    out[:, 0] = (s[0] + s[1]) - out[:, 1]
 
 
 def propagator(params: MirrorQubitParams, drive: DriveSchedule,
@@ -691,7 +716,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
     """Compile a run on a uniform-per-piece grid; its states march on first read.
 
     The nominal step is dt (default 0.01/gamma); drive pulses are
-    refined so each carries at least `min_pulse_steps` steps. One-step
+    refined so each carries at least `min_pulse_steps` steps. Drive-free
+    two-level pieces march by cumulative products; of the others, one-step
     pieces are a chunked scan, a longer piece stacked matrix powers.
     """
     if dt is None:

@@ -2,9 +2,11 @@
 
 Each runner is a pure function from parameters to numbers; sweeps
 return rows in grid order. Every scenario checks all its cells first,
-then compiles them in one `_simulate` and counts or correlates them in
-one chain; `run_beam_splitter`, `run_shaped_release` and `run_cascade`
-are one-cell stacks, sweeps and the command line's lists longer ones.
+then compiles them in one `_simulate`; a beam splitter counts and a
+cascade correlates its cells in one chain, and a release counts each
+cell from its flux, since its window holds no drive. `run_beam_splitter`,
+`run_shaped_release` and `run_cascade` are one-cell stacks, sweeps and
+the command line's lists longer ones.
 
 The experiments:
 
@@ -53,6 +55,7 @@ from .dynamics import (
 from .statistics import (
     CrossPairResult,
     PhotonStatistics,
+    _moments,
     _pair_correlations,
     _statistics,
     _windows,
@@ -303,7 +306,8 @@ def _beam_splitter(cells, cutoff: int) -> list:
         c = -1j * config.r * run.pieces.alpha * mismatch
         line = 1j * config.r * run.pieces.channels["line"] + c[:, None, None] * np.eye(2)
         runs.append(replace(run, pieces=replace(run.pieces, channels={"line": line})))
-    return _statistics(runs, _windows(runs, [None] * len(runs), cutoff), cutoff)
+    windows = _windows(runs, [None] * len(runs), cutoff)
+    return _statistics(runs, windows, _moments(runs, windows, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,9 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
     `release` is one of two kinds: a constant phase, or a target
     WavePacket (converted to a phase ramp); `simulate` and
     `counting_statistics` run any other phase schedule. Counting covers
-    [t_r, t_end], or a packet's support. This is the one-cell `_release`.
+    [t_r, t_end], or a packet's support; that window holds no drive, so
+    N_1 is the grid trapezoid of the flux there and N_2.. are 0. This is
+    the one-cell `_release`.
     """
     return _release(params, [(alpha0, t_r, t_end)], phi_i=phi_i, t0=t0, release=release,
                     cutoff=cutoff, dt=dt, clip_budget=clip_budget)[0]
@@ -345,7 +351,11 @@ def run_shaped_release(params: MirrorQubitParams, *, alpha0: complex = 5.0,
 def _release(params: MirrorQubitParams, cells, *, phi_i: float, t0: float, release,
              cutoff: int, dt: float, clip_budget: float) -> list:
     """`run_shaped_release` of (alpha0, t_r, t_end) cells, all checked
-    first, then simulated as one stack and counted with one chain. A
+    first (`_windows` too), then simulated as one stack; each cell counts
+    from its flux. A drive-free two-level emitter emits at most one photon,
+    and the window [t_r, t_end] holds no drive, as
+    `PhaseSchedule.storage_release` rejects t_r < t_store: N_1 is the
+    flux's grid trapezoid over the window and N_2.. the literal 0. A
     packet is shaped once, after the first cell's packet checks."""
     if not cells:
         return []
@@ -382,18 +392,18 @@ def _release(params: MirrorQubitParams, cells, *, phi_i: float, t0: float, relea
     runs = _simulate(stack)
     windows = _windows(runs, windows, cutoff)
     out = []
-    for run, (i0, i1), stats in zip(runs, windows, _statistics(runs, windows, cutoff)):
+    for run, (i0, i1) in zip(runs, windows):
         # p_exc = rho_11 (coordinate 1, the second population); the flux
         # reads each point's line channel as counting does
         table = run.pieces
         p_exc = run.coords[:, 1]
         flux = _flux(table, run.coords)
-        # the window starts at the grid point of t_r, a phase breakpoint; the
-        # emitted fraction is the window's first counting moment
-        emitted = stats.n_tiples[0]
+        # N_1, the emitted fraction, is the flux's grid trapezoid over the window
+        wgrid = run.times[i0:i1 + 1]
+        emitted = float(np.trapezoid(flux[i0:i1 + 1], wgrid))
+        stats, = _statistics([run], [(i0, i1)], [[emitted] + [0.0] * (cutoff - 1)])
         l2 = None
         if packet is not None:
-            wgrid = run.times[i0:i1 + 1]
             target = np.interp(wgrid, packet.grid, packet.intensity())
             fn = flux[i0:i1 + 1] / emitted
             l2 = float(math.sqrt(np.trapezoid((fn - target) ** 2, wgrid) /

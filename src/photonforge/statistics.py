@@ -31,9 +31,11 @@ point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
 reduces a block of rows pairwise, applying w to the block's product,
 for the rows of several runs at once; a block holds up to `_FLOATS`
-floats of steps, so a narrow chain's window (a release's, 3 wide) is
-one block and a wide chain's blocks hold some hundred rows, which
-multiply faster than one long stack. Levels hang under parent levels:
+floats of steps, so a narrow chain's window (a drive-free two-level
+window's, 3 wide) is one block and a wide chain's blocks hold some
+hundred rows, which multiply faster than one long stack. A shaped
+release does not chain: its window holds no drive, so it counts from
+its flux (`scenarios`). Levels hang under parent levels:
 a path for counting, a tree for the pair correlations of the
 three-level cascade (`pair_correlations`). A chain runs on the
 coordinates its trace row can reach (`_reach`): the populations, closed
@@ -383,14 +385,16 @@ def invert_to_probabilities(n_tiples: Sequence[float]) -> list:
 def counting_statistics(run: ScenarioRun, cutoff: int = 3,
                         window: Optional[Tuple[float, float]] = None) -> PhotonStatistics:
     """Moments and probabilities of a run's output field in one call."""
-    return _statistics([run], _windows([run], [window], cutoff), cutoff)[0]
+    windows = _windows([run], [window], cutoff)
+    return _statistics([run], windows, _moments([run], windows, cutoff))[0]
 
 
-def _statistics(runs, windows, cutoff: int) -> list:
-    """`counting_statistics` of several runs over windows of grid indices, from `_moments`."""
+def _statistics(runs, windows, moments) -> list:
+    """The `PhotonStatistics` of several runs over windows of grid indices, from
+    each run's moments N_1..N_cutoff."""
     return [PhotonStatistics(n_tiples=tuple(nm), probabilities=tuple(invert_to_probabilities(nm)),
                              window=(run.pieces.time(i0), run.pieces.time(i1)))
-            for run, (i0, i1), nm in zip(runs, windows, _moments(runs, windows, cutoff))]
+            for run, (i0, i1), nm in zip(runs, windows, moments)]
 
 
 def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:

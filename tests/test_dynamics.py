@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -538,6 +539,83 @@ class TestCompiler:
             pf.propagator(pf.MirrorQubitParams(delta=1e308), *args)
 
 
+def free_march_table(seed):
+    """A random two-level table of rows (t_a, t_b, n_steps, phi, alpha) on a
+    detuned, lossy emitter: drive-free runs of long rows, one-step ramp rows
+    and zero-length rows on both sides of a driven pulse, a drive on part of
+    the ramp, and a drive held at the dark point phi = pi."""
+    rng = np.random.default_rng(seed)
+    params = pf.MirrorQubitParams(gamma=rng.uniform(0.3, 2.0), delta=rng.uniform(-2.0, 2.0),
+                                  gamma_nr=rng.uniform(0.05, 0.5))
+    ramp = np.linspace(2.0, 3.0, 21)
+    phase = pf.PhaseSchedule(((-math.inf, 4.0, rng.uniform(0.0, 2.0 * PI)), (4.0, math.inf, PI)),
+                             ramp=(ramp, rng.uniform(0.0, 2.0 * PI, 21)))
+    drive = pf.DriveSchedule(tuple((a, b, complex(*rng.uniform(-4.0, 4.0, 2)))
+                                   for a, b in ((1.0, 1.5), (2.5, 2.7), (4.5, 5.0))))
+    t_a, t_b, n, phi, alpha = pf.dynamics._cut(drive, phase, 0.0, 6.0, [0.4, 0.7, 3.5, 5.5])
+    on_ramp = (t_a >= 2.0) & (t_b <= 3.0)
+    n = np.where(on_ramp, 1, rng.integers(1, 300, len(n)))
+    # zero-length drive-free rows before the first row, the first pulse and two random rows
+    pos = np.unique(np.concatenate([[0, np.searchsorted(t_a, 1.0)],
+                                    rng.integers(1, len(t_a) + 1, 2)]))
+    t = np.append(t_a, t_b[-1])[pos]
+    rows = (np.insert(t_a, pos, t), np.insert(t_b, pos, t), np.insert(n, pos, 1),
+            np.insert(phi, pos, np.append(phi, phi[-1])[pos]), np.insert(alpha, pos, 0.0))
+    return params, pf.dynamics._compile([(params, rows)])[0]
+
+
+def march_oracle(table, v0):
+    """`oracles.march_states` of a table from a coordinate state or matrix v0."""
+    return oracles.march_states(SimpleNamespace(pieces=table, coords=v0[None], dim=2),
+                                coords=True)
+
+
+class TestFreeMarch:
+    """Drive-free rows march by cumulative products (`dynamics._decay`)."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_closed_form_march_matches_the_step_by_step_march(self, seed):
+        params, table = free_march_table(seed)
+        free = table.free[table.slot]
+        _, first = np.unique(table.slot, return_index=True)
+        assert np.array_equal(table.free, (table.alpha[first] == 0) | (table.phi[first] == PI))
+        # drive-free runs of zero-length, one-step ramp and long rows on both
+        # sides of the first pulse, and a free drive at phi = pi
+        pulse = np.flatnonzero(~free)[0]
+        assert free[:pulse].all() and free[pulse + 1:].any() and not free.all()
+        assert (table.h[free] == 0).any() and (table.n_steps[free] > 100).any()
+        assert (free & (table.n_steps == 1) & (table.h > 0)).any()
+        assert (free & (table.alpha != 0) & (table.phi == PI)).any()
+        v0 = pf.dynamics._initial_state(params, pf.DensityMatrix(np.array([[0.3, 0.2 - 0.4j],
+                                                                         [0.2 + 0.4j, 0.7]])))
+        assert np.max(np.abs(pf.dynamics._march_table(table, v0) - march_oracle(table, v0))) < 4e-14
+        got = pf.dynamics._march_table(table, np.eye(4))
+        for j, e in enumerate(np.eye(4)):
+            assert np.max(np.abs(got[..., j] - march_oracle(table, e))) < 4e-14
+
+    def test_propagator_of_free_rows(self):
+        # a matrix start through `propagator`: drive-free rows around a pulse
+        params = pf.MirrorQubitParams(gamma=0.8, delta=0.6, gamma_nr=0.15)
+        drive = pf.DriveSchedule(((1.0, 1.3, 2.0 + 1.0j), (2.0, 2.4, 3.0)))
+        phase = pf.PhaseSchedule(((-math.inf, 2.0, 0.4), (2.0, 3.0, PI), (3.0, math.inf, 1.1)))
+        table = pf.dynamics._piece_table(params, drive, phase, 0.0, 4.0)
+        assert table.free[table.slot].tolist() == [True, False, True, True, True, True]
+        v, w = pf.core.coordinates(2)
+        want = v @ march_oracle(table, np.eye(4))[-1] @ w
+        got = pf.propagator(params, drive, phase, 0.0, 4.0).mat
+        assert np.max(np.abs(got - want)) < 1e-15
+
+
+def splitter_mode(run, r, amp_error=0.0, phase_error=0.0):
+    """The run with its "line" channel replaced by the counting mode i r L + c(t)
+    of a splitter of reflectivity r, c(t) = -i r alpha(t) (1 - (1 + amp_error)
+    e^{i phase_error}), as `run_beam_splitter` counts."""
+    table = run.pieces
+    c = -1j * r * table.alpha * (1.0 - (1.0 + amp_error) * np.exp(1j * phase_error))
+    line = 1j * r * table.channels["line"] + c[:, None, None] * np.eye(2)
+    return replace(run, pieces=replace(table, channels={"line": line}))
+
+
 def mismatched_splitter_run():
     """A beam-splitter run whose "line" channel is the counting mode
     i r L + c(t) of an amplitude- and phase-mismatched splitter: c(t) is
@@ -545,10 +623,7 @@ def mismatched_splitter_run():
     run = pf.simulate(pf.MirrorQubitParams(gamma=0.5),
                       pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0),
                       pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005)
-    table = run.pieces
-    c = -1j * 0.995 * table.alpha * (1.0 - 1.02 * np.exp(0.05j))
-    line = 1j * 0.995 * table.channels["line"] + c[:, None, None] * np.eye(2)
-    return replace(run, pieces=replace(table, channels={"line": line}))
+    return splitter_mode(run, 0.995, 0.02, 0.05)
 
 
 class TestFluxReadout:
@@ -676,14 +751,16 @@ class TestPieceTable:
 
     def test_one_step_rows_march_bitwise(self):
         # with chunks of one row the scan is one product per one-step row,
-        # as the oracle takes one per step; the run marches on first read
+        # as the oracle takes one per step; the run marches on first read.
+        # The drive covers the whole ramp, so every row takes the scan
         with mock.patch.object(pf.dynamics, "_CHUNK", 1):
             run = pf.simulate(pf.MirrorQubitParams(gamma=0.7, gamma_nr=0.2),
-                              pf.DriveSchedule(((0.5, 1.2, 2.0 - 1.0j),)),
+                              pf.DriveSchedule(((0.0, 2.0, 2.0 - 1.0j),)),
                               random_ramp(np.random.default_rng(7), 0.0, 2.0, 200),
                               2.0, dt=0.05)
             run.coords
         assert run.pieces.n_steps.tolist() == [1] * 200
+        assert not run.pieces.free.any()
         assert np.array_equal(run.coords, oracles.march_states(run, coords=True))
 
     def test_coords_march_once_on_first_read(self):

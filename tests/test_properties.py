@@ -205,7 +205,7 @@ def grid_runs(draw):
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
                           slot=np.zeros(rows, dtype=int), step_mats=np.eye(4)[None],
-                          channels={})
+                          free=np.zeros(1, dtype=bool), channels={})
     return pf.ScenarioRun(params=pf.MirrorQubitParams(), drive=pf.DriveSchedule(),
                           phase=pf.PhaseSchedule(), start=np.eye(4)[0], pieces=table)
 
@@ -248,7 +248,7 @@ def planted_tables(draw):
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
                           slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
-                          channels=channels)
+                          free=np.zeros(rows, dtype=bool), channels=channels)
     levels, parents = draw(st.sampled_from([(["a", "b"], None), (["b", "a", "a"], None),
                                             (["a", "b", "b", "a"], [-1, -1, 0, 1])]))
     n = int(counts.sum())
@@ -311,7 +311,7 @@ def lowering_tables(draw):
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
                           slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
-                          channels=channels)
+                          free=np.zeros(rows, dtype=bool), channels=channels)
     levels, parents = draw(st.sampled_from([
         (["a", "a", "a"], None), (["b", "a", "a", "b"], None),
         (["a", "b", "a", "b", "a"], [-1, -1, 0, 1, 2]),

@@ -313,6 +313,52 @@ class TestPacketRelease:
                                   t_end=10.0, clip_budget=0.05)
 
 
+def simulated(job):
+    """job()'s result and the runs its scenario simulated (`scenarios._simulate`)."""
+    runs, real = [], pf.scenarios._simulate
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        runs.extend(out)
+        return out
+
+    with mock.patch.object(pf.scenarios, "_simulate", spy):
+        return job(), runs
+
+
+RELEASE_COUNTS = {
+    "exponential": lambda: pf.run_shaped_release(
+        qubit_unit(), release=pf.WavePacket.exponential(1.0, 8.0, duration=12.0)),
+    "gaussian": lambda: pf.run_shaped_release(
+        pf.MirrorQubitParams(gamma=1.5), alpha0=8.0,
+        release=pf.WavePacket.gaussian(13.0, 1.25, t_start=8.0)),
+    "constant": lambda: pf.run_shaped_release(qubit_unit()),
+    "detuned_lossy": lambda: pf.run_shaped_release(
+        pf.MirrorQubitParams(gamma=1.0, delta=0.7, gamma_nr=0.1), release=0.4 * PI),
+    # t_r == t_store: no dark interval
+    "no_dark_interval": lambda: pf.run_shaped_release(
+        qubit_unit(), t_r=1.0 + pf.pi_pulse_width(5.0, pf.effective_coupling(1.0, 0.9 * PI))),
+}
+
+
+class TestReleaseCount:
+    """A release counts from its flux: its window holds no drive, so N_1 is
+    the flux's grid trapezoid and N_2.. are 0. The chain is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(RELEASE_COUNTS))
+    def test_flux_count_is_the_chain_count(self, case):
+        res, (run,) = simulated(RELEASE_COUNTS[case])
+        table = run.pieces
+        i0, i1 = (table.index(t) for t in res.stats.window)
+        assert table.free[table.slot[table.spans(i0, i1)[0]]].all()
+        want = pf.photon_mtiples(run, 3, res.stats.window)
+        assert want[1:] == [0.0, 0.0]
+        assert abs(res.stats.n_tiples[0] - want[0]) < 2e-14
+        # the literal +0.0, which the command line prints as 0
+        for zeros in (res.stats.n_tiples[1:], res.stats.probabilities[2:]):
+            assert zeros == (0.0, 0.0) and not np.signbit(zeros).any()
+
+
 class TestWavePacket:
     def test_normalized_on_construction(self):
         packet = pf.WavePacket.gaussian(12.0, 1.0, t_start=8.0)
@@ -618,12 +664,13 @@ def same(a, b) -> bool:
     return np.array_equal(a, b)
 
 
-def in_one_stack(run):
-    """run()'s result, after checking that it compiled once and chained once."""
+def in_one_stack(run, chains=1):
+    """run()'s result, after checking that it compiled once and chained `chains`
+    times: once for a beam splitter, never for a release, which counts from its flux."""
     with mock.patch.object(pf.dynamics, "_compile", wraps=pf.dynamics._compile) as compiles, \
-            mock.patch.object(pf.statistics, "_chain", wraps=pf.statistics._chain) as chains:
+            mock.patch.object(pf.statistics, "_chain", wraps=pf.statistics._chain) as chained:
         out = run()
-    assert (compiles.call_count, chains.call_count) == (1, 1)
+    assert (compiles.call_count, chained.call_count) == (1, chains)
     return out
 
 
@@ -636,8 +683,8 @@ def raises_before_any_run(run, match):
 
 class TestScenarioStacks:
     """Every sweep and command-line list runs its cells as one stack: one
-    compile and one chain, every cell checked before any runs, and each
-    row equal on every field to its one-cell run."""
+    compile and, for beam splitters, one chain, every cell checked before
+    any runs, and each row equal on every field to its one-cell run."""
 
     def test_nonradiative_sweep(self):
         values = (0.0, 0.1, 0.2, 0.5, 1.0)
@@ -652,7 +699,8 @@ class TestScenarioStacks:
 
     def test_wait_sweep(self):
         values = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0)
-        rows = in_one_stack(lambda: pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, values))
+        rows = in_one_stack(lambda: pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, values),
+                            chains=0)
         assert [t for t, _ in rows] == list(values)
         geff = pf.effective_coupling(1.0, 0.9 * PI)
         t_store = pf.DriveSchedule.square_pi_pulse(10.0, 1.0, geff).segments[0][1]
@@ -688,7 +736,8 @@ class TestScenarioStacks:
             return stacks[-1]
 
         with mock.patch.object(cli, name, spy):
-            _, rows = in_one_stack(lambda: runner(config.values))
+            _, rows = in_one_stack(lambda: runner(config.values),
+                                   chains=int(name == "_beam_splitter"))
         results, = stacks
         for a, row, res in zip((5.0, 10.0), rows, results):
             assert same(res, one(a))

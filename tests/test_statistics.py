@@ -11,7 +11,8 @@ import pytest
 import photonforge as pf
 
 import oracles
-from test_dynamics import TABLE_RUNS, mismatched_splitter_run
+from test_dynamics import TABLE_RUNS, mismatched_splitter_run, splitter_mode
+from test_scenarios import simulated
 
 PI = math.pi
 RNG = np.random.default_rng(425)
@@ -233,19 +234,12 @@ def bench_job_stats(kind):
 class TestFirstMomentAgainstDirectFlux:
     @pytest.mark.parametrize("kind", ["beam_splitter", "residual_drive", "release",
                                       "exponential", "gaussian"])
-    def test_scenario_first_moment(self, kind, monkeypatch):
-        # the scenario's own run, with its counting operators, reaches the
-        # statistics layer through the stacked counting function
-        seen = []
-        real = pf.scenarios._statistics
-
-        def spy(runs, windows, cutoff):
-            seen.extend(runs)
-            return real(runs, windows, cutoff)
-
-        monkeypatch.setattr(pf.scenarios, "_statistics", spy)
-        stats = bench_job_stats(kind)
-        run, = seen
+    def test_scenario_first_moment(self, kind):
+        # the scenario's own run, which a beam splitter counts in its
+        # splitter mode and a release by its flux
+        stats, (run,) = simulated(lambda: bench_job_stats(kind))
+        if kind in ("beam_splitter", "residual_drive"):
+            run = splitter_mode(run, 0.995, phase_error=0.05 if kind == "residual_drive" else 0.0)
         i0, i1 = np.searchsorted(run.times, stats.window)
         want = oracles.naive_counting_moments(
             run.times[i0:i1 + 1], oracles.grid_steps(run)[i0:i1],
@@ -537,15 +531,23 @@ class TestReach:
         monkeypatch.setattr(pf.statistics, "_reach", recording)
         return seen
 
+    @staticmethod
+    def chain_release_window(reaches, release):
+        # a release counts from its flux, with no chain; the chain counts
+        # the release run over its window
+        res, (run,) = simulated(lambda: pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5),
+                                                              release=release))
+        assert reaches == []
+        pf.photon_mtiples(run, 3, res.stats.window)
+
     def test_packet_release_window(self, reaches):
         # no drive in the window: the release stays on the populations and
         # holds one excitation at most, so only N_1's level is live
-        packet = pf.WavePacket.exponential(1.0, 8.0)
-        pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5), release=packet)
+        self.chain_release_window(reaches, pf.WavePacket.exponential(1.0, 8.0))
         assert reaches == [([0, 1], [0])]
 
     def test_constant_release_window(self, reaches):
-        pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.5), release=0.3 * PI)
+        self.chain_release_window(reaches, 0.3 * PI)
         assert reaches == [([0, 1], [0])]
 
     @pytest.mark.parametrize("phase_error, reach", [(0.0, [0, 1, 2]), (0.05, [0, 1, 2, 3])])
