@@ -282,7 +282,6 @@ _TAYLOR = np.zeros((21, 5, 5))
 _TAYLOR[:, 0, 0] = 1.0
 _TAYLOR[:, np.arange(20) // 4, np.arange(20) % 4 + 1] = (
     np.tril(np.ones((21, 20)), -1) / np.cumprod(np.arange(1.0, 21.0)))
-_SLICES = 512  # slices exponentiated at once, which bounds the temporaries
 
 
 def sup_exp(lv, t):
@@ -290,22 +289,18 @@ def sup_exp(lv, t):
     duration t >= 0; at t = 0 it is the identity exactly.
 
     A (P, n, n) stack of generators with P durations gives the (P, n, n)
-    array of their propagators, _SLICES slices at a time; a real stack stays
-    real. Scaling and squaring with truncated Taylor series (Al-Mohy and
-    Higham 2011): a slice is halved s times to a 1-norm of at most
-    theta_20, takes the lowest degree its norm allows, and is squared back
-    s times. Its coefficients above that degree are zero in one fixed shape
-    of stacked products, so no slice depends on the rest of the stack. A
-    non-finite result raises FloatingPointError instead of travelling on
-    as NaN.
+    array of their propagators; a real stack stays real. Scaling and
+    squaring with truncated Taylor series (Al-Mohy and Higham 2011): a
+    slice is halved s times to a 1-norm of at most theta_20, takes the
+    lowest degree its norm allows, and is squared back s times. Its
+    coefficients above that degree are zero in one fixed shape of stacked
+    products, so no slice depends on the rest of the stack. A non-finite
+    result raises FloatingPointError instead of travelling on as NaN.
     """
     m = np.asarray(getattr(lv, "mat", lv))
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError(f"duration must be finite and nonnegative, got {t}")
-    if m.ndim == 3 and len(m) > _SLICES:
-        return np.concatenate([sup_exp(m[i:i + _SLICES], t[i:i + _SLICES])
-                               for i in range(0, len(m), _SLICES)])
     with np.errstate(all="ignore"):
         a = m * t[:, None, None] if m.ndim == 3 else (m * t)[None]
         norm = np.einsum("pij->jp", np.abs(a)).max(axis=0)

@@ -172,9 +172,9 @@ class DriveSchedule:
         t0, t1, a = np.array(self.segments, dtype=complex).reshape(-1, 3).T
         return _step_lookup(t0.real, t1.real, a, t, 0.0)
 
-    def breakpoints(self) -> list:
-        """Every segment's start and end."""
-        return [x for seg in self.segments for x in seg[:2]]
+    def breakpoints(self) -> np.ndarray:
+        """Every segment's start and end, as a float array."""
+        return np.array([seg[:2] for seg in self.segments], dtype=float).ravel()
 
 
 @dataclass(frozen=True)
@@ -248,13 +248,11 @@ class PhaseSchedule:
             raise ValueError(f"phase schedule does not cover t = {first}")
         return phi
 
-    def breakpoints(self) -> list:
+    def breakpoints(self) -> np.ndarray:
         """Every segment's start and end, infinite ones included, then
-        every ramp time."""
-        pts = [x for seg in self.segments for x in seg[:2]]
-        if self.ramp is not None:
-            pts.extend(self.ramp[0].tolist())
-        return pts
+        every ramp time, as a float array."""
+        pts = np.array([seg[:2] for seg in self.segments], dtype=float).ravel()
+        return pts if self.ramp is None else np.concatenate([pts, self.ramp[0]])
 
 
 def _step_lookup(starts, ends, values, t, fill):
@@ -270,7 +268,7 @@ def _step_lookup(starts, ends, values, t, fill):
 
 def _line_coupling(gamma, phi):
     """c(phi) = sqrt(Gamma (1 + cos phi)) e^{i phi/2}, so L = c sigma_minus."""
-    return np.sqrt(gamma * (1.0 + np.cos(phi))) * np.exp(1j * phi / 2.0)
+    return np.sqrt(gamma * (1.0 + np.cos(phi))) * np.exp(0.5j * phi)
 
 
 def channel_couplings(params: MirrorQubitParams) -> dict:
@@ -476,8 +474,8 @@ def _compile(cells) -> list:
         h = (t_b - t_a) / n
         # a slot per distinct sorted key, keyed by its first row (stable sort)
         order = np.lexsort((h, alpha.imag, alpha.real, phi))
-        keys = np.array([phi, alpha.real, alpha.imag, h])[:, order]
-        new = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+        keys = np.array([phi, alpha.real, alpha.imag, h]).take(order, axis=1)
+        new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
         slots.append(np.empty_like(order))
         slots[-1][order] = np.cumsum(new) + (count - 1)
         first = order[new]
@@ -561,7 +559,7 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     for rows in np.split(np.arange(len(n_steps)), cuts):
         i, k = int(starts[rows[0]]), int(n_steps[rows[0]])
         if free[rows[0]]:
-            _decay(table.step_mats[table.slot[rows]], n_steps[rows], states, i)
+            _decay(table.step_mats, table.slot[rows], n_steps[rows], states, i)
             continue
         if k == 1:
             _scan(table.step_mats[table.slot[rows]], states, i)
@@ -582,13 +580,12 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     return states
 
 
-def _decay(e, n_steps, states, i) -> None:
-    """states[i] carried through drive-free two-level rows of `_decay_steps` matrices e,
-    row p for n_steps[p] steps, by cumulative products of their per-step factors:
-    rho_11 of E[1,1], the coherence z = x + i y of E[2,2] + i E[3,2], and rho_00
-    the start's trace less rho_11."""
-    p1 = np.cumprod(np.repeat(e[:, 1, 1], n_steps))
-    z = np.cumprod(np.repeat(e[:, 2, 2] + 1j * e[:, 3, 2], n_steps))
+def _decay(e, slot, n_steps, states, i) -> None:
+    """states[i] through drive-free two-level rows of `_decay_steps` matrices e[slot], row p
+    for n_steps[p] steps, by cumulative products of per-step factors gathered per row: rho_11
+    of E[1,1], the coherence x + i y of E[2,2] + i E[3,2], rho_00 the trace less rho_11."""
+    p1 = np.cumprod(np.repeat(e[:, 1, 1][slot], n_steps))
+    z = np.cumprod(np.repeat(e[:, 2, 2][slot] + 1j * e[:, 3, 2][slot], n_steps))
     s, out = states[i], states[i + 1:i + 1 + len(p1)]
     out[:, 1] = np.multiply.outer(p1, s[1])
     z = np.multiply.outer(z, s[2] + 1j * s[3])
@@ -624,12 +621,34 @@ def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
     return (coordinates(rho.dim)[1] @ vec(rho)).real
 
 
+@functools.lru_cache(maxsize=None)
+def _jump_form(d: int):
+    """Pairs a <= b and real K_ab with conj(M) kron M in coordinates sum_ab m_a m_b K_ab,
+    m the real and imaginary parts of M's entries, in which the jump is real and bilinear;
+    then each K_ab's trace row (d^2), the sum of its d population rows."""
+    g = (np.array([1.0, 1j])[:, None, None] * np.eye(d * d)).reshape(-1, d, d)
+    kron = np.einsum("aij,bkl->abikjl", g.conj(), g).reshape(-1, d * d, d * d)
+    k, (a, b) = to_coordinates(kron).reshape(len(g), len(g), -1), np.triu_indices(len(g))
+    form = k[a, b] + (a < b)[:, None] * k[b, a]
+    return a, b, form, form.reshape(len(a), d * d, d * d)[:, :d].sum(axis=1)
+
+
+def _jump_rows(ops, trace: bool) -> np.ndarray:
+    """sum_ab m_a m_b K_ab (`_jump_form`) of each operator M of a (P, d, d) stack:
+    its jump conj(M) kron M in coordinates, flattened (P, d^4), or with `trace` only
+    that jump's trace row (P, d^2). A pair with an entry zero on every row adds nothing."""
+    d = ops.shape[-1]
+    a, b, form, trace_form = _jump_form(d)
+    m = np.array([ops.real, ops.imag]).transpose(0, 2, 3, 1).reshape(2 * d * d, -1)
+    live = m.any(axis=1)
+    pair = live[a] & live[b]
+    return (m[a[pair]] * m[b[pair]]).T @ (trace_form if trace else form)[pair]
+
+
 def _flux(table: PieceTable, coords, at=slice(None)) -> np.ndarray:
-    """Output flux tr(L^dag L rho) of coordinate states at grid points `at`,
-    L each point's line operator by `per_point`; tr(A rho) = A.ravel() @ V c."""
-    ops = table.channels["line"]
-    ldl = (ops.conj()[:, :, :, None] * ops[:, :, None]).sum(axis=1)
-    ldl = (ldl.reshape(len(ops), -1) @ coordinates(ops.shape[-1])[0]).real
+    """Output flux tr(L^dag L rho) = tr(L rho L^dag) of coordinate states at grid
+    points `at`, L each point's line operator by `per_point`: its jump's trace row."""
+    ldl = _jump_rows(table.channels["line"], trace=True)
     return np.einsum("ni,ni->n", table.per_point(ldl)[at], coords[at])
 
 

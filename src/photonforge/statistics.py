@@ -60,8 +60,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _check_count, to_coordinates
-from .dynamics import ScenarioRun
+from .core import _check_count
+from .dynamics import ScenarioRun, _jump_rows
 
 __all__ = [
     "photon_mtiples",
@@ -114,31 +114,17 @@ class CrossPairResult:
         return csi_metric(self.g_ii, self.g_ss, self.g_is)
 
 
-@functools.lru_cache(maxsize=None)
-def _jump_form(d: int):
-    """Pairs a <= b and real K_ab with conj(M) kron M in coordinates sum_ab m_a m_b K_ab,
-    m the real and imaginary parts of M's entries, in which the jump is real and bilinear."""
-    g = (np.array([1.0, 1j])[:, None, None] * np.eye(d * d)).reshape(-1, d, d)
-    kron = np.einsum("aij,bkl->abikjl", g.conj(), g).reshape(-1, d * d, d * d)
-    k, (a, b) = to_coordinates(kron).reshape(len(g), len(g), -1), np.triu_indices(len(g))
-    return a, b, k[a, b] + (a < b)[:, None] * k[b, a]
-
-
 def _jumps(runs, channel: str) -> np.ndarray:
     """Jump superoperators conj(M) kron M, in coordinates, of a channel's
     collapse operator M on every table row of the runs, in run order,
-    shape (P, d^2, d^2)."""
+    shape (P, d^2, d^2): the real bilinear form of `dynamics._jump_rows`,
+    whose trace rows the flux reads."""
     for run in runs:
         if channel not in run.pieces.channels:
             raise ValueError(f"unknown channel {channel!r}; this run has "
                              f"{', '.join(run.pieces.channels)}")
     ops = np.concatenate([run.pieces.channels[channel] for run in runs])
-    d = ops.shape[-1]
-    a, b, form = _jump_form(d)
-    m = np.moveaxis(np.array([ops.real, ops.imag]), 1, -1).reshape(2 * d * d, -1)
-    live = m.any(axis=1)  # a pair with an entry zero on every row adds nothing
-    pair = live[a] & live[b]
-    return ((m[a[pair]] * m[b[pair]]).T @ form[pair]).reshape(-1, d * d, d * d)
+    return _jump_rows(ops, trace=False).reshape((len(ops),) + (ops.shape[-1] ** 2,) * 2)
 
 
 def _chain_steps(e, jc, jn, h, tr, channels, parents=None):

@@ -262,9 +262,9 @@ class TestGenerators:
 
     def test_sup_exp_slice_ignores_a_stack_of_several_blocks(self):
         # slices at every degree, at t = 0 and past theta_20 (squarings),
-        # across the boundaries of the _SLICES-slice blocks
+        # in a stack of 1,100
         rng = np.random.default_rng(11)
-        k = 2 * pf.core._SLICES + 76
+        k = 1100
         gens = rng.normal(size=(k, 4, 4))
         norms = rng.permutation(np.geomspace(1e-17, 50.0, k))
         gens *= (norms / np.abs(gens).sum(axis=-2).max(axis=-1))[:, None, None]

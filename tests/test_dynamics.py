@@ -635,6 +635,91 @@ class TestFluxReadout:
         assert got.shape == want.shape == run.times.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("seed", range(1, 5))
+    @pytest.mark.parametrize("kind", ["line", "splitter", "zero", "full"])
+    def test_random_channels_share_the_jump_form(self, kind, seed):
+        # random complex channels on a release's rows: the packet line
+        # c sigma_minus, a splitter mode i r L + c(t) whose identity part is
+        # zero on some rows, an all-zero channel and one with every entry live
+        rng = np.random.default_rng(seed)
+        run = TABLE_RUNS["release"]()
+        p = len(run.pieces.slot)
+        c = rng.normal(size=p) + 1j * rng.normal(size=p)
+        line = np.multiply.outer(c, [[0.0, 1.0], [0.0, 0.0]])
+        ops = {"line": line,
+               "splitter": 1j * 0.99 * line + np.multiply.outer(c * (rng.random(p) < 0.3),
+                                                               np.eye(2)),
+               "zero": np.zeros((p, 2, 2), dtype=complex),
+               "full": rng.normal(size=(p, 2, 2)) + 1j * rng.normal(size=(p, 2, 2))}[kind]
+        run.pieces = replace(run.pieces, channels={"line": ops})
+        got = pf.dynamics._flux(run.pieces, run.coords)
+        want = oracles.ldl_flux(run.pieces, run.coords)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        tr = (pf.core.trace_row(2) @ pf.core.coordinates(2)[0]).real
+        rows = tr @ pf.statistics._jumps([run], "line")
+        by_jumps = np.einsum("ni,ni->n", run.pieces.per_point(rows), run.coords)
+        assert np.max(np.abs(got - by_jumps)) <= 1e-15 * np.max(np.abs(by_jumps))
+        if kind == "zero":
+            assert not np.signbit(got).any() and not got.any()
+
+    @pytest.mark.parametrize("params, phase", [
+        (pf.MirrorQubitParams(gamma=0.0), pf.PhaseSchedule.constant(0.7)),
+        (pf.MirrorQubitParams(gamma=1.3), pf.PhaseSchedule.constant(PI)),
+    ])
+    def test_a_decoupled_emitter_emits_plus_zero(self, params, phase):
+        # Gamma = 0, or phi = pi throughout: a flux of exactly +0.0 from a
+        # driven state with coherences of both signs
+        rho0 = pf.DensityMatrix(np.array([[0.4, -0.3 + 0.2j], [-0.3 - 0.2j, 0.6]]))
+        run = pf.simulate(params, pf.DriveSchedule(((0.5, 1.5, 2.0 - 1.0j),)), phase, 3.0,
+                          rho0=rho0, dt=0.01)
+        flux = pf.dynamics._flux(run.pieces, run.coords)
+        assert (run.coords[:, 2:] < 0).any() and (run.coords[:, 2:] > 0).any()
+        assert flux.shape == run.times.shape
+        assert not np.signbit(flux).any() and not flux.any()
+
+
+def packet_cut(packet, gamma, alpha0=8.0):
+    """The drive, phase schedule and span of a packet release, as
+    `run_shaped_release` builds them from t = 0 to 20."""
+    drive = pf.DriveSchedule.square_pi_pulse(alpha0, 0.0, 2.0 * gamma)
+    shaped = pf.shape_to_schedule(packet, gamma)
+    phase = replace(pf.PhaseSchedule.storage_release(0.0, drive.segments[0][1], packet.start,
+                                                     float(shaped.ramp[1][-1])),
+                    ramp=shaped.ramp)
+    return drive, phase, 0.0, 20.0
+
+
+CUT_CASES = {
+    "exponential": lambda: packet_cut(
+        pf.WavePacket.exponential(1.0, 8.0, duration=12.0, dt=0.005), 1.0),
+    "gaussian": lambda: packet_cut(
+        pf.WavePacket.gaussian(12.8, 1.2, t_start=8.0, dt=0.005), 1.5),
+}
+
+
+class TestCut:
+    """`_cut`'s rows against the sequential merge of `oracles.merge_breakpoints`."""
+
+    @pytest.mark.parametrize("name", ["exponential", "gaussian", "random_ramp", "block_edges"])
+    def test_rows_match_the_sequential_merge(self, name):
+        if name in CUT_CASES:
+            drive, phase, t1, t2 = CUT_CASES[name]()
+        else:
+            run = TABLE_RUNS[name]()
+            drive, phase, t1, t2 = run.drive, run.phase, run.times[0], run.times[-1]
+        points = np.concatenate([drive.breakpoints(), phase.breakpoints()])
+        ramp = [] if phase.ramp is None else phase.ramp[0].tolist()
+        assert points.dtype == np.float64 and points.tolist() == (
+            [x for seg in drive.segments + phase.segments for x in seg[:2]] + ramp)
+        t_a, t_b, n, phi, alpha = pf.dynamics._cut(drive, phase, t1, t2)
+        want_a, want_b = oracles.merge_breakpoints(points, t1, t2)
+        assert np.array_equal(t_a, want_a) and np.array_equal(t_b, want_b)
+        assert np.array_equal(n, np.ones(len(t_a), dtype=int))
+        assert np.array_equal(phi, phase.phi_at(want_a))
+        assert np.array_equal(alpha, drive.amplitude_at(want_a))
+        if phase.ramp is not None and name in CUT_CASES:
+            assert len(t_a) > 1600
+
 
 def _release_run():
     phase, rho0 = exponential_release()
@@ -712,7 +797,7 @@ class TestPieceTable:
     def test_breakpoints_are_grid_points(self, table_run):
         run = table_run
         t1, t2 = run.times[0], run.times[-1]
-        points = [x for x in run.drive.breakpoints() + run.phase.breakpoints()
+        points = [x for x in np.concatenate([run.drive.breakpoints(), run.phase.breakpoints()])
                   if t1 < x < t2]
         assert points
         assert set(points) <= set(run.times.tolist())
