@@ -31,19 +31,19 @@ point takes the jump of the next row (right-continuously), so a row is
 its last step's M times a power of its interior M, and the chain
 reduces a block of rows pairwise, applying w to the block's product,
 for the rows of several runs at once; a block holds up to `_FLOATS`
-floats of steps, so a narrow chain's window (a drive-free two-level
-window's, 3 wide) is one block and a wide chain's blocks hold some
-hundred rows, which multiply faster than one long stack. A shaped
-release does not chain: its window holds no drive, so it counts from
-its flux (`scenarios`). Levels hang under parent levels:
+floats of steps, so a wide chain's blocks hold some hundred rows, which
+multiply faster than one long stack, and a drive-free two-level
+window's three-level count (7 wide) goes in blocks of 1,337 rows. A
+shaped release does not chain: its window holds no drive, so it counts
+from its flux (`scenarios`). Levels hang under parent levels:
 a path for counting, a tree for the pair correlations of the
 three-level cascade (`pair_correlations`). A chain runs on the
 coordinates its trace row can reach (`_reach`): the populations, closed
 under the nonzero pattern of the window's step matrices and the jumps.
-It runs only on its live levels too: a level whose parent's set its
-jumps take nowhere, closed under the step matrices, is exactly 0, as is
-N_2 of a window without drive, which holds one excitation at most. The
-rest stays exactly 0, so w is scattered back to its full length.
+The rest stays exactly 0, so w is scattered back to its full length.
+Every level is computed; one its parent's jumps cannot feed, such as
+N_2 of a window without drive, which holds one excitation at most,
+comes out +0.0 from the products, each an exact 0 times a finite entry.
 The quality metric v = G_is^2 - G_ii G_ss is positive only when the
 cross-channel coincidence beats the geometric mean of the single-channel
 ones, which no classical field can arrange.
@@ -78,7 +78,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FLOATS = 1 << 16  # floats of one block's chain steps, rows x runs x width^2 (512 KiB)
+_FLOATS = 1 << 16  # floats of a chain block, rows x runs x width^2: 1,337 rows 7 wide (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -179,45 +179,25 @@ def _side_by_side(xs, size: int, fill) -> np.ndarray:
     return out
 
 
-def _reach(steps, jumps: dict, channels, parents, d: int):
-    """The coordinates a chain's vectors u_k can reach, its live levels and
-    their columns in w (`_closure`), from one nonzero pattern per stack:
-    the union over the step stacks `steps`, and one per channel of `jumps`."""
-    e = functools.reduce(np.logical_or, [m.any(axis=0) for m in steps])
-    return _closure(e.tobytes(), tuple((c, j.any(axis=0).tobytes()) for c, j in jumps.items()),
-                    tuple(zip(channels, parents)), d)
+def _reach(steps, jumps, d: int) -> np.ndarray:
+    """The coordinates a chain's vectors u_k can reach (`_closure`), from one
+    nonzero pattern: the union over the step stacks `steps` and the jump stacks."""
+    e = functools.reduce(np.logical_or, [m.any(axis=0) for m in (*steps, *jumps)])
+    return _closure(e.tobytes(), d)
 
 
 @functools.lru_cache(maxsize=64)
-def _closure(steps: bytes, jumps: tuple, levels: tuple, d: int):
-    """The reach, the live levels and the columns of w they fill on the
-    reach, from (d^2, d^2) boolean patterns, as bytes, of the step
-    matrices and of each (channel, jumps); u A is nonzero only at columns
-    j with A[i, j] != 0 for a nonzero u_i. The reach is the populations
-    of d levels, which the trace row sums, closed under the union of all
-    patterns. Level (c, p), of channel c under level p (-1 the trace), is
-    live when the step matrices' closure of what c's jumps take p's set
-    to (the populations for the trace) is not empty. Each live level
-    comes as (its index, c, its parent's place among the live levels)."""
-    e = np.frombuffer(steps, bool).reshape(d * d, d * d)
-    j = {c: np.frombuffer(p, bool).reshape(d * d, d * d) for c, p in jumps}
-
-    def close(s, p):
-        while (more := s @ p & ~s).any():
-            s |= more
-        return s
-
-    pops = np.arange(d * d) < d
-    idx = np.flatnonzero(close(pops.copy(), functools.reduce(np.logical_or, j.values(), e)))
-    sets = []
-    for c, p in levels:
-        sets.append(close((pops if p < 0 else sets[p]) @ j[c], e))
-    live = np.flatnonzero([s.any() for s in sets])
-    cols = 1 + (live[:, None] * d * d + idx).ravel()
-    at = {k: i for i, k in enumerate(live.tolist())}
-    for a in (idx, cols):
-        a.flags.writeable = False
-    return idx, tuple((k, levels[k][0], at.get(levels[k][1], -1)) for k in at), cols
+def _closure(pattern: bytes, d: int) -> np.ndarray:
+    """The populations of d levels, which the trace row sums, closed under a
+    (d^2, d^2) boolean pattern, as bytes: u A is nonzero only at columns j
+    with A[i, j] != 0 for a nonzero u_i."""
+    p = np.frombuffer(pattern, bool).reshape(d * d, d * d)
+    s = np.arange(d * d) < d
+    while (more := s @ p & ~s).any():
+        s |= more
+    idx = np.flatnonzero(s)
+    idx.flags.writeable = False
+    return idx
 
 
 def _chain(runs, windows, channels, parents=None) -> np.ndarray:
@@ -230,11 +210,11 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     `_jumps`. Because the states obey rho(t_{i+1}) = E rho(t_i) on the
     grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
     [t_i0, T]. The chain runs on the coordinates its trace row reaches
-    through the window rows' E and the jumps, and on its live levels
-    (`_reach`): a level whose jumps carry nothing its parent reaches, such
-    as N_2 of a window without drive, which holds one excitation at most,
-    is exactly 0, and so is every level under it. The rest of w is +0.0: a dropped
-    term is 0 times a finite entry. A row is the M of its last step,
+    through the window rows' E and the jumps (`_reach`); the rest of w is
+    +0.0. A level that its parent's jumps cannot feed, such as N_2 of a
+    window without drive, which holds one excitation at most, is computed
+    like any other and comes out +0.0 from the products: each of its terms
+    is an exact 0 times a finite entry. A row is the M of its last step,
     whose later point takes the jumps of the row starting there, times a
     `matrix_power` of its interior M. Each run takes its rows backward,
     and one `_product` reduces the same block of rows of every run at
@@ -254,15 +234,9 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
         off += len(t.slot)
     jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
     d2 = jumps[channels[0]].shape[-1]
-    parents = range(-1, len(channels) - 1) if parents is None else parents
-    idx, live, cols = _reach([p[0] for p in parts], jumps, channels, parents, math.isqrt(d2))
-    out = np.zeros((len(runs), 1 + len(channels) * d2))  # dead levels, the unreached: +0.0
-    out[:, 0] = 1.0
-    if not live:
-        return out
-    _, channels, parents = zip(*live)
+    idx = _reach([p[0] for p in parts], jumps.values(), math.isqrt(d2))
     sub = (..., idx[:, None], idx)
-    jumps = {c: jumps[c][sub] for c in dict.fromkeys(channels)}
+    jumps = {c: j[sub] for c, j in jumps.items()}
     tr = (idx < math.isqrt(d2)).astype(float)  # the populations' sum
     pad = (np.eye(d2), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
     d = 1 + len(channels) * len(idx)
@@ -288,7 +262,10 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
                 for x, ax, n in zip(r.tolist(), a, (k[r] - 1).tolist()):
                     m[x] = m[x] @ np.linalg.matrix_power(ax, n)
             w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
-    out[:, cols] = w[:, 1:]
+    out = np.zeros((len(runs), 1 + len(channels) * d2))  # the unreached: +0.0
+    out[:, 0] = 1.0
+    shape = (len(runs), len(channels), -1)  # (runs, level, coordinate) views of u_1 .. u_L
+    out[:, 1:].reshape(shape)[..., idx] = w[:, 1:].reshape(shape)
     return out
 
 

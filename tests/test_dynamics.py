@@ -491,8 +491,8 @@ class TestCompiler:
 
     @pytest.mark.parametrize("case", sorted(DRIVE_FREE))
     def test_closed_form_steps_keep_the_stacked_zeros(self, case):
-        # the same entries are zero, each +0, so the chain's reach and live
-        # levels read the same pattern
+        # the same entries are zero, each +0, so the chain's reach reads
+        # the same pattern
         params, table, _ = drive_free_table(case)
         for g, h, e in zip(*table_generators(params, table)):
             want = pf.sup_exp(g[None], h[None])[0]

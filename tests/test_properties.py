@@ -269,19 +269,17 @@ def test_chain_on_its_reach_is_the_full_walk(case):
 
 def chain_and_walk(table, levels, parents, window):
     """`_chain` and `oracles.chain_walk` of a table's window, and the mask
-    of w's entries outside the reach or on a dead level (`_reach`)."""
+    of w's entries outside the reach (`_reach`)."""
     run = SimpleNamespace(pieces=table)
     jumps = {c: pf.statistics._jumps([run], c) for c in dict.fromkeys(levels)}
     d2 = table.step_mats.shape[-1]
     ps = table.spans(*window)[0]
-    tree = range(-1, len(levels) - 1) if parents is None else parents
-    reach, live, _ = pf.statistics._reach([table.step_mats[table.slot[ps]]], jumps, levels,
-                                          tree, math.isqrt(d2))
-    live = [k for k, _, _ in live]
+    reach = pf.statistics._reach([table.step_mats[table.slot[ps]]], jumps.values(),
+                                 math.isqrt(d2))
     got = pf.statistics._chain([run], [window], levels, parents)[0]
     want = oracles.chain_walk(run, *window, [jumps[c] for c in levels], parents)
     outside = np.ones((len(levels), d2), dtype=bool)
-    outside[np.ix_(live, reach)] = False
+    outside[:, reach] = False
     return got, want, np.append(False, outside.ravel())
 
 
@@ -323,19 +321,18 @@ def lowering_tables(draw):
 
 @PROPERTY
 @given(lowering_tables())
-def test_chain_on_its_live_levels_is_the_full_walk(case):
-    # the chain drops its dead levels, the walk keeps them; a level at
-    # depth d or more must be dead, and a dead level exactly +0.0
+def test_deep_levels_of_the_full_chain_are_positive_zeros(case):
+    # the chain computes every level; one at depth d or more is exactly 0
+    # in the walk and must come out exactly +0.0 from the chain's products
     d, table, levels, parents, window = case
-    got, want, outside = chain_and_walk(table, levels, parents, window)
+    got, want, _ = chain_and_walk(table, levels, parents, window)
     tree = list(range(-1, len(levels) - 1)) if parents is None else parents
     depth = []
     for p in tree:
         depth.append(1 if p < 0 else depth[p] + 1)
     deep = np.append(False, np.repeat(np.array(depth) >= d, d * d))
-    assert deep.any() and np.all(outside[deep])
-    assert np.all(want[outside] == 0.0) and np.all(got[outside] == 0.0)
-    assert not np.signbit(got[outside]).any()
+    assert deep.any() and np.all(want[deep] == 0.0) and np.all(got[deep] == 0.0)
+    assert not np.signbit(got[deep]).any()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

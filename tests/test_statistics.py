@@ -25,9 +25,9 @@ def pulsed_run(dt=0.05, t_end=12.0):
                        dt=dt)
 
 
-# a chain block's float budget in the block tests: 128 rows of a packet
-# release's one-level chain on two coordinates, width 3
-SMALL_FLOATS = 128 * 3 ** 2
+# a chain block's float budget in the block tests: 128 rows of a
+# drive-free window's three-level chain on two coordinates, width 7
+SMALL_FLOATS = 128 * 7 ** 2
 
 
 @pytest.fixture
@@ -514,9 +514,8 @@ class TestChainAgainstRowWalk:
 
 
 class TestReach:
-    """The coordinates each chain runs on and its live levels (`_reach`):
-    the populations and what the window's step matrices and the jumps
-    carry them to; a level is live when its parent's set reaches anything."""
+    """The coordinates each chain runs on (`_reach`): the populations and
+    what the window's step matrices and the jumps carry them to."""
 
     @pytest.fixture
     def reaches(self, monkeypatch):
@@ -524,9 +523,9 @@ class TestReach:
         real = pf.statistics._reach
 
         def recording(*args):
-            idx, live, cols = real(*args)
-            seen.append((idx.tolist(), [k for k, _, _ in live]))
-            return idx, live, cols
+            idx = real(*args)
+            seen.append(idx.tolist())
+            return idx
 
         monkeypatch.setattr(pf.statistics, "_reach", recording)
         return seen
@@ -541,14 +540,13 @@ class TestReach:
         pf.photon_mtiples(run, 3, res.stats.window)
 
     def test_packet_release_window(self, reaches):
-        # no drive in the window: the release stays on the populations and
-        # holds one excitation at most, so only N_1's level is live
+        # no drive in the window: the release stays on the populations
         self.chain_release_window(reaches, pf.WavePacket.exponential(1.0, 8.0))
-        assert reaches == [([0, 1], [0])]
+        assert reaches == [[0, 1]]
 
     def test_constant_release_window(self, reaches):
         self.chain_release_window(reaches, 0.3 * PI)
-        assert reaches == [([0, 1], [0])]
+        assert reaches == [[0, 1]]
 
     @pytest.mark.parametrize("phase_error, reach", [(0.0, [0, 1, 2]), (0.05, [0, 1, 2, 3])])
     def test_beam_splitter(self, reaches, phase_error, reach):
@@ -556,27 +554,48 @@ class TestReach:
         # mode a complex residual, which reaches Im rho_01 too
         config = pf.BeamSplitterConfig(alpha0=5.0, phase_error=phase_error)
         pf.run_beam_splitter(pf.MirrorQubitParams(gamma=0.5), config)
-        assert reaches == [(reach, [0, 1, 2])]
+        assert reaches == [reach]
 
     def test_cascade_cell(self, reaches):
         # the 0-2 drive reaches Re rho_02 (coordinate 5); decays stay on populations
         pf.run_cascade(pf.MirrorQubitParams(levels=3), 5.0, t_end=4.0, dt=0.01)
-        assert reaches == [([0, 1, 2, 5], list(range(6)))]
+        assert reaches == [[0, 1, 2, 5]]
 
-    def test_dead_levels_are_positive_zeros(self):
-        # a released excitation: N_2 and N_3 are +0.0, N_1 as a one-level chain
-        run = TABLE_RUNS["ramp"]()
-        window = (0, len(run.times) - 1)
-        w = pf.statistics._chain([run], [window], ["line"] * 3)[0]
-        assert np.array_equal(w[:5], pf.statistics._chain([run], [window], ["line"])[0])
-        assert w[1:3].any() and not w[5:].any() and not np.signbit(w[5:]).any()
 
-    def test_a_chain_with_no_live_level(self):
-        # a decoupled emitter (gamma = 0) never jumps: every level is dead
-        run = pf.simulate(pf.MirrorQubitParams(gamma=0.0), pf.DriveSchedule(),
-                          pf.PhaseSchedule.constant(0.0), 2.0, dt=0.01)
-        w = pf.statistics._chain([run], [(0, len(run.times) - 1)], ["line"] * 2)[0]
-        assert w.tolist() == [1.0] + [0.0] * 8 and not np.signbit(w).any()
+def _packet_release_window():
+    res, (run,) = simulated(lambda: pf.run_shaped_release(
+        pf.MirrorQubitParams(gamma=1.5), release=pf.WavePacket.exponential(1.0, 8.0)))
+    return run, res.stats.window
+
+
+# drive-free windows as (run, window in times; None the whole run): each
+# holds one excitation at most, or (gamma = 0) never jumps
+DRIVE_FREE_WINDOWS = {
+    "ramp": lambda: (TABLE_RUNS["ramp"](), None),
+    "stored_excitation": lambda: (pf.simulate(
+        pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()), pf.PhaseSchedule.constant(PI / 2.0),
+        12.0, rho0=pf.DensityMatrix.excited(2), dt=0.005), None),
+    "packet_release": _packet_release_window,
+    "gamma_zero": lambda: (pf.simulate(pf.MirrorQubitParams(gamma=0.0), pf.DriveSchedule(),
+                                       pf.PhaseSchedule.constant(0.0), 2.0, dt=0.01), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVE_FREE_WINDOWS))
+def test_drive_free_windows_count_positive_zeros(case, monkeypatch):
+    # every level is chained; N_2 and N_3 come out +0.0 from the products,
+    # in the default blocks and in one, and N_1 as a one-level chain's once
+    # both chains take one block
+    run, window = DRIVE_FREE_WINDOWS[case]()
+    counts = pf.counting_statistics(run, 3, window).n_tiples
+    assert (counts[0] > 0.0) == (case != "gamma_zero")
+    assert counts[1:] == (0.0, 0.0) and not np.signbit(counts[1:]).any()
+    i = pf.statistics._windows([run], [window], 3)
+    for floats in (pf.statistics._FLOATS, 1 << 20):
+        monkeypatch.setattr(pf.statistics, "_FLOATS", floats)
+        w = pf.statistics._chain([run], i, ["line"] * 3)[0]
+        assert not w[5:].any() and not np.signbit(w[5:]).any()
+    assert np.array_equal(w[:5], pf.statistics._chain([run], i, ["line"])[0])
 
 
 ORDERINGS =[("signal", "idler"), ("idler", "signal"),
