@@ -19,18 +19,20 @@ so propagation is an ordered product of constant-segment matrix
 exponentials. A run is compiled once: every piece's generator is a
 weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
-(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures), and the distinct (weights,
-step) pieces are exponentiated in closed form when two-level and drive-free (the terms
-commute), else in one stacked call; several runs, such as a sweep's cells, each with its
-own schedules, span and dt, compile as one stack that shares one read-only start state.
+(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures). A distinct (weights, step)
+piece that is two-level and drive-free keeps only the closed-form per-step factors of its
+decay and turn (the terms commute); the rest are exponentiated in one stacked call.
+Several runs, such as a sweep's cells, each with its own schedules, span and dt,
+compile as one stack that shares one read-only start state.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
 a run of drive-free two-level rows is the cumulative products of its
 per-step decay and turn factors, a run of other one-step rows (a
 sampled ramp) is one chunked scan of stacked prefix products, a longer
-row stacked powers of its step matrix. Step matrices and states are
-real `core.coordinates`; `ScenarioRun.states` and `propagator` are vec.
+row stacked powers of its step matrix. Step matrices (a drive-free one assembled from its
+factors on request) and states are real `core.coordinates`; `ScenarioRun.states` and
+`propagator` are vec.
 
 A three-level variant (levels=3) models a ladder 0-1-2 at the end of
 the line with phi = 0: every transition couples at its doubled
@@ -170,7 +172,7 @@ class DriveSchedule:
     def amplitude_at(self, t):
         """alpha at a time or an array of times, 0 outside the segments."""
         t0, t1, a = np.array(self.segments, dtype=complex).reshape(-1, 3).T
-        return _step_lookup(t0.real, t1.real, a, t, 0.0)
+        return _step_lookup(t0.real, t1.real, a, t, 0.0)[()]
 
     def breakpoints(self) -> np.ndarray:
         """Every segment's start and end, as a float array."""
@@ -235,18 +237,21 @@ class PhaseSchedule:
         return cls(tuple(segs))
 
     def phi_at(self, t):
-        """phi at a time or an array of times: the ramp's on its span, else
-        the segments'. A time neither covers raises ValueError."""
-        t0, t1, phi = np.array(self.segments, dtype=float).reshape(-1, 3).T
-        phi = _step_lookup(t0, t1, phi, t, math.nan)
-        if self.ramp is not None:
+        """phi at a time or an array of times: the ramp's on its span, else the
+        segments', read at those times only. A time neither covers raises ValueError."""
+        t = np.asarray(t, dtype=float)
+        t0, t1, seg = np.array(self.segments, dtype=float).reshape(-1, 3).T
+        if self.ramp is None:
+            phi = _step_lookup(t0, t1, seg, t, math.nan)
+        else:
             times, values = self.ramp
-            phi = _step_lookup(times[:-1], times[1:], values[:-1], t, phi)
+            phi = _step_lookup(times[:-1], times[1:], values[:-1], t, math.nan)
+            gap = np.isnan(phi)
+            phi[gap] = _step_lookup(t0, t1, seg, t[gap], math.nan)
         uncovered = np.isnan(phi)
         if uncovered.any():
-            first = np.broadcast_to(t, uncovered.shape)[uncovered][0]
-            raise ValueError(f"phase schedule does not cover t = {first}")
-        return phi
+            raise ValueError(f"phase schedule does not cover t = {t[uncovered][0]}")
+        return phi[()]
 
     def breakpoints(self) -> np.ndarray:
         """Every segment's start and end, infinite ones included, then
@@ -262,8 +267,8 @@ def _step_lookup(starts, ends, values, t, fill):
     overlap allowance have nondecreasing ends, so the first end past t is
     the first step that can hold it, and where steps overlap it wins."""
     i = np.searchsorted(ends, t, side="right")
-    held = np.append(starts, math.nan)[i] <= t
-    return np.where(held, np.append(values, 0.0)[i], fill)[()]
+    held = np.concatenate((starts, (math.nan,)))[i] <= t
+    return np.where(held, np.concatenate((values, (0.0,)))[i], fill)
 
 
 def _line_coupling(gamma, phi):
@@ -330,7 +335,8 @@ def _weights(params: MirrorQubitParams, phi, alpha, c) -> np.ndarray:
     `_line_coupling` at phi (read by two levels only, so three may pass
     None), the phase cancels inside D[L]: its weight is conj(c) c, plus
     Gamma_nr. The drive -i(beta X - h.c.) enters through the real and
-    imaginary parts of beta = alpha e^{i phi} conj(c). Each weight is
+    imaginary parts of beta = alpha e^{i phi} conj(c), whose e^{i phi} is
+    taken only where alpha is not 0 (beta is 0 elsewhere). Each weight is
     rounded as the operator entry it stands for (alpha e^{i phi} as a
     scalar product, in real arithmetic), so a `_generators` slice matches
     `core.liouvillian` of the same H and L to the bit, at any stack size.
@@ -338,7 +344,7 @@ def _weights(params: MirrorQubitParams, phi, alpha, c) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     if params.levels == 2:
-        e = np.exp(1j * phi)
+        e = np.exp(1j * phi, where=alpha != 0, out=np.zeros(phi.shape, complex))
         beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
         rnr = math.sqrt(params.gamma_nr)
         w = [c.conj() * c + rnr * rnr,
@@ -376,13 +382,14 @@ _CHUNK = 48  # one-step rows per chunk of the forward scan
 class PieceTable:
     """The constant pieces of a run, one row per piece; the rows tile it.
 
-    Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length
-    h[p] at (phi[p], alpha[p]), with real step matrix step_mats[slot[p]] in
-    coordinates, shared by rows of equal (phi, alpha, h). free[slot[p]] says
-    the slot is a two-level decay without drive, whose step matrix is closed-form
-    and whose rows march by cumulative products. channels maps each output channel
-    to its (P, d, d) stack of per-row collapse operators: "line" on two levels,
-    "signal", "idler" and "pump" on three.
+    Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length h[p] at
+    (phi[p], alpha[p]) in slot[p], shared by rows of equal (phi, alpha, h); `steps` gives
+    rows' real step matrices in coordinates. free[slot] says the slot is a two-level decay
+    without drive, which keeps no matrix, only decay[:, slot]: its exponent and three
+    per-step factors (`_decay_factors`; None if no slot is free), by which its rows march.
+    The other slots' series step matrices are `driven`, in slot order. channels maps each
+    output channel to its (P, d, d) stack of per-row collapse operators: "line" on two
+    levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -391,13 +398,29 @@ class PieceTable:
     phi: np.ndarray
     alpha: np.ndarray
     slot: np.ndarray
-    step_mats: np.ndarray
     free: np.ndarray
+    decay: Optional[np.ndarray]
+    driven: np.ndarray
     channels: dict
 
     @functools.cached_property
     def h(self) -> np.ndarray:
         return (self.t_b - self.t_a) / self.n_steps
+
+    def steps(self, rows) -> np.ndarray:
+        """The step matrices of the rows at indices `rows`, a new array: a driven slot's
+        from `driven`, a free slot's assembled from its `_decay_factors` (rho_00 gains
+        1 - e^x = -expm1(x)), as is every free slot's of the stack once one is asked for."""
+        s = self.slot.take(rows)
+        if not np.count_nonzero(self.free.take(s)):  # driven[k] is the k-th driven slot's
+            return self.driven.take((~self.free).cumsum().take(s) - 1, axis=0)
+        x, e11, e22, e32 = self.decay
+        out = np.zeros((len(x), 4, 4))
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), e11
+        out[:, 2, 2] = out[:, 3, 3] = e22
+        out[:, 3, 2], out[:, 2, 3] = e32, 0.0 - e32
+        out[~self.free] = self.driven
+        return out.take(s, axis=0)
 
     @functools.cached_property
     def starts(self) -> np.ndarray:
@@ -446,7 +469,7 @@ def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
     pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
     pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
     # keep a point over _CUT_TOL past the last kept one, a pass per point of a close run
-    keep = np.append(True, np.diff(pts) > _CUT_TOL)
+    keep = np.concatenate(((True,), np.diff(pts) > _CUT_TOL))
     close = np.flatnonzero(~keep)
     while len(close):
         last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[close - 1]
@@ -454,7 +477,7 @@ def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
         if (settled == keep[close]).all():
             break
         keep[close] = settled
-    merged = np.append(pts[keep][:max(keep.sum() - 1, 1)], t2)  # t2 ends the span
+    merged = np.concatenate((pts[keep][:max(keep.sum() - 1, 1)], (t2,)))  # t2 ends the span
     t_a, t_b = merged[:-1], merged[1:]
     return t_a, t_b, np.ones(len(t_a), dtype=int), phase.phi_at(t_a), drive.amplitude_at(t_a)
 
@@ -463,9 +486,9 @@ def _compile(cells) -> list:
     """The piece tables of (params, `_cut` rows) cells of one level count,
     compiled as one stack: each cell numbers a slot per distinct (phi, alpha, h)
     of its rows, past the slots of the cells before it. The tables share the
-    slots' step matrices and their `free` mask: `_decay_steps` for the free
-    slots, two-level with both drive weights 0 (no drive, or phi = pi), one
-    stacked `sup_exp` call for the rest.
+    slots' `free` mask, the free slots' `_decay_factors`, two-level with both drive
+    weights 0 (no drive, or phi = pi), and the rest's step matrices, from one
+    stacked `sup_exp` call.
     A two-level cell's line coupling c(phi) is computed once for its rows: its
     "line" channel and its slots' weights read it."""
     levels = cells[0][0].levels
@@ -475,43 +498,41 @@ def _compile(cells) -> list:
         # a slot per distinct sorted key, keyed by its first row (stable sort)
         order = np.lexsort((h, alpha.imag, alpha.real, phi))
         keys = np.array([phi, alpha.real, alpha.imag, h]).take(order, axis=1)
-        new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))
+        new = np.concatenate(((True,), (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
         slots.append(np.empty_like(order))
-        slots[-1][order] = np.cumsum(new) + (count - 1)
+        slots[-1][order] = new.cumsum() + (count - 1)
         first = order[new]
         if levels == 2:
-            c = _line_coupling(params.gamma, phi)
-            channels.append({"line": np.multiply.outer(c, [[0.0, 1.0], [0.0, 0.0]])})
-            c = c[first]
+            c, line = _line_coupling(params.gamma, phi), np.zeros((len(phi), 2, 2), complex)
+            line[:, 0, 1], c = c, c.take(first)  # L = c sigma_minus
+            channels.append({"line": line})
         else:
             c = None
             channels.append({k: np.broadcast_to(m, (len(phi), 3, 3))
                              for k, m in _ladder_channels(params).items()})
-        weights.append(_weights(params, phi[first], alpha[first], c).real)
-        steps.append(h[first])
+        weights.append(_weights(params, phi.take(first), alpha.take(first), c).real)
+        steps.append(h.take(first))
         count += len(first)
     w, h = np.concatenate(weights), np.concatenate(steps)
-    gens = (w @ _basis(levels, True)).reshape((count,) + (levels ** 2,) * 2)
     free = ~np.logical_or(w[:, -2], w[:, -1]) & (levels == 2)  # two-level, both drive weights 0
-    mats = _decay_steps(gens, h) if free.any() else sup_exp(gens, h)
-    if free.any() and not free.all():  # the driven slots' closed forms, replaced by the series
-        mats[~free] = sup_exp(gens[~free], h[~free])
-    return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
-                       step_mats=mats, free=free, channels=chans)
+    decay = _decay_factors(w, h) if np.count_nonzero(free) else None  # every slot's, in one pass
+    gens = (w[~free] @ _basis(levels, True)).reshape(-1, levels ** 2, levels ** 2)
+    driven = sup_exp(gens, h[~free]) if len(gens) else gens
+    return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot, free=free,
+                       decay=decay, driven=driven, channels=chans)
             for (_, (t_a, t_b, n, phi, alpha)), slot, chans in zip(cells, slots, channels)]
 
 
-def _decay_steps(gens, h) -> np.ndarray:
-    """exp(G h) of drive-free two-level coordinate generators G = w0 D[sigma_minus] + w1 Z:
-    D and Z commute, so rho_11 decays as e^{-w0 h}, the coherence as e^{-w0 h/2} turning 2 w1 h."""
+def _decay_factors(w, h) -> np.ndarray:
+    """exp(G h) of drive-free two-level coordinate generators G = w0 D[sigma_minus] + w1 Z
+    of weights w, rows (x, E11, E22, E32) per slot: D and Z commute, so per step rho_11
+    decays by E11 = e^x, x = -w0 h = G[1, 1] h, and the coherence x + i y by E22 + i E32
+    = e^{x/2} e^{-2i w1 h}, 2 w1 h = G[2, 3] h (to the bit: G's other terms there are 0)."""
     with np.errstate(all="ignore"):
-        x, a = gens[:, 1, 1] * h, gens[:, 2, 3] * h  # -w0 h, 2 w1 h
-        r, out = np.exp(0.5 * x), np.zeros(gens.shape)
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), np.exp(x)
-        out[:, 2, 2] = out[:, 3, 3] = r * np.cos(a)
-        out[:, 3, 2] = 0.0 - r * np.sin(a)  # 0.0 - y is +0 where y is 0, as in sup_exp
-        out[:, 2, 3] = 0.0 - out[:, 3, 2]
-    if not np.isfinite(out).all():
+        x, a = -w[:, 0] * h, 2.0 * w[:, 1] * h
+        r = np.exp(0.5 * x)  # E32 = 0.0 - r sin a is +0 where r sin a is 0, as in sup_exp
+        out = np.array([x, np.exp(x), r * np.cos(a), 0.0 - r * np.sin(a)])
+    if not np.isfinite(out[1:]).all():  # so is E01 = 0.0 - expm1(x)
         raise FloatingPointError("matrix exponential is not finite")
     return out
 
@@ -548,7 +569,7 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     scan (`_scan`), and a longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK),
     of its step matrix E by doubling into one (b n, n) matrix, so one
     product with its latest state fills up to b points."""
-    n_steps, starts, free = table.n_steps, table.starts, table.free[table.slot]
+    n_steps, starts, free = table.n_steps, table.starts, table.free.take(table.slot)
     states = np.empty((int(starts[-1]) + 1,) + v0.shape)
     states[0] = v0
     # a maximal run of free rows is one segment, and so is one of driven one-step
@@ -559,12 +580,12 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     for rows in np.split(np.arange(len(n_steps)), cuts):
         i, k = int(starts[rows[0]]), int(n_steps[rows[0]])
         if free[rows[0]]:
-            _decay(table.step_mats, table.slot[rows], n_steps[rows], states, i)
+            _decay(table.decay, table.slot.take(rows), n_steps.take(rows), states, i)
             continue
         if k == 1:
-            _scan(table.step_mats[table.slot[rows]], states, i)
+            _scan(table.steps(rows), states, i)
             continue
-        e = table.step_mats[table.slot[rows[0]]]
+        e = table.steps(rows[:1])[0]
         b = min(k, _BLOCK)
         p = np.empty((b + 1,) + e.shape)
         p[0] = np.eye(len(e))
@@ -580,12 +601,12 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     return states
 
 
-def _decay(e, slot, n_steps, states, i) -> None:
-    """states[i] through drive-free two-level rows of `_decay_steps` matrices e[slot], row p
+def _decay(decay, slot, n_steps, states, i) -> None:
+    """states[i] through drive-free two-level rows of `_decay_factors` decay[:, slot], row p
     for n_steps[p] steps, by cumulative products of per-step factors gathered per row: rho_11
-    of E[1,1], the coherence x + i y of E[2,2] + i E[3,2], rho_00 the trace less rho_11."""
-    p1 = np.cumprod(np.repeat(e[:, 1, 1][slot], n_steps))
-    z = np.cumprod(np.repeat(e[:, 2, 2][slot] + 1j * e[:, 3, 2][slot], n_steps))
+    of E11, the coherence x + i y of E22 + i E32, rho_00 the trace less rho_11."""
+    p1 = np.cumprod(np.repeat(decay[1].take(slot), n_steps))
+    z = np.cumprod(np.repeat(decay[2].take(slot) + 1j * decay[3].take(slot), n_steps))
     s, out = states[i], states[i + 1:i + 1 + len(p1)]
     out[:, 1] = np.multiply.outer(p1, s[1])
     z = np.multiply.outer(z, s[2] + 1j * s[3])

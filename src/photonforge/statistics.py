@@ -229,7 +229,7 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
         t = run.pieces
         ps, lo, hi = t.spans(i0, i1)
         ps, hi = ps[::-1], hi[::-1]
-        parts.append((t.step_mats[t.slot[ps]], t.h[ps], hi - lo[::-1], ps + off,
+        parts.append((t.steps(ps), t.h.take(ps), hi - lo[::-1], ps + off,
                       t.row_at(hi) + off))
         off += len(t.slot)
     jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
@@ -379,7 +379,7 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     for i_prev, i_next, jump in zip(idx, idx[1:], jumps[1:]):
         ps, lo, hi = table.spans(i_prev, i_next)
         if len(ps):
-            e = table.step_mats[table.slot[ps]]
+            e = table.steps(ps)
             for x in np.flatnonzero(hi - lo > 1).tolist():
                 e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
             v = _product(e[::-1]) @ v

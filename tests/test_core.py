@@ -308,7 +308,7 @@ class TestGenerators:
             _, rows = np.unique(table.slot, return_index=True)
             gens = to_coordinates(pf.dynamics._generators(params, table.phi[rows],
                                                           table.alpha[rows]))
-            pairs += zip(gens, table.h[rows], table.step_mats[table.slot[rows]])
+            pairs += zip(gens, table.h[rows], table.steps(rows))
         for gens, t in stacks:
             gens, t = gens.reshape((-1,) + gens.shape[-2:]), t.reshape(-1)
             pairs += zip(gens, t, pf.sup_exp(gens, t))

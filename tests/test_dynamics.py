@@ -224,6 +224,27 @@ class TestStepLookup:
                 assert np.isscalar(look(t))
                 assert look(t) == w
 
+    def test_phi_at_reads_the_segments_only_off_the_ramp(self, monkeypatch):
+        # a packet release's ramp holds all but one of its rows' times; the
+        # segments are looked up at that one time, not under the ramp as well
+        sizes = []
+        real = pf.dynamics._step_lookup
+
+        def recording(starts, ends, values, t, fill):
+            sizes.append(np.size(t))
+            return real(starts, ends, values, t, fill)
+
+        phase, _ = exponential_release()
+        sched = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 8.0, PI / 2.0)
+        sched = replace(sched, ramp=phase.ramp)
+        t_a = pf.dynamics._cut(pf.DriveSchedule(()), sched, 0.0, 20.0)[0]
+        monkeypatch.setattr(pf.dynamics, "_step_lookup", recording)
+        got = sched.phi_at(t_a)
+        off = (t_a < phase.ramp[0][0]) | (t_a >= phase.ramp[0][-1])
+        assert sizes == [len(t_a), off.sum()] and 0 < off.sum() < 5 < len(t_a)
+        want = [oracles.schedule_value(sched.segments, t, sched.ramp) for t in t_a]
+        assert np.array_equal(got, want)
+
     def test_one_sample_ramp_is_a_cut_point(self):
         sched, _ = LOOKUPS["one_sample_ramp"]
         run = pf.simulate(pf.MirrorQubitParams(), pf.DriveSchedule(()), sched, 2.0, dt=0.3)
@@ -316,7 +337,7 @@ def table_generators(params, table):
     """Each slot's coordinate generator, step and step matrix, in slot order."""
     _, rows = np.unique(table.slot, return_index=True)
     gens = pf.dynamics._generators(params, table.phi[rows], table.alpha[rows])
-    return pf.core.to_coordinates(gens), table.h[rows], table.step_mats
+    return pf.core.to_coordinates(gens), table.h[rows], table.steps(rows)
 
 
 def _random_drive_free(seed):
@@ -351,6 +372,12 @@ DRIVE_FREE = {
 }
 
 
+# two-level tables with free slots: the random `free_march_table`s and DRIVE_FREE
+FREE_TABLES = {**{f"march_{seed}": lambda seed=seed: free_march_table(seed)
+                  for seed in range(1, 5)},
+               **{case: lambda case=case: drive_free_table(case)[:2] for case in DRIVE_FREE}}
+
+
 class TestCompiler:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_step_matrices_match_oracle_exponentials(self, seed):
@@ -364,11 +391,11 @@ class TestCompiler:
         run = pf.simulate(params, drive, phase, 2.5, dt=0.05)
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
-        for t, h, slot in zip(table.t_a, table.h, table.slot):
+        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
             gen = oracle_generator(params.gamma, phase.phi_at(t),
                                    alpha=drive.amplitude_at(t),
                                    delta=params.delta, gamma_nr=params.gamma_nr)
-            step = v @ table.step_mats[slot] @ w
+            step = v @ e @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_three_level_step_matrices_match_oracle_exponentials(self):
@@ -378,9 +405,9 @@ class TestCompiler:
                           dt=0.05)
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
-        for t, h, slot in zip(table.t_a, table.h, table.slot):
+        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
             gen = ladder_generator(params, drive.amplitude_at(t))
-            step = v @ table.step_mats[slot] @ w
+            step = v @ e @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
     def test_generators_annihilate_trace_and_keep_hermiticity(self):
@@ -446,7 +473,7 @@ class TestCompiler:
         table = pf.dynamics._piece_table(params, drive, phase, 0.0, 20.0, grid)
         keys = set(zip(table.phi.tolist(), table.alpha.tolist(), table.h.tolist()))
         assert len(table.slot) > 4000 and len(keys) < 50
-        assert len(table.step_mats) == len(keys)
+        assert len(table.free) == len(keys)
         monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
         pf.flux_series(params, drive, phase, grid)
         assert 0 < sum(slices) <= len(keys)
@@ -489,6 +516,45 @@ class TestCompiler:
             want = pf.sup_exp(g[None], h[None])[0]
             assert np.max(np.abs(e - want)) <= 1e-15 if f else np.array_equal(e, want)
 
+    @pytest.mark.parametrize("case", sorted(FREE_TABLES))
+    def test_assembled_free_steps_equal_the_stacked_closed_form(self, case):
+        # a free slot keeps its factors only; `steps` assembles its matrix as the
+        # closed form on the stacked generators of every slot does, bit for bit,
+        # and a driven slot's is the series of the driven slots alone
+        params, table = FREE_TABLES[case]()
+        _, first = np.unique(table.slot, return_index=True)
+        c = pf.dynamics._line_coupling(params.gamma, table.phi)[first]
+        w = pf.dynamics._weights(params, table.phi[first], table.alpha[first], c).real
+        gens, h = (w @ pf.dynamics._basis(2, True)).reshape(-1, 4, 4), table.h[first]
+        got, free = table.steps(first), table.free
+        assert got[free].tobytes() == oracles.stacked_decay_steps(gens[free], h[free]).tobytes()
+        assert table.driven.tobytes() == got[~free].tobytes()
+        if not free.all():
+            assert got[~free].tobytes() == pf.sup_exp(gens[~free], h[~free]).tobytes()
+        if case.startswith("march"):
+            # zero-length rows and a drive held at phi = pi, on a detuned, lossy emitter
+            rows = free[table.slot]
+            assert (rows & (table.h == 0)).any()
+            assert (rows & (table.alpha != 0) & (table.phi == PI)).any()
+            assert params.gamma_nr > 0 and params.delta != 0
+
+    def test_packet_release_assembles_no_free_step(self, monkeypatch):
+        # a packet release marches its free rows from their factors and reads
+        # its flux from the channels: it asks for its pulse's step matrix only
+        asked = []
+        real = pf.PieceTable.steps
+
+        def steps(table, rows):
+            asked.append(table.free[table.slot[rows]].tolist())
+            return real(table, rows)
+
+        monkeypatch.setattr(pf.PieceTable, "steps", steps)
+        for gamma, packet in ((1.0, pf.WavePacket.exponential(1.0, 8.0, duration=12.0)),
+                              (1.5, pf.WavePacket.gaussian(12.8, 1.2, t_start=8.0))):
+            result = pf.run_shaped_release(pf.MirrorQubitParams(gamma=gamma), release=packet)
+            assert result.stats.probabilities[2:] == (0.0, 0.0)
+        assert asked == [[False], [False]]
+
     @pytest.mark.parametrize("case", sorted(DRIVE_FREE))
     def test_closed_form_steps_keep_the_stacked_zeros(self, case):
         # the same entries are zero, each +0, so the chain's reach reads
@@ -505,7 +571,7 @@ class TestCompiler:
                        pf.MirrorQubitParams(delta=2.2e-311)):
             table = pf.dynamics._piece_table(params, pf.DriveSchedule(()), phase, 1.5, 1.5)
             assert table.h.tolist() == [0.0]
-            assert table.step_mats.tobytes() == np.eye(4)[None].tobytes()
+            assert table.steps([0]).tobytes() == np.eye(4)[None].tobytes()
 
     def test_packet_release_stacks_only_its_driven_slot(self, monkeypatch):
         slices, slots = [], []
@@ -517,14 +583,18 @@ class TestCompiler:
 
         def compiling(cells):
             tables = real_compile(cells)
-            slots.append(len(tables[0].step_mats))
+            slots.append(len(tables[0].free))
+            stored.append((tables[0].driven.shape, np.shape(tables[0].decay)))
             return tables
 
+        stored = []
         monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
         monkeypatch.setattr(pf.dynamics, "_compile", compiling)
         packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
         result = pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
         assert (slices, slots) == ([1], [2268])
+        # one driven step matrix; the 2,267 free slots keep their four factor rows
+        assert stored == [((1, 4, 4), (4, 2268))]
         # no drive in the release window: P2 and P3 stay the literal 0
         assert result.stats.probabilities[2:] == (0.0, 0.0)
         slices.clear()
@@ -533,8 +603,11 @@ class TestCompiler:
         assert slices == slots and len(slots) == 1
 
     def test_non_finite_closed_form_raises(self):
-        # a turn of 2 w1 h = inf, where no step matrix exists
+        # a turn of 2 w1 h = inf, where no step matrix exists: compiling the
+        # table raises, before any step is assembled or marched
         args = (pf.DriveSchedule(()), pf.PhaseSchedule.constant(0.0), 0.0, 4.0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            pf.dynamics._piece_table(pf.MirrorQubitParams(delta=1e308), *args)
         with pytest.raises(FloatingPointError, match="not finite"):
             pf.propagator(pf.MirrorQubitParams(delta=1e308), *args)
 
@@ -809,8 +882,9 @@ class TestPieceTable:
         gens = pf.dynamics._generators(params, table.phi, table.alpha)
         got = w @ pf.sup_exp(gens, table.h) @ v
         assert np.max(np.abs(got.imag)) <= 1e-15 * np.max(np.abs(got))
-        assert table.step_mats.dtype == np.float64
-        assert np.max(np.abs(table.step_mats[table.slot] - got.real)) < 1e-13
+        steps = table.steps(np.arange(len(table.slot)))
+        assert steps.dtype == np.float64
+        assert np.max(np.abs(steps - got.real)) < 1e-13
 
     @pytest.mark.parametrize("name", sorted(set(TABLE_RUNS) - {"three_level"}))
     def test_line_coupling_of_all_rows_holds_the_slots(self, name):
@@ -819,7 +893,11 @@ class TestPieceTable:
         run = TABLE_RUNS[name]()
         table, params = run.pieces, run.params
         c = pf.dynamics._line_coupling(params.gamma, table.phi)
-        assert np.array_equal(table.channels["line"][:, 0, 1], c)
+        line = table.channels["line"]
+        assert line[:, 0, 1].tobytes() == c.tobytes()
+        # the three other entries are +0 in both parts, whatever the sign of c
+        dead = np.delete(line.reshape(len(c), 4), 1, axis=1)
+        assert not dead.view(float).any() and not np.signbit(dead.view(float)).any()
         for rows in (np.unique(table.slot, return_index=True)[1], np.arange(len(c))[1::3]):
             alone = pf.dynamics._line_coupling(params.gamma, table.phi[rows])
             assert np.array_equal(c[rows], alone)

@@ -204,8 +204,8 @@ def grid_runs(draw):
     rows = len(counts)
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.zeros(rows, dtype=int), step_mats=np.eye(4)[None],
-                          free=np.zeros(1, dtype=bool), channels={})
+                          slot=np.zeros(rows, dtype=int), free=np.zeros(1, dtype=bool),
+                          decay=None, driven=np.eye(4)[None], channels={})
     return pf.ScenarioRun(params=pf.MirrorQubitParams(), drive=pf.DriveSchedule(),
                           phase=pf.PhaseSchedule(), start=np.eye(4)[0], pieces=table)
 
@@ -247,8 +247,8 @@ def planted_tables(draw):
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
-                          free=np.zeros(rows, dtype=bool), channels=channels)
+                          slot=np.arange(rows), free=np.zeros(rows, dtype=bool), decay=None,
+                          driven=0.5 * np.eye(d * d) + e, channels=channels)
     levels, parents = draw(st.sampled_from([(["a", "b"], None), (["b", "a", "a"], None),
                                             (["a", "b", "b", "a"], [-1, -1, 0, 1])]))
     n = int(counts.sum())
@@ -272,9 +272,9 @@ def chain_and_walk(table, levels, parents, window):
     of w's entries outside the reach (`_reach`)."""
     run = SimpleNamespace(pieces=table)
     jumps = {c: pf.statistics._jumps([run], c) for c in dict.fromkeys(levels)}
-    d2 = table.step_mats.shape[-1]
+    d2 = table.driven.shape[-1]
     ps = table.spans(*window)[0]
-    reach = pf.statistics._reach([table.step_mats[table.slot[ps]]], jumps.values(),
+    reach = pf.statistics._reach([table.steps(ps)], jumps.values(),
                                  math.isqrt(d2))
     got = pf.statistics._chain([run], [window], levels, parents)[0]
     want = oracles.chain_walk(run, *window, [jumps[c] for c in levels], parents)
@@ -308,8 +308,8 @@ def lowering_tables(draw):
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.arange(rows), step_mats=0.5 * np.eye(d * d) + e,
-                          free=np.zeros(rows, dtype=bool), channels=channels)
+                          slot=np.arange(rows), free=np.zeros(rows, dtype=bool), decay=None,
+                          driven=0.5 * np.eye(d * d) + e, channels=channels)
     levels, parents = draw(st.sampled_from([
         (["a", "a", "a"], None), (["b", "a", "a", "b"], None),
         (["a", "b", "a", "b", "a"], [-1, -1, 0, 1, 2]),

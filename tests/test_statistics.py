@@ -672,7 +672,7 @@ class TestJumpsAndGathers:
         run = TABLE_RUNS["release"]()
         table, jumps = run.pieces, pf.statistics._jumps([run], "line")
         rows = np.arange(len(table.slot) - 1)
-        e, h = table.step_mats[table.slot[rows]], table.h[rows]
+        e, h = table.steps(rows), table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
         other, tr = 2.0 * jn, np.array([1.0, 1.0, 0.0, 0.0])
         shared = pf.statistics._chain_steps(e, {"a": jc, "b": jc}, {"a": jn, "b": other},
