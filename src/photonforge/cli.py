@@ -286,9 +286,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _write_lines(path: str, lines) -> None:
+    """Rewrite path in place: opened without O_TRUNC and cut to the new text after writing
+    it, as truncating a file before a write can make its close flush it to disk."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with open(path, "w", encoding="utf-8", newline="\n",
+                  opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
             f.write("\n".join(lines) + "\n")
+            f.truncate()
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 

@@ -23,7 +23,8 @@ with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
 piece that is two-level and drive-free keeps only the closed-form per-step factors of its
 decay and turn (the terms commute); the rest are exponentiated in one stacked call.
 Several runs, such as a sweep's cells, each with its own schedules, span and dt,
-compile as one stack that shares one read-only start state.
+are cut and compiled as one stack in one pass over flat row arrays with a per-row cell
+index, and share one read-only start state.
 A simulated run is its piece table, one row per constant piece with
 each output channel's collapse operator on that row, plus its first
 state; the states on the grid the rows span are marched on first read:
@@ -45,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -174,10 +176,6 @@ class DriveSchedule:
         t0, t1, a = np.array(self.segments, dtype=complex).reshape(-1, 3).T
         return _step_lookup(t0.real, t1.real, a, t, 0.0)[()]
 
-    def breakpoints(self) -> np.ndarray:
-        """Every segment's start and end, as a float array."""
-        return np.array([seg[:2] for seg in self.segments], dtype=float).ravel()
-
 
 @dataclass(frozen=True)
 class PhaseSchedule:
@@ -253,22 +251,30 @@ class PhaseSchedule:
             raise ValueError(f"phase schedule does not cover t = {t[uncovered][0]}")
         return phi[()]
 
-    def breakpoints(self) -> np.ndarray:
-        """Every segment's start and end, infinite ones included, then
-        every ramp time, as a float array."""
-        pts = np.array([seg[:2] for seg in self.segments], dtype=float).ravel()
-        return pts if self.ramp is None else np.concatenate([pts, self.ramp[0]])
-
 
 def _step_lookup(starts, ends, values, t, fill):
     """At a time or an array of times t, values[i] of the first step
     [starts[i], ends[i]) holding it, or fill (broadcast against t) where
     none does. The ends are searched: segments longer than their _ORDER_TOL
     overlap allowance have nondecreasing ends, so the first end past t is
-    the first step that can hold it, and where steps overlap it wins."""
+    the first step that can hold it, and where steps overlap it wins. Starts,
+    ends and times may be `_keys`, so a step holds only its own cell's times; past
+    the last step the start is +inf and the value fill, so no NaN key is compared."""
     i = np.searchsorted(ends, t, side="right")
-    held = np.concatenate((starts, (math.nan,)))[i] <= t
-    return np.where(held, np.concatenate((values, (0.0,)))[i], fill)
+    held = np.concatenate((starts, (math.inf,)))[i] <= t
+    return np.where(held, np.concatenate((values, (fill,)))[i], fill)
+
+
+def _keys(cell, t, stacked: bool):
+    """Keys of times t in cells `cell`: for several cells complex cell + i t, which numpy
+    sorts and compares by cell, then time; for one cell t itself."""
+    return np.column_stack((cell, t)).view(complex).ravel() if stacked else t
+
+
+def _by_row(values, cell, stacked: bool):
+    """A list of per-cell values (numbers or equal tuples) at cells `cell`, an array (per
+    tuple field); one cell's own values, which broadcast against the rows."""
+    return np.array(values).T.take(cell, axis=-1) if stacked else values[0]
 
 
 def _line_coupling(gamma, phi):
@@ -285,19 +291,22 @@ def channel_couplings(params: MirrorQubitParams) -> dict:
     """
     if params.levels != 3:
         raise ValueError("channel_couplings requires levels=3")
-    return {k: Operator(m) for k, m in _ladder_channels(params).items()}
+    return {k: Operator(m[0]) for k, m in _ladder_channels(params, 1).items()}
 
 
 @functools.lru_cache(maxsize=None)
-def _ladder() -> dict:
-    """Each ladder channel's rate name and plain lowering matrix."""
-    return {k: (rate, lowering_op(3, a, b).mat) for k, rate, a, b in
-            (("signal", "gamma01", 0, 1), ("idler", "gamma12", 1, 2), ("pump", "gamma02", 0, 2))}
+def _ladder() -> tuple:
+    """The ladder channels' names, their rates' names and their plain lowering matrices."""
+    return (("signal", "idler", "pump"), ("gamma01", "gamma12", "gamma02"),
+            np.array([lowering_op(3, a, b).mat for a, b in ((0, 1), (1, 2), (0, 2))]))
 
 
-def _ladder_channels(params: MirrorQubitParams) -> dict:
-    """The `channel_couplings` matrices: each lowering matrix times sqrt(2 Gamma_ab)."""
-    return {k: np.sqrt(2.0 * getattr(params, rate)) * m for k, (rate, m) in _ladder().items()}
+def _ladder_channels(params, rows: int) -> dict:
+    """Each channel's (rows, 3, 3) lowering matrix times sqrt(2 Gamma_ab) of params' rates,
+    floats or arrays over the rows."""
+    names, rates, ops = _ladder()
+    r = np.sqrt(2.0 * np.array([getattr(params, k) for k in rates]))
+    return dict(zip(names, np.broadcast_to(r.reshape(3, -1, 1, 1) * ops[:, None], (3, rows, 3, 3))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,13 +349,14 @@ def _weights(params: MirrorQubitParams, phi, alpha, c) -> np.ndarray:
     rounded as the operator entry it stands for (alpha e^{i phi} as a
     scalar product, in real arithmetic), so a `_generators` slice matches
     `core.liouvillian` of the same H and L to the bit, at any stack size.
+    The rates of `params` may be arrays over the pieces, as `_compile` passes a stack's.
     """
     phi = np.asarray(phi, dtype=float)
     alpha = np.asarray(alpha, dtype=complex)
     if params.levels == 2:
         e = np.exp(1j * phi, where=alpha != 0, out=np.zeros(phi.shape, complex))
         beta = (alpha.real * e + alpha.imag * (1j * e)) * c.conj()
-        rnr = math.sqrt(params.gamma_nr)
+        rnr = np.sqrt(params.gamma_nr)
         w = [c.conj() * c + rnr * rnr,
              (params.delta - (params.gamma / 2.0) * np.sin(phi)) / 2.0]
     else:
@@ -460,67 +470,120 @@ class PieceTable:
         return p, np.maximum(self.starts[p], i0), np.minimum(self.starts[p + 1], i1)
 
 
-def _cut(drive: DriveSchedule, phase: PhaseSchedule, t1: float, t2: float,
-         extra=()) -> tuple:
-    """The one-step rows (t_a, t_b, n_steps, phi, alpha) of [t1, t2], cut
-    at every breakpoint and every point of `extra` inside it into maximal
-    constant pieces; a span of one point is one zero-length row, whose
-    step matrix is the identity."""
-    pts = np.concatenate([[t1, t2], drive.breakpoints(), extra, phase.breakpoints()])
-    pts = np.unique(pts[(pts >= t1) & (pts <= t2)])
-    # keep a point over _CUT_TOL past the last kept one, a pass per point of a close run
-    keep = np.concatenate(((True,), np.diff(pts) > _CUT_TOL))
-    close = np.flatnonzero(~keep)
+def _cut(cells) -> tuple:
+    """The one-step rows (cell, t_a, t_b, n_steps, phi, alpha) of (drive, phase, t1, t2,
+    extra) cells, by cell, then time: each cell's [t1, t2] cut at its breakpoints and its
+    points of `extra` into maximal constant pieces (one point, one zero-length row). All
+    points are sorted and merged at once, a cell's ramp times first: a row on a ramp reads
+    the step of the last ramp time at or before it, the rest the segments, as `phi_at` and
+    `amplitude_at` do."""
+    stacked, seqs, sizes, ramps = len(cells) > 1, [], [], []
+    for drive, phase, t1, t2, extra in cells:
+        ramps.append(phase.ramp or ((), ()))
+        seqs += [ramps[-1][0], (t1, t2, *(x for s in drive.segments + phase.segments
+                                           for x in s[:2])), extra]
+        sizes.append(sum(map(len, seqs[-3:])))
+    t, cell = np.concatenate(seqs, dtype=float), np.arange(len(cells)).repeat(sizes)
+    lens, t2s = [len(r[0]) for r in ramps], [c[3] for c in cells]
+    order = np.lexsort((t, cell))
+    cell, t = cell.take(order), t.take(order)
+    t1, t2 = _by_row([c[2:4] for c in cells], cell, stacked)
+    inside = (t >= t1) & (t <= t2)
+    if any(lens):  # the ramp times sorted at or before each point, counted before the cut
+        starts = np.cumsum([0] + sizes[:-1])
+        ramp = np.cumsum(order < _by_row(list(starts + lens), cell, stacked))[inside]
+    cell, t = cell[inside], t[inside]
+    # keep a point over _CUT_TOL past the last kept one of its cell, whose first is kept, a
+    # pass per point of a close run; one after a kept one or equal to the one before is not
+    d = t[1:] - t[:-1]
+    keep = np.concatenate(((True,), d > _CUT_TOL))
+    if stacked:
+        first = np.concatenate(((True,), cell[1:] != cell[:-1]))
+        keep |= first
+    close = np.flatnonzero(~(keep[1:] | keep[:-1]) & (d > 0)) + 1
     while len(close):
-        last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[close - 1]
-        settled = pts[close] - pts[last] > _CUT_TOL
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(t)), 0))[close - 1]
+        settled = t[close] - t[last] > _CUT_TOL
         if (settled == keep[close]).all():
             break
         keep[close] = settled
-    merged = np.concatenate((pts[keep][:max(keep.sum() - 1, 1)], (t2,)))  # t2 ends the span
-    t_a, t_b = merged[:-1], merged[1:]
-    return t_a, t_b, np.ones(len(t_a), dtype=int), phase.phi_at(t_a), drive.amplitude_at(t_a)
+    # a cell's last point gives way to its t2, which ends its last row, unless it is its first
+    pos = np.flatnonzero(keep)
+    if stacked:
+        first = first[pos]
+        pos = pos[first | np.concatenate((~first[1:], (False,)))]
+        cell, t_a = cell.take(pos), t.take(pos)
+        t_b = np.where(np.concatenate((cell[1:] != cell[:-1], (True,))), _by_row(
+            t2s, cell, stacked), np.concatenate((t_a[1:], (0.0,))))
+    else:
+        pos = pos[:len(pos) - 1 or 1]
+        cell, t_a = cell[:len(pos)], t.take(pos)
+        t_b = np.concatenate((t_a[1:], t2s))
+    # the drive segments of all cells, then the phase segments: (cell, start, end, value)
+    key, nd = _keys(cell, t_a, stacked), sum(len(c[0].segments) for c in cells)
+    k, s, e, v = np.array([(k, *g) for i in (0, 1) for k, c in enumerate(cells)
+                           for g in c[i].segments], dtype=complex).reshape(-1, 4).T
+    s, e = _keys(k.real, s.real, stacked), _keys(k.real, e.real, stacked)
+    alpha = _step_lookup(s[:nd], e[:nd], v[:nd], key, 0.0)
+    segments = (s[nd:], e[nd:], v[nd:].real)
+    if any(lens):  # ramp step j of cell c's ramp: ends[c] - lens[c] <= j < ends[c] - 1
+        ends, j = np.cumsum(lens), ramp.take(pos) - 1
+        on = (j >= _by_row(list(ends - lens), cell, stacked)) & (
+            j < _by_row(list(ends - 1), cell, stacked))
+        phi = np.where(on, np.concatenate([r[1] for r in ramps]).take(j), math.nan)
+        phi[~on] = _step_lookup(*segments, key[~on], math.nan)
+    else:
+        phi = _step_lookup(*segments, key, math.nan)
+    uncovered = np.isnan(phi)
+    if uncovered.any():
+        raise ValueError(f"phase schedule does not cover t = {t_a[uncovered][0]}")
+    return cell, t_a, t_b, np.ones(len(t_a), dtype=int), phi, alpha
 
 
-def _compile(cells) -> list:
-    """The piece tables of (params, `_cut` rows) cells of one level count,
-    compiled as one stack: each cell numbers a slot per distinct (phi, alpha, h)
-    of its rows, past the slots of the cells before it. The tables share the
-    slots' `free` mask, the free slots' `_decay_factors`, two-level with both drive
-    weights 0 (no drive, or phi = pi), and the rest's step matrices, from one
-    stacked `sup_exp` call.
-    A two-level cell's line coupling c(phi) is computed once for its rows: its
-    "line" channel and its slots' weights read it."""
-    levels = cells[0][0].levels
-    slots, weights, steps, channels, count = [], [], [], [], 0
-    for params, (t_a, t_b, n, phi, alpha) in cells:
-        h = (t_b - t_a) / n
-        # a slot per distinct sorted key, keyed by its first row (stable sort)
-        order = np.lexsort((h, alpha.imag, alpha.real, phi))
-        keys = np.array([phi, alpha.real, alpha.imag, h]).take(order, axis=1)
-        new = np.concatenate(((True,), (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
-        slots.append(np.empty_like(order))
-        slots[-1][order] = new.cumsum() + (count - 1)
-        first = order[new]
-        if levels == 2:
-            c, line = _line_coupling(params.gamma, phi), np.zeros((len(phi), 2, 2), complex)
-            line[:, 0, 1], c = c, c.take(first)  # L = c sigma_minus
-            channels.append({"line": line})
-        else:
-            c = None
-            channels.append({k: np.broadcast_to(m, (len(phi), 3, 3))
-                             for k, m in _ladder_channels(params).items()})
-        weights.append(_weights(params, phi.take(first), alpha.take(first), c).real)
-        steps.append(h.take(first))
-        count += len(first)
-    w, h = np.concatenate(weights), np.concatenate(steps)
+def _compile(params, rows) -> list:
+    """The piece tables of cells k of params[k], of one level count, compiled in one pass
+    from their `_cut` rows (cell, t_a, t_b, n_steps, phi, alpha): each cell numbers a slot
+    per distinct (phi, alpha, h) of its rows, past the slots of the cells before it. The
+    tables are views of the stack's rows and channels, and share the slots' `free` mask,
+    the free slots' `_decay_factors`, two-level with both drive weights 0 (no drive, or
+    phi = pi), and the rest's step matrices, from one `sup_exp` call. The line coupling
+    c(phi) of the rows gives the "line" channel and, at their first rows, the slots'."""
+    cell, t_a, t_b, n, phi, alpha = rows
+    levels = params[0].levels
+    h = (t_b - t_a) / n
+    # a slot per distinct sorted key, the cell's first, keyed by its first row (stable sort)
+    keys = [h, alpha.imag, alpha.real, phi] + [cell] * (len(params) > 1)
+    order = np.lexsort(keys)
+    k = np.array(keys).take(order, axis=1)
+    new = np.concatenate(((True,), (k[:, 1:] != k[:, :-1]).any(axis=0)))
+    slot = np.empty_like(order)
+    slot[order] = new.cumsum() - 1
+    first = order[new]
+    by_row = by_slot = params[0]  # one cell's rates; a stack's are arrays by row, by slot
+    if len(params) > 1:
+        names = ("gamma", "delta", "gamma_nr") if levels == 2 else _ladder()[1]
+        rates = {k: np.array([getattr(p, k) for p in params]).take(cell) for k in names}
+        by_row = SimpleNamespace(levels=levels, **rates)
+        by_slot = SimpleNamespace(levels=levels, **{k: v.take(first) for k, v in rates.items()})
+    if levels == 2:
+        c, line = _line_coupling(by_row.gamma, phi), np.zeros((len(phi), 2, 2), complex)
+        line[:, 0, 1], c = c, c.take(first)  # L = c sigma_minus
+        channels = {"line": line}
+    else:
+        c, channels = None, _ladder_channels(by_row, len(phi))
+    w, h = _weights(by_slot, phi.take(first), alpha.take(first), c).real, h.take(first)
     free = ~np.logical_or(w[:, -2], w[:, -1]) & (levels == 2)  # two-level, both drive weights 0
     decay = _decay_factors(w, h) if np.count_nonzero(free) else None  # every slot's, in one pass
     gens = (w[~free] @ _basis(levels, True)).reshape(-1, levels ** 2, levels ** 2)
     driven = sup_exp(gens, h[~free]) if len(gens) else gens
-    return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot, free=free,
-                       decay=decay, driven=driven, channels=chans)
-            for (_, (t_a, t_b, n, phi, alpha)), slot, chans in zip(cells, slots, channels)]
+    if len(params) == 1:
+        return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
+                           free=free, decay=decay, driven=driven, channels=channels)]
+    ends = np.searchsorted(cell, np.arange(len(params) + 1)).tolist()
+    return [PieceTable(t_a=t_a[a:b], t_b=t_b[a:b], n_steps=n[a:b], phi=phi[a:b],
+                       alpha=alpha[a:b], slot=slot[a:b], free=free, decay=decay, driven=driven,
+                       channels={k: v[a:b] for k, v in channels.items()})
+            for a, b in zip(ends, ends[1:])]
 
 
 def _decay_factors(w, h) -> np.ndarray:
@@ -540,7 +603,7 @@ def _decay_factors(w, h) -> np.ndarray:
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
                  phase: PhaseSchedule, t1: float, t2: float, extra=()) -> PieceTable:
     """The table of one run: `_compile` of its `_cut`."""
-    return _compile([(params, _cut(drive, phase, t1, t2, extra))])[0]
+    return _compile([params], _cut([(drive, phase, t1, t2, extra)]))[0]
 
 
 def _scan(e, states, i) -> None:
@@ -660,7 +723,9 @@ def _jump_rows(ops, trace: bool) -> np.ndarray:
     that jump's trace row (P, d^2). A pair with an entry zero on every row adds nothing."""
     d = ops.shape[-1]
     a, b, form, trace_form = _jump_form(d)
-    m = np.array([ops.real, ops.imag]).transpose(0, 2, 3, 1).reshape(2 * d * d, -1)
+    # the entries' real and imaginary parts, rows (part, i, j) in one copy
+    m = np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), d * d, 2).T
+    m = m.reshape(2 * d * d, -1)
     live = m.any(axis=1)
     pair = live[a] & live[b]
     return (m[a[pair]] * m[b[pair]]).T @ (trace_form if trace else form)[pair]
@@ -779,22 +844,38 @@ def _simulate(cells, rho0=None, min_pulse_steps: int = 20) -> list:
             raise ValueError("t_end must exceed t_start")
     start = _initial_state(cells[0][0], rho0)
     start.setflags(write=False)
-    rows, points = [], []
-    for params, drive, phase, t_start, t_end, dt in cells:
-        t_a, t_b, _, phi, alpha = _cut(drive, phase, t_start, t_end)
-        # steps of at most dt, and on a drive pulse of at most 1/min_pulse_steps of its width
-        pulse = [_on_span(t_a, t_b, s, e) for s, e, _ in drive.segments]
-        local_dt = np.full(len(t_a), float(dt))
-        for on, (s, e, _) in zip(pulse, drive.segments):
-            local_dt[on] = min(dt, (e - s) / min_pulse_steps)
-        n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
-        if phase.ramp is not None:
-            # a sampled ramp defines its own integration grid: exactly one
-            # step per sampling interval, never re-subdivided
-            n[_on_span(t_a, t_b, phase.ramp[0][0], phase.ramp[0][-1])] = 1
-        rows.append((params, (t_a, t_b, n, phi, alpha)))
-        # the fewest grid points on a drive pulse, for resolution diagnostics
-        points.append(min((int(n[on].sum()) + 1 for on in pulse if on.any()), default=10 ** 9))
+    cell, t_a, t_b, _, phi, alpha = _cut([(drive, phase, t1, t2, ())
+                                          for _, drive, phase, t1, t2, _ in cells])
+    # steps of at most dt; on a drive pulse, of at most 1/min_pulse_steps of its width, a
+    # later pulse winning; on a sampled ramp, one per sampling interval (a step of inf),
+    # never re-subdivided. A cell's spans (start, end, step) are its pulses, padded with NaN
+    # to the most pulses of a cell, then its ramp, after its dt
+    spans, ramps = [], [c[2].ramp for c in cells]
+    for _, drive, _, _, _, dt in cells:
+        spans.append([dt])
+        for s, e, _ in drive.segments:
+            spans[-1] += s, e, min(dt, (e - s) / min_pulse_steps)
+    stacked, width, ramped = len(cells) > 1, max(map(len, spans)) // 3, any(ramps)
+    for q, ramp in zip(spans, ramps):
+        q += [math.nan] * (3 * width + 1 - len(q))
+        q += () if not ramped else (math.nan,) * 3 if ramp is None else (
+            ramp[0][0], ramp[0][-1], math.inf)
+    x = _by_row(spans, cell, stacked)
+    local_dt, on = np.full(len(t_a), x[0]), []
+    for s, e, h in zip(x[1::3], x[2::3], x[3::3]):
+        on.append(_on_span(t_a, t_b, s, e))
+        np.copyto(local_dt, h, where=on[-1])
+    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
+    # the fewest grid points on a drive pulse of each cell, for resolution diagnostics
+    if stacked:  # a pulse has rows where it has steps
+        firsts, points = np.searchsorted(cell, np.arange(len(cells))), np.full(len(cells), 10 ** 9)
+        for o in on[:width]:
+            steps = np.add.reduceat(o * n, firsts)
+            points = np.where(steps, np.minimum(points, steps + 1), points)
+        points = points.tolist()
+    else:
+        points = [min((int(n[o].sum()) + 1 for o in on[:width] if o.any()), default=10 ** 9)]
+    tables = _compile([c[0] for c in cells], (cell, t_a, t_b, n, phi, alpha))
     return [ScenarioRun(params=params, drive=drive, phase=phase, start=start, pieces=table,
                         drive_points=dp)
-            for (params, drive, phase, *_), table, dp in zip(cells, _compile(rows), points)]
+            for (params, drive, phase, *_), table, dp in zip(cells, tables, points)]

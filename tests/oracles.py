@@ -348,6 +348,17 @@ def expm_series(mat, t):
     return out
 
 
+def jump_rows_by_parts(ops, trace):
+    """`dynamics._jump_rows` with its entry rows built as they first were: a stack of the
+    real and the imaginary parts, transposed and reshaped, two full copies of `ops`."""
+    d = ops.shape[-1]
+    a, b, form, trace_form = pf.dynamics._jump_form(d)
+    m = np.array([ops.real, ops.imag]).transpose(0, 2, 3, 1).reshape(2 * d * d, -1)
+    live = m.any(axis=1)
+    pair = live[a] & live[b]
+    return (m[a[pair]] * m[b[pair]]).T @ (trace_form if trace else form)[pair]
+
+
 def kron_jumps(ops):
     """conj(M) kron M, in coordinates, of a (P, d, d) stack of collapse
     operators: the complex Kronecker stack, then `core.to_coordinates`,

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -161,6 +162,22 @@ class TestRunCommand:
             for key, value in SCENARIOS["cancel_budget"].defaults
         ]
         assert "phi2=3.181592653589793" in meta
+
+    def test_rerun_rewrites_longer_stale_files_in_place(self, tmp_path):
+        # a rerun opens result.csv and meta without truncating them and cuts them after
+        # writing: exactly the fresh bytes remain
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"scenario = cancel_budget\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 0
+        fresh = {name: (outdir / name).read_bytes() for name in ("result.csv", "meta")}
+        for name, data in fresh.items():
+            (outdir / name).write_bytes(data + b"stale row\n" * 100)
+        with mock.patch.object(os, "open", wraps=os.open) as opened:
+            assert main(["run", cfg]) == 0
+        assert {name: (outdir / name).read_bytes() for name in fresh} == fresh
+        flags = [c.args[1] for c in opened.call_args_list if c.args[0] in
+                 {str(outdir / name) for name in fresh}]
+        assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
 
     def test_meta_records_overridden_values(self, tmp_path):
         outdir = tmp_path / "out"

@@ -289,9 +289,9 @@ class TestGenerators:
             stacks.append((np.asarray(getattr(lv, "mat", lv)), np.asarray(t, dtype=float)))
             return real(lv, t)
 
-        def compile_(cells, real=pf.dynamics._compile):
-            out = real(cells)
-            tables.extend((params, table) for (params, _), table in zip(cells, out))
+        def compile_(params, rows, real=pf.dynamics._compile):
+            out = real(params, rows)
+            tables.extend(zip(params, out))
             return out
 
         monkeypatch.setattr(pf.scenarios, "sup_exp", capture)

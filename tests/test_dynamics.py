@@ -237,7 +237,7 @@ class TestStepLookup:
         phase, _ = exponential_release()
         sched = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 8.0, PI / 2.0)
         sched = replace(sched, ramp=phase.ramp)
-        t_a = pf.dynamics._cut(pf.DriveSchedule(()), sched, 0.0, 20.0)[0]
+        t_a = pf.dynamics._cut([(pf.DriveSchedule(()), sched, 0.0, 20.0, ())])[1]
         monkeypatch.setattr(pf.dynamics, "_step_lookup", recording)
         got = sched.phi_at(t_a)
         off = (t_a < phase.ramp[0][0]) | (t_a >= phase.ramp[0][-1])
@@ -479,19 +479,24 @@ class TestCompiler:
         assert 0 < sum(slices) <= len(keys)
 
     def test_packet_release_looks_up_each_schedule_once(self, monkeypatch):
-        calls = []
-        for cls, name in ((pf.PhaseSchedule, "phi_at"), (pf.DriveSchedule, "amplitude_at")):
-            def counting(self, t, real=getattr(cls, name), name=name):
-                calls.append((name, np.shape(t)))
-                return real(self, t)
+        # one lookup of the drive segments at every row; the ramp's rows read their step
+        # from the merge of the cut, and the phase segments are read off the ramp only
+        sizes, real = [], pf.dynamics._step_lookup
 
-            monkeypatch.setattr(cls, name, counting)
+        def recording(starts, ends, values, t, fill):
+            sizes.append(np.size(t))
+            return real(starts, ends, values, t, fill)
+
+        monkeypatch.setattr(pf.dynamics, "_step_lookup", recording)
         phase, rho0 = exponential_release()
-        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
-                          phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
-        rows = (len(run.pieces.slot),)
-        assert rows[0] >= 2400
-        assert calls == [("phi_at", rows), ("amplitude_at", rows)]
+        sched = replace(pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 8.0, PI / 2.0),
+                        ramp=phase.ramp)
+        run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(((0.5, 1.5, 2.0),)),
+                          sched, 20.0, rho0=rho0, dt=0.005)
+        t_a = run.pieces.t_a
+        off = (t_a < phase.ramp[0][0]) | (t_a >= phase.ramp[0][-1])
+        assert sizes == [len(t_a), off.sum()] and 0 < off.sum() < 5 < 2400 < len(t_a)
+        assert np.array_equal(run.pieces.phi, sched.phi_at(t_a))
 
     def test_flux_series_matches_recorded_states_on_a_ramp(self):
         params = pf.MirrorQubitParams(gamma=1.0)
@@ -581,8 +586,8 @@ class TestCompiler:
             slices.append(len(t))
             return real_exp(lv, t)
 
-        def compiling(cells):
-            tables = real_compile(cells)
+        def compiling(params, rows):
+            tables = real_compile(params, rows)
             slots.append(len(tables[0].free))
             stored.append((tables[0].driven.shape, np.shape(tables[0].decay)))
             return tables
@@ -625,7 +630,7 @@ def free_march_table(seed):
                              ramp=(ramp, rng.uniform(0.0, 2.0 * PI, 21)))
     drive = pf.DriveSchedule(tuple((a, b, complex(*rng.uniform(-4.0, 4.0, 2)))
                                    for a, b in ((1.0, 1.5), (2.5, 2.7), (4.5, 5.0))))
-    t_a, t_b, n, phi, alpha = pf.dynamics._cut(drive, phase, 0.0, 6.0, [0.4, 0.7, 3.5, 5.5])
+    _, t_a, t_b, n, phi, alpha = pf.dynamics._cut([(drive, phase, 0.0, 6.0, [0.4, 0.7, 3.5, 5.5])])
     on_ramp = (t_a >= 2.0) & (t_b <= 3.0)
     n = np.where(on_ramp, 1, rng.integers(1, 300, len(n)))
     # zero-length drive-free rows before the first row, the first pulse and two random rows
@@ -634,7 +639,7 @@ def free_march_table(seed):
     t = np.append(t_a, t_b[-1])[pos]
     rows = (np.insert(t_a, pos, t), np.insert(t_b, pos, t), np.insert(n, pos, 1),
             np.insert(phi, pos, np.append(phi, phi[-1])[pos]), np.insert(alpha, pos, 0.0))
-    return params, pf.dynamics._compile([(params, rows)])[0]
+    return params, pf.dynamics._compile([params], (np.zeros(len(rows[0]), dtype=int),) + rows)[0]
 
 
 def march_oracle(table, v0):
@@ -700,6 +705,25 @@ def mismatched_splitter_run():
 
 
 class TestFluxReadout:
+    def test_jump_rows_read_one_copy_of_the_entries(self):
+        # the entry rows from one copy of the channel stack are the bytes of the two-copy
+        # form: a packet release's line stack, a mismatched splitter's, a random
+        # three-level stack, and a cascade's broadcast pump channel as chains concatenate it
+        drive, phase, t1, t2 = CUT_CASES["exponential"]()
+        release = pf.dynamics._piece_table(pf.MirrorQubitParams(), drive, phase, t1, t2)
+        rng = np.random.default_rng(11)
+        cascade = pf.simulate(pf.MirrorQubitParams(levels=3, gamma02=0.35),
+                              pf.DriveSchedule.square_pi_pulse(8.0, 0.0, 0.7),
+                              pf.PhaseSchedule.constant(0.0), 20.0).pieces.channels["pump"]
+        stacks = (release.channels["line"], mismatched_splitter_run().pieces.channels["line"],
+                  rng.normal(size=(30, 3, 3)) + 1j * rng.normal(size=(30, 3, 3)),
+                  np.concatenate([cascade]))
+        assert len(stacks[0]) > 2400 and cascade.strides[0] == 0
+        for ops in stacks:
+            for trace in (True, False):
+                got = pf.dynamics._jump_rows(ops, trace)
+                assert got.tobytes() == oracles.jump_rows_by_parts(ops, trace).tobytes()
+
     @pytest.mark.parametrize("make", [lambda: TABLE_RUNS["release"](), mismatched_splitter_run])
     def test_flux_matches_complex_ldl_route(self, make):
         run = make()
@@ -780,11 +804,10 @@ class TestCut:
         else:
             run = TABLE_RUNS[name]()
             drive, phase, t1, t2 = run.drive, run.phase, run.times[0], run.times[-1]
-        points = np.concatenate([drive.breakpoints(), phase.breakpoints()])
         ramp = [] if phase.ramp is None else phase.ramp[0].tolist()
-        assert points.dtype == np.float64 and points.tolist() == (
-            [x for seg in drive.segments + phase.segments for x in seg[:2]] + ramp)
-        t_a, t_b, n, phi, alpha = pf.dynamics._cut(drive, phase, t1, t2)
+        points = np.array([x for seg in drive.segments + phase.segments for x in seg[:2]] + ramp)
+        cell, t_a, t_b, n, phi, alpha = pf.dynamics._cut([(drive, phase, t1, t2, ())])
+        assert not cell.any()
         want_a, want_b = oracles.merge_breakpoints(points, t1, t2)
         assert np.array_equal(t_a, want_a) and np.array_equal(t_b, want_b)
         assert np.array_equal(n, np.ones(len(t_a), dtype=int))
@@ -870,8 +893,9 @@ class TestPieceTable:
     def test_breakpoints_are_grid_points(self, table_run):
         run = table_run
         t1, t2 = run.times[0], run.times[-1]
-        points = [x for x in np.concatenate([run.drive.breakpoints(), run.phase.breakpoints()])
-                  if t1 < x < t2]
+        ramp = () if run.phase.ramp is None else run.phase.ramp[0]
+        points = [x for seg in run.drive.segments + run.phase.segments for x in seg[:2]]
+        points = [x for x in points + list(ramp) if t1 < x < t2]
         assert points
         assert set(points) <= set(run.times.tolist())
 
@@ -1155,6 +1179,102 @@ class TestSimulate:
         with pytest.raises(ValueError, match="min_pulse_steps must be an integer"):
             pf.simulate(pf.MirrorQubitParams(), drive,
                         pf.PhaseSchedule.constant(0.0), 2.0, min_pulse_steps=steps)
+
+
+def stack_cells(levels):
+    """Adversarial (params, drive, phase, t_start, t_end, dt) cells of one level count:
+    spans that touch end to start, breakpoints within _CUT_TOL of other cells' points, a
+    close run whose third point is kept, mixed dt and t_start, a ramp next to constant phases, a zero-amplitude
+    drive segment, overlapping drive segments and a span shorter than _CUT_TOL."""
+    tol, rng = pf.dynamics._CUT_TOL, np.random.default_rng(7 + levels)
+    if levels == 2:
+        params = [pf.MirrorQubitParams(gamma=0.7, delta=0.3, gamma_nr=0.1),
+                  pf.MirrorQubitParams(gamma=1.3, delta=-0.8), pf.MirrorQubitParams(gamma=1.0),
+                  pf.MirrorQubitParams(gamma=0.9, gamma_nr=0.02), pf.MirrorQubitParams()]
+        phases = [pf.PhaseSchedule.storage_release(0.2, 1.0, 2.0, 1.1),
+                  pf.PhaseSchedule(((-math.inf, 2.0 + 0.4 * tol, 0.5),
+                                    (2.0 + 0.4 * tol, math.inf, PI))),
+                  pf.PhaseSchedule(((-math.inf, math.inf, 0.4),), ramp=(
+                      np.linspace(2.0, 3.0, 11), rng.uniform(0.0, 2.0 * PI, 11))),
+                  pf.PhaseSchedule.constant(0.0), pf.PhaseSchedule.constant(2.5)]
+    else:
+        params = [pf.MirrorQubitParams(levels=3, gamma02=g) for g in (0.05, 0.35, 0.2, 0.5, 0.1)]
+        phases = [pf.PhaseSchedule.constant(0.0)] * 5
+        phases[2] = pf.PhaseSchedule(ramp=(np.linspace(2.0, 3.0, 11), np.zeros(11)))
+    drives = [pf.DriveSchedule(((0.5, 1.0, 3.0 - 1.0j),)),
+              pf.DriveSchedule(((2.0, 2.3, 0.0), (2.3 - 1e-16, 2.5, 4.0))),
+              pf.DriveSchedule(((1.0 + 0.6 * tol, 1.0 + 1.2 * tol, 2.0), (2.5, 2.6, 1.0j))),
+              pf.DriveSchedule.square_pi_pulse(6.0, 0.0, 1.0), pf.DriveSchedule()]
+    spans = [(0.0, 2.0, 0.01), (2.0, 4.0, 0.02), (1.0, 3.5, 0.05), (0.0, 3.0, 0.005),
+             (2.0, 2.0 + 0.5 * tol, 0.01)]
+    return [(p, d, ph, *span) for p, d, ph, span in zip(params, drives, phases, spans)]
+
+
+def assert_cells_of_the_stack(stack, ones):
+    """Each table of a stack is, field for field and bit for bit, its cell's one-cell table
+    with the slots of the cells before it added."""
+    offset, driven = 0, 0
+    for a, b in zip(stack, ones):
+        for name in ("t_a", "t_b", "n_steps", "phi", "alpha"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.slot.tobytes() == (b.slot + offset).tobytes()
+        assert a.channels.keys() == b.channels.keys()
+        for k in b.channels:
+            assert a.channels[k].tobytes() == b.channels[k].tobytes(), k
+        rows = np.arange(len(b.slot))
+        assert a.steps(rows).tobytes() == b.steps(rows).tobytes()
+        slots = slice(offset, offset + len(b.free))
+        assert a.free[slots].tobytes() == b.free.tobytes()
+        if b.decay is not None:
+            assert a.decay[:, slots].tobytes() == b.decay.tobytes()
+        assert a.driven[driven:driven + len(b.driven)].tobytes() == b.driven.tobytes()
+        offset, driven = offset + len(b.free), driven + len(b.driven)
+    assert offset == len(stack[0].free) and driven == len(stack[0].driven)
+
+
+class TestCellStack:
+    """A stack of cells is cut and compiled in one pass, and each of its runs is, bit for
+    bit, the cell's own one-cell run."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_stacked_runs_are_the_one_cell_runs(self, levels):
+        cells = stack_cells(levels)
+        runs = pf.dynamics._simulate(cells)
+        ones = [pf.dynamics._simulate([cell])[0] for cell in cells]
+        assert_cells_of_the_stack([r.pieces for r in runs], [r.pieces for r in ones])
+        assert [r.drive_points for r in runs] == [r.drive_points for r in ones]
+        assert len(ones[-1].pieces.slot) == 1 and ones[-1].pieces.h[0] < pf.dynamics._CUT_TOL
+        assert any(r.pieces.alpha.any() for r in ones) and ones[2].phase.ramp is not None
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_stacked_cuts_are_the_one_cell_cuts(self, levels):
+        # zero-length spans and extra points too, through `_cut` and `_compile`
+        cells = [(d, ph, t1, t1 if k % 2 else t2, [t1 + 0.3, t2 - 1e-13, 1.7])
+                 for k, (_, d, ph, t1, t2, _) in enumerate(stack_cells(levels))]
+        params = [c[0] for c in stack_cells(levels)]
+        rows = pf.dynamics._cut(cells)
+        ones = [pf.dynamics._cut([cell]) for cell in cells]
+        assert rows[0].tolist() == [k for k, one in enumerate(ones) for _ in one[1]]
+        for got, want in list(zip(rows, zip(*ones)))[1:]:
+            assert got.tobytes() == np.concatenate(want).tobytes()
+        tables = pf.dynamics._compile(params, rows)
+        assert_cells_of_the_stack(tables, [pf.dynamics._compile([p], one)[0]
+                                           for p, one in zip(params, ones)])
+        assert any(len(t.slot) == 1 and t.h[0] == 0.0 for t in tables)
+
+    def test_a_sweep_cuts_and_compiles_once(self):
+        three = pf.MirrorQubitParams(levels=3)
+        for sweep, cells in (
+                (lambda: pf.sweep_cascade(three, (5.0, 6.0, 7.0, 8.0, 10.0),
+                                          (0.05, 0.1, 0.2, 0.35, 0.5), t_end=4.0, dt=0.01), 25),
+                (lambda: pf.sweep_nonradiative(pf.MirrorQubitParams(gamma=0.5), 7.0, 0.995,
+                                               (0.0, 0.02, 0.05, 0.1, 0.2), t_end=4.0), 5)):
+            with mock.patch.object(pf.dynamics, "_cut", wraps=pf.dynamics._cut) as cut, \
+                    mock.patch.object(pf.dynamics, "_compile", wraps=pf.dynamics._compile) as comp:
+                assert len(sweep()) == cells
+            assert (cut.call_count, comp.call_count) == (1, 1)
+            assert len(cut.call_args.args[0]) == len(comp.call_args.args[0]) == cells
 
 
 class TestObservables:

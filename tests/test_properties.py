@@ -182,8 +182,8 @@ def test_chunked_scan_is_the_step_by_step_march(p, alpha, rho0, layout, seed):
     phase = pf.PhaseSchedule(ramp=(edges, np.random.default_rng(seed).uniform(
         0.0, 2.0 * math.pi, len(edges))))
     drive = pf.DriveSchedule(((0.0, edges[-1], alpha),))
-    t_a, t_b, _, phi, amp = pf.dynamics._cut(drive, phase, 0.0, edges[-1], edges)
-    table = pf.dynamics._compile([(p, (t_a, t_b, np.array(counts), phi, amp))])[0]
+    cell, t_a, t_b, _, phi, amp = pf.dynamics._cut([(drive, phase, 0.0, edges[-1], edges)])
+    table = pf.dynamics._compile([p], (cell, t_a, t_b, np.array(counts), phi, amp))[0]
     assert table.n_steps.tolist() == counts
     v0 = pf.dynamics._initial_state(p, rho0)
     with mock.patch.object(pf.dynamics, "_CHUNK", b):
