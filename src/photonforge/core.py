@@ -39,7 +39,7 @@ __all__ = [
 
 
 HERM_TOL = 1e-10   # Hermiticity checks
-TRACE_TOL = 1e-10  # trace-one / trace-annihilation checks
+TRACE_TOL = 1e-10  # the trace-one check of a density matrix
 PSD_TOL = 1e-9     # eigenvalue floor for density matrices
 
 
@@ -168,10 +168,6 @@ class Superoperator:
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         return Superoperator(self.mat @ other.mat)
 
-    def annihilates_trace(self, tol: float = TRACE_TOL) -> bool:
-        """True if tr(S rho) = 0 for all rho, the Liouvillian property."""
-        return bool(np.max(np.abs(trace_row(self.dim) @ self.mat)) <= tol)
-
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"
 
@@ -184,13 +180,6 @@ def vec(rho) -> np.ndarray:
 def unvec(v, dim: int) -> np.ndarray:
     """Inverse of `vec`."""
     return np.asarray(v).reshape((dim, dim), order="F")
-
-
-def trace_row(d: int) -> np.ndarray:
-    """Row vector r with r @ vec(rho) = tr(rho) on a d-level space."""
-    r = np.zeros(d * d, dtype=complex)
-    r[:: d + 1] = 1.0
-    return r
 
 
 @functools.lru_cache(maxsize=None)

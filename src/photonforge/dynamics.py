@@ -144,8 +144,8 @@ class DriveSchedule:
     """Piecewise-constant drive amplitude alpha(t).
 
     Segments are (t_start, t_end, alpha) with alpha = 0 outside all
-    segments. Lookups are right-continuous: t_start belongs to the
-    segment, t_end does not.
+    segments. A segment holds its t_start and not its t_end, so the
+    schedule is right-continuous.
     """
 
     segments: Tuple[Tuple[float, float, complex], ...] = ()
@@ -170,11 +170,6 @@ class DriveSchedule:
         """Square pulse of area pi starting at t0."""
         tw = pi_pulse_width(abs(alpha0), gamma_eff)
         return cls(((t0, t0 + tw, complex(alpha0)),))
-
-    def amplitude_at(self, t):
-        """alpha at a time or an array of times, 0 outside the segments."""
-        t0, t1, a = np.array(self.segments, dtype=complex).reshape(-1, 3).T
-        return _step_lookup(t0.real, t1.real, a, t, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -205,8 +200,8 @@ class PhaseSchedule:
             times, values = self.ramp
             times = np.asarray(times, dtype=float)
             values = np.asarray(values, dtype=float)
-            if times.ndim != 1 or times.shape != values.shape:
-                raise ValueError("ramp times and values must be 1d and equal length")
+            if times.ndim != 1 or times.shape != values.shape or not len(times):
+                raise ValueError("ramp times and values must be 1d, nonempty and equal length")
             if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
                 raise ValueError("ramp times must be finite and strictly increasing")
             if not np.all((values >= 0) & (values < TWO_PI)):
@@ -233,23 +228,6 @@ class PhaseSchedule:
             segs.append((t_store, t_r, math.pi))
         segs.append((t_r, math.inf, float(phi_r)))
         return cls(tuple(segs))
-
-    def phi_at(self, t):
-        """phi at a time or an array of times: the ramp's on its span, else the
-        segments', read at those times only. A time neither covers raises ValueError."""
-        t = np.asarray(t, dtype=float)
-        t0, t1, seg = np.array(self.segments, dtype=float).reshape(-1, 3).T
-        if self.ramp is None:
-            phi = _step_lookup(t0, t1, seg, t, math.nan)
-        else:
-            times, values = self.ramp
-            phi = _step_lookup(times[:-1], times[1:], values[:-1], t, math.nan)
-            gap = np.isnan(phi)
-            phi[gap] = _step_lookup(t0, t1, seg, t[gap], math.nan)
-        uncovered = np.isnan(phi)
-        if uncovered.any():
-            raise ValueError(f"phase schedule does not cover t = {t[uncovered][0]}")
-        return phi[()]
 
 
 def _step_lookup(starts, ends, values, t, fill):
@@ -474,9 +452,9 @@ def _cut(cells) -> tuple:
     """The one-step rows (cell, t_a, t_b, n_steps, phi, alpha) of (drive, phase, t1, t2,
     extra) cells, by cell, then time: each cell's [t1, t2] cut at its breakpoints and its
     points of `extra` into maximal constant pieces (one point, one zero-length row). All
-    points are sorted and merged at once, a cell's ramp times first: a row on a ramp reads
-    the step of the last ramp time at or before it, the rest the segments, as `phi_at` and
-    `amplitude_at` do."""
+    points are sorted and merged at once, a cell's ramp times first. A row reads its
+    schedules right-continuously at its start: on a ramp the step of the last ramp time at
+    or before it, else the first segment holding it. A row no phase holds raises."""
     stacked, seqs, sizes, ramps = len(cells) > 1, [], [], []
     for drive, phase, t1, t2, extra in cells:
         ramps.append(phase.ramp or ((), ()))
@@ -628,10 +606,12 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     """v0, a coordinate state or matrix, carried to every grid point of a table.
 
     A maximal run of drive-free rows (`PieceTable.free`) is one `_decay`. Of the
-    other rows, a maximal run of one-step rows, such as a ramp, is one chunked
-    scan (`_scan`), and a longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK),
-    of its step matrix E by doubling into one (b n, n) matrix, so one
-    product with its latest state fills up to b points."""
+    other rows, a maximal run of one-step rows is one chunked scan (`_scan`), and a
+    longer row stacks E^1 .. E^b, b = min(n_steps, _BLOCK), of its step matrix E by
+    doubling into one (b n, n) matrix, so one product with its latest state fills up
+    to b points. Driven one-step rows come from `simulate` under a driven ramp, from
+    `propagator`'s driven pieces and from `flux_series` points on a pulse; no scenario
+    makes them."""
     n_steps, starts, free = table.n_steps, table.starts, table.free.take(table.slot)
     states = np.empty((int(starts[-1]) + 1,) + v0.shape)
     states[0] = v0

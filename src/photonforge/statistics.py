@@ -68,8 +68,6 @@ __all__ = [
     "invert_to_probabilities",
     "counting_statistics",
     "correlator_gm",
-    "ordered_pair_count",
-    "cross_pair_integral",
     "pair_correlations",
     "csi_metric",
     "PhotonStatistics",
@@ -390,54 +388,32 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
     return val
 
 
-def ordered_pair_count(run: ScenarioRun, first: str, second: str) -> float:
-    """A_{first,second}: both-jumps integral with `first` at the earlier time.
-
-    A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt'
-    over the whole run, T its end; a shorter span is a shorter run. The
-    nested grid trapezoid is read as u_2(0) rho(0) from the same
-    backward chain as the counting moments (`_chain`) with levels
-    (J_b, J_a): u_1 carries the late jump of channel b, u_2 the early
-    jump of channel a. The channels are "signal", "idler" and "pump".
-    """
-    return _pair_counts([run], [(first, second)])[0][0]
-
-
-def cross_pair_integral(run: ScenarioRun, chan_a: str, chan_b: str) -> float:
-    """Run-integrated two-channel coincidence G_ab, symmetric in a, b.
-
-    G_ab = A_ab + A_ba for distinct channels and 2 A_aa for a single
-    channel, so both time orderings of the pair are counted.
-    """
-    a, b = sorted((chan_a, chan_b), key=str)  # both orders take one chain layout
-    counts = _pair_counts([run], [(a, b), (b, a)] if a != b else [(a, a)])[0]
-    return sum(counts) if a != b else 2.0 * counts[0]
-
-
 def pair_correlations(run: ScenarioRun) -> CrossPairResult:
-    """The three `cross_pair_integral`s of a three-level run from one chain
-    whose roots carry the late idler and signal jumps, each with the early
-    idler and signal jumps as children: `ordered_pair_count`s A_ii .. A_ss."""
+    """G_ii, G_ss and G_is of a three-level run from its ordered pair integrals
+
+        A_ab = Integral_{0 <= t <= t' <= T} tr( J_b E(t', t) J_a rho(t) ) dt dt'
+
+    over the whole run, T its end, with G_ab = A_ab + A_ba for the distinct channels and
+    G_aa = 2 A_aa, so both time orderings of a pair are counted (`_pair_counts`)."""
     return _pair_correlations([run])[0]
 
 
 def _pair_correlations(runs) -> list:
     """`pair_correlations` of several runs from one `_chain`."""
-    pairs = [(a, b) for b in ("idler", "signal") for a in ("idler", "signal")]
     return [CrossPairResult(g_ii=2.0 * a_ii, g_ss=2.0 * a_ss, g_is=a_is + a_si)
-            for a_ii, a_si, a_is, a_ss in _pair_counts(runs, pairs)]
+            for a_ii, a_si, a_is, a_ss in _pair_counts(runs)]
 
 
-def _pair_counts(runs, pairs) -> list:
-    """Per run, the `ordered_pair_count` of each (first, second) pair from one whole-run
-    `_chain`: a root level per distinct later channel, under it each pair's earlier jump."""
+def _pair_counts(runs) -> list:
+    """Per run, A_ii, A_si, A_is and A_ss, each A_ab the nested grid trapezoid u_2(0) rho(0)
+    of one whole-run backward chain (`_chain`): its roots u_1 carry the late idler and
+    signal jumps, each with the early idler and signal jumps as its children u_2."""
     if any(run.params.levels != 3 for run in runs):
         raise ValueError("pair correlations require a three-level run")
-    roots = list(dict.fromkeys(second for _, second in pairs))
-    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], roots + [a for a, _ in pairs],
-               [-1] * len(roots) + [roots.index(b) for _, b in pairs])
-    return [(wr[1:].reshape(len(roots) + len(pairs), -1)[len(roots):]
-             @ run.coords_at(0)).tolist() for run, wr in zip(runs, w)]
+    w = _chain(runs, [(0, run.pieces.starts[-1]) for run in runs], ["idler", "signal"] * 3,
+               [-1, -1, 0, 0, 1, 1])
+    return [(wr[1:].reshape(6, -1)[2:] @ run.coords_at(0)).tolist()
+            for run, wr in zip(runs, w)]
 
 
 def csi_metric(g_ii: float, g_ss: float, g_is: float) -> float:

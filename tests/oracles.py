@@ -15,6 +15,7 @@ generators instead of from stored per-step factors. Agreement with the package i
 meaningful cross-check, not a tautology.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -67,18 +68,36 @@ def output_coupling(params, phi):
 
 
 def schedule_value(segments, t, ramp=None):
-    """A schedule's value at t by a loop over its pieces: the ramp sample
-    i on [times[i], times[i+1]), else the first segment (t0, t1, v) with
-    t0 <= t < t1, else None."""
+    """A schedule's value at t by scalar comparisons: the ramp sample i on
+    [times[i], times[i+1]) by bisection, else the first segment (t0, t1, v)
+    with t0 <= t < t1 by a loop over them, else None."""
     if ramp is not None:
         times, values = ramp
-        for k in range(len(times) - 1):
-            if times[k] <= t < times[k + 1]:
-                return values[k]
+        k = bisect.bisect_right(times, t) - 1
+        if 0 <= k < len(times) - 1:
+            return values[k]
     for t0, t1, v in segments:
         if t0 <= t < t1:
             return v
     return None
+
+
+def phi_value(phase, t):
+    """`schedule_value` of a phase schedule, its ramp included."""
+    return schedule_value(phase.segments, t, phase.ramp)
+
+
+def alpha_value(drive, t):
+    """`schedule_value` of a drive schedule, 0 off its segments."""
+    value = schedule_value(drive.segments, t)
+    return 0.0 if value is None else value
+
+
+def trace_row(d):
+    """Row r with r @ vec(rho) = tr(rho) on a d-level space (column stacking)."""
+    r = np.zeros(d * d, dtype=complex)
+    r[:: d + 1] = 1.0
+    return r
 
 
 def spre_spost(a, b):
@@ -184,8 +203,7 @@ def naive_counting_moments(times, steps, ops, states, mmax=3):
     d2 = states[0].shape[0]
     d = int(round(math.sqrt(d2)))
     js = [np.kron(m.conj(), m) for m in ops]
-    tr = np.zeros(d2, dtype=complex)
-    tr[:: d + 1] = 1.0
+    tr = trace_row(d)
     jrows = [tr @ j for j in js]
 
     f1 = np.array([(jrows[i] @ states[i]).real for i in range(n)])
@@ -244,8 +262,7 @@ def nested_pair_count(run, first, second):
     lb = channels[second].mat
     ja = np.kron(la.conj(), la)
     jb = np.kron(lb.conj(), lb)
-    tr = np.zeros(d * d, dtype=complex)
-    tr[:: d + 1] = 1.0
+    tr = trace_row(d)
     steps = grid_steps(run)
     g = np.empty(n)
     for i in range(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import photonforge as pf
-from photonforge.core import coordinates, to_coordinates, trace_row
+from photonforge.core import coordinates, to_coordinates
 
 import oracles
 
@@ -37,7 +37,7 @@ class TestVectorization:
 
     def test_trace_row(self):
         rho = random_matrix(4)
-        assert abs(trace_row(4) @ pf.vec(rho) - np.trace(rho)) < 1e-13
+        assert abs(oracles.trace_row(4) @ pf.vec(rho) - np.trace(rho)) < 1e-13
 
 
 class TestCoordinates:
@@ -46,7 +46,7 @@ class TestCoordinates:
         v, w = coordinates(d)
         assert np.array_equal(w @ v, np.eye(d * d))
         assert np.array_equal(v @ w, np.eye(d * d))
-        assert np.array_equal(trace_row(d) @ v, [1.0] * d + [0.0] * (d * d - d))
+        assert np.array_equal(oracles.trace_row(d) @ v, [1.0] * d + [0.0] * (d * d - d))
         assert not (v.flags.writeable or w.flags.writeable)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -182,7 +182,7 @@ class TestGenerators:
         for _ in range(5):
             h = random_matrix(3)
             lv = pf.liouvillian(h + h.conj().T, [random_matrix(3)])
-            assert lv.annihilates_trace(1e-10)
+            assert np.max(np.abs(oracles.trace_row(3) @ lv.mat)) <= 1e-10
             rho = random_density(3)
             drho = pf.unvec(lv.mat @ pf.vec(rho), 3)
             assert abs(np.trace(drho)) < 1e-10
@@ -347,8 +347,6 @@ class TestPolicy:
         pf.DensityMatrix(np.diag([1.0 + 1e-11, 0.0]))
         with pytest.raises(ValueError, match="unit trace"):
             pf.DensityMatrix(np.diag([1.0 + 1e-9, 0.0]))
-        assert pf.Superoperator(np.diag([1e-11, 0, 0, 0])).annihilates_trace()
-        assert not pf.Superoperator(np.diag([1e-9, 0, 0, 0])).annihilates_trace()
         pf.DensityMatrix(np.diag([1.0 + 1e-10, -1e-10]))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             pf.DensityMatrix(np.diag([1.0 + 1e-8, -1e-8]))

@@ -15,6 +15,16 @@ import oracles
 PI = math.pi
 
 
+def cut_values(times, drive=pf.DriveSchedule(()), phase=pf.PhaseSchedule()):
+    """phi and alpha as `_cut` reads them on the rows starting at the sorted `times`,
+    each a cut point of a span that ends one past the last."""
+    _, t_a, _, _, phi, alpha = pf.dynamics._cut([(drive, phase, times[0], times[-1] + 1.0,
+                                                  times)])
+    rows = np.searchsorted(t_a, times)
+    assert t_a[rows].tolist() == times
+    return phi[rows].tolist(), alpha[rows].tolist()
+
+
 def oracle_generator(gamma, phi, alpha=0.0, delta=0.0, gamma_nr=0.0):
     h, ls = oracles.mirror_qubit_ops(gamma, phi, delta=delta, alpha=alpha,
                                      gamma_nr=gamma_nr)
@@ -91,10 +101,7 @@ class TestDriveSchedule:
 
     def test_amplitude_lookup_is_right_continuous(self):
         d = pf.DriveSchedule(((0.0, 1.0, 3.0), (1.0, 2.0, 7.0)))
-        assert d.amplitude_at(-0.5) == 0.0
-        assert d.amplitude_at(0.0) == 3.0
-        assert d.amplitude_at(1.0) == 7.0
-        assert d.amplitude_at(2.0) == 0.0
+        assert cut_values([-0.5, 0.0, 1.0, 2.0], drive=d)[1] == [0.0, 3.0, 7.0, 0.0]
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -109,8 +116,7 @@ class TestDriveSchedule:
 class TestPhaseSchedule:
     def test_constant_covers_all_times(self):
         p = pf.PhaseSchedule.constant(0.3)
-        assert p.phi_at(-100.0) == 0.3
-        assert p.phi_at(100.0) == 0.3
+        assert cut_values([-100.0, 100.0], phase=p)[0] == [0.3, 0.3]
 
     def test_phi_range_validated(self):
         with pytest.raises(ValueError, match="outside"):
@@ -124,16 +130,13 @@ class TestPhaseSchedule:
 
     def test_storage_release_phases(self):
         p = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 5.0, PI / 2.0)
-        assert p.phi_at(0.0) == 0.9 * PI
-        assert p.phi_at(2.0) == PI
-        assert p.phi_at(4.999) == PI
-        assert p.phi_at(5.0) == PI / 2.0
+        want = [0.9 * PI, PI, PI, PI / 2.0]
+        assert cut_values([0.0, 2.0, 4.999, 5.0], phase=p)[0] == want
 
     def test_storage_release_immediate(self):
         p = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 2.0, PI / 2.0)
         assert len(p.segments) == 2
-        assert p.phi_at(1.999) == 0.9 * PI
-        assert p.phi_at(2.0) == PI / 2.0
+        assert cut_values([1.999, 2.0], phase=p)[0] == [0.9 * PI, PI / 2.0]
 
     def test_storage_release_rejects_early_release(self):
         with pytest.raises(ValueError, match="release"):
@@ -141,20 +144,19 @@ class TestPhaseSchedule:
 
     def test_uncovered_time_rejected(self):
         p = pf.PhaseSchedule(((0.0, 1.0, 0.3),))
-        with pytest.raises(ValueError, match="does not cover"):
-            p.phi_at(2.0)
+        with pytest.raises(ValueError, match="does not cover t = 2.0$"):
+            cut_values([2.0], phase=p)
 
     def test_ramp_overrides_segments(self):
         ramp = (np.array([1.0, 1.5, 2.0]), np.array([0.5, 1.0, 1.5]))
         p = pf.PhaseSchedule(((-math.inf, math.inf, 0.1),), ramp=ramp)
-        assert p.phi_at(0.5) == 0.1
-        assert p.phi_at(1.0) == 0.5
-        assert p.phi_at(1.6) == 1.0
-        assert p.phi_at(2.0) == 0.1
+        assert cut_values([0.5, 1.0, 1.6, 2.0], phase=p)[0] == [0.1, 0.5, 1.0, 0.1]
 
     def test_ramp_validation(self):
         with pytest.raises(ValueError, match="equal length"):
             pf.PhaseSchedule(ramp=(np.array([0.0, 1.0]), np.array([0.3])))
+        with pytest.raises(ValueError, match="nonempty"):
+            pf.PhaseSchedule(ramp=([], []))
         with pytest.raises(ValueError, match="increasing"):
             pf.PhaseSchedule(ramp=(np.array([1.0, 1.0]), np.array([0.3, 0.4])))
         with pytest.raises(ValueError, match="outside"):
@@ -170,7 +172,7 @@ class TestPhaseSchedule:
 
 ONE_ULP_BELOW_1 = 1.0 - 1e-16  # overlaps its predecessor by 1.1e-16
 
-# schedules and the times at which their array and scalar lookups agree
+# schedules, and times whose finite ones are cut points of the span they cover
 LOOKUPS = {
     "drive": (pf.DriveSchedule(((0.0, 1.0, 3.0), (1.0, 2.0, 7.0 - 2.0j))),
               [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
@@ -197,53 +199,47 @@ LOOKUPS = {
 
 
 class TestStepLookup:
+    """`_cut`'s one array lookup per schedule against the scalar comparisons of
+    `oracles.schedule_value`, at every row start."""
+
     @pytest.mark.parametrize("name", LOOKUPS)
     def test_array_lookup_equals_scalar_lookups(self, name):
+        # the finite times are cut points of the span they cover, for one cell and for a
+        # stack of two; a phase gap raises at its first row start, and the rows before
+        # it are read as the oracle reads them
         sched, times = LOOKUPS[name]
-        times = np.array(times)
-        if isinstance(sched, pf.DriveSchedule):
-            look = sched.amplitude_at
-            want = [oracles.schedule_value(sched.segments, t) for t in times]
-            want = [0.0 if w is None else w for w in want]
-        else:
-            look = sched.phi_at
-            want = [oracles.schedule_value(sched.segments, t, sched.ramp) for t in times]
-        if None in want:
-            first = times[want.index(None)]
-            with pytest.raises(ValueError, match=f"does not cover t = {first}$"):
-                look(times)
-        else:
-            got = look(times)
-            assert got.shape == times.shape
-            assert got.tolist() == want
-        for t, w in zip(times, want):
-            if w is None:
-                with pytest.raises(ValueError, match=f"does not cover t = {t}$"):
-                    look(t)
-            else:
-                assert np.isscalar(look(t))
-                assert look(t) == w
+        drive, phase = ((sched, pf.PhaseSchedule()) if isinstance(sched, pf.DriveSchedule)
+                        else (pf.DriveSchedule(()), sched))
+        finite = [t for t in times if math.isfinite(t)]
+        gap = any(oracles.phi_value(phase, t) is None for t in finite)
+        for cells in (1, 2):
+            end = max(finite)
+            if gap:
+                with pytest.raises(ValueError, match="does not cover t = ") as err:
+                    pf.dynamics._cut([(drive, phase, min(finite), end, times)] * cells)
+                end = float(str(err.value).rsplit(" ", 1)[1])
+                assert oracles.phi_value(phase, end) is None
+            _, t_a, _, _, phi, alpha = pf.dynamics._cut(
+                [(drive, phase, min(finite), end, times)] * cells)
+            assert phi.tolist() == [oracles.phi_value(phase, t) for t in t_a]
+            assert alpha.tolist() == [oracles.alpha_value(drive, t) for t in t_a]
 
-    def test_phi_at_reads_the_segments_only_off_the_ramp(self, monkeypatch):
-        # a packet release's ramp holds all but one of its rows' times; the
-        # segments are looked up at that one time, not under the ramp as well
-        sizes = []
-        real = pf.dynamics._step_lookup
-
-        def recording(starts, ends, values, t, fill):
-            sizes.append(np.size(t))
-            return real(starts, ends, values, t, fill)
-
-        phase, _ = exponential_release()
-        sched = pf.PhaseSchedule.storage_release(0.9 * PI, 2.0, 8.0, PI / 2.0)
-        sched = replace(sched, ramp=phase.ramp)
-        t_a = pf.dynamics._cut([(pf.DriveSchedule(()), sched, 0.0, 20.0, ())])[1]
-        monkeypatch.setattr(pf.dynamics, "_step_lookup", recording)
-        got = sched.phi_at(t_a)
-        off = (t_a < phase.ramp[0][0]) | (t_a >= phase.ramp[0][-1])
-        assert sizes == [len(t_a), off.sum()] and 0 < off.sum() < 5 < len(t_a)
-        want = [oracles.schedule_value(sched.segments, t, sched.ramp) for t in t_a]
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("entry", ["simulate", "propagator", "flux_series", "stack"])
+    def test_every_entry_names_the_first_uncovered_time(self, entry):
+        # the cut's coverage check is the one check: each entry raises it, naming the first
+        # row start that no phase segment holds; in the stack, that of its second cell
+        params, drive = pf.MirrorQubitParams(), pf.DriveSchedule(((0.5, 1.0, 2.0),))
+        gap = pf.PhaseSchedule(((0.0, 1.5, 0.3), (2.5, 4.0, 0.5)))
+        calls = {
+            "simulate": lambda: pf.simulate(params, drive, gap, 3.0, dt=0.1),
+            "propagator": lambda: pf.propagator(params, drive, gap, 0.0, 3.0),
+            "flux_series": lambda: pf.flux_series(params, drive, gap, [0.0, 1.0, 3.0]),
+            "stack": lambda: pf.dynamics._simulate([
+                (params, drive, pf.PhaseSchedule.constant(0.3), 0.0, 3.0, 0.1),
+                (params, drive, gap, 0.0, 3.0, 0.1)]),
+        }
+        with pytest.raises(ValueError, match="phase schedule does not cover t = 1.5$"):
+            calls[entry]()
 
     def test_one_sample_ramp_is_a_cut_point(self):
         sched, _ = LOOKUPS["one_sample_ramp"]
@@ -297,7 +293,8 @@ class TestBuildLiouvillian:
             (pf.MirrorQubitParams(gamma=0.5, gamma_nr=0.4), 1.1, 3.0),
             (pf.MirrorQubitParams(levels=3), 0.0, 5.0),
         ]:
-            assert pf.build_liouvillian(params, phi, alpha).annihilates_trace(1e-10)
+            lv = pf.build_liouvillian(params, phi, alpha)
+            assert np.max(np.abs(oracles.trace_row(lv.dim) @ lv.mat)) <= 1e-10
 
     def test_three_level_guards(self):
         params = pf.MirrorQubitParams(levels=3)
@@ -392,8 +389,8 @@ class TestCompiler:
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
         for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
-            gen = oracle_generator(params.gamma, phase.phi_at(t),
-                                   alpha=drive.amplitude_at(t),
+            gen = oracle_generator(params.gamma, oracles.phi_value(phase, t),
+                                   alpha=oracles.alpha_value(drive, t),
                                    delta=params.delta, gamma_nr=params.gamma_nr)
             step = v @ e @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
@@ -406,7 +403,7 @@ class TestCompiler:
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
         for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
-            gen = ladder_generator(params, drive.amplitude_at(t))
+            gen = ladder_generator(params, oracles.alpha_value(drive, t))
             step = v @ e @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
 
@@ -422,7 +419,7 @@ class TestCompiler:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = pf.vec(a + a.conj().T)
             for gen in pf.dynamics._generators(params, phis, alpha):
-                assert pf.Superoperator(gen).annihilates_trace(1e-13)
+                assert np.max(np.abs(oracles.trace_row(d) @ gen)) <= 1e-13
                 out = pf.unvec(gen @ rho, d)
                 assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
@@ -496,7 +493,7 @@ class TestCompiler:
         t_a = run.pieces.t_a
         off = (t_a < phase.ramp[0][0]) | (t_a >= phase.ramp[0][-1])
         assert sizes == [len(t_a), off.sum()] and 0 < off.sum() < 5 < 2400 < len(t_a)
-        assert np.array_equal(run.pieces.phi, sched.phi_at(t_a))
+        assert np.array_equal(run.pieces.phi, [oracles.phi_value(sched, t) for t in t_a])
 
     def test_flux_series_matches_recorded_states_on_a_ramp(self):
         params = pf.MirrorQubitParams(gamma=1.0)
@@ -752,7 +749,7 @@ class TestFluxReadout:
         got = pf.dynamics._flux(run.pieces, run.coords)
         want = oracles.ldl_flux(run.pieces, run.coords)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        tr = (pf.core.trace_row(2) @ pf.core.coordinates(2)[0]).real
+        tr = (oracles.trace_row(2) @ pf.core.coordinates(2)[0]).real
         rows = tr @ pf.statistics._jumps([run], "line")
         by_jumps = np.einsum("ni,ni->n", run.pieces.per_point(rows), run.coords)
         assert np.max(np.abs(got - by_jumps)) <= 1e-15 * np.max(np.abs(by_jumps))
@@ -811,8 +808,8 @@ class TestCut:
         want_a, want_b = oracles.merge_breakpoints(points, t1, t2)
         assert np.array_equal(t_a, want_a) and np.array_equal(t_b, want_b)
         assert np.array_equal(n, np.ones(len(t_a), dtype=int))
-        assert np.array_equal(phi, phase.phi_at(want_a))
-        assert np.array_equal(alpha, drive.amplitude_at(want_a))
+        assert np.array_equal(phi, [oracles.phi_value(phase, t) for t in want_a])
+        assert np.array_equal(alpha, [oracles.alpha_value(drive, t) for t in want_a])
         if phase.ramp is not None and name in CUT_CASES:
             assert len(t_a) > 1600
 
@@ -1342,14 +1339,14 @@ class TestObservables:
         geff = pf.effective_coupling(1.0, 0.9 * PI)
         drive = pf.DriveSchedule(((1.0, 1.1 + pf.pi_pulse_width(5.0, geff), 5.0 - 1.0j),))
         phase = pf.PhaseSchedule.storage_release(0.9 * PI, 1.6, 3.0, PI / 2.0)
-        # no grid ends on a phase switch, so each point reads L at phi_at(t)
+        # no grid ends on a phase switch, so each point reads L at the phi of t
         rho0 = pf.DensityMatrix.from_ket([0.6, 0.8j])
         got = pf.flux_series(params, drive, phase, grid, rho0=rho0)
         want = []
         for t in grid:
             rho = pf.unvec(pf.propagator(params, drive, phase, grid[0], t).mat
                            @ pf.vec(rho0.mat), 2)
-            op = oracles.output_coupling(params, phase.phi_at(t))
+            op = oracles.output_coupling(params, oracles.phi_value(phase, t))
             want.append(np.trace(op.conj().T @ op @ rho).real)
         assert len(got) == len(grid)
         assert np.max(np.abs(got - np.array(want))) < 1e-12

@@ -598,13 +598,13 @@ def test_drive_free_windows_count_positive_zeros(case, monkeypatch):
     assert np.array_equal(w[:5], pf.statistics._chain([run], i, ["line"])[0])
 
 
-ORDERINGS =[("signal", "idler"), ("idler", "signal"),
-             ("signal", "signal"), ("idler", "idler")]
+# the (first, second) channel orderings of `_pair_counts`' A_ii, A_si, A_is and A_ss
+ORDERINGS = [("idler", "idler"), ("signal", "idler"), ("idler", "signal"),
+             ("signal", "signal")]
 
 
 def assert_matches_nested(run):
-    for a, b in ORDERINGS:
-        got = pf.ordered_pair_count(run, a, b)
+    for (a, b), got in zip(ORDERINGS, pf.statistics._pair_counts([run])[0]):
         want = oracles.nested_pair_count(run, a, b)
         assert abs(got - want) < 1e-12, (a, b, got, want)
 
@@ -617,6 +617,12 @@ def coarse_run3():
 @pytest.fixture(scope="module")
 def run3():
     return cascade_run()
+
+
+@pytest.fixture(scope="module")
+def nested3(coarse_run3):
+    """`oracles.nested_pair_count` of `coarse_run3` in each of the ORDERINGS."""
+    return {(a, b): oracles.nested_pair_count(coarse_run3, a, b) for a, b in ORDERINGS}
 
 
 class TestJumpsAndGathers:
@@ -699,39 +705,34 @@ class TestJumpsAndGathers:
         pf.pair_correlations(TABLE_RUNS["three_level"]())
         assert seen == [(1, "idler"), (1, "signal")]
         seen.clear()
-        pf.cross_pair_integral(TABLE_RUNS["three_level"](), "idler", "idler")
-        assert seen == [(1, "idler")]
-        seen.clear()
         pf.sweep_cascade(pf.MirrorQubitParams(levels=3), [5.0, 0.0, 6.0], [0.1], 4.0, 0.05)
         assert seen == [(2, "idler"), (2, "signal")]
 
 
 class TestPairIntegrals:
-    def test_symmetrized_sum_of_orderings(self, run3):
-        a_si = pf.ordered_pair_count(run3, "signal", "idler")
-        a_is = pf.ordered_pair_count(run3, "idler", "signal")
-        g = pf.cross_pair_integral(run3, "signal", "idler")
-        assert abs(g - (a_si + a_is)) < 1e-12
-        assert abs(pf.cross_pair_integral(run3, "idler", "signal") - g) < 1e-15
+    def test_symmetrized_sum_of_orderings(self, coarse_run3, nested3):
+        got = pf.pair_correlations(coarse_run3).g_is
+        _, a_si, a_is, _ = pf.statistics._pair_counts([coarse_run3])[0]
+        assert abs(got - (a_si + a_is)) < 1e-12
+        assert abs(got - nested3["signal", "idler"] - nested3["idler", "signal"]) < 1e-12
 
-    def test_same_channel_counts_both_orderings(self, run3):
-        a_ii = pf.ordered_pair_count(run3, "idler", "idler")
-        assert abs(pf.cross_pair_integral(run3, "idler", "idler") - 2.0 * a_ii) < 1e-15
+    def test_same_channel_counts_both_orderings(self, coarse_run3, nested3):
+        got = pf.pair_correlations(coarse_run3)
+        a_ii, _, _, a_ss = pf.statistics._pair_counts([coarse_run3])[0]
+        assert abs(got.g_ii - 2.0 * a_ii) < 1e-15 and abs(got.g_ss - 2.0 * a_ss) < 1e-15
+        assert abs(got.g_ii - 2.0 * nested3["idler", "idler"]) < 1e-12
+        assert abs(got.g_ss - 2.0 * nested3["signal", "signal"]) < 1e-12
 
     @pytest.mark.parametrize("name", ["01", "s", "Signal"])
     def test_only_the_channel_names_are_known(self, run3, name):
         with pytest.raises(ValueError, match="unknown channel"):
-            pf.ordered_pair_count(run3, name, "idler")
-        with pytest.raises(ValueError, match="unknown channel"):
-            pf.cross_pair_integral(run3, "idler", name)
+            pf.statistics._jumps([run3], name)
 
     def test_unknown_channel_rejected(self, run3):
-        with pytest.raises(ValueError, match="unknown channel"):
-            pf.ordered_pair_count(run3, "signal", "telegraph")
+        with pytest.raises(ValueError, match="unknown channel 'telegraph'"):
+            pf.statistics._jumps([run3], "telegraph")
 
     def test_two_level_run_rejected(self, stored_excitation_run):
-        with pytest.raises(ValueError, match="three-level"):
-            pf.ordered_pair_count(stored_excitation_run, "signal", "idler")
         with pytest.raises(ValueError, match="pair correlations require a three-level run"):
             pf.pair_correlations(stored_excitation_run)
 
@@ -740,9 +741,15 @@ class TestPairIntegrals:
         run = pf.simulate(pf.MirrorQubitParams(levels=3, gamma02=gamma02),
                           pf.DriveSchedule.square_pi_pulse(alpha_d, 0.0, 2.0 * gamma02),
                           pf.PhaseSchedule.constant(0.0), 20.0, dt=0.005)
+        # each ordering as its own walk of one root (the later jump) and one child
         got = pf.pair_correlations(run)
-        want = [pf.cross_pair_integral(run, a, b)
-                for a, b in [("idler", "idler"), ("signal", "signal"), ("idler", "signal")]]
+        a = {}
+        for first, second in ORDERINGS:
+            jumps = [pf.statistics._jumps([run], c) for c in (second, first)]
+            w = oracles.chain_walk(run, 0, run.pieces.starts[-1], jumps, [-1, 0])
+            a[first, second] = w[1 + 9:] @ run.coords_at(0)
+        want = [2.0 * a["idler", "idler"], 2.0 * a["signal", "signal"],
+                a["idler", "signal"] + a["signal", "idler"]]
         for g, x in zip([got.g_ii, got.g_ss, got.g_is], want):
             assert abs(g - x) <= 1e-13 * abs(x)
 
