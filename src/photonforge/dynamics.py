@@ -19,8 +19,8 @@ so propagation is an ordered product of constant-segment matrix
 exponentials. A run is compiled once: every piece's generator is a
 weighted sum of a few superoperators fixed per level count (D[sigma_minus]
 with weight Gamma_eff(phi) + Gamma_nr, the sigma_z commutator with weight
-(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures). A distinct (weights, step)
-piece that is two-level and drive-free keeps only the closed-form per-step factors of its
+(Delta - (Gamma/2) sin phi)/2, and the two drive quadratures). A piece
+that is two-level and drive-free keeps only the closed-form per-step factors of its
 decay and turn (the terms commute); the rest are exponentiated in one stacked call.
 Several runs, such as a sweep's cells, each with its own schedules, span and dt,
 are cut and compiled as one stack in one pass over flat row arrays with a per-row cell
@@ -371,13 +371,12 @@ class PieceTable:
     """The constant pieces of a run, one row per piece; the rows tile it.
 
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length h[p] at
-    (phi[p], alpha[p]) in slot[p], shared by rows of equal (phi, alpha, h); `steps` gives
-    rows' real step matrices in coordinates. free[slot] says the slot is a two-level decay
-    without drive, which keeps no matrix, only decay[:, slot]: its exponent and three
-    per-step factors (`_decay_factors`; None if no slot is free), by which its rows march.
-    The other slots' series step matrices are `driven`, in slot order. channels maps each
-    output channel to its (P, d, d) stack of per-row collapse operators: "line" on two
-    levels, "signal", "idler" and "pump" on three.
+    (phi[p], alpha[p]); `steps` gives rows' real step matrices in coordinates. free[p] says
+    the row is a two-level decay without drive, which keeps no matrix, only decay[:, p]: its
+    exponent and three per-step factors (`_decay_factors`; None if no row is free), by which
+    it marches. The other rows' series step matrices are `driven`, in row order. channels
+    maps each output channel to its (P, d, d) stack of per-row collapse operators: "line"
+    on two levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -385,7 +384,6 @@ class PieceTable:
     n_steps: np.ndarray
     phi: np.ndarray
     alpha: np.ndarray
-    slot: np.ndarray
     free: np.ndarray
     decay: Optional[np.ndarray]
     driven: np.ndarray
@@ -396,19 +394,23 @@ class PieceTable:
         return (self.t_b - self.t_a) / self.n_steps
 
     def steps(self, rows) -> np.ndarray:
-        """The step matrices of the rows at indices `rows`, a new array: a driven slot's
-        from `driven`, a free slot's assembled from its `_decay_factors` (rho_00 gains
-        1 - e^x = -expm1(x)), as is every free slot's of the stack once one is asked for."""
-        s = self.slot.take(rows)
-        if not np.count_nonzero(self.free.take(s)):  # driven[k] is the k-th driven slot's
-            return self.driven.take((~self.free).cumsum().take(s) - 1, axis=0)
-        x, e11, e22, e32 = self.decay
+        """The step matrices of the rows at indices `rows`, a new array: a driven row's
+        from `driven`, a free row's assembled from its `_decay_factors` (rho_00 gains
+        1 - e^x = -expm1(x))."""
+        free, k = self.free.take(rows), self._driven_index.take(rows)
+        if not np.count_nonzero(free):
+            return self.driven.take(k, axis=0)
+        x, e11, e22, e32 = self.decay.take(rows, axis=1)
         out = np.zeros((len(x), 4, 4))
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), e11
         out[:, 2, 2] = out[:, 3, 3] = e22
         out[:, 3, 2], out[:, 2, 3] = e32, 0.0 - e32
-        out[~self.free] = self.driven
-        return out.take(s, axis=0)
+        out[~free] = self.driven.take(k[~free], axis=0)
+        return out
+
+    @functools.cached_property
+    def _driven_index(self) -> np.ndarray:  # driven row p's matrix is driven[index[p]]
+        return (~self.free).cumsum() - 1
 
     @functools.cached_property
     def starts(self) -> np.ndarray:
@@ -423,7 +425,7 @@ class PieceTable:
 
     def row_at(self, i) -> np.ndarray:
         """The row `per_point` reads at grid index (or indices) i."""
-        return np.minimum(np.searchsorted(self.starts, i, side="right") - 1, len(self.slot) - 1)
+        return np.minimum(np.searchsorted(self.starts, i, side="right") - 1, len(self.t_a) - 1)
 
     def time(self, i: int) -> float:
         """Grid time i as `ScenarioRun.times` holds it: t_a + j h on its row, t_b at the end."""
@@ -520,53 +522,45 @@ def _cut(cells) -> tuple:
 
 def _compile(params, rows) -> list:
     """The piece tables of cells k of params[k], of one level count, compiled in one pass
-    from their `_cut` rows (cell, t_a, t_b, n_steps, phi, alpha): each cell numbers a slot
-    per distinct (phi, alpha, h) of its rows, past the slots of the cells before it. The
-    tables are views of the stack's rows and channels, and share the slots' `free` mask,
-    the free slots' `_decay_factors`, two-level with both drive weights 0 (no drive, or
-    phi = pi), and the rest's step matrices, from one `sup_exp` call. The line coupling
-    c(phi) of the rows gives the "line" channel and, at their first rows, the slots'."""
+    from their `_cut` rows (cell, t_a, t_b, n_steps, phi, alpha), each row on its own. The
+    tables are views of the stack's rows, channels and `free` mask (two-level with both
+    drive weights 0: no drive, or phi = pi), of every row's `_decay_factors`, kept when a
+    row is free, and of the other rows' step matrices, from one `sup_exp` call. The line
+    coupling c(phi) of the rows gives the "line" channel and their weights."""
     cell, t_a, t_b, n, phi, alpha = rows
     levels = params[0].levels
     h = (t_b - t_a) / n
-    # a slot per distinct sorted key, the cell's first, keyed by its first row (stable sort)
-    keys = [h, alpha.imag, alpha.real, phi] + [cell] * (len(params) > 1)
-    order = np.lexsort(keys)
-    k = np.array(keys).take(order, axis=1)
-    new = np.concatenate(((True,), (k[:, 1:] != k[:, :-1]).any(axis=0)))
-    slot = np.empty_like(order)
-    slot[order] = new.cumsum() - 1
-    first = order[new]
-    by_row = by_slot = params[0]  # one cell's rates; a stack's are arrays by row, by slot
+    by_row = params[0]  # one cell's rates; a stack's are arrays by row
     if len(params) > 1:
         names = ("gamma", "delta", "gamma_nr") if levels == 2 else _ladder()[1]
-        rates = {k: np.array([getattr(p, k) for p in params]).take(cell) for k in names}
-        by_row = SimpleNamespace(levels=levels, **rates)
-        by_slot = SimpleNamespace(levels=levels, **{k: v.take(first) for k, v in rates.items()})
+        by_row = SimpleNamespace(levels=levels, **{
+            k: np.array([getattr(p, k) for p in params]).take(cell) for k in names})
     if levels == 2:
         c, line = _line_coupling(by_row.gamma, phi), np.zeros((len(phi), 2, 2), complex)
-        line[:, 0, 1], c = c, c.take(first)  # L = c sigma_minus
+        line[:, 0, 1] = c  # L = c sigma_minus
         channels = {"line": line}
     else:
         c, channels = None, _ladder_channels(by_row, len(phi))
-    w, h = _weights(by_slot, phi.take(first), alpha.take(first), c).real, h.take(first)
+    w = _weights(by_row, phi, alpha, c).real
     free = ~np.logical_or(w[:, -2], w[:, -1]) & (levels == 2)  # two-level, both drive weights 0
-    decay = _decay_factors(w, h) if np.count_nonzero(free) else None  # every slot's, in one pass
+    decay = _decay_factors(w, h) if np.count_nonzero(free) else None  # every row's, in one pass
     gens = (w[~free] @ _basis(levels, True)).reshape(-1, levels ** 2, levels ** 2)
     driven = sup_exp(gens, h[~free]) if len(gens) else gens
     if len(params) == 1:
-        return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, slot=slot,
-                           free=free, decay=decay, driven=driven, channels=channels)]
-    ends = np.searchsorted(cell, np.arange(len(params) + 1)).tolist()
+        return [PieceTable(t_a=t_a, t_b=t_b, n_steps=n, phi=phi, alpha=alpha, free=free,
+                           decay=decay, driven=driven, channels=channels)]
+    ends = np.searchsorted(cell, np.arange(len(params) + 1))
+    ends = np.array([ends, np.append(0, np.cumsum(~free))[ends]]).T.tolist()  # row, driven row
     return [PieceTable(t_a=t_a[a:b], t_b=t_b[a:b], n_steps=n[a:b], phi=phi[a:b],
-                       alpha=alpha[a:b], slot=slot[a:b], free=free, decay=decay, driven=driven,
+                       alpha=alpha[a:b], free=free[a:b], decay=None if decay is None else
+                       decay[:, a:b], driven=driven[da:db],
                        channels={k: v[a:b] for k, v in channels.items()})
-            for a, b in zip(ends, ends[1:])]
+            for (a, da), (b, db) in zip(ends, ends[1:])]
 
 
 def _decay_factors(w, h) -> np.ndarray:
     """exp(G h) of drive-free two-level coordinate generators G = w0 D[sigma_minus] + w1 Z
-    of weights w, rows (x, E11, E22, E32) per slot: D and Z commute, so per step rho_11
+    of weights w, rows (x, E11, E22, E32) per piece: D and Z commute, so per step rho_11
     decays by E11 = e^x, x = -w0 h = G[1, 1] h, and the coherence x + i y by E22 + i E32
     = e^{x/2} e^{-2i w1 h}, 2 w1 h = G[2, 3] h (to the bit: G's other terms there are 0)."""
     with np.errstate(all="ignore"):
@@ -612,7 +606,7 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     to b points. Driven one-step rows come from `simulate` under a driven ramp, from
     `propagator`'s driven pieces and from `flux_series` points on a pulse; no scenario
     makes them."""
-    n_steps, starts, free = table.n_steps, table.starts, table.free.take(table.slot)
+    n_steps, starts, free = table.n_steps, table.starts, table.free
     states = np.empty((int(starts[-1]) + 1,) + v0.shape)
     states[0] = v0
     # a maximal run of free rows is one segment, and so is one of driven one-step
@@ -623,7 +617,7 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     for rows in np.split(np.arange(len(n_steps)), cuts):
         i, k = int(starts[rows[0]]), int(n_steps[rows[0]])
         if free[rows[0]]:
-            _decay(table.decay, table.slot.take(rows), n_steps.take(rows), states, i)
+            _decay(table.decay.take(rows, axis=1), n_steps.take(rows), states, i)
             continue
         if k == 1:
             _scan(table.steps(rows), states, i)
@@ -644,12 +638,12 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
     return states
 
 
-def _decay(decay, slot, n_steps, states, i) -> None:
-    """states[i] through drive-free two-level rows of `_decay_factors` decay[:, slot], row p
-    for n_steps[p] steps, by cumulative products of per-step factors gathered per row: rho_11
+def _decay(decay, n_steps, states, i) -> None:
+    """states[i] through drive-free two-level rows of `_decay_factors` decay, row p for
+    n_steps[p] steps, by cumulative products of its per-step factors decay[:, p]: rho_11
     of E11, the coherence x + i y of E22 + i E32, rho_00 the trace less rho_11."""
-    p1 = np.cumprod(np.repeat(decay[1].take(slot), n_steps))
-    z = np.cumprod(np.repeat(decay[2].take(slot) + 1j * decay[3].take(slot), n_steps))
+    p1 = np.cumprod(np.repeat(decay[1], n_steps))
+    z = np.cumprod(np.repeat(decay[2] + 1j * decay[3], n_steps))
     s, out = states[i], states[i + 1:i + 1 + len(p1)]
     out[:, 1] = np.multiply.outer(p1, s[1])
     z = np.multiply.outer(z, s[2] + 1j * s[3])

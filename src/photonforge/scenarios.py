@@ -117,11 +117,16 @@ class WavePacket:
         if len(grid) < 3:
             raise ValueError(f"packet support holds {len(grid)} grid points, "
                              "fewer than 3")
+        if not (np.isfinite(grid).all() and np.isfinite(xi).all()):
+            raise ValueError("packet grid and amplitudes must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("packet grid must be strictly increasing")
-        power = np.trapezoid(np.abs(xi) ** 2, grid)
+        with np.errstate(over="ignore"):  # an overflow raises below
+            power = np.trapezoid(np.abs(xi) ** 2, grid)
         if not power > 0:
             raise ValueError("packet has no power")
+        if not power < math.inf:
+            raise ValueError(f"packet power {power} is not finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "xi", xi / math.sqrt(power))
 

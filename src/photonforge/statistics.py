@@ -229,7 +229,7 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
         ps, hi = ps[::-1], hi[::-1]
         parts.append((t.steps(ps), t.h.take(ps), hi - lo[::-1], ps + off,
                       t.row_at(hi) + off))
-        off += len(t.slot)
+        off += len(t.n_steps)
     jumps = {c: _jumps(runs, c) for c in dict.fromkeys(channels)}
     d2 = jumps[channels[0]].shape[-1]
     idx = _reach([p[0] for p in parts], jumps.values(), math.isqrt(d2))

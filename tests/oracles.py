@@ -164,7 +164,7 @@ def grid_steps(run, coords=False):
     table = run.pieces
     v, w = pf.core.coordinates(run.dim)
     out = []
-    for e, n in zip(table.steps(np.arange(len(table.slot))), table.n_steps):
+    for e, n in zip(table.steps(np.arange(len(table.t_a))), table.n_steps):
         out.extend([e if coords else v @ e @ w] * int(n))
     return out
 
@@ -288,7 +288,7 @@ def chain_walk(run, i0, i1, jumps, parents=None):
     named by its index, so no level shares another's forms."""
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
-    nxt = table.per_point(np.arange(len(table.slot)))[hi]
+    nxt = table.per_point(np.arange(len(table.t_a)))[hi]
     d2 = jumps[0].shape[-1]
     tr = (np.arange(d2) < math.isqrt(d2)).astype(float)
     levels = range(len(jumps))

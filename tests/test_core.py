@@ -278,7 +278,7 @@ class TestGenerators:
 
     def test_scenario_stacks_match_scipy_expm(self, monkeypatch):
         # every step matrix that a packet release, a beam-splitter job and a
-        # cascade cell compile (closed-form and stacked slots alike), and
+        # cascade cell compile (closed-form and stacked rows alike), and
         # every slice an encode exponentiates, against scipy's Pade expm;
         # the encode Van Loan slices reach 1-norms of about 43, five squarings
         from scipy.linalg import expm
@@ -305,7 +305,7 @@ class TestGenerators:
         monkeypatch.undo()
         pairs = []  # (coordinate or vec generator, duration, its exponential)
         for params, table in tables:
-            _, rows = np.unique(table.slot, return_index=True)
+            rows = np.arange(len(table.t_a))
             gens = to_coordinates(pf.dynamics._generators(params, table.phi[rows],
                                                           table.alpha[rows]))
             pairs += zip(gens, table.h[rows], table.steps(rows))

@@ -323,18 +323,16 @@ def exponential_release(gamma=1.0):
 
 
 def drive_free_table(case):
-    """DRIVE_FREE[case]'s params, compiled table, and mask of its drive-free slots."""
+    """DRIVE_FREE[case]'s params, compiled table, and mask of its drive-free rows."""
     params, drive, phase, t1, t2, extra = DRIVE_FREE[case]()
     table = pf.dynamics._piece_table(params, drive, phase, t1, t2, extra)
-    _, rows = np.unique(table.slot, return_index=True)
-    return params, table, (table.alpha[rows] == 0) | (table.phi[rows] == PI)
+    return params, table, (table.alpha == 0) | (table.phi == PI)
 
 
 def table_generators(params, table):
-    """Each slot's coordinate generator, step and step matrix, in slot order."""
-    _, rows = np.unique(table.slot, return_index=True)
-    gens = pf.dynamics._generators(params, table.phi[rows], table.alpha[rows])
-    return pf.core.to_coordinates(gens), table.h[rows], table.steps(rows)
+    """Each row's coordinate generator, step and step matrix, in row order."""
+    gens = pf.dynamics._generators(params, table.phi, table.alpha)
+    return pf.core.to_coordinates(gens), table.h, table.steps(np.arange(len(table.t_a)))
 
 
 def _random_drive_free(seed):
@@ -369,7 +367,7 @@ DRIVE_FREE = {
 }
 
 
-# two-level tables with free slots: the random `free_march_table`s and DRIVE_FREE
+# two-level tables with free rows: the random `free_march_table`s and DRIVE_FREE
 FREE_TABLES = {**{f"march_{seed}": lambda seed=seed: free_march_table(seed)
                   for seed in range(1, 5)},
                **{case: lambda case=case: drive_free_table(case)[:2] for case in DRIVE_FREE}}
@@ -388,7 +386,7 @@ class TestCompiler:
         run = pf.simulate(params, drive, phase, 2.5, dt=0.05)
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
-        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
+        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.t_a)))):
             gen = oracle_generator(params.gamma, oracles.phi_value(phase, t),
                                    alpha=oracles.alpha_value(drive, t),
                                    delta=params.delta, gamma_nr=params.gamma_nr)
@@ -402,7 +400,7 @@ class TestCompiler:
                           dt=0.05)
         table = run.pieces
         v, w = pf.core.coordinates(params.levels)
-        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.slot)))):
+        for t, h, e in zip(table.t_a, table.h, table.steps(np.arange(len(table.t_a)))):
             gen = ladder_generator(params, oracles.alpha_value(drive, t))
             step = v @ e @ w
             assert np.max(np.abs(step - pf.sup_exp(gen, h).mat)) < 1e-13
@@ -452,11 +450,12 @@ class TestCompiler:
         phase, rho0 = exponential_release()
         run = pf.simulate(pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(()),
                           phase, 20.0, t_start=8.0, rho0=rho0, dt=0.005)
-        assert len(run.pieces.slot) >= 2400
+        assert len(run.pieces.t_a) >= 2400
         assert len(calls) <= 3
 
-    def test_flux_readout_exponentiates_each_distinct_key_once(self, monkeypatch):
-        # the beam-splitter readout: 4,001 rows, few distinct steps
+    def test_flux_readout_exponentiates_each_driven_row_once(self, monkeypatch):
+        # the beam-splitter readout: 4,001 rows, each compiled on its own, the
+        # pulse's driven rows in one series call and the rest in closed form
         slices = []
         real = pf.dynamics.sup_exp
 
@@ -468,12 +467,12 @@ class TestCompiler:
         drive = pf.DriveSchedule.square_pi_pulse(5.0, 0.0, 1.0)
         phase, grid = pf.PhaseSchedule.constant(0.0), np.linspace(0.0, 20.0, 4001)
         table = pf.dynamics._piece_table(params, drive, phase, 0.0, 20.0, grid)
-        keys = set(zip(table.phi.tolist(), table.alpha.tolist(), table.h.tolist()))
-        assert len(table.slot) > 4000 and len(keys) < 50
-        assert len(table.free) == len(keys)
+        driven = np.count_nonzero(~table.free)
+        assert len(table.t_a) > 4000 and 0 < driven < 100
+        assert np.array_equal(table.free, table.alpha == 0)
         monkeypatch.setattr(pf.dynamics, "sup_exp", counting)
         pf.flux_series(params, drive, phase, grid)
-        assert 0 < sum(slices) <= len(keys)
+        assert slices == [driven]
 
     def test_packet_release_looks_up_each_schedule_once(self, monkeypatch):
         # one lookup of the drive segments at every row; the ramp's rows read their step
@@ -510,8 +509,8 @@ class TestCompiler:
 
     @pytest.mark.parametrize("case", sorted(DRIVE_FREE))
     def test_closed_form_steps_match_the_stacked_series(self, case):
-        # a drive-free slot's closed form against the series; a driven
-        # slot is the series' own slice, bit for bit
+        # a drive-free row's closed form against the series; a driven
+        # row is the series' own slice, bit for bit
         params, table, free = drive_free_table(case)
         assert free.any() and free.all() == (case in ("dark", "long_row", "subnormal"))
         for g, h, e, f in zip(*table_generators(params, table), free):
@@ -520,24 +519,22 @@ class TestCompiler:
 
     @pytest.mark.parametrize("case", sorted(FREE_TABLES))
     def test_assembled_free_steps_equal_the_stacked_closed_form(self, case):
-        # a free slot keeps its factors only; `steps` assembles its matrix as the
-        # closed form on the stacked generators of every slot does, bit for bit,
-        # and a driven slot's is the series of the driven slots alone
+        # a free row keeps its factors only; `steps` assembles its matrix as the
+        # closed form on the stacked generators of every row does, bit for bit,
+        # and a driven row's is the series of the driven rows alone
         params, table = FREE_TABLES[case]()
-        _, first = np.unique(table.slot, return_index=True)
-        c = pf.dynamics._line_coupling(params.gamma, table.phi)[first]
-        w = pf.dynamics._weights(params, table.phi[first], table.alpha[first], c).real
-        gens, h = (w @ pf.dynamics._basis(2, True)).reshape(-1, 4, 4), table.h[first]
-        got, free = table.steps(first), table.free
+        c = pf.dynamics._line_coupling(params.gamma, table.phi)
+        w = pf.dynamics._weights(params, table.phi, table.alpha, c).real
+        gens, h = (w @ pf.dynamics._basis(2, True)).reshape(-1, 4, 4), table.h
+        got, free = table.steps(np.arange(len(h))), table.free
         assert got[free].tobytes() == oracles.stacked_decay_steps(gens[free], h[free]).tobytes()
         assert table.driven.tobytes() == got[~free].tobytes()
         if not free.all():
             assert got[~free].tobytes() == pf.sup_exp(gens[~free], h[~free]).tobytes()
         if case.startswith("march"):
             # zero-length rows and a drive held at phi = pi, on a detuned, lossy emitter
-            rows = free[table.slot]
-            assert (rows & (table.h == 0)).any()
-            assert (rows & (table.alpha != 0) & (table.phi == PI)).any()
+            assert (free & (table.h == 0)).any()
+            assert (free & (table.alpha != 0) & (table.phi == PI)).any()
             assert params.gamma_nr > 0 and params.delta != 0
 
     def test_packet_release_assembles_no_free_step(self, monkeypatch):
@@ -547,7 +544,7 @@ class TestCompiler:
         real = pf.PieceTable.steps
 
         def steps(table, rows):
-            asked.append(table.free[table.slot[rows]].tolist())
+            asked.append(table.free[rows].tolist())
             return real(table, rows)
 
         monkeypatch.setattr(pf.PieceTable, "steps", steps)
@@ -575,8 +572,8 @@ class TestCompiler:
             assert table.h.tolist() == [0.0]
             assert table.steps([0]).tobytes() == np.eye(4)[None].tobytes()
 
-    def test_packet_release_stacks_only_its_driven_slot(self, monkeypatch):
-        slices, slots = [], []
+    def test_packet_release_stacks_only_its_driven_row(self, monkeypatch):
+        slices, sizes = [], []
         real_exp, real_compile = pf.dynamics.sup_exp, pf.dynamics._compile
 
         def counting(lv, t):
@@ -585,7 +582,7 @@ class TestCompiler:
 
         def compiling(params, rows):
             tables = real_compile(params, rows)
-            slots.append(len(tables[0].free))
+            sizes.append(len(tables[0].free))
             stored.append((tables[0].driven.shape, np.shape(tables[0].decay)))
             return tables
 
@@ -594,15 +591,15 @@ class TestCompiler:
         monkeypatch.setattr(pf.dynamics, "_compile", compiling)
         packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
         result = pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
-        assert (slices, slots) == ([1], [2268])
-        # one driven step matrix; the 2,267 free slots keep their four factor rows
-        assert stored == [((1, 4, 4), (4, 2268))]
+        assert (slices, sizes) == ([1], [2403])
+        # one driven step matrix; the 2,402 free rows keep their four factors each
+        assert stored == [((1, 4, 4), (4, 2403))]
         # no drive in the release window: P2 and P3 stay the literal 0
         assert result.stats.probabilities[2:] == (0.0, 0.0)
         slices.clear()
-        slots.clear()
+        sizes.clear()
         pf.run_cascade(pf.MirrorQubitParams(levels=3, gamma02=0.35), 8.0)
-        assert slices == slots and len(slots) == 1
+        assert slices == sizes and len(sizes) == 1
 
     def test_non_finite_closed_form_raises(self):
         # a turn of 2 w1 h = inf, where no step matrix exists: compiling the
@@ -651,9 +648,8 @@ class TestFreeMarch:
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_closed_form_march_matches_the_step_by_step_march(self, seed):
         params, table = free_march_table(seed)
-        free = table.free[table.slot]
-        _, first = np.unique(table.slot, return_index=True)
-        assert np.array_equal(table.free, (table.alpha[first] == 0) | (table.phi[first] == PI))
+        free = table.free
+        assert np.array_equal(free, (table.alpha == 0) | (table.phi == PI))
         # drive-free runs of zero-length, one-step ramp and long rows on both
         # sides of the first pulse, and a free drive at phi = pi
         pulse = np.flatnonzero(~free)[0]
@@ -674,7 +670,7 @@ class TestFreeMarch:
         drive = pf.DriveSchedule(((1.0, 1.3, 2.0 + 1.0j), (2.0, 2.4, 3.0)))
         phase = pf.PhaseSchedule(((-math.inf, 2.0, 0.4), (2.0, 3.0, PI), (3.0, math.inf, 1.1)))
         table = pf.dynamics._piece_table(params, drive, phase, 0.0, 4.0)
-        assert table.free[table.slot].tolist() == [True, False, True, True, True, True]
+        assert table.free.tolist() == [True, False, True, True, True, True]
         v, w = pf.core.coordinates(2)
         want = v @ march_oracle(table, np.eye(4))[-1] @ w
         got = pf.propagator(params, drive, phase, 0.0, 4.0).mat
@@ -737,7 +733,7 @@ class TestFluxReadout:
         # zero on some rows, an all-zero channel and one with every entry live
         rng = np.random.default_rng(seed)
         run = TABLE_RUNS["release"]()
-        p = len(run.pieces.slot)
+        p = len(run.pieces.t_a)
         c = rng.normal(size=p) + 1j * rng.normal(size=p)
         line = np.multiply.outer(c, [[0.0, 1.0], [0.0, 0.0]])
         ops = {"line": line,
@@ -903,14 +899,14 @@ class TestPieceTable:
         gens = pf.dynamics._generators(params, table.phi, table.alpha)
         got = w @ pf.sup_exp(gens, table.h) @ v
         assert np.max(np.abs(got.imag)) <= 1e-15 * np.max(np.abs(got))
-        steps = table.steps(np.arange(len(table.slot)))
+        steps = table.steps(np.arange(len(table.t_a)))
         assert steps.dtype == np.float64
         assert np.max(np.abs(steps - got.real)) < 1e-13
 
     @pytest.mark.parametrize("name", sorted(set(TABLE_RUNS) - {"three_level"}))
     def test_line_coupling_of_all_rows_holds_the_slots(self, name):
-        # `_compile` evaluates c(phi) once over a cell's rows and its slots'
-        # weights read c at their first rows: the bits of c at those rows alone
+        # `_compile` evaluates c(phi) once over a cell's rows, and the rows'
+        # weights read it there: the bits of c at any of those rows alone
         run = TABLE_RUNS[name]()
         table, params = run.pieces, run.params
         c = pf.dynamics._line_coupling(params.gamma, table.phi)
@@ -919,7 +915,7 @@ class TestPieceTable:
         # the three other entries are +0 in both parts, whatever the sign of c
         dead = np.delete(line.reshape(len(c), 4), 1, axis=1)
         assert not dead.view(float).any() and not np.signbit(dead.view(float)).any()
-        for rows in (np.unique(table.slot, return_index=True)[1], np.arange(len(c))[1::3]):
+        for rows in (np.flatnonzero(~table.free), np.arange(len(c))[1::3]):
             alone = pf.dynamics._line_coupling(params.gamma, table.phi[rows])
             assert np.array_equal(c[rows], alone)
 
@@ -1208,26 +1204,23 @@ def stack_cells(levels):
 
 
 def assert_cells_of_the_stack(stack, ones):
-    """Each table of a stack is, field for field and bit for bit, its cell's one-cell table
-    with the slots of the cells before it added."""
-    offset, driven = 0, 0
+    """Each table of a stack is, field for field and bit for bit, its cell's one-cell table.
+    A cell with no free row keeps no factors; in a stack with free rows it holds the
+    unread factors of its driven rows."""
     for a, b in zip(stack, ones):
-        for name in ("t_a", "t_b", "n_steps", "phi", "alpha"):
+        for name in ("t_a", "t_b", "n_steps", "phi", "alpha", "free", "driven"):
             x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-        assert a.slot.tobytes() == (b.slot + offset).tobytes()
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+        if b.decay is None:
+            assert not a.free.any()
+        else:
+            assert a.decay.tobytes() == b.decay.tobytes()
         assert a.channels.keys() == b.channels.keys()
         for k in b.channels:
             assert a.channels[k].tobytes() == b.channels[k].tobytes(), k
-        rows = np.arange(len(b.slot))
+        rows = np.arange(len(b.t_a))
         assert a.steps(rows).tobytes() == b.steps(rows).tobytes()
-        slots = slice(offset, offset + len(b.free))
-        assert a.free[slots].tobytes() == b.free.tobytes()
-        if b.decay is not None:
-            assert a.decay[:, slots].tobytes() == b.decay.tobytes()
-        assert a.driven[driven:driven + len(b.driven)].tobytes() == b.driven.tobytes()
-        offset, driven = offset + len(b.free), driven + len(b.driven)
-    assert offset == len(stack[0].free) and driven == len(stack[0].driven)
 
 
 class TestCellStack:
@@ -1241,7 +1234,7 @@ class TestCellStack:
         ones = [pf.dynamics._simulate([cell])[0] for cell in cells]
         assert_cells_of_the_stack([r.pieces for r in runs], [r.pieces for r in ones])
         assert [r.drive_points for r in runs] == [r.drive_points for r in ones]
-        assert len(ones[-1].pieces.slot) == 1 and ones[-1].pieces.h[0] < pf.dynamics._CUT_TOL
+        assert len(ones[-1].pieces.t_a) == 1 and ones[-1].pieces.h[0] < pf.dynamics._CUT_TOL
         assert any(r.pieces.alpha.any() for r in ones) and ones[2].phase.ramp is not None
 
     @pytest.mark.parametrize("levels", [2, 3])
@@ -1258,7 +1251,7 @@ class TestCellStack:
         tables = pf.dynamics._compile(params, rows)
         assert_cells_of_the_stack(tables, [pf.dynamics._compile([p], one)[0]
                                            for p, one in zip(params, ones)])
-        assert any(len(t.slot) == 1 and t.h[0] == 0.0 for t in tables)
+        assert any(len(t.t_a) == 1 and t.h[0] == 0.0 for t in tables)
 
     def test_a_sweep_cuts_and_compiles_once(self):
         three = pf.MirrorQubitParams(levels=3)

@@ -204,8 +204,8 @@ def grid_runs(draw):
     rows = len(counts)
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.zeros(rows, dtype=int), free=np.zeros(1, dtype=bool),
-                          decay=None, driven=np.eye(4)[None], channels={})
+                          free=np.zeros(rows, dtype=bool), decay=None,
+                          driven=np.tile(np.eye(4), (rows, 1, 1)), channels={})
     return pf.ScenarioRun(params=pf.MirrorQubitParams(), drive=pf.DriveSchedule(),
                           phase=pf.PhaseSchedule(), start=np.eye(4)[0], pieces=table)
 
@@ -247,7 +247,7 @@ def planted_tables(draw):
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.arange(rows), free=np.zeros(rows, dtype=bool), decay=None,
+                          free=np.zeros(rows, dtype=bool), decay=None,
                           driven=0.5 * np.eye(d * d) + e, channels=channels)
     levels, parents = draw(st.sampled_from([(["a", "b"], None), (["b", "a", "a"], None),
                                             (["a", "b", "b", "a"], [-1, -1, 0, 1])]))
@@ -308,7 +308,7 @@ def lowering_tables(draw):
     edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
     table = pf.PieceTable(t_a=edges[:-1], t_b=edges[1:], n_steps=counts,
                           phi=np.zeros(rows), alpha=np.zeros(rows, dtype=complex),
-                          slot=np.arange(rows), free=np.zeros(rows, dtype=bool), decay=None,
+                          free=np.zeros(rows, dtype=bool), decay=None,
                           driven=0.5 * np.eye(d * d) + e, channels=channels)
     levels, parents = draw(st.sampled_from([
         (["a", "a", "a"], None), (["b", "a", "a", "b"], None),

@@ -352,7 +352,7 @@ class TestReleaseCount:
         res, (run,) = simulated(RELEASE_COUNTS[case])
         table = run.pieces
         i0, i1 = (table.index(t) for t in res.stats.window)
-        assert table.free[table.slot[table.spans(i0, i1)[0]]].all()
+        assert table.free[table.spans(i0, i1)[0]].all()
         want = pf.photon_mtiples(run, 3, res.stats.window)
         assert want[1:] == [0.0, 0.0]
         assert abs(res.stats.n_tiples[0] - want[0]) < 2e-14
@@ -400,6 +400,15 @@ class TestWavePacket:
             pf.WavePacket.gaussian(1.0, math.nan)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             pf.WavePacket.gaussian(1.0, 1.0, dt=math.nan)
+
+    def test_non_finite_packets_raise(self):
+        # each used to pass and break the unit norm: xi = [0, nan, 0, 0], or all zeros
+        with pytest.raises(ValueError, match="grid and amplitudes must be finite"):
+            pf.WavePacket(np.arange(4.0), np.array([1.0, math.inf, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="grid and amplitudes must be finite"):
+            pf.WavePacket(np.array([0.0, 1.0, 2.0, math.inf]), np.ones(4))
+        with pytest.raises(ValueError, match="packet power inf is not finite"):
+            pf.WavePacket(np.arange(4.0), np.full(4, 1e200))
 
     @pytest.mark.parametrize("make", [
         lambda: pf.WavePacket.gaussian(5.0, 1.0, t_start=20.0),
@@ -547,7 +556,7 @@ class TestCascade:
                 drive = pf.DriveSchedule.square_pi_pulse(a, 0.0, 2.0 * g)
                 run = pf.simulate(ladder().with_(gamma02=g), drive,
                                   pf.PhaseSchedule.constant(0.0), 6.0, dt=0.05)
-                rows[a, g] = len(run.pieces.slot)
+                rows[a, g] = len(run.pieces.t_a)
         assert rows == {(0.4, 0.05): 1, (0.4, 0.3): 2, (4.0, 0.05): 2, (4.0, 0.3): 2}
         with mock.patch.object(pf.scenarios, "_simulate",
                                wraps=pf.scenarios._simulate) as stack:

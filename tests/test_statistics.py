@@ -483,7 +483,7 @@ class TestChainAgainstRowWalk:
         cells = [(params.with_(gamma02=0.05 + 0.005 * k), d, phase, 0.0, 6.0, 0.05)
                  for k, d in enumerate(drives)]
         runs = pf.dynamics._simulate(cells)
-        assert [len(r.pieces.slot) for r in runs[:4]] == [4, 1, 3, 2]
+        assert [len(r.pieces.t_a) for r in runs[:4]] == [4, 1, 3, 2]
         channels, parents = ["idler", "signal"] * 3, [-1, -1, 0, 0, 1, 1]
         windows = [(0, len(r.times) - 1) for r in runs]
         monkeypatch.setattr(pf.statistics, "_FLOATS", 128 * 25 ** 2)
@@ -677,7 +677,7 @@ class TestJumpsAndGathers:
         # builds its own. Channel b pairs a's jc with another jn
         run = TABLE_RUNS["release"]()
         table, jumps = run.pieces, pf.statistics._jumps([run], "line")
-        rows = np.arange(len(table.slot) - 1)
+        rows = np.arange(len(table.t_a) - 1)
         e, h = table.steps(rows), table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
         other, tr = 2.0 * jn, np.array([1.0, 1.0, 0.0, 0.0])
@@ -774,8 +774,13 @@ class TestPairIntegrals:
         drive = pf.DriveSchedule(((0.0, 1.0, 5.0), (3.0, 4.0, 5.0)))
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 6.0,
                           dt=0.05)
-        slot = run.pieces.slot
-        assert len(slot) == 4 and slot[0] == slot[2] != slot[1]
+        # the two pulses are rows of one (phi, alpha, h): their step matrices
+        # are bit-identical, whatever rows the stack holds beside them
+        table = run.pieces
+        assert len(table.t_a) == 4 and table.alpha[0] == table.alpha[2] != table.alpha[1]
+        assert (table.phi[0], table.h[0]) == (table.phi[2], table.h[2])
+        steps = table.steps([0, 2])
+        assert steps[0].tobytes() == steps[1].tobytes()
         assert_matches_nested(run)
 
     def test_rounded_grid_times_keep_pieces_whole(self):
@@ -786,7 +791,7 @@ class TestPairIntegrals:
         drive = pf.DriveSchedule(((0.0, tw, 5.0),))
         run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 20.0,
                           dt=0.005)
-        assert len(run.pieces.slot) == 2
+        assert len(run.pieces.t_a) == 2
         assert run.pieces.n_steps[1] == 3860
 
     def test_metric_formula(self):
