@@ -16,7 +16,7 @@ Under this convention the commutator part of a Liouvillian is
 
 All code in this package assumes this one convention; do not mix in
 row-stacked superoperators from elsewhere. Compiled runs use the real
-`coordinates` of a Hermitian matrix instead (`to_coordinates`).
+`coordinates` of a Hermitian matrix, trace first (`to_coordinates`).
 """
 
 from __future__ import annotations
@@ -184,14 +184,16 @@ def unvec(v, dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def coordinates(d: int):
-    """Read-only (V, W), vec(rho) = V c and c = W vec(rho), for the real coordinates
-    c of a Hermitian rho: rho_jj, then Re and Im rho_jk, j < k. V's entries are 0, 1,
-    +-i, W's 0, 1, 1/2, +-i/2, so W V = V W = I exactly (Gorini et al. 1976)."""
+    """Read-only (V, W), vec(rho) = V c and c = W vec(rho), for the real coordinates c
+    of a Hermitian rho: tr rho, rho_jj for 0 < j < d, then Re and Im rho_jk, j < k. V's
+    entries are 0, +-1, +-i, W's 0, 1, 1/2, +-i/2, so W V = V W = I exactly (Gorini et
+    al. 1976), and row 0 of a trace-preserving map is e_0 (G. Kimura, PLA 314, 339)."""
     v = np.zeros((d * d, d * d), dtype=complex)
     v[np.arange(d) * (d + 1), np.arange(d)] = 1.0
     for n, (j, k) in enumerate(zip(*np.triu_indices(d, 1))):
         v[[j + k * d, k + j * d], d + 2 * n:d + 2 * n + 2] = [[1.0, 1j], [1.0, -1j]]
     w = v.conj().T / (np.abs(v) ** 2).sum(axis=0)[:, None]
+    w[0], v[0, 1:d] = w[:d].sum(axis=0), -1.0
     v.flags.writeable = w.flags.writeable = False
     return v, w
 

@@ -373,10 +373,10 @@ class PieceTable:
     Row p covers [t_a[p], t_b[p]] in n_steps[p] equal steps of length h[p] at
     (phi[p], alpha[p]); `steps` gives rows' real step matrices in coordinates. free[p] says
     the row is a two-level decay without drive, which keeps no matrix, only decay[:, p]: its
-    exponent and three per-step factors (`_decay_factors`; None if no row is free), by which
-    it marches. The other rows' series step matrices are `driven`, in row order. channels
-    maps each output channel to its (P, d, d) stack of per-row collapse operators: "line"
-    on two levels, "signal", "idler" and "pump" on three.
+    three per-step factors (`_decay_factors`; None if no row is free), by which it marches.
+    The other rows' series step matrices are `driven`, in row order. channels maps each
+    output channel to its (P, d, d) stack of per-row collapse operators: "line" on two
+    levels, "signal", "idler" and "pump" on three.
     """
 
     t_a: np.ndarray
@@ -395,14 +395,14 @@ class PieceTable:
 
     def steps(self, rows) -> np.ndarray:
         """The step matrices of the rows at indices `rows`, a new array: a driven row's
-        from `driven`, a free row's assembled from its `_decay_factors` (rho_00 gains
-        1 - e^x = -expm1(x))."""
+        from `driven`, a free row's assembled from its `_decay_factors`. Row 0 of each
+        is e_0: the trace coordinate is kept exactly."""
         free, k = self.free.take(rows), self._driven_index.take(rows)
         if not np.count_nonzero(free):
             return self.driven.take(k, axis=0)
-        x, e11, e22, e32 = self.decay.take(rows, axis=1)
-        out = np.zeros((len(x), 4, 4))
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), e11
+        e11, e22, e32 = self.decay.take(rows, axis=1)
+        out = np.zeros((len(e11), 4, 4))
+        out[:, 0, 0], out[:, 1, 1] = 1.0, e11
         out[:, 2, 2] = out[:, 3, 3] = e22
         out[:, 3, 2], out[:, 2, 3] = e32, 0.0 - e32
         out[~free] = self.driven.take(k[~free], axis=0)
@@ -560,14 +560,14 @@ def _compile(params, rows) -> list:
 
 def _decay_factors(w, h) -> np.ndarray:
     """exp(G h) of drive-free two-level coordinate generators G = w0 D[sigma_minus] + w1 Z
-    of weights w, rows (x, E11, E22, E32) per piece: D and Z commute, so per step rho_11
+    of weights w, rows (E11, E22, E32) per piece: D and Z commute, so per step rho_11
     decays by E11 = e^x, x = -w0 h = G[1, 1] h, and the coherence x + i y by E22 + i E32
     = e^{x/2} e^{-2i w1 h}, 2 w1 h = G[2, 3] h (to the bit: G's other terms there are 0)."""
     with np.errstate(all="ignore"):
         x, a = -w[:, 0] * h, 2.0 * w[:, 1] * h
         r = np.exp(0.5 * x)  # E32 = 0.0 - r sin a is +0 where r sin a is 0, as in sup_exp
-        out = np.array([x, np.exp(x), r * np.cos(a), 0.0 - r * np.sin(a)])
-    if not np.isfinite(out[1:]).all():  # so is E01 = 0.0 - expm1(x)
+        out = np.array([np.exp(x), r * np.cos(a), 0.0 - r * np.sin(a)])
+    if not np.isfinite(out).all():
         raise FloatingPointError("matrix exponential is not finite")
     return out
 
@@ -641,14 +641,13 @@ def _march_table(table: PieceTable, v0) -> np.ndarray:
 def _decay(decay, n_steps, states, i) -> None:
     """states[i] through drive-free two-level rows of `_decay_factors` decay, row p for
     n_steps[p] steps, by cumulative products of its per-step factors decay[:, p]: rho_11
-    of E11, the coherence x + i y of E22 + i E32, rho_00 the trace less rho_11."""
-    p1 = np.cumprod(np.repeat(decay[1], n_steps))
-    z = np.cumprod(np.repeat(decay[2] + 1j * decay[3], n_steps))
+    of E11, the coherence x + i y of E22 + i E32; the trace stays."""
+    p1 = np.cumprod(np.repeat(decay[0], n_steps))
+    z = np.cumprod(np.repeat(decay[1] + 1j * decay[2], n_steps))
     s, out = states[i], states[i + 1:i + 1 + len(p1)]
-    out[:, 1] = np.multiply.outer(p1, s[1])
+    out[:, 0], out[:, 1] = s[0], np.multiply.outer(p1, s[1])
     z = np.multiply.outer(z, s[2] + 1j * s[3])
     out[:, 2], out[:, 3] = z.real, z.imag
-    out[:, 0] = (s[0] + s[1]) - out[:, 1]
 
 
 def propagator(params: MirrorQubitParams, drive: DriveSchedule,
@@ -671,7 +670,7 @@ def propagator(params: MirrorQubitParams, drive: DriveSchedule,
 
 def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
     """Coordinates of rho0 (ground by default), a state of the run's levels."""
-    if rho0 is None:  # the ground state: rho_00 = 1, the first coordinate
+    if rho0 is None:  # the ground state: trace 1, coordinate 0, and nothing else
         return np.eye(params.levels ** 2)[0]
     rho = DensityMatrix(_as_matrix(rho0))
     if rho.dim != params.levels:
@@ -683,26 +682,25 @@ def _initial_state(params: MirrorQubitParams, rho0) -> np.ndarray:
 def _jump_form(d: int):
     """Pairs a <= b and real K_ab with conj(M) kron M in coordinates sum_ab m_a m_b K_ab,
     m the real and imaginary parts of M's entries, in which the jump is real and bilinear;
-    then each K_ab's trace row (d^2), the sum of its d population rows."""
+    each K_ab flattened, so its first d^2 entries are its trace row."""
     g = (np.array([1.0, 1j])[:, None, None] * np.eye(d * d)).reshape(-1, d, d)
     kron = np.einsum("aij,bkl->abikjl", g.conj(), g).reshape(-1, d * d, d * d)
     k, (a, b) = to_coordinates(kron).reshape(len(g), len(g), -1), np.triu_indices(len(g))
-    form = k[a, b] + (a < b)[:, None] * k[b, a]
-    return a, b, form, form.reshape(len(a), d * d, d * d)[:, :d].sum(axis=1)
+    return a, b, k[a, b] + (a < b)[:, None] * k[b, a]
 
 
 def _jump_rows(ops, trace: bool) -> np.ndarray:
     """sum_ab m_a m_b K_ab (`_jump_form`) of each operator M of a (P, d, d) stack:
-    its jump conj(M) kron M in coordinates, flattened (P, d^4), or with `trace` only
-    that jump's trace row (P, d^2). A pair with an entry zero on every row adds nothing."""
+    its jump conj(M) kron M in coordinates, flattened (P, d^4), or with `trace` only its
+    row 0, the trace row (P, d^2). A pair with an entry zero on every row adds nothing."""
     d = ops.shape[-1]
-    a, b, form, trace_form = _jump_form(d)
+    a, b, form = _jump_form(d)
     # the entries' real and imaginary parts, rows (part, i, j) in one copy
     m = np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), d * d, 2).T
     m = m.reshape(2 * d * d, -1)
     live = m.any(axis=1)
     pair = live[a] & live[b]
-    return (m[a[pair]] * m[b[pair]]).T @ (trace_form if trace else form)[pair]
+    return (m[a[pair]] * m[b[pair]]).T @ (form[pair, :d * d] if trace else form[pair])
 
 
 def _flux(table: PieceTable, coords, at=slice(None)) -> np.ndarray:

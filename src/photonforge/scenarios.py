@@ -296,6 +296,7 @@ def run_beam_splitter(params: MirrorQubitParams, config: BeamSplitterConfig,
 def _beam_splitter(cells, cutoff: int) -> list:
     """`run_beam_splitter` of (params, config) cells, all checked first,
     then simulated as one stack and counted with one chain."""
+    _check_count("cutoff", cutoff)
     if not cells:
         return []
     stack, phase = [], PhaseSchedule.constant(0.0)
@@ -362,11 +363,12 @@ def _release(params: MirrorQubitParams, cells, *, phi_i: float, t0: float, relea
     `PhaseSchedule.storage_release` rejects t_r < t_store: N_1 is the
     flux's grid trapezoid over the window and N_2.. the literal 0. A
     packet is shaped once, after the first cell's packet checks."""
-    if not cells:
-        return []
     if params.levels != 2:
         raise ValueError("shaped release is a two-level scenario")
     _check_finite(t0=t0)
+    _check_count("cutoff", cutoff)
+    if not cells:
+        return []
     packet = release if isinstance(release, WavePacket) else None
     stack, windows, shaped = [], [], None
     for alpha0, t_r, t_end in cells:

@@ -23,30 +23,29 @@ Every statistic reads the run's piece table (`dynamics.PieceTable`),
 whose output channels give each row's collapse operator M; `_jumps`
 turns a channel of several runs into their rows' jump superoperators
 conj(M) kron M. These, the chain and w are real in `core.coordinates`,
-where the trace sums the populations. Counting uses the two-level
-"line" channel. A chain names one channel per level and builds each
-named channel's jumps once. Its step is
-constant inside a table row except at the row's last step, whose later
-point takes the jump of the next row (right-continuously), so a row is
-its last step's M times a power of its interior M, and the chain
-reduces a block of rows pairwise, applying w to the block's product,
-for the rows of several runs at once; a block holds up to `_FLOATS`
-floats of steps, so a wide chain's blocks hold some hundred rows, which
-multiply faster than one long stack, and a drive-free two-level
-window's three-level count (7 wide) goes in blocks of 1,337 rows. A
-shaped release does not chain: its window holds no drive, so it counts
-from its flux (`scenarios`). Levels hang under parent levels:
-a path for counting, a tree for the pair correlations of the
-three-level cascade (`pair_correlations`). A chain runs on the
-coordinates its trace row can reach (`_reach`): the populations, closed
-under the nonzero pattern of the window's step matrices and the jumps.
-The rest stays exactly 0, so w is scattered back to its full length.
-Every level is computed; one its parent's jumps cannot feed, such as
-N_2 of a window without drive, which holds one excitation at most,
-comes out +0.0 from the products, each an exact 0 times a finite entry.
-The quality metric v = G_is^2 - G_ii G_ss is positive only when the
-cross-channel coincidence beats the geometric mean of the single-channel
-ones, which no classical field can arrange.
+whose coordinate 0 is the trace. Counting uses the two-level "line"
+channel. A chain names one channel per level and builds each named
+channel's jumps once. Its step is constant inside a table row except at
+the row's last step, whose later point takes the jump of the next row
+(right-continuously), so a row is its last step's M times a power of its
+interior M, and the chain reduces a block of rows pairwise, applying w
+to the block's product, for the rows of several runs at once; a block
+holds up to `_FLOATS` floats of steps, so a wide chain's blocks hold
+some hundred rows, which multiply faster than one long stack, and a
+drive-free two-level window's three-level count (7 wide) goes in blocks
+of 1,337 rows. A shaped release does not chain: its window holds no
+drive, so it counts from its flux (`scenarios`). Levels hang under
+parent levels: a path for counting, a tree for the pair correlations of
+the three-level cascade (`pair_correlations`). A chain runs on the
+coordinates its trace row can reach (`_reach`): the trace, closed under
+the nonzero pattern of the window's step matrices and the jumps. The
+rest stays exactly 0, so w is scattered back to its full length. Every
+level is computed; one its parent's jumps cannot feed, such as N_2 of a
+window without drive, which holds one excitation at most, comes out +0.0
+from the products, each an exact 0 times a finite entry. The quality
+metric v = G_is^2 - G_ii G_ss is positive only when the cross-channel
+coincidence beats the geometric mean of the single-channel ones, which
+no classical field can arrange.
 """
 
 from __future__ import annotations
@@ -125,14 +124,14 @@ def _jumps(runs, channel: str) -> np.ndarray:
     return _jump_rows(ops, trace=False).reshape((len(ops),) + (ops.shape[-1] ** 2,) * 2)
 
 
-def _chain_steps(e, jc, jn, h, tr, channels, parents=None):
+def _chain_steps(e, jc, jn, h, channels, parents=None):
     """Stacked grid trapezoid steps M of the chain w = [1, u_1 .. u_L].
 
     Level k's jump is jc[c] at a step's earlier point and jn[c] at its
     later one, c = channels[k-1]; it hangs under u_p, p = parents[k-1] + 1
-    < k (k - 1 by default; -1 is a root under u_0, the trace, whose row in
-    the coordinates of e and the jumps is tr). With X_k = (h/2) Jc_k,
-    Q_k = (h/2)(E Jc_k + Jn_k E) and c_k = (h/2)(tr Jc_k + tr Jn_k E), the
+    < k (k - 1 by default; -1 is a root under u_0, the trace, which is
+    coordinate 0 of e and the jumps). With X_k = (h/2) Jc_k,
+    Q_k = (h/2)(E Jc_k + Jn_k E) and c_k = (h/2)(Jc_k[0] + Jn_k[0] E), the
     blocks are M[u_a, u_a] = E, M[u_a, u_b] = Q_c X .. X_b down the tree
     path a <- c <- .. <- b and M[1, u_b] = c_r X .. X_b from b's root r,
     so u_k[i] = (u_k[i+1] + (h/2) u_p[i+1] Jn_k) E + (h/2) u_p[i] Jc_k.
@@ -145,7 +144,7 @@ def _chain_steps(e, jc, jn, h, tr, channels, parents=None):
     forms = {}  # per (root, channel): a root level's c, another level's X and Q
     for k, p in enumerate(range(-1, len(channels) - 1) if parents is None else parents):
         if (key := (p < 0, c := channels[k])) not in forms:
-            forms[key] = (hh * ((tr @ jc[c])[:, None] + (tr @ jn[c])[:, None] @ e) if p < 0
+            forms[key] = (hh * (jc[c][:, :1] + jn[c][:, :1] @ e) if p < 0
                           else (hh * jc[c], hh * (e @ jc[c] + jn[c] @ e)))
         m[:, blk[k], blk[k]] = e
         if p < 0:  # a root hangs under the scalar row
@@ -186,11 +185,11 @@ def _reach(steps, jumps, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _closure(pattern: bytes, d: int) -> np.ndarray:
-    """The populations of d levels, which the trace row sums, closed under a
-    (d^2, d^2) boolean pattern, as bytes: u A is nonzero only at columns j
-    with A[i, j] != 0 for a nonzero u_i."""
+    """The trace coordinate 0 of d levels closed under a (d^2, d^2) boolean
+    pattern, as bytes: u A is nonzero only at columns j with A[i, j] != 0
+    for a nonzero u_i."""
     p = np.frombuffer(pattern, bool).reshape(d * d, d * d)
-    s = np.arange(d * d) < d
+    s = np.arange(d * d) == 0
     while (more := s @ p & ~s).any():
         s |= more
     idx = np.flatnonzero(s)
@@ -203,24 +202,24 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     each at the start i0 of its window (i0, i1) of grid points, (runs, 1 + L d^2).
 
     u_k(t_i) is the grid trapezoid of Integral_{t_i}^{T} u_p(s) J_k(s)
-    E(s, t_i) ds, u_p its parent (`_chain_steps`) and T = times[i1];
-    J_k is the jump of channel channels[k-1], built once for all runs by
-    `_jumps`. Because the states obey rho(t_{i+1}) = E rho(t_i) on the
-    grid, u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over
-    [t_i0, T]. The chain runs on the coordinates its trace row reaches
-    through the window rows' E and the jumps (`_reach`); the rest of w is
-    +0.0. A level that its parent's jumps cannot feed, such as N_2 of a
-    window without drive, which holds one excitation at most, is computed
-    like any other and comes out +0.0 from the products: each of its terms
-    is an exact 0 times a finite entry. A row is the M of its last step,
-    whose later point takes the jumps of the row starting there, times a
-    `matrix_power` of its interior M. Each run takes its rows backward,
-    and one `_product` reduces the same block of rows of every run at
-    once, the shorter runs padded at their ends with zero-length rows
-    (E = 1, h = 0), whose M is the identity exactly; x * 1 and x + 0 are
-    exact, so the padding changes no run's w. A block's step stack holds
-    _FLOATS floats at most, and the runs go in groups whose rows fill one
-    block.
+    E(s, t_i) ds, u_p its parent (`_chain_steps`) and T = times[i1]; J_k is
+    the jump of channel channels[k-1], built once for all runs by `_jumps`.
+    Because the states obey rho(t_{i+1}) = E rho(t_i) on the grid,
+    u_k(t_i0) rho(t_i0) is the grid trapezoid of u_p J_k rho over [t_i0, T].
+    The chain runs on the coordinates its trace row reaches through the
+    window rows' E and the jumps (`_reach`), coordinate 0 (the trace row of
+    the reached jumps) first; the rest of w is +0.0. A level that its
+    parent's jumps cannot feed, such as N_2 of a window without drive, which
+    holds one excitation at most, is computed like any other and comes out
+    +0.0 from the products: each of its terms is an exact 0 times a finite
+    entry. A row is the M of its last step, whose later point takes the
+    jumps of the row starting there, times a `matrix_power` of its interior
+    M. Each run takes its rows backward, and one `_product` reduces the same
+    block of rows of every run at once, the shorter runs padded at their
+    ends with zero-length rows (E = 1, h = 0), whose M is the identity
+    exactly; x * 1 and x + 0 are exact, so the padding changes no run's w. A
+    block's step stack holds _FLOATS floats at most, and the runs go in
+    groups whose rows fill one block.
     """
     parts, off = [], 0  # per run, latest row first: E, h, steps, row, next row
     for run, (i0, i1) in zip(runs, windows):
@@ -235,7 +234,6 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
     idx = _reach([p[0] for p in parts], jumps.values(), math.isqrt(d2))
     sub = (..., idx[:, None], idx)
     jumps = {c: j[sub] for c, j in jumps.items()}
-    tr = (idx < math.isqrt(d2)).astype(float)  # the populations' sum
     pad = (np.eye(d2), 0.0, 1, 0, 0)  # its jumps, of row 0, scale by h/2 = 0
     d = 1 + len(channels) * len(idx)
     w = np.zeros((len(runs), d))
@@ -253,10 +251,10 @@ def _chain(runs, windows, channels, parents=None) -> np.ndarray:
             r = np.flatnonzero(k > 1)
             # each channel's jumps gathered once: at rows, next rows, long rows
             jc, jn = ({c: j[at] for c, j in jumps.items()} for at in (cur, nxt))
-            m = _chain_steps(e, jc, jn, h, tr, channels, parents)
+            m = _chain_steps(e, jc, jn, h, channels, parents)
             if len(r):
                 inner = {c: j[r] for c, j in jc.items()}
-                a = _chain_steps(e[r], inner, inner, h[r], tr, channels, parents)
+                a = _chain_steps(e[r], inner, inner, h[r], channels, parents)
                 for x, ax, n in zip(r.tolist(), a, (k[r] - 1).tolist()):
                     m[x] = m[x] @ np.linalg.matrix_power(ax, n)
             w[sel] = (w[sel, None] @ _product(m.reshape(-1, len(w[sel]), d, d)))[:, 0]
@@ -382,7 +380,7 @@ def correlator_gm(run: ScenarioRun, at_times: Sequence[float]) -> float:
                 e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
             v = _product(e[::-1]) @ v
         v = jump @ v
-    val = float(v[:run.dim].sum())
+    val = float(v[0])
     if val < -1e-9:
         raise RuntimeError(f"correlator came out negative: {val}")
     return val

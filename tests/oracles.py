@@ -284,23 +284,21 @@ def chain_walk(run, i0, i1, jumps, parents=None):
     interior step. The package reduces the same row matrices as a tree.
     `parents` are the levels' parents as `_chain_steps` takes them; the
     default is the linear path. The walk keeps every coordinate, its trace
-    row the sum of all the populations. Each level is its own channel,
-    named by its index, so no level shares another's forms."""
+    row coordinate 0 of the full jumps and step matrices. Each level is its
+    own channel, named by its index, so no level shares another's forms."""
     table = run.pieces
     ps, lo, hi = table.spans(i0, i1)
     nxt = table.per_point(np.arange(len(table.t_a)))[hi]
-    d2 = jumps[0].shape[-1]
-    tr = (np.arange(d2) < math.isqrt(d2)).astype(float)
     levels = range(len(jumps))
-    w = np.zeros(1 + len(jumps) * d2)
+    w = np.zeros(1 + len(jumps) * jumps[0].shape[-1])
     w[0] = 1.0
     for p, n, q in zip(ps[::-1], (hi - lo)[::-1], nxt[::-1]):
         e, h = table.steps([p]), table.h[p:p + 1]
         jc = {k: j[p:p + 1] for k, j in enumerate(jumps)}
         jn = {k: j[q:q + 1] for k, j in enumerate(jumps)}
-        w = w @ pf.statistics._chain_steps(e, jc, jn, h, tr, levels, parents)[0]
+        w = w @ pf.statistics._chain_steps(e, jc, jn, h, levels, parents)[0]
         if n > 1:
-            interior = pf.statistics._chain_steps(e, jc, jc, h, tr, levels, parents)[0]
+            interior = pf.statistics._chain_steps(e, jc, jc, h, levels, parents)[0]
             w = w @ np.linalg.matrix_power(interior, n - 1)
     return w
 
@@ -320,7 +318,7 @@ def per_point_correlator(run, idx):
                 e[x] = np.linalg.matrix_power(e[x], hi[x] - lo[x])
             v = pf.statistics._product(e[::-1]) @ v
         v = jumps[i_next] @ v
-    return float(v[:run.dim].sum())
+    return float(v[0])
 
 
 def forward_binomial_moments(probs, mmax):
@@ -369,11 +367,11 @@ def jump_rows_by_parts(ops, trace):
     """`dynamics._jump_rows` with its entry rows built as they first were: a stack of the
     real and the imaginary parts, transposed and reshaped, two full copies of `ops`."""
     d = ops.shape[-1]
-    a, b, form, trace_form = pf.dynamics._jump_form(d)
+    a, b, form = pf.dynamics._jump_form(d)
     m = np.array([ops.real, ops.imag]).transpose(0, 2, 3, 1).reshape(2 * d * d, -1)
     live = m.any(axis=1)
     pair = live[a] & live[b]
-    return (m[a[pair]] * m[b[pair]]).T @ (trace_form if trace else form)[pair]
+    return (m[a[pair]] * m[b[pair]]).T @ (form[pair, :d * d] if trace else form[pair])
 
 
 def kron_jumps(ops):
@@ -403,12 +401,12 @@ def merge_breakpoints(points, t1, t2):
 def stacked_decay_steps(gens, h):
     """exp(G h) of drive-free two-level coordinate generators G, a (P, 4, 4)
     zero stack filled from the generators' own entries G[1, 1] = -w0 and
-    G[2, 3] = 2 w1: rho_11 decays as e^{-w0 h}, the coherence as
-    e^{-w0 h/2} turning by 2 w1 h."""
+    G[2, 3] = 2 w1: the trace stays, rho_11 decays as e^{-w0 h}, the
+    coherence as e^{-w0 h/2} turning by 2 w1 h."""
     with np.errstate(all="ignore"):
         x, a = gens[:, 1, 1] * h, gens[:, 2, 3] * h
         r, out = np.exp(0.5 * x), np.zeros(gens.shape)
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 1] = 1.0, 0.0 - np.expm1(x), np.exp(x)
+        out[:, 0, 0], out[:, 1, 1] = 1.0, np.exp(x)
         out[:, 2, 2] = out[:, 3, 3] = r * np.cos(a)
         out[:, 3, 2] = 0.0 - r * np.sin(a)
         out[:, 2, 3] = 0.0 - out[:, 3, 2]

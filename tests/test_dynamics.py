@@ -592,8 +592,8 @@ class TestCompiler:
         packet = pf.WavePacket.exponential(1.0, 8.0, duration=12.0)
         result = pf.run_shaped_release(pf.MirrorQubitParams(gamma=1.0), release=packet)
         assert (slices, sizes) == ([1], [2403])
-        # one driven step matrix; the 2,402 free rows keep their four factors each
-        assert stored == [((1, 4, 4), (4, 2403))]
+        # one driven step matrix; the 2,402 free rows keep their three factors each
+        assert stored == [((1, 4, 4), (3, 2403))]
         # no drive in the release window: P2 and P3 stay the literal 0
         assert result.stats.probabilities[2:] == (0.0, 0.0)
         slices.clear()
@@ -609,6 +609,26 @@ class TestCompiler:
             pf.dynamics._piece_table(pf.MirrorQubitParams(delta=1e308), *args)
         with pytest.raises(FloatingPointError, match="not finite"):
             pf.propagator(pf.MirrorQubitParams(delta=1e308), *args)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_coordinate_generators_annihilate_the_trace_exactly(self, levels):
+        # row 0 of every basis superoperator is 0, so is every weighted sum's
+        basis = pf.dynamics._basis(levels, True).reshape(-1, levels ** 2, levels ** 2)
+        assert not basis[:, 0].any()
+
+    @pytest.mark.parametrize("delta", [1e3, 1e12, 1e15, 1e50, 1e308])
+    def test_driven_step_keeps_the_trace_at_any_detuning(self, delta):
+        # the alpha0 = 5, gamma = 0.5 pulse slice (h = 0.0049867), whose
+        # trace row once read 1.004987 at delta = 1e50: row 0 of its step
+        # matrix is e_0 exactly, or compiling the run raises
+        params = pf.MirrorQubitParams(gamma=0.5, delta=delta)
+        drive = pf.DriveSchedule.square_pi_pulse(5.0, 1.0, 1.0)
+        try:
+            run = pf.simulate(params, drive, pf.PhaseSchedule.constant(0.0), 4.0, dt=0.005)
+        except FloatingPointError:
+            return
+        assert run.pieces.h[~run.pieces.free].tolist() == pytest.approx([0.0049867], abs=1e-7)
+        assert run.pieces.driven[0][0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def free_march_table(seed):

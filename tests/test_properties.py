@@ -161,6 +161,52 @@ def test_counting_probabilities_are_a_distribution(p, drive, phase):
 
 
 @st.composite
+def marching_runs(draw):
+    """A two- or three-level run from a random state over every march path: a
+    pulse at constant phase (long driven rows, stacked powers), a pulse over a
+    sampled ramp (one-step driven rows, `_scan`) and, on two levels, drive-free
+    rows (`_decay`); detuning and loss on two levels, ladder rates on three."""
+    levels = draw(st.sampled_from([2, 3]))
+    if levels == 2:
+        p = pf.MirrorQubitParams(gamma=draw(st.floats(0.1, 2.0)),
+                                 delta=draw(st.floats(-1e4, 1e4)),
+                                 gamma_nr=draw(st.floats(0.0, 0.5)))
+        phase = draw(phase_schedules())
+    else:
+        p = pf.MirrorQubitParams(levels=3, gamma01=draw(st.floats(0.1, 2.0)),
+                                 gamma12=draw(st.floats(0.1, 2.0)),
+                                 gamma02=draw(st.floats(0.01, 0.5)))
+        phase = pf.PhaseSchedule.constant(0.0)
+    # a pulse on [k0, k1], then a ramp sampled at its own times, driven over its span
+    k0, k1, *ks = draw(lattice(4, 8))
+    times = np.array(ks) / 1000.0
+    values = [draw(phases) if levels == 2 else 0.0 for _ in times]
+    phase = pf.PhaseSchedule(phase.segments, ramp=(times, np.array(values)))
+    pulse = amplitudes(3.0).filter(lambda a: abs(a) > 0.1)
+    drive = pf.DriveSchedule(((k0 / 1000.0, k1 / 1000.0, draw(pulse)),
+                              (times[0], times[-1], draw(pulse))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+    rho0 = g @ g.conj().T
+    return pf.simulate(p, drive, phase, T_END, rho0=rho0 / np.trace(rho0), dt=0.05)
+
+
+@PROPERTY
+@given(marching_runs())
+def test_marched_trace_is_the_start_trace_bit_for_bit(run):
+    # coordinate 0 is the trace, and every step matrix's row 0 is e_0
+    table, d2 = run.pieces, run.dim ** 2
+    with mock.patch.object(pf.dynamics, "_decay", wraps=pf.dynamics._decay) as decay, \
+            mock.patch.object(pf.dynamics, "_scan", wraps=pf.dynamics._scan) as scan:
+        coords = run.coords
+        marched = pf.dynamics._march_table(table, np.eye(d2))
+    assert scan.called and decay.called == (run.dim == 2)
+    assert (~table.free & (table.n_steps > 1)).any()  # a long row's stacked powers
+    assert coords[:, 0].tobytes() == np.full(len(coords), run.start[0]).tobytes()
+    assert np.array_equal(marched[:, 0], np.broadcast_to(np.eye(d2)[0], (len(marched), d2)))
+
+
+@st.composite
 def row_layouts(draw):
     """Step counts of a table's rows and a forward-scan chunk size B: a
     run of R = 1..300 one-step rows between two longer rows, with short
@@ -295,7 +341,8 @@ def lowering_tables(draw):
     counts = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = len(counts)
-    # each coordinate's lowest level: the populations', then each coherence's twice
+    # each coordinate's lowest level: the trace's 0, each excited population's own,
+    # then each coherence's twice
     low = np.concatenate([np.arange(d), np.repeat(np.triu_indices(d, 1)[0], 2)])
     e = (low[:, None] <= low) * rng.uniform(-1.0, 1.0, (rows, d * d, d * d)) / (d * d)
     upper = np.triu(np.ones((d, d), dtype=bool), 1)

@@ -756,9 +756,22 @@ class TestScenarioStacks:
         raises_before_any_run(lambda: runner(dict(config.values, alpha0=(5.0, 0.0))), message)
 
     def test_empty_sweeps_stay_empty(self):
+        # an empty sweep checks the arguments its rows share, as a one-row sweep does
+        release = dict(phi_i=0.9 * PI, t0=1.0, release=PI / 2, cutoff=3, dt=0.005,
+                       clip_budget=0.01)
         with mock.patch.object(pf.scenarios, "_simulate") as simulate:
             assert pf.sweep_nonradiative(qubit_half(), 10.0, 0.995, []) == []
             assert pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, []) == []
+            for rows in ([], [0.0]):
+                with pytest.raises(ValueError, match="cutoff must be an integer"):
+                    pf.sweep_nonradiative(qubit_half(), 10.0, 0.995, rows, cutoff=0)
+                with pytest.raises(ValueError, match="cutoff must be an integer"):
+                    pf.sweep_wait_time(qubit_unit(), 10.0, 0.1, PI / 2, rows, cutoff=0)
+            for rows in ([], [(10.0, 8.0, 20.0)]):
+                with pytest.raises(ValueError, match="two-level"):
+                    pf.scenarios._release(pf.MirrorQubitParams(levels=3), rows, **release)
+                with pytest.raises(ValueError, match="t0"):
+                    pf.scenarios._release(qubit_unit(), rows, **{**release, "t0": math.nan})
         simulate.assert_not_called()
 
     @pytest.mark.parametrize("alphas, warns", [((5.0, 0.5), 1), ((5.0, 10.0), 0)],

@@ -514,8 +514,8 @@ class TestChainAgainstRowWalk:
 
 
 class TestReach:
-    """The coordinates each chain runs on (`_reach`): the populations and
-    what the window's step matrices and the jumps carry them to."""
+    """The coordinates each chain runs on (`_reach`): the trace, coordinate 0,
+    and what the window's step matrices and the jumps carry it to."""
 
     @pytest.fixture
     def reaches(self, monkeypatch):
@@ -540,7 +540,7 @@ class TestReach:
         pf.photon_mtiples(run, 3, res.stats.window)
 
     def test_packet_release_window(self, reaches):
-        # no drive in the window: the release stays on the populations
+        # no drive in the window: the release stays on the trace and rho_11
         self.chain_release_window(reaches, pf.WavePacket.exponential(1.0, 8.0))
         assert reaches == [[0, 1]]
 
@@ -557,7 +557,8 @@ class TestReach:
         assert reaches == [reach]
 
     def test_cascade_cell(self, reaches):
-        # the 0-2 drive reaches Re rho_02 (coordinate 5); decays stay on populations
+        # the 0-2 drive reaches Re rho_02 (coordinate 5); decays stay on the trace,
+        # rho_11 and rho_22
         pf.run_cascade(pf.MirrorQubitParams(levels=3), 5.0, t_end=4.0, dt=0.01)
         assert reaches == [[0, 1, 2, 5]]
 
@@ -680,12 +681,12 @@ class TestJumpsAndGathers:
         rows = np.arange(len(table.t_a) - 1)
         e, h = table.steps(rows), table.h[rows]
         jc, jn = jumps[rows], jumps[rows + 1]
-        other, tr = 2.0 * jn, np.array([1.0, 1.0, 0.0, 0.0])
+        other = 2.0 * jn
         shared = pf.statistics._chain_steps(e, {"a": jc, "b": jc}, {"a": jn, "b": other},
-                                            h, tr, ["a", "b", "b"], parents)
+                                            h, ["a", "b", "b"], parents)
         apart = pf.statistics._chain_steps(e, {"a": jc, "b": jc.copy(), "c": jc.copy()},
                                            {"a": jn.copy(), "b": other, "c": other.copy()},
-                                           h, tr, ["a", "b", "c"], parents)
+                                           h, ["a", "b", "c"], parents)
         assert len(rows) > 3
         assert np.array_equal(shared, apart)
 
