@@ -137,8 +137,7 @@ def _run_encode(v):
     params = MirrorQubitParams(gamma=v["gamma"])
     anh = v["anharmonicity"] if v["anharmonicity"] > 0 else None
     res = encode_flying_qubit(target, params, phi=v["phi"],
-                              alpha_max=v["alpha_max"], anharmonicity=anh,
-                              seeds=v["seeds"])
+                              alpha_max=v["alpha_max"], anharmonicity=anh)
     row = (res.delta, res.alpha.real, res.alpha.imag, res.t_w, res.fidelity)
     return ["delta", "alpha_re", "alpha_im", "t_w", "fidelity"], [row]
 
@@ -200,7 +199,7 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
         "superposition",
         (("mu_re", 0.7071067811865476), ("mu_im", 0.0),
          ("nu_re", 0.7071067811865476), ("nu_im", 0.0), ("gamma", 1.0),
-         ("phi", 0.9 * math.pi), ("alpha_max", 10.0), ("seeds", 8),
+         ("phi", 0.9 * math.pi), ("alpha_max", 10.0),
          ("anharmonicity", 0.0)),
         _run_encode),
     "cancel_budget": ScenarioSpec(

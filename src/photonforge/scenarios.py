@@ -44,10 +44,8 @@ from .dynamics import (
     MirrorQubitParams,
     PhaseSchedule,
     _GRID_TOL,
-    _basis,
     _flux,
     _generators,
-    _line_coupling,
     _simulate,
     effective_coupling,
     pi_pulse_width,
@@ -518,13 +516,13 @@ class FlyingQubitTarget:
     def __post_init__(self):
         if not (cmath.isfinite(self.mu) and cmath.isfinite(self.nu)):
             raise ValueError(f"target amplitudes must be finite, got {self.mu}, {self.nu}")
-        norm = abs(self.mu) ** 2 + abs(self.nu) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        norm = math.hypot(abs(self.mu), abs(self.nu))
+        if abs(norm * norm - 1.0) > 1e-10:
             raise ValueError(f"target norm {norm} is not 1; use .of() to normalize")
 
     @classmethod
     def of(cls, mu: complex, nu: complex) -> "FlyingQubitTarget":
-        norm = math.sqrt(abs(mu) ** 2 + abs(nu) ** 2)
+        norm = math.hypot(abs(mu), abs(nu))
         if norm == 0:
             raise ValueError("target amplitudes are both zero")
         return cls(complex(mu) / norm, complex(nu) / norm)
@@ -542,35 +540,33 @@ class EncodeResult:
     final_state: np.ndarray
 
 
-def _encode_objective(params: MirrorQubitParams, phi: float, psi):
-    """x = (delta, |alpha|, arg alpha, t_w) -> (1 - F, its gradient in x,
-    vec rho) for the square segment that loads rho from ground, with
-    F = <psi|rho|psi>.
+def _encode_objective(params: MirrorQubitParams, phi: float, alpha_max: float,
+                      target: FlyingQubitTarget):
+    """t_w -> (1 - F, dF/dt_w, d2F/dt_w2, vec rho) over an array of widths t_w
+    of the square segment at |alpha| = alpha_max and the detuning of params
+    that loads rho from ground.
 
-    The generator is L0 + delta D_delta + |alpha| D_amp, each D a fixed
-    `_basis` combination (D_amp rotates with arg alpha). The derivatives
-    of exp(L t_w) in delta, |alpha| and arg alpha are the top-right
-    blocks of the Van Loan matrices [[L, D], [0, L]] over t_w,
-    exponentiated in one stacked call; the derivative in t_w is L rho.
+    rho is that of arg alpha = 0; a drive phase theta turns rho_01 into
+    rho_01 e^{-i theta} and keeps the populations, so at its best theta
+    F = |mu|^2 rho_00 + |nu|^2 rho_11 + 2 |mu| |nu| |rho_01|. The width
+    derivatives read rho' = L rho and rho'' = L^2 rho.
     """
-    w = np.outer(np.conj(psi), psi).reshape(-1, order="F")  # F = w @ vec(rho)
-    basis = _basis(2)
-    lv0 = _generators(params.with_(delta=0.0), [phi], [0.0])[0]
-    cbar = np.conj(_line_coupling(params.gamma, phi))
+    lv = _generators(params, [phi], [alpha_max])[0]
+    a, b = abs(target.mu) ** 2, abs(target.nu) ** 2
+    c = 2.0 * abs(target.mu) * abs(target.nu)
 
-    def objective(x):
-        delta, amp, th, t_w = x
-        u = np.exp(1j * (th + phi)) * cbar  # d beta / d|alpha|
-        dl = np.tensordot([[0.0, 0.5, 0.0, 0.0], [0.0, 0.0, u.real, u.imag],
-                           [0.0, 0.0, -amp * u.imag, amp * u.real]], basis, axes=1)
-        lv = lv0 + delta * dl[0] + amp * dl[1]
-        vl = np.zeros((3, 8, 8), dtype=complex)
-        vl[:, :4, :4] = vl[:, 4:, 4:] = lv
-        vl[:, :4, 4:] = dl
-        ground = sup_exp(vl, np.full(3, t_w))[:, :4, [0, 4]]
-        rho = ground[0, :, 0]
-        grad = -np.append(ground[:, :, 1] @ w, w @ lv @ rho).real
-        return 1.0 - (w @ rho).real, grad, rho
+    def objective(t_w):
+        t_w = np.asarray(t_w, dtype=float)
+        rho = sup_exp(np.broadcast_to(lv, t_w.shape + lv.shape), t_w)[:, :, 0]
+        s = np.array([rho, rho @ lv.T, rho @ lv.T @ lv.T])  # rho, rho', rho''
+        # rho_01 and its derivatives; |rho_01|, whose derivatives are taken as 0
+        # where it is 0, as at a full Rabi turn without loss
+        z, m = s[..., 2], np.abs(rho[:, 2])
+        m1 = np.divide((z[0].conj() * z[1]).real, m, out=np.zeros_like(m), where=m > 0)
+        m2 = np.divide((z[0].conj() * z[2]).real + np.abs(z[1]) ** 2 - m1 * m1, m,
+                       out=np.zeros_like(m), where=m > 0)
+        f = (a * s[..., 0] + b * s[..., 3]).real + c * np.array([m, m1, m2])
+        return 1.0 - f[0], -f[1], -f[2], rho
 
     return objective
 
@@ -578,22 +574,22 @@ def _encode_objective(params: MirrorQubitParams, phi: float, psi):
 def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
                         *, phi: float = 0.9 * math.pi,
                         alpha_max: float = 10.0,
-                        anharmonicity: Optional[float] = None,
-                        seeds: int = 8) -> EncodeResult:
+                        anharmonicity: Optional[float] = None) -> EncodeResult:
     """Find (detuning, amplitude, phase, width) loading the target state.
 
-    A bounded quasi-Newton search (L-BFGS-B, exact gradient) over a
-    single square segment, seeded at the amplitude ceiling with the
-    drive phase swept around the circle and the detuning at the
-    phase-dependent level shift. The residual infidelity scales with
-    Gamma_eff * t_w, so larger amplitude budgets encode more faithfully.
+    One square segment at the amplitude ceiling, detuned by exactly the
+    level shift lambda = (Gamma/2) sin phi, about which the fidelity is
+    even; the drive phase only turns rho_01, so it is set in closed form
+    to line rho_01 up with the target's phase. Only the width t_w is
+    searched: a 161-point scan of [1e-6, 4] pi-pulse widths, then a
+    safeguarded Newton refine inside the best point's bracket. The
+    residual infidelity scales with Gamma_eff * t_w, so larger amplitude
+    budgets encode more faithfully.
     """
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
     _check_positive(alpha_max=alpha_max)
-    _check_count("seeds", seeds)
-    gamma = params.gamma
-    geff = effective_coupling(gamma, phi)
+    geff = effective_coupling(params.gamma, phi)
     if geff <= 0:
         raise ValueError("phi = pi decouples the emitter; nothing can be encoded")
 
@@ -602,41 +598,38 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
                             t_w=0.0, fidelity=1.0,
                             final_state=np.diag([1.0 + 0j, 0.0]))
 
-    # imported here so that importing the package does not load scipy
-    from scipy.optimize import minimize
+    params = params.with_(delta=(params.gamma / 2.0) * math.sin(phi))
+    objective = _encode_objective(params, phi, alpha_max, target)
+    grid = np.linspace(1e-6, 4.0, 161) * pi_pulse_width(alpha_max, geff)
+    k = int(np.argmin(objective(grid)[0]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    # Newton on dF/dt_w = 0, bisecting where a step leaves the bracket
+    step = grid[k]
+    for _ in range(100):
+        t_w = float(step)
+        infid, d1, d2, rho = (v[0] for v in objective([t_w]))
+        lo, hi = (lo, t_w) if d1 > 0 else (t_w, hi)
+        step = t_w - d1 / d2 if d2 > 0 else math.nan
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(step - t_w) <= 1e-15 * t_w:
+            break
 
-    lamb = (gamma / 2.0) * math.sin(phi)
-    theta0 = 2.0 * math.acos(min(1.0, abs(target.mu)))
-    tw_pi = pi_pulse_width(alpha_max, geff)
-    tw0 = max(theta0, 1e-3) / (2.0 * alpha_max * math.sqrt(geff))
-    bounds = [(-10.0 * gamma, 10.0 * gamma),
-              (1e-3 * alpha_max, alpha_max),
-              (-math.pi, math.pi),
-              (1e-6 * tw_pi, 4.0 * tw_pi)]
-    objective = _encode_objective(params, phi, np.array([target.mu, target.nu]))
+    # rho_01 of arg alpha = theta is rho_01 e^{-i theta}
+    theta = cmath.phase(np.conj(target.mu) * target.nu * rho[2])
+    alpha = alpha_max * cmath.exp(1j * theta)
+    turn = np.exp(1j * theta * np.array([0.0, 1.0, -1.0, 0.0]))
 
-    best = None
-    for th0 in np.linspace(-math.pi, math.pi, seeds + 1)[:-1]:
-        res = minimize(lambda x: objective(x)[:2], [lamb, alpha_max, th0, tw0],
-                       jac=True, method="L-BFGS-B", bounds=bounds,
-                       options=dict(ftol=1e-15, gtol=1e-12))
-        if best is None or res.fun < best.fun:
-            best = res
-    delta, amp, th, t_w = (float(v) for v in best.x)
-    alpha = amp * np.exp(1j * th)
-
-    rabi = 2.0 * amp * math.sqrt(geff)
+    rabi = 2.0 * alpha_max * math.sqrt(geff)
     if anharmonicity is not None and rabi >= anharmonicity:
         warnings.warn(
             f"drive strength {rabi:.4g} reaches the anharmonicity "
             f"{anharmonicity:.4g}; leakage outside the qubit space is "
             "not modeled", stacklevel=2)
 
-    infid, _, rho = objective(best.x)
     return EncodeResult(
         schedule=DriveSchedule(((0.0, t_w, alpha),)),
-        delta=delta, alpha=alpha, t_w=t_w, fidelity=1.0 - infid,
-        final_state=rho.reshape((2, 2), order="F"),
+        delta=params.delta, alpha=alpha, t_w=t_w,
+        fidelity=1.0 - float(infid), final_state=(rho * turn).reshape((2, 2), order="F"),
     )
 
 

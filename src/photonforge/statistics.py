@@ -104,6 +104,8 @@ class CrossPairResult:
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
             if getattr(self, name) < -1e-9:
                 raise ValueError(f"{name} = {getattr(self, name)} is negative")
+        if not math.isfinite(self.v):
+            raise ValueError(f"v = {self.v} is not finite")
 
     @property
     def v(self) -> float:

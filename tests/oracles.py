@@ -420,3 +420,63 @@ def ldl_flux(table, coords):
     ldl = (ops.conj().swapaxes(-1, -2) @ ops).reshape(len(ops), -1)
     ldl = table.per_point((ldl @ pf.core.coordinates(ops.shape[-1])[0]).real)
     return np.einsum("ni,ni->n", ldl, coords)
+
+
+def encode_objective(params, phi, psi):
+    """x = (delta, |alpha|, arg alpha, t_w) -> (1 - F, its gradient in x,
+    vec rho) for the square segment that loads rho from ground, with
+    F = <psi|rho|psi>, over all four drive parameters.
+
+    The generator is L0 + delta D_delta + |alpha| D_amp, each D a fixed
+    `_basis` combination (D_amp rotates with arg alpha). The derivatives
+    of exp(L t_w) in delta, |alpha| and arg alpha are the top-right
+    blocks of the Van Loan matrices [[L, D], [0, L]] over t_w,
+    exponentiated in one stacked call; the derivative in t_w is L rho.
+    """
+    w = np.outer(np.conj(psi), psi).reshape(-1, order="F")  # F = w @ vec(rho)
+    basis = pf.dynamics._basis(2)
+    lv0 = pf.dynamics._generators(params.with_(delta=0.0), [phi], [0.0])[0]
+    cbar = np.conj(pf.dynamics._line_coupling(params.gamma, phi))
+
+    def objective(x):
+        delta, amp, th, t_w = x
+        u = np.exp(1j * (th + phi)) * cbar  # d beta / d|alpha|
+        dl = np.tensordot([[0.0, 0.5, 0.0, 0.0], [0.0, 0.0, u.real, u.imag],
+                           [0.0, 0.0, -amp * u.imag, amp * u.real]], basis, axes=1)
+        lv = lv0 + delta * dl[0] + amp * dl[1]
+        vl = np.zeros((3, 8, 8), dtype=complex)
+        vl[:, :4, :4] = vl[:, 4:, 4:] = lv
+        vl[:, :4, 4:] = dl
+        ground = pf.sup_exp(vl, np.full(3, t_w))[:, :4, [0, 4]]
+        rho = ground[0, :, 0]
+        grad = -np.append(ground[:, :, 1] @ w, w @ lv @ rho).real
+        return 1.0 - (w @ rho).real, grad, rho
+
+    return objective
+
+
+def encode_by_lbfgsb(target, params, phi=0.9 * math.pi, alpha_max=10.0, seeds=8):
+    """(1 - F, (delta, |alpha|, arg alpha, t_w)) of the best of `seeds`
+    bounded quasi-Newton searches (scipy's L-BFGS-B, exact gradient) over all
+    four drive parameters, seeded at the amplitude ceiling, the level shift
+    and a drive phase swept around the circle: a search free to leave the
+    symmetry point that `encode_flying_qubit` fixes."""
+    from scipy.optimize import minimize
+
+    gamma = params.gamma
+    geff = pf.effective_coupling(gamma, phi)
+    theta0 = 2.0 * math.acos(min(1.0, abs(target.mu)))
+    tw_pi = pf.pi_pulse_width(alpha_max, geff)
+    tw0 = max(theta0, 1e-3) / (2.0 * alpha_max * math.sqrt(geff))
+    bounds = [(-10.0 * gamma, 10.0 * gamma), (1e-3 * alpha_max, alpha_max),
+              (-math.pi, math.pi), (1e-6 * tw_pi, 4.0 * tw_pi)]
+    objective = encode_objective(params, phi, np.array([target.mu, target.nu]))
+    best = None
+    for th0 in np.linspace(-math.pi, math.pi, seeds + 1)[:-1]:
+        res = minimize(lambda x: objective(x)[:2],
+                       [(gamma / 2.0) * math.sin(phi), alpha_max, th0, tw0],
+                       jac=True, method="L-BFGS-B", bounds=bounds,
+                       options=dict(ftol=1e-15, gtol=1e-12))
+        if best is None or res.fun < best.fun:
+            best = res
+    return float(best.fun), best.x

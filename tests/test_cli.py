@@ -31,7 +31,7 @@ DEFAULT_ROWS = {
         [8, 0.35, 0.743245810144], [8, 0.5, 0.659406110485],
         [10, 0.05, 0.968706885196], [10, 0.1, 0.924447335679], [10, 0.2, 0.843190602434],
         [10, 0.35, 0.741368061257], [10, 0.5, 0.65741837308]],
-    "encode": [[0.15450889287, -1.564343777, 9.87688354428, 0.355637879197,
+    "encode": [[0.154508497187, -1.564343777, 9.87688354428, 0.355637879197,
                 0.999015376327]],
     "nr_sweep": [
         [0, 0.0103843056536, 0.971280812331], [0.1, 0.0987851106478, 0.884618254804],
@@ -210,7 +210,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("case", sorted(SCENARIOS) + sorted(PACKET_CASES))
     def test_registry_defaults_match_the_stored_rows(self, tmp_path, case):
-        # encode's drive digits beyond about 1e-6 are optimizer noise (README)
+        # encode's drive digits are stored to 1e-6 relative, its fidelity to 1e-10
         scenario, extra = PACKET_CASES.get(case, (case, ""))
         cfg = write_config(tmp_path, f"scenario = {scenario}\n{extra}outdir = {tmp_path}\n")
         assert main(["run", cfg]) == 0
@@ -376,14 +376,28 @@ class TestRunCommand:
         assert "config error: line 2: cutoff must be at least 1" in err
         assert not (outdir / "result.csv").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_seeds_below_one_exits_two(self, tmp_path, capsys, value):
+    def test_seeds_is_an_unknown_key(self, tmp_path, capsys):
+        # encode searches one pulse width; it has no seeds to set
         outdir = tmp_path / "out"
-        cfg = write_config(
-            tmp_path, f"scenario = encode\nseeds = {value}\noutdir = {outdir}\n")
+        cfg = write_config(tmp_path, f"scenario = encode\nseeds = 2\noutdir = {outdir}\n")
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
-        assert "config error: line 2: seeds must be at least 1" in err
+        assert "config error: line 2: unknown key 'seeds' for scenario encode" in err
+        assert not (outdir / "result.csv").exists()
+
+    @pytest.mark.parametrize("scenario,line,message", [
+        # |mu|^2 of 1e300 used to end in an OverflowError traceback
+        ("encode", "mu_re = 1e300", "numeric failure: target norm 1e+300 is not 1"),
+        # G_is^2 overflows to V = inf, which used to be written with exit 0
+        ("cascade_sweep", "gamma01 = 1e300\nalpha_d = 5\ngamma02 = 0.1",
+         "numeric failure: v = inf is not finite"),
+    ])
+    def test_overflowing_values_exit_one(self, tmp_path, capfd, scenario, line, message):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"scenario = {scenario}\n{line}\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 1
+        err = capfd.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (outdir / "result.csv").exists()
 
     def test_cutoff_above_three_runs(self, tmp_path):
@@ -486,7 +500,7 @@ class TestScenarioSchemas:
 
     def test_encode_table(self, tmp_path):
         lines = self.run_lines(
-            tmp_path, "scenario = encode\nseeds = 2\n")
+            tmp_path, "scenario = encode\n")
         assert lines[1] == "delta,alpha_re,alpha_im,t_w,fidelity"
         assert len(lines) == 3
         row = [float(x) for x in lines[2].split(",")]

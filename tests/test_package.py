@@ -96,9 +96,10 @@ def test_floor_parse_rejects_newer_syntax():
 
 
 def test_import_loads_no_scipy():
-    # scipy's import costs several times the package's own; only
-    # encode_flying_qubit loads it, when called
-    code = ("import sys, photonforge; "
+    # scipy's import costs several times the package's own, and the package
+    # does not depend on it: neither the import nor an encode loads it
+    code = ("import sys, photonforge as pf; "
+            "pf.encode_flying_qubit(pf.FlyingQubitTarget.of(1.0, 1.0), pf.MirrorQubitParams()); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(pf.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -827,23 +827,59 @@ class TestFlyingQubitEncoding:
             res = pf.encode_flying_qubit(target, params, alpha_max=2000.0)
             assert 1.0 - res.fidelity <= 1e-4
 
-    @pytest.mark.parametrize("x", [(0.1, 7.0, 0.4, 0.3), (-0.5, 3.0, -2.0, 0.6),
-                                   (0.8, 9.5, 2.7, 0.15)])
+    def test_search_never_worse_than_the_four_parameter_oracle(self):
+        # the width search at |alpha| = alpha_max and delta = lambda against
+        # the 8-seed L-BFGS-B search over (delta, |alpha|, arg alpha, t_w)
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(40):
+            params = pf.MirrorQubitParams(gamma=rng.uniform(0.2, 2.0),
+                                          gamma_nr=rng.uniform(0.0, 2.0))
+            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+            cases.append((pf.FlyingQubitTarget.of(*z), params, rng.uniform(0.0, 0.99 * PI),
+                          math.exp(rng.uniform(math.log(0.05), math.log(200.0)))))
+        s = 1.0 / math.sqrt(2.0)
+        for target in [pf.FlyingQubitTarget(0.0, 1.0), pf.FlyingQubitTarget(s, s),
+                       pf.FlyingQubitTarget(1.0 / math.sqrt(3.0),
+                                            math.sqrt(2.0 / 3.0) * np.exp(1j * PI / 4.0))]:
+            cases += [(target, qubit_unit(), 0.9 * PI, a) for a in (10.0, 2000.0)]
+        for target, params, phi, alpha_max in cases:
+            res = pf.encode_flying_qubit(target, params, phi=phi, alpha_max=alpha_max)
+            want, _ = oracles.encode_by_lbfgsb(target, params, phi=phi, alpha_max=alpha_max)
+            assert (1.0 - res.fidelity) - want <= 1e-12, (params, phi, alpha_max)
+            assert res.delta == (params.gamma / 2.0) * math.sin(phi)
+            assert abs(res.alpha) == pytest.approx(alpha_max, rel=1e-15)
+            # the closed-form drive phase: the state its pulse loads, and its fidelity
+            lv = pf.build_liouvillian(params.with_(delta=res.delta), phi, res.alpha)
+            rho = pf.unvec(pf.sup_exp(lv, res.t_w).mat[:, 0], 2)
+            assert np.max(np.abs(res.final_state - rho)) < 1e-12
+            psi = np.array([target.mu, target.nu])
+            assert abs(res.fidelity - (psi.conj() @ rho @ psi).real) < 1e-12
+
+    @pytest.mark.parametrize("x", [(0.1, 7.0, 0.3), (0.0, 3.0, 0.6), (0.5, 9.5, 0.05)])
     def test_objective_gradient_matches_central_differences(self, x):
-        params = pf.MirrorQubitParams(gamma=1.0, gamma_nr=0.1)
-        psi = np.array([1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0) * np.exp(1j * PI / 4.0)])
-        objective = pf.scenarios._encode_objective(params, 0.9 * PI, psi)
-        x = np.array(x)
-        infid, grad, rho = objective(x)
+        # x = (gamma_nr, alpha_max, t_w), at delta = lambda
+        gamma_nr, alpha_max, t_w = x
+        params = pf.MirrorQubitParams(gamma=1.0, delta=0.5 * math.sin(0.9 * PI),
+                                      gamma_nr=gamma_nr)
+        target = pf.FlyingQubitTarget(1.0 / math.sqrt(3.0),
+                                      math.sqrt(2.0 / 3.0) * np.exp(1j * PI / 4.0))
+        objective = pf.scenarios._encode_objective(params, 0.9 * PI, alpha_max, target)
         h = 1e-5
-        fd = [(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2.0 * h)
-              for e in np.eye(4)]
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=0.0)
-        lv = pf.build_liouvillian(params.with_(delta=x[0]), 0.9 * PI,
-                                  x[1] * np.exp(1j * x[2]))
-        want = pf.unvec(pf.sup_exp(lv, x[3]).mat[:, 0], 2)
+        infid, d1, d2, rho = (v[0] for v in objective([t_w]))
+        f, f1, _, _ = objective([t_w - h, t_w + h])
+        assert d1 == pytest.approx((f[1] - f[0]) / (2.0 * h), rel=1e-6)
+        assert d2 == pytest.approx((f1[1] - f1[0]) / (2.0 * h), rel=1e-6)
+        lv = pf.build_liouvillian(params, 0.9 * PI, alpha_max)
+        want = pf.unvec(pf.sup_exp(lv, t_w).mat[:, 0], 2)
         assert np.max(np.abs(pf.unvec(rho, 2) - want)) < 1e-13
-        assert abs(infid - (1.0 - (psi.conj() @ want @ psi).real)) < 1e-13
+        # the drive phase that lines rho_01 up with the target's is the best
+        psi = np.array([target.mu, target.nu])
+        turns = np.exp(1j * np.linspace(-PI, PI, 721))
+        best = max((psi.conj() @ (want * [[1.0, u.conj()], [u, 1.0]]) @ psi).real
+                   for u in turns)
+        assert best <= 1.0 - infid + 1e-15
+        assert 1.0 - infid - best < 1e-5
 
     def test_anharmonicity_guard_boundary(self):
         params = qubit_unit()
@@ -864,6 +900,12 @@ class TestFlyingQubitEncoding:
         assert abs(t.mu - 0.6) < 1e-12 and abs(t.nu - 0.8) < 1e-12
         with pytest.raises(ValueError, match="zero"):
             pf.FlyingQubitTarget.of(0.0, 0.0)
+        # |mu|^2 of 1e300 used to raise OverflowError
+        with pytest.raises(ValueError, match="target norm 1e\\+300 is not 1"):
+            pf.FlyingQubitTarget(1e300, 0.7)
+        t = pf.FlyingQubitTarget.of(1e300, 1e300j)
+        assert t.mu == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert t.nu == pytest.approx(1j / math.sqrt(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_target_rejects_non_finite_amplitudes(self, bad):
@@ -878,25 +920,8 @@ class TestFlyingQubitEncoding:
             pf.encode_flying_qubit(target, qubit_unit(), phi=PI)
         with pytest.raises(ValueError, match="alpha_max"):
             pf.encode_flying_qubit(target, qubit_unit(), alpha_max=0.0)
-        with pytest.raises(ValueError, match="seeds must be an integer of at least 1"):
-            pf.encode_flying_qubit(target, qubit_unit(), seeds=0)
-        with pytest.raises(ValueError, match="seeds"):
-            pf.encode_flying_qubit(target, qubit_unit(), seeds=2.5)
         with pytest.raises(ValueError, match="two-level"):
             pf.encode_flying_qubit(target, ladder())
-
-    def test_rejects_bool_seeds(self):
-        # True used to run silently as one seed
-        with pytest.raises(ValueError,
-                           match=r"^seeds must be an integer of at least 1, got True$"):
-            pf.encode_flying_qubit(pf.FlyingQubitTarget(0.0, 1.0), qubit_unit(), seeds=True)
-
-    def test_numpy_integer_seeds(self):
-        target = pf.FlyingQubitTarget.of(1.0, 1.0)
-        want = pf.encode_flying_qubit(target, qubit_unit(), seeds=2)
-        got = pf.encode_flying_qubit(target, qubit_unit(), seeds=np.int64(2))
-        assert (got.delta, got.alpha, got.t_w, got.fidelity) == (
-            want.delta, want.alpha, want.t_w, want.fidelity)
 
     def test_rejects_non_finite_inputs(self):
         # a NaN phi used to fail as "delta must be finite"

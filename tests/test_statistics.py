@@ -801,6 +801,9 @@ class TestPairIntegrals:
     def test_pair_result_validation(self):
         with pytest.raises(ValueError, match="negative"):
             pf.CrossPairResult(g_ii=-1e-3, g_ss=0.1, g_is=0.1)
+        # G_is^2 of 1e200 overflows although every G is finite
+        with pytest.raises(ValueError, match="v = inf is not finite"):
+            pf.CrossPairResult(g_ii=1.0, g_ss=1.0, g_is=1e200)
         # v = G_is^2 - G_ii G_ss may pass 1 when more than one pair is emitted
         assert pf.CrossPairResult(0.1, 0.1, 2.0).v == pytest.approx(3.99, abs=1e-12)
 
