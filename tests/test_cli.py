@@ -376,10 +376,13 @@ class TestRunCommand:
         assert "config error: line 2: cutoff must be at least 1" in err
         assert not (outdir / "result.csv").exists()
 
-    def test_seeds_is_an_unknown_key(self, tmp_path, capsys):
-        # encode searches one pulse width; it has no seeds to set
+    @pytest.mark.parametrize("value", ["0", "-3", "2"])
+    def test_seeds_below_one_exits_two(self, tmp_path, capsys, value):
+        # encode searches one pulse width; it has no seeds to set, so a
+        # seeds line of any value is an unknown key
         outdir = tmp_path / "out"
-        cfg = write_config(tmp_path, f"scenario = encode\nseeds = 2\noutdir = {outdir}\n")
+        cfg = write_config(
+            tmp_path, f"scenario = encode\nseeds = {value}\noutdir = {outdir}\n")
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: line 2: unknown key 'seeds' for scenario encode" in err
