@@ -83,7 +83,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _ORDER_TOL = 1e-15  # a segment may start this far before the previous one ends
-_CUT_TOL = 1e-12  # cut points merge, a row lies on a pulse or ramp, a flux point on a row end
+_CUT_TOL = 1e-12  # cut points merge, a flux point lies on a row end
 _GRID_TOL = 1e-9  # a caller's time (a window end, a correlator time) lies on the grid
 
 
@@ -230,17 +230,15 @@ class PhaseSchedule:
         return cls(tuple(segs))
 
 
-def _step_lookup(starts, ends, values, t, fill):
-    """At a time or an array of times t, values[i] of the first step
-    [starts[i], ends[i]) holding it, or fill (broadcast against t) where
-    none does. The ends are searched: segments longer than their _ORDER_TOL
-    overlap allowance have nondecreasing ends, so the first end past t is
-    the first step that can hold it, and where steps overlap it wins. Starts,
-    ends and times may be `_keys`, so a step holds only its own cell's times; past
-    the last step the start is +inf and the value fill, so no NaN key is compared."""
+def _step_lookup(starts, ends, t) -> np.ndarray:
+    """At each time of t, the index i of the first step [starts[i], ends[i]) holding it, or
+    len(starts) where none does. The ends are searched: segments longer than their
+    _ORDER_TOL overlap allowance have nondecreasing ends, so the first end past t is the
+    first step that can hold it, and where steps overlap it wins. Starts, ends and times
+    may be `_keys`, so a step holds only its own cell's times; past the last step the start
+    is +inf, so no NaN key is compared."""
     i = np.searchsorted(ends, t, side="right")
-    held = np.concatenate((starts, (math.inf,)))[i] <= t
-    return np.where(held, np.concatenate((values, (fill,)))[i], fill)
+    return np.where(np.concatenate((starts, (math.inf,)))[i] <= t, i, len(starts))
 
 
 def _keys(cell, t, stacked: bool):
@@ -451,12 +449,15 @@ class PieceTable:
 
 
 def _cut(cells) -> tuple:
-    """The one-step rows (cell, t_a, t_b, n_steps, phi, alpha) of (drive, phase, t1, t2,
+    """The rows (cell, t_a, t_b, phi, alpha, segment, ramped) of (drive, phase, t1, t2,
     extra) cells, by cell, then time: each cell's [t1, t2] cut at its breakpoints and its
     points of `extra` into maximal constant pieces (one point, one zero-length row). All
-    points are sorted and merged at once, a cell's ramp times first. A row reads its
-    schedules right-continuously at its start: on a ramp the step of the last ramp time at
-    or before it, else the first segment holding it. A row no phase holds raises."""
+    points are sorted and merged at once, a cell's ramp times first. A row reads each
+    schedule once, right-continuously at the last point merged into its start (or the
+    start), so it reads its interior: on a ramp the step of the last ramp time at or before
+    it, else the first segment holding it. segment is the index in its cell of the drive
+    segment holding that point (-1 for none), ramped whether a ramp step holds it. A row no
+    phase holds raises, naming that point."""
     stacked, seqs, sizes, ramps = len(cells) > 1, [], [], []
     for drive, phase, t1, t2, extra in cells:
         ramps.append(phase.ramp or ((), ()))
@@ -487,46 +488,55 @@ def _cut(cells) -> tuple:
         if (settled == keep[close]).all():
             break
         keep[close] = settled
-    # a cell's last point gives way to its t2, which ends its last row, unless it is its first
+    # a cell's last point gives way to its t2, which ends its last row, unless it is its
+    # first; a row reads at the point before the next kept one, of its cell or the next
     pos = np.flatnonzero(keep)
+    read = np.concatenate((pos[1:], (len(t),))) - 1
     if stacked:
         first = first[pos]
-        pos = pos[first | np.concatenate((~first[1:], (False,)))]
+        rows = first | np.concatenate((~first[1:], (False,)))
+        pos, read = pos[rows], read[rows]
         cell, t_a = cell.take(pos), t.take(pos)
         t_b = np.where(np.concatenate((cell[1:] != cell[:-1], (True,))), _by_row(
             t2s, cell, stacked), np.concatenate((t_a[1:], (0.0,))))
     else:
         pos = pos[:len(pos) - 1 or 1]
-        cell, t_a = cell[:len(pos)], t.take(pos)
+        read, cell, t_a = read[:len(pos)], cell[:len(pos)], t.take(pos)
         t_b = np.concatenate((t_a[1:], t2s))
-    # the drive segments of all cells, then the phase segments: (cell, start, end, value)
-    key, nd = _keys(cell, t_a, stacked), sum(len(c[0].segments) for c in cells)
-    k, s, e, v = np.array([(k, *g) for i in (0, 1) for k, c in enumerate(cells)
-                           for g in c[i].segments], dtype=complex).reshape(-1, 4).T
+    # (cell, index in the cell, start, end, value) of the drive segments of all cells, a row
+    # for none (alpha 0, index -1), then of the phase segments and a row for none (phi NaN)
+    at = t.take(read)
+    drives = [(k, j, *g) for k, c in enumerate(cells) for j, g in enumerate(c[0].segments)]
+    phases = [(k, 0, *g) for k, c in enumerate(cells) for g in c[1].segments]
+    k, loc, s, e, v = np.array(drives + [(0, -1, 0, 0, 0)] + phases + [(0, 0, 0, 0, math.nan)],
+                               dtype=complex).reshape(-1, 5).T
+    key, nd = _keys(cell, at, stacked), len(drives)
     s, e = _keys(k.real, s.real, stacked), _keys(k.real, e.real, stacked)
-    alpha = _step_lookup(s[:nd], e[:nd], v[:nd], key, 0.0)
-    segments = (s[nd:], e[nd:], v[nd:].real)
+    row = _step_lookup(s[:nd], e[:nd], key)
+    alpha, segment = v.take(row), loc.real.astype(int).take(row)
+    steps, values = (s[nd + 1:-1], e[nd + 1:-1]), v.real[nd + 1:]  # of the phase segments
     if any(lens):  # ramp step j of cell c's ramp: ends[c] - lens[c] <= j < ends[c] - 1
-        ends, j = np.cumsum(lens), ramp.take(pos) - 1
-        on = (j >= _by_row(list(ends - lens), cell, stacked)) & (
+        ends, j = np.cumsum(lens), ramp.take(read) - 1
+        ramped = (j >= _by_row(list(ends - lens), cell, stacked)) & (
             j < _by_row(list(ends - 1), cell, stacked))
-        phi = np.where(on, np.concatenate([r[1] for r in ramps]).take(j), math.nan)
-        phi[~on] = _step_lookup(*segments, key[~on], math.nan)
+        phi = np.concatenate([r[1] for r in ramps]).take(j)  # then the rows off a ramp
+        phi[~ramped] = values.take(_step_lookup(*steps, key[~ramped]))
     else:
-        phi = _step_lookup(*segments, key, math.nan)
+        ramped, phi = np.zeros(len(t_a), dtype=bool), values.take(_step_lookup(*steps, key))
     uncovered = np.isnan(phi)
     if uncovered.any():
-        raise ValueError(f"phase schedule does not cover t = {t_a[uncovered][0]}")
-    return cell, t_a, t_b, np.ones(len(t_a), dtype=int), phi, alpha
+        raise ValueError(f"phase schedule does not cover t = {at[uncovered][0]}")
+    return cell, t_a, t_b, phi, alpha, segment, ramped
 
 
 def _compile(params, rows) -> list:
     """The piece tables of cells k of params[k], of one level count, compiled in one pass
-    from their `_cut` rows (cell, t_a, t_b, n_steps, phi, alpha), each row on its own. The
-    tables are views of the stack's rows, channels and `free` mask (two-level with both
-    drive weights 0: no drive, or phi = pi), of every row's `_decay_factors`, kept when a
-    row is free, and of the other rows' step matrices, from one `sup_exp` call. The line
-    coupling c(phi) of the rows gives the "line" channel and their weights."""
+    from their rows (cell, t_a, t_b, n_steps, phi, alpha), `_cut`'s with step counts, each
+    row on its own. The tables are views of the stack's rows, channels and `free` mask
+    (two-level with both drive weights 0: no drive, or phi = pi), of every row's
+    `_decay_factors`, kept when a row is free, and of the other rows' step matrices, from
+    one `sup_exp` call. The line coupling c(phi) of the rows gives the "line" channel and
+    their weights."""
     cell, t_a, t_b, n, phi, alpha = rows
     levels = params[0].levels
     h = (t_b - t_a) / n
@@ -574,8 +584,9 @@ def _decay_factors(w, h) -> np.ndarray:
 
 def _piece_table(params: MirrorQubitParams, drive: DriveSchedule,
                  phase: PhaseSchedule, t1: float, t2: float, extra=()) -> PieceTable:
-    """The table of one run: `_compile` of its `_cut`."""
-    return _compile([params], _cut([(drive, phase, t1, t2, extra)]))[0]
+    """The table of one run: `_compile` of its `_cut`, one step per row."""
+    cell, t_a, t_b, phi, alpha, *_ = _cut([(drive, phase, t1, t2, extra)])
+    return _compile([params], (cell, t_a, t_b, np.ones(len(t_a), dtype=int), phi, alpha))[0]
 
 
 def _scan(e, states, i) -> None:
@@ -781,11 +792,6 @@ class ScenarioRun:
         return self.coords @ coordinates(self.dim)[0].T
 
 
-def _on_span(t_a, t_b, s: float, e: float) -> np.ndarray:
-    """Which rows [t_a, t_b] lie on the span [s, e], to _CUT_TOL."""
-    return (t_a >= s - _CUT_TOL) & (t_b <= e + _CUT_TOL)
-
-
 def simulate(params: MirrorQubitParams, drive: DriveSchedule,
              phase: PhaseSchedule, t_end: float, *, t_start: float = 0.0,
              rho0=None, dt: Optional[float] = None,
@@ -805,7 +811,8 @@ def simulate(params: MirrorQubitParams, drive: DriveSchedule,
 def _simulate(cells, rho0=None, min_pulse_steps: int = 20) -> list:
     """The runs of (params, drive, phase, t_start, t_end, dt) cells of one level
     count, each checked as `simulate` checks it before any is cut; they share one
-    read-only start state, and `_compile` compiles all their rows as one stack."""
+    read-only start state, and `_compile` compiles all their rows as one stack. A
+    row's steps come from the drive segment and the ramp flag of its `_cut`."""
     for *_, t_start, t_end, dt in cells:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -816,38 +823,24 @@ def _simulate(cells, rho0=None, min_pulse_steps: int = 20) -> list:
             raise ValueError("t_end must exceed t_start")
     start = _initial_state(cells[0][0], rho0)
     start.setflags(write=False)
-    cell, t_a, t_b, _, phi, alpha = _cut([(drive, phase, t1, t2, ())
-                                          for _, drive, phase, t1, t2, _ in cells])
-    # steps of at most dt; on a drive pulse, of at most 1/min_pulse_steps of its width, a
-    # later pulse winning; on a sampled ramp, one per sampling interval (a step of inf),
-    # never re-subdivided. A cell's spans (start, end, step) are its pulses, padded with NaN
-    # to the most pulses of a cell, then its ramp, after its dt
-    spans, ramps = [], [c[2].ramp for c in cells]
+    cell, t_a, t_b, phi, alpha, segment, ramped = _cut(
+        [(drive, phase, t1, t2, ()) for _, drive, phase, t1, t2, _ in cells])
+    # steps of at most dt, on a drive segment of at most 1/min_pulse_steps of its width, on a
+    # sampled ramp one per sampling interval. `steps` holds cell c's dt at dt_slot[c], then
+    # its segments', so a row's slot is dt_slot[c] + 1 + segment (its dt's on none, -1)
+    steps, dt_slot = [], []
     for _, drive, _, _, _, dt in cells:
-        spans.append([dt])
-        for s, e, _ in drive.segments:
-            spans[-1] += s, e, min(dt, (e - s) / min_pulse_steps)
-    stacked, width, ramped = len(cells) > 1, max(map(len, spans)) // 3, any(ramps)
-    for q, ramp in zip(spans, ramps):
-        q += [math.nan] * (3 * width + 1 - len(q))
-        q += () if not ramped else (math.nan,) * 3 if ramp is None else (
-            ramp[0][0], ramp[0][-1], math.inf)
-    x = _by_row(spans, cell, stacked)
-    local_dt, on = np.full(len(t_a), x[0]), []
-    for s, e, h in zip(x[1::3], x[2::3], x[3::3]):
-        on.append(_on_span(t_a, t_b, s, e))
-        np.copyto(local_dt, h, where=on[-1])
-    n = np.maximum(1, np.ceil((t_b - t_a) / local_dt)).astype(int)
-    # the fewest grid points on a drive pulse of each cell, for resolution diagnostics
-    if stacked:  # a pulse has rows where it has steps
-        firsts, points = np.searchsorted(cell, np.arange(len(cells))), np.full(len(cells), 10 ** 9)
-        for o in on[:width]:
-            steps = np.add.reduceat(o * n, firsts)
-            points = np.where(steps, np.minimum(points, steps + 1), points)
-        points = points.tolist()
-    else:
-        points = [min((int(n[o].sum()) + 1 for o in on[:width] if o.any()), default=10 ** 9)]
+        dt_slot.append(len(steps))
+        steps += [dt] + [min(dt, (e - s) / min_pulse_steps) for s, e, _ in drive.segments]
+    slot = _by_row(dt_slot, cell, len(cells) > 1) + (segment + 1)
+    h = np.array(steps).take(slot)
+    h[ramped] = math.inf
+    n = np.maximum(1, np.ceil((t_b - t_a) / h)).astype(int)
+    # each cell's fewest grid points on a drive segment, for resolution diagnostics
+    on = segment >= 0
+    count = np.bincount(slot[on], n[on], len(steps))
+    points = np.minimum.reduceat(np.where(count > 0, count + 1, 10 ** 9), dt_slot)
     tables = _compile([c[0] for c in cells], (cell, t_a, t_b, n, phi, alpha))
     return [ScenarioRun(params=params, drive=drive, phase=phase, start=start, pieces=table,
                         drive_points=dp)
-            for (params, drive, phase, *_), table, dp in zip(cells, tables, points)]
+            for (params, drive, phase, *_), table, dp in zip(cells, tables, map(int, points))]

@@ -579,19 +579,23 @@ def encode_flying_qubit(target: FlyingQubitTarget, params: MirrorQubitParams,
 
     One square segment at the amplitude ceiling, detuned by exactly the
     level shift lambda = (Gamma/2) sin phi, about which the fidelity is
-    even; the drive phase only turns rho_01, so it is set in closed form
-    to line rho_01 up with the target's phase. Only the width t_w is
-    searched: a 161-point scan of [1e-6, 4] pi-pulse widths, then a
-    safeguarded Newton refine inside the best point's bracket. The
-    residual infidelity scales with Gamma_eff * t_w, so larger amplitude
-    budgets encode more faithfully.
+    even (encode sets delta itself, so `params.delta` must be 0); the
+    drive phase only turns rho_01, so it is set in closed form to line
+    rho_01 up with the target's phase. Only the width t_w is searched: a
+    161-point scan of [1e-6, 4] pi-pulse widths, then a safeguarded Newton
+    refine inside the best point's bracket. The residual infidelity scales
+    with Gamma_eff * t_w, so larger amplitude budgets encode more faithfully.
     """
     if params.levels != 2:
         raise ValueError("encoding is a two-level scenario")
+    if params.delta != 0:
+        raise ValueError("encode sets delta to lambda = (gamma/2) sin phi; params.delta "
+                         f"must be 0, got {params.delta}")
     _check_positive(alpha_max=alpha_max)
     geff = effective_coupling(params.gamma, phi)
     if geff <= 0:
-        raise ValueError("phi = pi decouples the emitter; nothing can be encoded")
+        raise ValueError(f"Gamma_eff(phi) = gamma (1 + cos phi) is 0 at gamma = {params.gamma}, "
+                         f"phi = {phi}, which decouples the emitter; nothing can be encoded")
 
     if abs(target.nu) < 1e-9:
         return EncodeResult(schedule=DriveSchedule(()), delta=0.0, alpha=0.0,

@@ -385,17 +385,21 @@ def kron_jumps(ops):
 
 def merge_breakpoints(points, t1, t2):
     """Row edges (t_a, t_b) of [t1, t2] cut at `points`, one point at a
-    time: a point is kept when it lies more than 1e-12 past the last kept
-    one, and the last kept point gives way to t2 (a one-point span keeps
-    t1 and t2)."""
+    time, and each row's read point: a point is kept when it lies more
+    than 1e-12 past the last kept one, else it merges into that one; the
+    last kept point gives way to t2 (a one-point span keeps t1 and t2);
+    a row reads at the last point merged into its start, or the start."""
     pts = np.unique(np.concatenate([[t1, t2], points]))
     pts = pts[(pts >= t1) & (pts <= t2)].tolist()
-    merged = [pts[0]]
+    merged, reads = [pts[0]], [pts[0]]
     for x in pts[1:]:
         if x - merged[-1] > 1e-12:
             merged.append(x)
+            reads.append(x)
+        else:
+            reads[-1] = x
     merged[max(len(merged) - 1, 1):] = [t2]
-    return np.array(merged[:-1]), np.array(merged[1:])
+    return np.array(merged[:-1]), np.array(merged[1:]), np.array(reads[:len(merged) - 1])
 
 
 def stacked_decay_steps(gens, h):

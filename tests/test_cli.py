@@ -287,6 +287,18 @@ class TestRunCommand:
                        "line at alpha_d = 5.0, got 0.0\n")
         assert not (outdir / "result.csv").exists()
 
+    def test_uncoupled_encode_names_gamma_eff(self, tmp_path, capsys):
+        # gamma = 0 leaves Gamma_eff(phi) = 0 at the default phi = 0.9 pi; the error
+        # names gamma and phi, not phi = pi
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"scenario = encode\ngamma = 0\noutdir = {outdir}\n")
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        phi = dict(SCENARIOS["encode"].defaults)["phi"]
+        assert err.startswith("numeric failure: Gamma_eff(phi) = gamma (1 + cos phi) is 0 at "
+                              f"gamma = 0.0, phi = {phi}, which decouples")
+        assert "phi = pi" not in err and not (outdir / "result.csv").exists()
+
     def test_unusable_outdir_exits_two_before_running(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

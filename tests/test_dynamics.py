@@ -18,11 +18,30 @@ PI = math.pi
 def cut_values(times, drive=pf.DriveSchedule(()), phase=pf.PhaseSchedule()):
     """phi and alpha as `_cut` reads them on the rows starting at the sorted `times`,
     each a cut point of a span that ends one past the last."""
-    _, t_a, _, _, phi, alpha = pf.dynamics._cut([(drive, phase, times[0], times[-1] + 1.0,
-                                                  times)])
+    _, t_a, _, phi, alpha, *_ = pf.dynamics._cut([(drive, phase, times[0], times[-1] + 1.0,
+                                                   times)])
     rows = np.searchsorted(t_a, times)
     assert t_a[rows].tolist() == times
     return phi[rows].tolist(), alpha[rows].tolist()
+
+
+def read_values(drive, phase, reads):
+    """What a row reading at each of `reads` holds, by `oracles.schedule_value`: phi,
+    alpha, the index of the drive segment holding it (-1 for none) and whether a ramp
+    step holds it."""
+    places = [(t0, t1, k) for k, (t0, t1, _) in enumerate(drive.segments)]
+    steps = None if phase.ramp is None else (phase.ramp[0], [True] * len(phase.ramp[0]))
+    return ([oracles.phi_value(phase, t) for t in reads],
+            [oracles.alpha_value(drive, t) for t in reads],
+            [oracles.schedule_value(places, t) for t in reads],
+            [oracles.schedule_value((), t, steps) for t in reads])
+
+
+def cut_points(drive, phase, extra=()):
+    """Every cut point of a drive and a phase schedule, and the extra points."""
+    ramp = [] if phase.ramp is None else phase.ramp[0].tolist()
+    return np.array([x for seg in drive.segments + phase.segments for x in seg[:2]]
+                    + ramp + list(extra))
 
 
 def oracle_generator(gamma, phi, alpha=0.0, delta=0.0, gamma_nr=0.0):
@@ -200,13 +219,15 @@ LOOKUPS = {
 
 class TestStepLookup:
     """`_cut`'s one array lookup per schedule against the scalar comparisons of
-    `oracles.schedule_value`, at every row start."""
+    `oracles.schedule_value`, at every row's read point: the last point merged into its
+    start (`oracles.merge_breakpoints`)."""
 
     @pytest.mark.parametrize("name", LOOKUPS)
     def test_array_lookup_equals_scalar_lookups(self, name):
         # the finite times are cut points of the span they cover, for one cell and for a
-        # stack of two; a phase gap raises at its first row start, and the rows before
-        # it are read as the oracle reads them
+        # stack of two; a phase gap raises at its first read point, and the rows before
+        # it are read as the oracle reads them. drive_overlap's second row starts at
+        # ONE_ULP_BELOW_1 and reads at 1.0, on the second segment
         sched, times = LOOKUPS[name]
         drive, phase = ((sched, pf.PhaseSchedule()) if isinstance(sched, pf.DriveSchedule)
                         else (pf.DriveSchedule(()), sched))
@@ -219,10 +240,17 @@ class TestStepLookup:
                     pf.dynamics._cut([(drive, phase, min(finite), end, times)] * cells)
                 end = float(str(err.value).rsplit(" ", 1)[1])
                 assert oracles.phi_value(phase, end) is None
-            _, t_a, _, _, phi, alpha = pf.dynamics._cut(
+            *_, phi, alpha, segment, ramped = pf.dynamics._cut(
                 [(drive, phase, min(finite), end, times)] * cells)
-            assert phi.tolist() == [oracles.phi_value(phase, t) for t in t_a]
-            assert alpha.tolist() == [oracles.alpha_value(drive, t) for t in t_a]
+            reads = oracles.merge_breakpoints(cut_points(drive, phase, finite),
+                                              min(finite), end)[2]
+            want = read_values(drive, phase, reads)
+            assert phi.tolist() == want[0] * cells
+            assert alpha.tolist() == want[1] * cells
+            assert segment.tolist() == [-1 if k is None else k for k in want[2]] * cells
+            assert ramped.tolist() == [k is not None for k in want[3]] * cells
+        if name == "drive_overlap":
+            assert alpha.tolist() == [3.0, 7.0] * 2
 
     @pytest.mark.parametrize("entry", ["simulate", "propagator", "flux_series", "stack"])
     def test_every_entry_names_the_first_uncovered_time(self, entry):
@@ -479,9 +507,9 @@ class TestCompiler:
         # from the merge of the cut, and the phase segments are read off the ramp only
         sizes, real = [], pf.dynamics._step_lookup
 
-        def recording(starts, ends, values, t, fill):
+        def recording(starts, ends, t):
             sizes.append(np.size(t))
-            return real(starts, ends, values, t, fill)
+            return real(starts, ends, t)
 
         monkeypatch.setattr(pf.dynamics, "_step_lookup", recording)
         phase, rho0 = exponential_release()
@@ -644,9 +672,9 @@ def free_march_table(seed):
                              ramp=(ramp, rng.uniform(0.0, 2.0 * PI, 21)))
     drive = pf.DriveSchedule(tuple((a, b, complex(*rng.uniform(-4.0, 4.0, 2)))
                                    for a, b in ((1.0, 1.5), (2.5, 2.7), (4.5, 5.0))))
-    _, t_a, t_b, n, phi, alpha = pf.dynamics._cut([(drive, phase, 0.0, 6.0, [0.4, 0.7, 3.5, 5.5])])
-    on_ramp = (t_a >= 2.0) & (t_b <= 3.0)
-    n = np.where(on_ramp, 1, rng.integers(1, 300, len(n)))
+    _, t_a, t_b, phi, alpha, _, on_ramp = pf.dynamics._cut(
+        [(drive, phase, 0.0, 6.0, [0.4, 0.7, 3.5, 5.5])])
+    n = np.where(on_ramp, 1, rng.integers(1, 300, len(t_a)))
     # zero-length drive-free rows before the first row, the first pulse and two random rows
     pos = np.unique(np.concatenate([[0, np.searchsorted(t_a, 1.0)],
                                     rng.integers(1, len(t_a) + 1, 2)]))
@@ -817,17 +845,29 @@ class TestCut:
         else:
             run = TABLE_RUNS[name]()
             drive, phase, t1, t2 = run.drive, run.phase, run.times[0], run.times[-1]
-        ramp = [] if phase.ramp is None else phase.ramp[0].tolist()
-        points = np.array([x for seg in drive.segments + phase.segments for x in seg[:2]] + ramp)
-        cell, t_a, t_b, n, phi, alpha = pf.dynamics._cut([(drive, phase, t1, t2, ())])
+        cell, t_a, t_b, phi, alpha, segment, ramped = pf.dynamics._cut(
+            [(drive, phase, t1, t2, ())])
         assert not cell.any()
-        want_a, want_b = oracles.merge_breakpoints(points, t1, t2)
+        want_a, want_b, reads = oracles.merge_breakpoints(cut_points(drive, phase), t1, t2)
         assert np.array_equal(t_a, want_a) and np.array_equal(t_b, want_b)
-        assert np.array_equal(n, np.ones(len(t_a), dtype=int))
-        assert np.array_equal(phi, [oracles.phi_value(phase, t) for t in want_a])
-        assert np.array_equal(alpha, [oracles.alpha_value(drive, t) for t in want_a])
+        want = read_values(drive, phase, reads)
+        assert np.array_equal(phi, want[0]) and np.array_equal(alpha, want[1])
+        assert segment.tolist() == [-1 if k is None else k for k in want[2]]
+        assert ramped.tolist() == [k is not None for k in want[3]]
         if phase.ramp is not None and name in CUT_CASES:
             assert len(t_a) > 1600
+
+    def test_a_switch_merged_into_a_pulse_end_leaves_the_pulse(self):
+        # a phase switch 5e-13 before the pulse's end starts the row that the end merges
+        # into; that row reads past the end, so the pulse does not drive its 2 time units
+        params, drive = pf.MirrorQubitParams(gamma=1.0), pf.DriveSchedule(((0.5, 1.0, 3.0),))
+        near, at = (pf.PhaseSchedule(((-math.inf, s, PI / 2.0), (s, math.inf, 0.0)))
+                    for s in (1.0 - 5e-13, 1.0))
+        got, want = (pf.propagator(params, drive, ph, 0.0, 3.0).mat for ph in (near, at))
+        assert np.max(np.abs(got - want)) < 1e-10
+        got, want = (pf.photon_mtiples(pf.simulate(params, drive, ph, 3.0, dt=0.01))
+                     for ph in (near, at))
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-6
 
 
 def _release_run():
@@ -1198,29 +1238,44 @@ def stack_cells(levels):
     """Adversarial (params, drive, phase, t_start, t_end, dt) cells of one level count:
     spans that touch end to start, breakpoints within _CUT_TOL of other cells' points, a
     close run whose third point is kept, mixed dt and t_start, a ramp next to constant phases, a zero-amplitude
-    drive segment, overlapping drive segments and a span shorter than _CUT_TOL."""
+    drive segment, overlapping drive segments, a phase switch 0.5 _CUT_TOL before a pulse
+    ends and a span shorter than _CUT_TOL."""
     tol, rng = pf.dynamics._CUT_TOL, np.random.default_rng(7 + levels)
+    switch = 1.5 - 0.5 * tol
     if levels == 2:
         params = [pf.MirrorQubitParams(gamma=0.7, delta=0.3, gamma_nr=0.1),
                   pf.MirrorQubitParams(gamma=1.3, delta=-0.8), pf.MirrorQubitParams(gamma=1.0),
-                  pf.MirrorQubitParams(gamma=0.9, gamma_nr=0.02), pf.MirrorQubitParams()]
+                  pf.MirrorQubitParams(gamma=0.9, gamma_nr=0.02),
+                  pf.MirrorQubitParams(gamma=1.1, delta=0.4), pf.MirrorQubitParams()]
         phases = [pf.PhaseSchedule.storage_release(0.2, 1.0, 2.0, 1.1),
                   pf.PhaseSchedule(((-math.inf, 2.0 + 0.4 * tol, 0.5),
                                     (2.0 + 0.4 * tol, math.inf, PI))),
                   pf.PhaseSchedule(((-math.inf, math.inf, 0.4),), ramp=(
                       np.linspace(2.0, 3.0, 11), rng.uniform(0.0, 2.0 * PI, 11))),
-                  pf.PhaseSchedule.constant(0.0), pf.PhaseSchedule.constant(2.5)]
+                  pf.PhaseSchedule.constant(0.0),
+                  pf.PhaseSchedule(((-math.inf, switch, 0.3), (switch, math.inf, 1.2))),
+                  pf.PhaseSchedule.constant(2.5)]
     else:
-        params = [pf.MirrorQubitParams(levels=3, gamma02=g) for g in (0.05, 0.35, 0.2, 0.5, 0.1)]
-        phases = [pf.PhaseSchedule.constant(0.0)] * 5
+        params = [pf.MirrorQubitParams(levels=3, gamma02=g)
+                  for g in (0.05, 0.35, 0.2, 0.5, 0.25, 0.1)]
+        phases = [pf.PhaseSchedule.constant(0.0)] * 6
         phases[2] = pf.PhaseSchedule(ramp=(np.linspace(2.0, 3.0, 11), np.zeros(11)))
+        phases[4] = pf.PhaseSchedule(((-math.inf, switch, 0.0), (switch, math.inf, 0.0)))
     drives = [pf.DriveSchedule(((0.5, 1.0, 3.0 - 1.0j),)),
               pf.DriveSchedule(((2.0, 2.3, 0.0), (2.3 - 1e-16, 2.5, 4.0))),
               pf.DriveSchedule(((1.0 + 0.6 * tol, 1.0 + 1.2 * tol, 2.0), (2.5, 2.6, 1.0j))),
-              pf.DriveSchedule.square_pi_pulse(6.0, 0.0, 1.0), pf.DriveSchedule()]
+              pf.DriveSchedule.square_pi_pulse(6.0, 0.0, 1.0),
+              pf.DriveSchedule(((1.0, 1.5, 3.0 + 0.5j),)), pf.DriveSchedule()]
     spans = [(0.0, 2.0, 0.01), (2.0, 4.0, 0.02), (1.0, 3.5, 0.05), (0.0, 3.0, 0.005),
-             (2.0, 2.0 + 0.5 * tol, 0.01)]
+             (0.5, 2.5, 0.01), (2.0, 2.0 + 0.5 * tol, 0.01)]
     return [(p, d, ph, *span) for p, d, ph, span in zip(params, drives, phases, spans)]
+
+
+def one_step(rows):
+    """`_compile`'s rows (cell, t_a, t_b, n_steps, phi, alpha) of `_cut` rows, one step
+    each."""
+    cell, t_a, t_b, phi, alpha, _, _ = rows
+    return cell, t_a, t_b, np.ones(len(t_a), dtype=int), phi, alpha
 
 
 def assert_cells_of_the_stack(stack, ones):
@@ -1267,11 +1322,36 @@ class TestCellStack:
         ones = [pf.dynamics._cut([cell]) for cell in cells]
         assert rows[0].tolist() == [k for k, one in enumerate(ones) for _ in one[1]]
         for got, want in list(zip(rows, zip(*ones)))[1:]:
+            assert got.dtype == want[0].dtype
             assert got.tobytes() == np.concatenate(want).tobytes()
-        tables = pf.dynamics._compile(params, rows)
-        assert_cells_of_the_stack(tables, [pf.dynamics._compile([p], one)[0]
+        tables = pf.dynamics._compile(params, one_step(rows))
+        assert_cells_of_the_stack(tables, [pf.dynamics._compile([p], one_step(one))[0]
                                            for p, one in zip(params, ones)])
         assert any(len(t.t_a) == 1 and t.h[0] == 0.0 for t in tables)
+        # the row from the phase switch to the span's end reads past the pulse's end
+        _, t_a, _, _, alpha, segment, _ = ones[4]
+        p = np.searchsorted(t_a, 1.0)
+        assert t_a[p + 1] == 1.5 - 0.5 * pf.dynamics._CUT_TOL
+        assert (alpha[p + 1], segment[p + 1]) == (0.0, -1) and segment[p] == 0
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_driven_rows_step_within_their_segment(self, levels):
+        # every row with a drive steps at most min(dt, width / min_pulse_steps) of the
+        # drive segment its cut names, and a ramp row takes one step
+        cells = stack_cells(levels)
+        for steps in (20, 3):
+            runs = pf.dynamics._simulate(cells, min_pulse_steps=steps)
+            for (_, drive, phase, t1, t2, dt), run in zip(cells, runs):
+                _, t_a, t_b, _, alpha, segment, ramped = pf.dynamics._cut(
+                    [(drive, phase, t1, t2, ())])
+                table = run.pieces
+                assert np.array_equal(table.t_a, t_a) and np.array_equal(table.t_b, t_b)
+                widths = np.array([e - s for s, e, _ in drive.segments] + [math.nan])
+                bound = np.minimum(dt, widths[segment] / steps)
+                driven = (alpha != 0) & ~ramped
+                assert (segment[driven] >= 0).all()
+                assert (table.h[driven] <= bound[driven]).all()
+                assert (table.n_steps[ramped] == 1).all()
 
     def test_a_sweep_cuts_and_compiles_once(self):
         three = pf.MirrorQubitParams(levels=3)

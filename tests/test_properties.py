@@ -6,7 +6,9 @@ Drives and phase schedules are drawn on [0, 4]. Every cut point lies on
 a 1e-3 lattice (a split point on a 1e-4 one), so two distinct cut
 points are never within the piece table's 1e-12 merge tolerance of each
 other, except in the merge test, whose cut points come in runs closer
-than that. Examples are derandomized, so every run checks the same cases.
+than that, and the moved-breakpoint test, which draws on a 0.25 lattice
+and moves one point by at most half that. Examples are derandomized, so
+every run checks the same cases.
 """
 
 import math
@@ -102,8 +104,45 @@ def test_merge_keeps_the_sequential_rule(span):
     t1, t2, pts = span
     table = pf.dynamics._piece_table(pf.MirrorQubitParams(), pf.DriveSchedule(()),
                                      pf.PhaseSchedule.constant(0.0), t1, t2, pts)
-    t_a, t_b = oracles.merge_breakpoints(pts, t1, t2)
+    t_a, t_b, reads = oracles.merge_breakpoints(pts, t1, t2)
     assert np.array_equal(table.t_a, t_a) and np.array_equal(table.t_b, t_b)
+    # with a ramp step at each point, a row's phi names the point it reads at
+    if pts:
+        times = np.unique(pts)
+        phase = pf.PhaseSchedule(((-math.inf, math.inf, 6.0),),
+                                 ramp=(times, 1e-3 * np.arange(len(times))))
+        phi = pf.dynamics._cut([(pf.DriveSchedule(()), phase, t1, t2, pts)])[3]
+        assert phi.tolist() == [oracles.phi_value(phase, t) for t in reads]
+
+
+@st.composite
+def moved_breakpoints(draw):
+    """A drive and a phase schedule on a 0.25 lattice of [0, 4], so that drive and phase
+    breakpoints often coincide, and the same two with one breakpoint of one of them
+    (every segment end on it) moved by at most _CUT_TOL / 2."""
+    tol, ks = pf.dynamics._CUT_TOL, st.integers(0, 16)
+    points = draw(st.lists(ks, min_size=2, max_size=6, unique=True).map(sorted))
+    drive = [(a / 4.0, b / 4.0, draw(amplitudes(3.0))) for a, b in zip(points[::2], points[1::2])]
+    edges = [k / 4.0 for k in draw(st.lists(ks, min_size=1, max_size=3, unique=True).map(sorted))]
+    phase = [(a, b, draw(phases)) for a, b in zip([-math.inf] + edges, edges + [math.inf])]
+    pair = [drive, phase]
+    k = draw(st.integers(0, 1))
+    x = draw(st.sampled_from(sorted({t for seg in pair[k] for t in seg[:2] if math.isfinite(t)})))
+    delta = draw(st.floats(-tol / 2.0, tol / 2.0))
+    moved = list(pair)
+    moved[k] = [tuple(t + delta if t == x else t for t in seg[:2]) + seg[2:] for seg in pair[k]]
+    return [(pf.DriveSchedule(tuple(d)), pf.PhaseSchedule(tuple(ph))) for d, ph in (pair, moved)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(params, moved_breakpoints())
+def test_a_breakpoint_moved_within_the_merge_tolerance_barely_moves_the_propagator(p, pair):
+    # a row reads its interior, so a merged breakpoint changes which side of it a
+    # row reads only over the moved distance
+    (drive, phase), (moved_drive, moved_phase) = pair
+    got = pf.propagator(p, moved_drive, moved_phase, 0.0, T_END).mat
+    want = pf.propagator(p, drive, phase, 0.0, T_END).mat
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 @PROPERTY
@@ -228,7 +267,7 @@ def test_chunked_scan_is_the_step_by_step_march(p, alpha, rho0, layout, seed):
     phase = pf.PhaseSchedule(ramp=(edges, np.random.default_rng(seed).uniform(
         0.0, 2.0 * math.pi, len(edges))))
     drive = pf.DriveSchedule(((0.0, edges[-1], alpha),))
-    cell, t_a, t_b, _, phi, amp = pf.dynamics._cut([(drive, phase, 0.0, edges[-1], edges)])
+    cell, t_a, t_b, phi, amp, *_ = pf.dynamics._cut([(drive, phase, 0.0, edges[-1], edges)])
     table = pf.dynamics._compile([p], (cell, t_a, t_b, np.array(counts), phi, amp))[0]
     assert table.n_steps.tolist() == counts
     v0 = pf.dynamics._initial_state(p, rho0)

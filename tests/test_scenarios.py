@@ -923,6 +923,25 @@ class TestFlyingQubitEncoding:
         with pytest.raises(ValueError, match="two-level"):
             pf.encode_flying_qubit(target, ladder())
 
+    def test_decoupled_emitter_names_gamma_eff_with_its_inputs(self):
+        # gamma = 0 used to be blamed on phi = pi
+        target = pf.FlyingQubitTarget(0.0, 1.0)
+        for params, phi in ((pf.MirrorQubitParams(gamma=0.0), 0.9 * PI), (qubit_unit(), PI)):
+            with pytest.raises(ValueError) as err:
+                pf.encode_flying_qubit(target, params, phi=phi)
+            assert str(err.value).startswith(
+                f"Gamma_eff(phi) = gamma (1 + cos phi) is 0 at gamma = {params.gamma}, "
+                f"phi = {phi}, which decouples the emitter")
+
+    @pytest.mark.parametrize("delta", [0.3, -1e-9])
+    def test_rejects_a_detuning_it_would_override(self, delta):
+        # encode sets delta to lambda = (gamma/2) sin phi; a caller's delta used to be
+        # replaced silently
+        with pytest.raises(ValueError, match=r"encode sets delta to lambda = \(gamma/2\) sin "
+                                             f"phi; params.delta must be 0, got {delta}"):
+            pf.encode_flying_qubit(pf.FlyingQubitTarget(0.0, 1.0),
+                                   pf.MirrorQubitParams(gamma=1.0, delta=delta))
+
     def test_rejects_non_finite_inputs(self):
         # a NaN phi used to fail as "delta must be finite"
         target = pf.FlyingQubitTarget(0.0, 1.0)
